@@ -411,17 +411,15 @@ def _make_cache(args: argparse.Namespace):
 
 
 def _make_cluster_cache(args: argparse.Namespace):
-    """Cluster-granular sub-key cache, conventionally placed next to
-    the triple cache at ``<cache-dir>/clusters``.  Disabled alongside
-    the triple cache (``--no-cache``) or on its own
+    """The batch workers' cluster-granular sub-key cache, placed next
+    to the triple cache at ``<cache-dir>/clusters``.  Disabled
+    alongside the triple cache (``--no-cache``) or on its own
     (``--no-cluster-cache``).  With ``--peers`` the store is tiered
     over the fabric, so cluster artifacts computed on other hosts are
     hits here too."""
     from repro.service import ClusterCache, ResultCache, TieredCache
 
-    if getattr(args, "no_cache", False):
-        return None
-    if getattr(args, "no_cluster_cache", False):
+    if args.no_cache or args.no_cluster_cache:
         return None
     root = Path(args.cache_dir) / "clusters"
     remote = _make_remote(args)
@@ -519,6 +517,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import TimingDaemon
 
+    if args.workers < 1:
+        raise SystemExit(
+            f"--workers must be at least 1 (got {args.workers}): "
+            "requests always dispatch on the thread pool"
+        )
     cache_server = None
     if getattr(args, "cache_listen", None) is not None:
         from repro.service import CacheServer
@@ -561,7 +564,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     daemon = TimingDaemon(
         args.socket,
         cache=_make_cache(args),
-        cluster_cache=_make_cluster_cache(args),
         cache_server=cache_server,
         slow_path_limit=args.limit,
         telemetry=not args.no_telemetry,
@@ -575,7 +577,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_sample=args.trace_sample,
         collector=collector,
         workers=args.workers,
-        snapshot_reads=not args.no_snapshot_reads,
         stall_timeout_s=(
             args.stall_timeout if args.stall_timeout > 0 else None
         ),
@@ -1190,20 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the result cache entirely",
         )
-        group.add_argument(
-            "--no-cluster-cache",
-            action="store_true",
-            help="disable the cluster-granular sub-key cache "
-            "(kept under <cache-dir>/clusters); with it on, a "
-            "one-gate edit recomputes only the touched cluster",
-        )
-        group.add_argument(
-            "--cluster-cache-entries",
-            type=int,
-            default=4096,
-            help="LRU bound on cached cluster artifacts "
-            "(default: 4096)",
-        )
         fabric = parser.add_argument_group("cache fabric")
         fabric.add_argument(
             "--peers",
@@ -1241,6 +1228,19 @@ def build_parser() -> argparse.ArgumentParser:
         "jobs", help="job-set JSON file (schema repro.batch/1)"
     )
     _cache_arguments(batch)
+    batch.add_argument(
+        "--no-cluster-cache",
+        action="store_true",
+        help="disable the cluster-granular sub-key cache "
+        "(kept under <cache-dir>/clusters); with it on, a "
+        "one-gate edit recomputes only the touched cluster",
+    )
+    batch.add_argument(
+        "--cluster-cache-entries",
+        type=int,
+        default=4096,
+        help="LRU bound on cached cluster artifacts (default: 4096)",
+    )
     batch.add_argument(
         "--workers",
         type=int,
@@ -1309,16 +1309,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="request-dispatch thread-pool size; connections pipeline "
-        "onto it so a slow cold analysis cannot head-of-line-block "
-        "other designs (0 dispatches inline per connection; default: 8)",
-    )
-    serve.add_argument(
-        "--no-snapshot-reads",
-        action="store_true",
-        help="disable the lock-free analyze read path (every analyze "
-        "queues on the per-design lock; the measured baseline for the "
-        "snapshot_read_concurrency bench)",
+        help="request-dispatch thread-pool size (at least 1); "
+        "connections pipeline onto it so a slow cold analysis cannot "
+        "head-of-line-block other designs (default: 8)",
     )
     serve.add_argument(
         "--cache-listen",

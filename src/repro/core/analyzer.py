@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.clocks.schedule import ClockSchedule
@@ -177,6 +177,54 @@ class TimingResult:
         )
 
 
+def build_timing_result(
+    analyzer,
+    run: Callable[[], Algorithm1Result],
+    slow_path_limit: Optional[int],
+    tolerance: float,
+) -> TimingResult:
+    """Time ``run()`` -- one Algorithm 1 run over ``analyzer``'s model --
+    and wrap its outcome as a :class:`TimingResult`: slow paths, model
+    stats with the iteration counts, and the combined CPU cost.
+
+    The one assembly path behind :meth:`Hummingbird.analyze` and
+    :meth:`repro.core.incremental.IncrementalAnalyzer.timing_result`.
+    ``analyzer`` is either of them: it provides ``model``, ``engine``
+    and the ``preprocess_seconds`` / ``preprocess_cpu_seconds`` of its
+    model build, and becomes the result's back-reference.
+    """
+    started = time.perf_counter()
+    started_cpu = time.process_time()
+    outcome = run()
+    analysis_seconds = time.perf_counter() - started
+    analysis_cpu_seconds = time.process_time() - started_cpu
+    with obs.span("analyzer.slow_paths", category="analyzer"):
+        slow_paths = (
+            []
+            if outcome.intended
+            else extract_slow_paths(
+                analyzer.model,
+                analyzer.engine,
+                outcome.slacks.capture,
+                tolerance=tolerance,
+                limit=slow_path_limit,
+            )
+        )
+    stats = analyzer.model.stats()
+    stats["algorithm1_iterations"] = outcome.iterations.total
+    stats["algorithm1_forward_cycles"] = outcome.iterations.forward
+    stats["algorithm1_backward_cycles"] = outcome.iterations.backward
+    return TimingResult(
+        algorithm1=outcome,
+        slow_paths=slow_paths,
+        preprocess_seconds=analyzer.preprocess_seconds,
+        analysis_seconds=analysis_seconds,
+        stats=stats,
+        cpu_seconds=analyzer.preprocess_cpu_seconds + analysis_cpu_seconds,
+        analyzer=analyzer,
+    )
+
+
 class Hummingbird:
     """System-level timing analyser for latch-based multi-phase designs.
 
@@ -255,37 +303,12 @@ class Hummingbird:
         self, slow_path_limit: Optional[int] = 50, tolerance: float = 0.0
     ) -> TimingResult:
         """Run Algorithm 1 and extract the slow paths."""
-        started = time.perf_counter()
-        started_cpu = time.process_time()
-        with obs.span("analyzer.analysis", category="analyzer"):
-            outcome = run_algorithm1(self.model, self.engine)
-        analysis_seconds = time.perf_counter() - started
-        analysis_cpu_seconds = time.process_time() - started_cpu
-        with obs.span("analyzer.slow_paths", category="analyzer"):
-            slow_paths = (
-                []
-                if outcome.intended
-                else extract_slow_paths(
-                    self.model,
-                    self.engine,
-                    outcome.slacks.capture,
-                    tolerance=tolerance,
-                    limit=slow_path_limit,
-                )
-            )
-        stats = self.model.stats()
-        stats["algorithm1_iterations"] = outcome.iterations.total
-        stats["algorithm1_forward_cycles"] = outcome.iterations.forward
-        stats["algorithm1_backward_cycles"] = outcome.iterations.backward
-        result = TimingResult(
-            algorithm1=outcome,
-            slow_paths=slow_paths,
-            preprocess_seconds=self.preprocess_seconds,
-            analysis_seconds=analysis_seconds,
-            stats=stats,
-            cpu_seconds=self.preprocess_cpu_seconds + analysis_cpu_seconds,
-            analyzer=self,
-        )
+
+        def run() -> Algorithm1Result:
+            with obs.span("analyzer.analysis", category="analyzer"):
+                return run_algorithm1(self.model, self.engine)
+
+        result = build_timing_result(self, run, slow_path_limit, tolerance)
         self._last_result = result
         return result
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.netlist.cell import Cell
-from repro.netlist.kinds import CellRole, Unateness
+from repro.netlist.kinds import CellRole
 from repro.netlist.network import Network
 from repro.netlist.terminals import Terminal
-from repro.rftime import RiseFall
 
 #: Schema identifier of one cached per-cluster timing artifact.
-ARTIFACT_SCHEMA = "repro.clusterart/1"
+ARTIFACT_SCHEMA = "repro.clusterart/2"
 
 
 def cell_arc_pairs(cell: Cell) -> Tuple[Tuple[str, str], ...]:
@@ -97,7 +96,7 @@ class Cluster:
         """Install a precomputed source-to-capture reachability map.
 
         Used by the cluster-granular result cache: a cached
-        ``repro.clusterart/1`` artifact carries the exact map the BFS in
+        ``repro.clusterart/2`` artifact carries the exact map the BFS in
         :meth:`reachable_captures` would compute, so a warm analysis can
         skip the per-source net traversal for clean clusters.  The map
         must come from an artifact whose :func:`~repro.service.digest.cluster_digest`
@@ -213,120 +212,18 @@ def extract_clusters(network: Network) -> Tuple[Cluster, ...]:
     return tuple(clusters)
 
 
-def _sweep_path_delays(
-    cluster: Cluster, delays, start_net: str, maximum: bool
-) -> Dict[str, RiseFall]:
-    """Propagate path delay from ``start_net`` through the cluster.
-
-    ``maximum=True`` mirrors the slack engine's Equation-1 forward sweep
-    (max propagation with :meth:`DelayMap.arc_delay`); ``maximum=False``
-    is the dual shortest-path sweep with :meth:`DelayMap.arc_delay_min`.
-    Unateness swaps rise/fall exactly as in
-    :meth:`repro.core.slack.SlackEngine._forward`.
-    """
-    arrival: Dict[str, RiseFall] = {start_net: RiseFall.both(0.0)}
-    for cell in cluster.cells:
-        for in_pin, out_pin in delays.arcs_of(cell):
-            in_net = cell.terminal(in_pin).net
-            out_net = cell.terminal(out_pin).net
-            if in_net is None or out_net is None:
-                continue
-            at_input = arrival.get(in_net.name)
-            if at_input is None:
-                continue
-            delay = (
-                delays.arc_delay(cell, in_pin, out_pin)
-                if maximum
-                else delays.arc_delay_min(cell, in_pin, out_pin)
-            )
-            sense = delays.arc_unateness(cell, in_pin, out_pin)
-            if sense is Unateness.POSITIVE:
-                pair = RiseFall(
-                    at_input.rise + delay.rise, at_input.fall + delay.fall
-                )
-            elif sense is Unateness.NEGATIVE:
-                pair = RiseFall(
-                    at_input.fall + delay.rise, at_input.rise + delay.fall
-                )
-            else:  # non-unate: the binding input transition drives both
-                pick = max if maximum else min
-                bound = pick(at_input.rise, at_input.fall)
-                pair = RiseFall(bound + delay.rise, bound + delay.fall)
-            existing = arrival.get(out_net.name)
-            if existing is None:
-                arrival[out_net.name] = pair
-            elif maximum:
-                arrival[out_net.name] = existing.max_with(pair)
-            else:
-                arrival[out_net.name] = existing.min_with(pair)
-    return arrival
-
-
 def cluster_timing_artifact(
-    network: Network, cluster: Cluster, delays
+    network: Network, cluster: Cluster
 ) -> Dict[str, object]:
-    """One cluster's cacheable timing artifact (``repro.clusterart/1``).
+    """One cluster's cacheable artifact (``repro.clusterart/2``).
 
-    Per the Li et al. extraction contract, the artifact captures the
-    cluster's port-to-port timing view without any window state:
-
-    * ``reach`` -- the exact source-to-capture reachability map the
-      break-open pass selection needs (:meth:`Cluster.reachable_captures`),
-      reusable via :meth:`Cluster.seed_reachability`;
-    * ``dmax_p`` / ``dmin_p`` -- longest / shortest combinational path
-      delay from each source terminal to each reachable capture
-      terminal (the paper's per-path ``Dmax_p`` / ``Dmin_p`` symbols);
-    * ``worst_arcs`` -- for each capture terminal, the source whose
-      ``dmax_p`` binds it (the critical through-cluster arc).
-
-    The numbers are derived views for reporting/invalidation checks;
-    correctness of warm runs rests on ``reach`` being byte-identical to
-    what a cold BFS computes, which it is by construction (it *is* the
-    cold BFS output).
+    ``reach`` is the exact source-to-capture reachability map the
+    break-open pass selection needs (:meth:`Cluster.reachable_captures`),
+    reusable via :meth:`Cluster.seed_reachability`.  A warm run is
+    byte-identical to a cold one because ``reach`` *is* the cold BFS
+    output.
     """
     reach = cluster.reachable_captures(network)
-    capture_by_net: Dict[str, List[str]] = {}
-    for capture in cluster.captures:
-        if capture.net is not None:
-            capture_by_net.setdefault(capture.net.name, []).append(
-                capture.full_name
-            )
-    dmax_p: Dict[str, Dict[str, float]] = {}
-    dmin_p: Dict[str, Dict[str, float]] = {}
-    worst_arcs: Dict[str, Dict[str, object]] = {}
-    for source in sorted(cluster.sources, key=lambda t: t.full_name):
-        if source.net is None:
-            continue
-        reached = reach.get(source.full_name, frozenset())
-        max_arrival = _sweep_path_delays(
-            cluster, delays, source.net.name, maximum=True
-        )
-        min_arrival = _sweep_path_delays(
-            cluster, delays, source.net.name, maximum=False
-        )
-        max_row: Dict[str, float] = {}
-        min_row: Dict[str, float] = {}
-        for net_name, names in capture_by_net.items():
-            at_max = max_arrival.get(net_name)
-            at_min = min_arrival.get(net_name)
-            if at_max is None or at_min is None:
-                continue
-            dmax = max(at_max.rise, at_max.fall)
-            dmin = min(at_min.rise, at_min.fall)
-            for capture_name in names:
-                if capture_name not in reached:
-                    continue
-                max_row[capture_name] = dmax
-                min_row[capture_name] = dmin
-                binding = worst_arcs.get(capture_name)
-                if binding is None or dmax > binding["dmax"]:
-                    worst_arcs[capture_name] = {
-                        "source": source.full_name,
-                        "dmax": dmax,
-                        "dmin": dmin,
-                    }
-        dmax_p[source.full_name] = max_row
-        dmin_p[source.full_name] = min_row
     return {
         "schema": ARTIFACT_SCHEMA,
         "cluster": cluster.name,
@@ -335,9 +232,6 @@ def cluster_timing_artifact(
             source: sorted(captures)
             for source, captures in reach.items()
         },
-        "dmax_p": dmax_p,
-        "dmin_p": dmin_p,
-        "worst_arcs": worst_arcs,
     }
 
 

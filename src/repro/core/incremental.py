@@ -22,11 +22,12 @@ instances, so such changes trigger a full model rebuild (tracked in
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro import obs
 from repro.clocks.schedule import ClockSchedule
 from repro.core.algorithm1 import Algorithm1Result, run_algorithm1
+from repro.core.analyzer import build_timing_result
 from repro.core.model import AnalysisModel
 from repro.core.slack import SlackEngine
 from repro.delay.estimator import DelayMap, estimate_delays
@@ -49,12 +50,6 @@ class IncrementalAnalyzer:
         self.rebuilds = 0
         #: Cheap delay swaps performed (data-path changes).
         self.swaps = 0
-        #: Cluster touched by the most recent :meth:`scale_cell`
-        #: (``None`` before any mutation, or when the touched cell is
-        #: not combinational -- e.g. a synchroniser, whose timing sits
-        #: on every adjacent cluster's boundary).  Survives the model
-        #: rebuild a control-cone edit triggers.
-        self.last_touched_cluster: Optional[str] = None
         #: Mutation epoch: bumped by every delay change.  Snapshot
         #: layers (the daemon's copy-on-write read path) compare epochs
         #: to decide whether a cached result still describes this
@@ -75,9 +70,6 @@ class IncrementalAnalyzer:
         for trace in self.model.validation.control_traces.values():
             self._control_cells.update(trace.comb_cells)
         self._warm = False
-        # Lazy cell -> cluster ownership map; reset on rebuild (the
-        # rebuilt model re-extracts the partition).
-        self._cell_to_cluster: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
     # delay changes
@@ -86,28 +78,9 @@ class IncrementalAnalyzer:
     def delays(self) -> DelayMap:
         return self._delays
 
-    def cluster_of(self, cell_name: str) -> Optional[str]:
-        """The cluster owning a combinational cell, or ``None``.
-
-        Built lazily from :attr:`model.clusters` (the same partition
-        the analysis uses), so the cache layer's invalidation map and
-        the analysis agree on ownership by construction.
-        """
-        if self._cell_to_cluster is None:
-            self._cell_to_cluster = {
-                cell.name: cluster.name
-                for cluster in self.model.clusters
-                for cell in cluster.cells
-            }
-        return self._cell_to_cluster.get(cell_name)
-
     def scale_cell(self, cell_name: str, factor: float) -> None:
         """Scale one cell's delays (the re-synthesis loop's operation)."""
         self.network.cell(cell_name)
-        # Record which cluster the edit lands in *before* mutating, so
-        # the service layer can drop exactly that cluster's cache
-        # sub-entry (see repro.service.cluster_cache).
-        self.last_touched_cluster = self.cluster_of(cell_name)
         self.epoch += 1
         self._delays = self._delays.with_scaled_cell(cell_name, factor)
         if cell_name in self._control_cells:
@@ -176,35 +149,6 @@ class IncrementalAnalyzer:
         primitive the service daemon uses to answer mutate-and-requery
         traffic without rebuilding the model.
         """
-        from repro.core.analyzer import TimingResult
-        from repro.core.report import extract_slow_paths
-
-        started = time.perf_counter()
-        started_cpu = time.process_time()
-        outcome = self.analyze(warm=warm)
-        analysis_seconds = time.perf_counter() - started
-        analysis_cpu_seconds = time.process_time() - started_cpu
-        slow_paths = (
-            []
-            if outcome.intended
-            else extract_slow_paths(
-                self.model,
-                self.engine,
-                outcome.slacks.capture,
-                tolerance=tolerance,
-                limit=slow_path_limit,
-            )
-        )
-        stats = self.model.stats()
-        stats["algorithm1_iterations"] = outcome.iterations.total
-        stats["algorithm1_forward_cycles"] = outcome.iterations.forward
-        stats["algorithm1_backward_cycles"] = outcome.iterations.backward
-        return TimingResult(
-            algorithm1=outcome,
-            slow_paths=slow_paths,
-            preprocess_seconds=self.preprocess_seconds,
-            analysis_seconds=analysis_seconds,
-            stats=stats,
-            cpu_seconds=self.preprocess_cpu_seconds + analysis_cpu_seconds,
-            analyzer=self,
+        return build_timing_result(
+            self, lambda: self.analyze(warm=warm), slow_path_limit, tolerance
         )

@@ -52,12 +52,7 @@ from repro.service.batch import (
     load_jobs,
 )
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.cluster_cache import (
-    ClusterCache,
-    ClusterMap,
-    ClusterWarmup,
-    build_cluster_map,
-)
+from repro.service.cluster_cache import ClusterCache, ClusterWarmup
 from repro.service.collector import (
     FleetCollector,
     scrape_fleet,
@@ -97,7 +92,6 @@ __all__ = [
     "CacheServer",
     "CacheStats",
     "ClusterCache",
-    "ClusterMap",
     "ClusterWarmup",
     "RemoteCache",
     "RouteHTTPServer",
@@ -105,7 +99,6 @@ __all__ = [
     "ShardRouter",
     "SourceMap",
     "TieredCache",
-    "build_cluster_map",
     "cluster_digest",
     "DaemonClient",
     "FleetCollector",

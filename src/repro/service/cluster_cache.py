@@ -3,25 +3,21 @@
 The triple-keyed :class:`~repro.service.cache.ResultCache` answers "have
 we analysed exactly this (network, clocks, config)?" -- a one-gate edit
 invalidates the whole design.  This module adds the paper's Section-7
-cluster decomposition as the unit of caching: every *cluster* (a maximal
-connected combinational network bounded by synchroniser terminals) gets
-its own content address (:func:`~repro.service.digest.cluster_digest`)
-over its cells, arc delays, internal nets, boundary clock bindings and
-the analysis config.  A delay mutation therefore changes exactly one
-cluster's digest, and a warm re-run of an edited design
+cluster decomposition as the unit of caching for batch workers: every
+*cluster* (a maximal connected combinational network bounded by
+synchroniser terminals) gets its own content address
+(:func:`~repro.service.digest.cluster_digest`) over its cells, arc
+delays, internal nets, boundary clock bindings and the analysis config.
+A delay mutation therefore changes exactly one cluster's digest, and a
+warm re-run of an edited design
 
-* **hits** on every clean cluster -- its ``repro.clusterart/1`` artifact
-  (source-to-capture reachability, ``dmax_p`` / ``dmin_p`` path delays,
-  per-capture worst arcs) loads from the cache and its reachability map
-  seeds the analysis model before Algorithm 1 seeds windows, skipping
-  the per-source BFS;
+* **hits** on every clean cluster -- its ``repro.clusterart/2`` artifact
+  (the source-to-capture reachability map) loads from the cache and
+  seeds the analysis model, skipping the per-source BFS;
 * **recomputes** only the dirty cluster's artifact.
 
-The *invalidation map* (:class:`ClusterMap`) is built from
-:func:`~repro.core.clusters.extract_clusters` partitions: it maps every
-combinational cell and net to its owning cluster and every cluster to
-its current sub-key, so the daemon's ``mutate`` path can drop one
-sub-entry instead of the whole triple.
+There is no invalidation step: an edit gives the dirty cluster a new
+sub-key, and the stale sub-entry simply ages out of the LRU.
 
 Storage reuses :class:`ResultCache` (same ``repro.cache/1`` on-disk
 entries, atomic writes, advisory index, LRU, integrity quarantine)
@@ -45,113 +41,31 @@ from repro.core.clusters import (
 from repro.service.cache import ResultCache
 from repro.service.digest import cluster_digest
 
-__all__ = [
-    "ClusterCache",
-    "ClusterMap",
-    "ClusterWarmup",
-    "build_cluster_map",
-]
+__all__ = ["ClusterCache", "ClusterWarmup"]
 
 #: Counter namespace of the cluster-level cache.
 COUNTER_PREFIX = "service.cluster_cache"
-
-
-@dataclass(frozen=True)
-class ClusterMap:
-    """The invalidation map of one design at one delay state.
-
-    Binds each cluster to its content sub-key and each combinational
-    cell / net to its owning cluster.  The map is a function of the
-    *live* delays: after a mutation the sub-keys change, so callers keep
-    the pre-mutation map around to know which old sub-entry to drop
-    (see :meth:`ClusterCache.invalidate`).
-    """
-
-    clusters: Tuple[Cluster, ...]
-    #: cluster name -> cluster_digest sub-key.
-    keys: Dict[str, str] = field(default_factory=dict)
-    #: combinational cell name -> owning cluster name.
-    cell_to_cluster: Dict[str, str] = field(default_factory=dict)
-    #: net name -> owning cluster name.
-    net_to_cluster: Dict[str, str] = field(default_factory=dict)
-
-    def owner_of_cell(self, cell_name: str) -> Optional[str]:
-        """The cluster owning a combinational cell (None if unknown)."""
-        return self.cell_to_cluster.get(cell_name)
-
-    def owner_of_net(self, net_name: str) -> Optional[str]:
-        return self.net_to_cluster.get(net_name)
-
-    def key_of(self, cluster_name: str) -> Optional[str]:
-        return self.keys.get(cluster_name)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Summary suitable for stats responses (no full key dump)."""
-        return {
-            "clusters": len(self.clusters),
-            "cells": len(self.cell_to_cluster),
-            "nets": len(self.net_to_cluster),
-            "keys": dict(self.keys),
-        }
-
-
-def build_cluster_map(
-    network,
-    schedule,
-    delays,
-    config_sha: str,
-    clusters: Optional[Tuple[Cluster, ...]] = None,
-) -> ClusterMap:
-    """Build the invalidation map for ``network`` at ``delays``.
-
-    ``clusters`` lets callers reuse an already-extracted partition (the
-    analysis model and the batch planner both run
-    :func:`extract_clusters`); otherwise the partition is computed here.
-    """
-    if clusters is None:
-        clusters = extract_clusters(network)
-    keys: Dict[str, str] = {}
-    cell_to_cluster: Dict[str, str] = {}
-    net_to_cluster: Dict[str, str] = {}
-    for cluster in clusters:
-        keys[cluster.name] = cluster_digest(
-            cluster, schedule, delays, config_sha
-        )
-        for cell in cluster.cells:
-            cell_to_cluster[cell.name] = cluster.name
-        for net_name in cluster.net_names:
-            net_to_cluster[net_name] = cluster.name
-    return ClusterMap(
-        clusters=tuple(clusters),
-        keys=keys,
-        cell_to_cluster=cell_to_cluster,
-        net_to_cluster=net_to_cluster,
-    )
 
 
 @dataclass
 class ClusterWarmup:
     """Outcome of one :meth:`ClusterCache.warm` pass."""
 
-    map: ClusterMap
+    #: The warmed partition (every cluster's reachability is filled).
+    clusters: Tuple[Cluster, ...]
     #: Cluster names whose artifacts loaded from the cache.
     hits: List[str] = field(default_factory=list)
     #: Cluster names whose artifacts had to be recomputed.
     recomputed: List[str] = field(default_factory=list)
-    #: cluster name -> repro.clusterart/1 artifact (hits + recomputed).
-    artifacts: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-    @property
-    def clusters(self) -> int:
-        return len(self.map.clusters)
 
     @property
     def hit_rate(self) -> float:
-        return len(self.hits) / self.clusters if self.clusters else 0.0
+        total = len(self.clusters)
+        return len(self.hits) / total if total else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "clusters": self.clusters,
+            "clusters": len(self.clusters),
             "hits": len(self.hits),
             "recomputed": len(self.recomputed),
             "hit_rate": self.hit_rate,
@@ -159,7 +73,7 @@ class ClusterWarmup:
 
 
 class ClusterCache:
-    """Per-cluster artifact store with cluster-granular invalidation.
+    """Per-cluster artifact store, one content-addressed sub-key each.
 
     Parameters
     ----------
@@ -230,29 +144,25 @@ class ClusterCache:
         map from the stored artifact (counted as
         ``service.cluster_cache.seeded``); a miss recomputes the
         artifact (``service.cluster_cache.recomputed``) -- which *is*
-        the cold BFS plus two path-delay sweeps -- and stores it.
-        Either way the cluster object ends up warm, so the analysis
-        model built from these clusters never re-runs the BFS.
+        the cold BFS -- and stores it.  Either way the cluster object
+        ends up warm, so the analysis model built from these clusters
+        never re-runs the BFS.  ``clusters`` reuses an already-extracted
+        partition; otherwise it is extracted here.
         """
-        cmap = build_cluster_map(
-            network, schedule, delays, config_sha, clusters=clusters
-        )
-        warmup = ClusterWarmup(map=cmap)
-        for cluster in cmap.clusters:
-            key = cmap.keys[cluster.name]
+        if clusters is None:
+            clusters = extract_clusters(network)
+        warmup = ClusterWarmup(clusters=tuple(clusters))
+        for cluster in warmup.clusters:
+            key = cluster_digest(cluster, schedule, delays, config_sha)
             artifact = self.probe(key)
             if artifact is not None:
                 cluster.seed_reachability(artifact.get("reach", {}))
                 warmup.hits.append(cluster.name)
                 obs.counter(f"{COUNTER_PREFIX}.seeded")
             else:
-                artifact = cluster_timing_artifact(
-                    network, cluster, delays
-                )
-                self.store(key, artifact)
+                self.store(key, cluster_timing_artifact(network, cluster))
                 warmup.recomputed.append(cluster.name)
                 obs.counter(f"{COUNTER_PREFIX}.recomputed")
-            warmup.artifacts[cluster.name] = artifact
         self.flush()
         obs.gauge(
             f"{COUNTER_PREFIX}.hit_rate", warmup.hit_rate
@@ -260,57 +170,14 @@ class ClusterCache:
         return warmup
 
     # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-    def invalidate(
-        self, cmap: ClusterMap, cell_name: str
-    ) -> Optional[str]:
-        """Drop the sub-entry of the cluster owning ``cell_name``.
-
-        ``cmap`` must be the *pre-mutation* map -- its sub-keys address
-        the now-stale artifacts.  Returns the touched cluster's name,
-        or ``None`` when the cell is not in any cluster (synchronisers
-        and pads have no combinational arcs of their own; scaling one
-        changes its ``SyncTiming``, which lives in the *boundary* part
-        of every adjacent cluster's digest -- callers fall back to
-        :meth:`invalidate_all` in that case).
-        """
-        owner = cmap.owner_of_cell(cell_name)
-        if owner is None:
-            return None
-        key = cmap.key_of(owner)
-        if key is not None:
-            self._cache.evict(key)
-        obs.counter(f"{COUNTER_PREFIX}.invalidated")
-        return owner
-
-    def invalidate_all(self, cmap: ClusterMap) -> int:
-        """Drop every sub-entry of the map (clock/schedule mutations)."""
-        dropped = 0
-        for key in cmap.keys.values():
-            if self._cache.evict(key):
-                dropped += 1
-        obs.counter(
-            f"{COUNTER_PREFIX}.invalidated", value=len(cmap.keys)
-        )
-        return dropped
-
-    # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        return self._cache.stats
-
     @property
     def max_entries(self) -> Optional[int]:
         return self._cache.max_entries
 
     def flush(self) -> None:
         self._cache.flush()
-
-    def close(self) -> None:
-        self._cache.close()
 
     def __len__(self) -> int:
         return len(self._cache)

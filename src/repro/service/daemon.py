@@ -98,7 +98,6 @@ from repro.obs.profile import SamplingProfiler
 from repro.obs.tracestore import TailSampler, TraceStore
 from repro.obs.tsdb import MetricsHistory
 from repro.service.cache import ResultCache
-from repro.service.cluster_cache import ClusterCache, ClusterMap
 from repro.service.digest import (
     analysis_config,
     cache_key,
@@ -182,11 +181,6 @@ class _DesignState:
         self.lock = threading.Lock()
         self.mutations = 0
         self.analyses = 0
-        #: Cluster invalidation map at the *current* delay state
-        #: (``None`` until the cluster cache first touches this design).
-        #: Kept one step behind a mutation on purpose: its sub-keys
-        #: address the pre-mutation artifacts that must be dropped.
-        self.cluster_map: Optional[ClusterMap] = None
         #: Requests currently queued on / holding this design's lock.
         self.in_flight = 0
         #: Has the *current* engine answered at least once?  Reset on a
@@ -250,12 +244,6 @@ class TimingDaemon:
         Requests at least this slow log their full span tree (traced
         requests only -- the span detail comes from the per-request
         recorder).
-    cluster_cache:
-        Optional :class:`repro.service.cluster_cache.ClusterCache` (or
-        a directory path).  Analyses keep per-cluster artifacts in it;
-        a ``scale_cell`` mutation then drops exactly the touched
-        cluster's sub-entry instead of invalidating the whole
-        (network, clocks, config) triple.
     alert_rules:
         ``None`` for the built-in :data:`repro.obs.alerts.DEFAULT_RULES`,
         a path to a TOML/JSON rule file (extends/overrides the
@@ -282,14 +270,8 @@ class TimingDaemon:
         Size of the bounded request-dispatch thread pool.  Connections
         pipeline onto it (responses still stream back in request
         order), so one slow cold analysis no longer head-of-line-blocks
-        requests for unrelated designs on other connections.  ``0``
-        dispatches inline on the connection thread (PR-3 behaviour).
-    snapshot_reads:
-        Enable the lock-free analyze read path: repeat ``analyze``
-        requests with no intervening mutation answer straight from the
-        design's published :class:`AnalysisSnapshot` without taking the
-        per-design lock.  ``False`` forces every analyze through the
-        lock (the measured baseline for the concurrency bench).
+        requests for unrelated designs on other connections.  Must be
+        at least 1.
     """
 
     def __init__(
@@ -301,7 +283,6 @@ class TimingDaemon:
         http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
-        cluster_cache: Union[ClusterCache, str, None] = None,
         history_interval_s: float = 5.0,
         history_capacity: int = 720,
         alert_rules: Union[
@@ -318,8 +299,12 @@ class TimingDaemon:
         trace_sample: float = 0.05,
         collector=None,
         workers: int = 8,
-        snapshot_reads: bool = True,
     ) -> None:
+        if int(workers) < 1:
+            raise ValueError(
+                f"workers must be at least 1 (got {workers}): requests "
+                "always dispatch on the thread pool"
+            )
         self.socket_path = str(socket_path)
         self.cache = cache
         #: Cache-fabric object store co-hosted with this daemon
@@ -355,12 +340,6 @@ class TimingDaemon:
         self.fabric_probe_interval_s = max(
             5.0, float(history_interval_s)
         )
-        if cluster_cache is None or isinstance(
-            cluster_cache, ClusterCache
-        ):
-            self.cluster_cache: Optional[ClusterCache] = cluster_cache
-        else:
-            self.cluster_cache = ClusterCache(cluster_cache)
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
@@ -455,15 +434,10 @@ class TimingDaemon:
         self._designs_lock = threading.Lock()
         self._state_lock = threading.Lock()  # requests/errors/in_flight
         self._local = threading.local()
-        #: Request-dispatch pool size (``0`` dispatches inline on the
-        #: connection thread, PR-3 style).  Connections pipeline: the
-        #: reader submits every parsed line to the pool and a writer
-        #: thread streams responses back in request order.
-        self.workers = max(0, int(workers))
-        #: Lock-free snapshot read path enabled?  ``False`` forces every
-        #: analyze through the per-design lock (the locked baseline the
-        #: ``snapshot_read_concurrency`` bench compares against).
-        self.snapshot_reads = bool(snapshot_reads)
+        #: Request-dispatch pool size.  Connections pipeline: the reader
+        #: submits every parsed line to the pool and a writer thread
+        #: streams responses back in request order.
+        self.workers = int(workers)
         self._pool = None
         self._server: Optional[socketserver.ThreadingUnixStreamServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -523,22 +497,10 @@ class TimingDaemon:
                     return False
                 return True
 
-            def _handle_inline(self) -> None:  # workers=0: PR-3 loop
-                while True:
-                    line = self.rfile.readline()
-                    if not line:
-                        return
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if not self._write(daemon.handle_line(line)):
-                        return
-
             def handle(self) -> None:  # one connection, many requests
                 pool = daemon._pool
                 if pool is None:
-                    self._handle_inline()
-                    return
+                    return  # daemon stopping
                 # Pipelined dispatch: the connection thread reads and
                 # submits, a writer thread streams completed responses
                 # back in request order.  The bounded queue is the
@@ -936,7 +898,6 @@ class TimingDaemon:
                 "socket": self.socket_path,
                 "telemetry": self.recorder is not None,
                 "result_cache": self.cache is not None,
-                "cluster_cache": self.cluster_cache is not None,
                 "access_log": self.access_log is not None,
                 "slow_path_limit": self.slow_path_limit,
                 "slow_threshold_s": self.slow_threshold_s,
@@ -962,7 +923,6 @@ class TimingDaemon:
                 ),
                 "debug_ops": self.debug_ops,
                 "workers": self.workers,
-                "snapshot_reads": self.snapshot_reads,
                 "cache_peers": (
                     list(self._fabric.peers)
                     if self._fabric is not None
@@ -1073,7 +1033,7 @@ class TimingDaemon:
             )
 
     def _start_pool(self) -> None:
-        if self.workers > 0 and self._pool is None:
+        if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(
@@ -1166,8 +1126,6 @@ class TimingDaemon:
         # Persist write-behind LRU recency (advisory -- safe to lose).
         if self.cache is not None:
             self.cache.flush()
-        if self.cluster_cache is not None:
-            self.cluster_cache.flush()
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -1455,27 +1413,6 @@ class TimingDaemon:
             key = state.content_key(limit, tolerance)
             if state.mutations == 0 and key not in self.cache:
                 self.cache.put(key, result.payload(), manifest)
-        cluster_info = None
-        if self.cluster_cache is not None:
-            # Refresh the per-cluster artifacts at the *live* delay
-            # state (mutations give clusters new, correct sub-keys --
-            # content addressing cannot be poisoned by history) and
-            # remember the map so the next mutation can invalidate a
-            # single sub-entry.  Reuses the analyzer's own partition.
-            config_sha = config_digest(
-                analysis_config(
-                    slow_path_limit=limit, tolerance=tolerance
-                )
-            )
-            warmup = self.cluster_cache.warm(
-                state.network,
-                state.schedule,
-                state.analyzer.delays,
-                config_sha,
-                clusters=state.analyzer.model.clusters,
-            )
-            state.cluster_map = warmup.map
-            cluster_info = warmup.to_dict()
         response = {
             "ok": True,
             "engine": engine,
@@ -1490,8 +1427,6 @@ class TimingDaemon:
             "manifest_digest": manifest_digest(manifest),
             "timing_digest": timing_digest(manifest),
         }
-        if cluster_info is not None:
-            response["cluster_cache"] = cluster_info
         self._publish_snapshot(
             state, (limit, tolerance, request.get("label")), response
         )
@@ -1512,8 +1447,6 @@ class TimingDaemon:
         copy -- :meth:`handle_line` decorates the *returned* response
         with ``"trace"``/``"id"`` and must never bleed into the cache.
         """
-        if not self.snapshot_reads:
-            return
         old = state.snapshot
         responses = (
             dict(old.responses)
@@ -1700,34 +1633,30 @@ class TimingDaemon:
 
     def _op_analyze(self, request: Dict[str, object]) -> Dict[str, object]:
         state = self._design(request)
-        key = None
-        if self.snapshot_reads:
-            arrival = time.perf_counter()
-            limit = request.get("slow_path_limit", self.slow_path_limit)
-            tolerance = float(request.get("tolerance", 0.0) or 0.0)
-            key = (limit, tolerance, request.get("label"))
-            # Lock-free read path.  The epoch is bumped under the
-            # design lock *before* a mutation touches the engine, so a
-            # reader racing a mutation either sees the bumped epoch
-            # (miss -> queues on the lock) or linearises before the
-            # mutation (the cached answer was the design's published
-            # truth at read time).
-            response = self._snapshot_answer(state, key, arrival)
+        arrival = time.perf_counter()
+        limit = request.get("slow_path_limit", self.slow_path_limit)
+        tolerance = float(request.get("tolerance", 0.0) or 0.0)
+        key = (limit, tolerance, request.get("label"))
+        # Lock-free read path.  The epoch is bumped under the design
+        # lock *before* a mutation touches the engine, so a reader
+        # racing a mutation either sees the bumped epoch (miss -> queues
+        # on the lock) or linearises before the mutation (the cached
+        # answer was the design's published truth at read time).
+        response = self._snapshot_answer(state, key, arrival)
+        if response is not None:
+            return response
+        self._counter("service.daemon.snapshot_misses")
+        with self._locked_design(state):
+            # Double-checked read: a miss that queued behind a mutation
+            # usually finds the mutation's inline analysis already
+            # republished the snapshot by the time the lock is acquired.
+            # Serving that copy -- not re-analysing -- keeps every read
+            # byte-identical to the published answer (a warm no-change
+            # re-analysis would converge in fewer iterations and hash
+            # differently).
+            response = self._snapshot_answer(state, key)
             if response is not None:
                 return response
-            self._counter("service.daemon.snapshot_misses")
-        with self._locked_design(state):
-            if key is not None:
-                # Double-checked read: a miss that queued behind a
-                # mutation usually finds the mutation's inline analysis
-                # already republished the snapshot by the time the lock
-                # is acquired.  Serving that copy -- not re-analysing --
-                # keeps every read byte-identical to the published
-                # answer (a warm no-change re-analysis would converge
-                # in fewer iterations and hash differently).
-                response = self._snapshot_answer(state, key)
-                if response is not None:
-                    return response
             with obs.span("service.daemon.analyze", category="service"):
                 return self._analyze_state(state, request)
 
@@ -1740,59 +1669,25 @@ class TimingDaemon:
             # this bump fails the epoch check and queues on the lock.
             state.epoch += 1
             self._counter("service.daemon.epoch_bumps")
-            # The map built at the last analyze addresses the
-            # *pre-mutation* artifacts -- exactly the sub-entries that
-            # are about to go stale.  Build it on demand if a mutation
-            # arrives before any analyze.
-            pre_map = None
-            if self.cluster_cache is not None:
-                pre_map = self._ensure_cluster_map(state, request)
-            touched_cluster: Optional[str] = None
-            dropped_sub_keys = 0
             with obs.span("service.daemon.mutate", category="service"):
                 if action == "scale_cell":
                     cell = str(request.get("cell", ""))
                     factor = float(request["factor"])
                     state.analyzer.scale_cell(cell, factor)
-                    touched_cluster = state.analyzer.last_touched_cluster
-                    if self.cluster_cache is not None and pre_map is not None:
-                        if touched_cluster is not None:
-                            # Cluster-granular: drop one sub-entry, keep
-                            # every clean cluster's artifact warm.
-                            self.cluster_cache.invalidate(pre_map, cell)
-                            dropped_sub_keys = 1
-                        else:
-                            # The cell is not combinational (e.g. a
-                            # synchroniser): its SyncTiming sits on the
-                            # boundary of every adjacent cluster, so be
-                            # conservative and drop the whole map.
-                            dropped_sub_keys = (
-                                self.cluster_cache.invalidate_all(pre_map)
-                            )
                 elif action == "scale_clocks":
                     factor = request["factor"]
                     state.schedule = state.schedule.scaled(factor)
                     self._rebuild(state)
-                    if self.cluster_cache is not None and pre_map is not None:
-                        # Every cluster's boundary waveforms changed.
-                        dropped_sub_keys = (
-                            self.cluster_cache.invalidate_all(pre_map)
-                        )
                 elif action == "set_pulse_width":
                     state.schedule = state.schedule.with_pulse_width(
                         str(request["clock"]), request["width"]
                     )
                     self._rebuild(state)
-                    if self.cluster_cache is not None and pre_map is not None:
-                        dropped_sub_keys = (
-                            self.cluster_cache.invalidate_all(pre_map)
-                        )
                 else:
                     raise ValueError(
                         f"unknown mutate action {action!r} (use "
                         "scale_cell, scale_clocks or set_pulse_width)"
                     )
-            state.cluster_map = None  # stale: rebuilt at next analyze
             state.mutations += 1
             self._counter("service.daemon.mutations")
             response: Dict[str, object] = {
@@ -1802,35 +1697,9 @@ class TimingDaemon:
                 "rebuilds": state.analyzer.rebuilds,
                 "swaps": state.analyzer.swaps,
             }
-            if self.cluster_cache is not None:
-                response["touched_cluster"] = touched_cluster
-                response["dropped_sub_keys"] = dropped_sub_keys
             if request.get("analyze", True):
                 response["analysis"] = self._analyze_state(state, request)
             return response
-
-    def _ensure_cluster_map(
-        self, state: _DesignState, request: Dict[str, object]
-    ) -> ClusterMap:
-        """The design's invalidation map at the current delay state."""
-        if state.cluster_map is None:
-            from repro.service.cluster_cache import build_cluster_map
-
-            limit = request.get("slow_path_limit", self.slow_path_limit)
-            tolerance = float(request.get("tolerance", 0.0) or 0.0)
-            config_sha = config_digest(
-                analysis_config(
-                    slow_path_limit=limit, tolerance=tolerance
-                )
-            )
-            state.cluster_map = build_cluster_map(
-                state.network,
-                state.schedule,
-                state.analyzer.delays,
-                config_sha,
-                clusters=state.analyzer.model.clusters,
-            )
-        return state.cluster_map
 
     def _rebuild(self, state: _DesignState) -> None:
         """Clock edits change the instance windows: rebuild the engine
@@ -1884,11 +1753,6 @@ class TimingDaemon:
             "cache": (
                 self.cache.stats.to_dict()
                 if self.cache is not None
-                else None
-            ),
-            "cluster_cache": (
-                self.cluster_cache.stats.to_dict()
-                if self.cluster_cache is not None
                 else None
             ),
         }

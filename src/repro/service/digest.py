@@ -23,8 +23,9 @@ import hashlib
 import json
 from typing import Dict, Mapping, Optional
 
+from repro.core.clusters import ARTIFACT_SCHEMA
+
 __all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
     "PAYLOAD_SCHEMA_VERSION",
     "analysis_config",
     "cache_key",
@@ -39,11 +40,6 @@ __all__ = [
 #: Version of the cached-result payload format; bumping it invalidates
 #: every existing cache entry (their keys no longer match).
 PAYLOAD_SCHEMA_VERSION = 1
-
-#: Version of the per-cluster artifact format (``repro.clusterart/1``);
-#: folded into :func:`cluster_digest` so a format change invalidates
-#: every old sub-key instead of mis-reading it.
-ARTIFACT_SCHEMA_VERSION = 1
 
 
 def canonical_json(data: object) -> str:
@@ -215,7 +211,9 @@ def cluster_digest(cluster, schedule, delays, config_sha: str) -> str:
     * its boundary terminals with their owning cells' clock bindings,
       exact clock waveforms and synchroniser timing parameters;
     * the analysis-configuration digest; and
-    * :data:`ARTIFACT_SCHEMA_VERSION`.
+    * the artifact schema (:data:`repro.core.clusters.ARTIFACT_SCHEMA`),
+      so a format change invalidates every old sub-key instead of
+      mis-reading it.
 
     Deliberately *excludes* the cluster's extraction-order name
     (``cluster_3``): the digest is a function of the sub-circuit's
@@ -252,7 +250,7 @@ def cluster_digest(cluster, schedule, delays, config_sha: str) -> str:
             }
         )
     doc = {
-        "artifact_schema": ARTIFACT_SCHEMA_VERSION,
+        "artifact_schema": ARTIFACT_SCHEMA,
         "config": config_sha,
         "cells": cells,
         "nets": sorted(cluster.net_names),

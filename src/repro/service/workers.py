@@ -275,7 +275,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                             delays,
                             config_digest(config),
                         )
-                        clusters = warmup.map.clusters
+                        clusters = warmup.clusters
                         cluster_info = warmup.to_dict()
                 analyzer = Hummingbird(
                     network, schedule, delays=delays, clusters=clusters

@@ -131,35 +131,81 @@ class TestQueryCommand:
             )
 
 
+def _serve(argv, sock):
+    """Run ``main(["serve", ...])`` on a thread; returns (client, done,
+    status) once the socket answers."""
+    import time
+
+    done = threading.Event()
+    status = {}
+
+    def run():
+        status["code"] = main(["serve", "--socket", sock, *argv])
+        done.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    # Wait for the socket to appear, then drive it.
+    for __ in range(200):
+        try:
+            return DaemonClient(sock, timeout=30.0), done, status
+        except OSError:
+            time.sleep(0.05)
+    pytest.fail("serve never came up")  # pragma: no cover
+
+
 class TestServeCommand:
     def test_serve_foreground_until_shutdown(
         self, tmp_path, design_files
     ):
         sock = str(tmp_path / "serve.sock")
-        done = threading.Event()
-        status = {}
-
-        def run():
-            status["code"] = main(
-                ["serve", "--socket", sock, "--no-cache"]
-            )
-            done.set()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        # Wait for the socket to appear, then drive it.
-        import time
-
-        for __ in range(200):
-            try:
-                client = DaemonClient(sock, timeout=5.0)
-                break
-            except OSError:
-                time.sleep(0.05)
-        else:  # pragma: no cover
-            pytest.fail("serve never came up")
+        client, done, status = _serve(["--no-cache"], sock)
         with client:
             assert client.ping()["pong"]
             client.shutdown()
         assert done.wait(timeout=10.0)
         assert status["code"] == 0
+
+    def test_serve_writes_no_cluster_artifacts(
+        self, tmp_path, design_files
+    ):
+        """The daemon keeps no cluster cache: analyses and mutations
+        against ``--cache-dir D`` leave ``D/clusters`` empty."""
+        netlist, clocks = design_files
+        cache_dir = tmp_path / "cache"
+        sock = str(tmp_path / "serve.sock")
+        client, done, status = _serve(["--cache-dir", str(cache_dir)], sock)
+        with client:
+            assert client.analyze(netlist, clocks)["ok"]
+            mutated = client.mutate(
+                netlist, clocks, "scale_cell", cell="s1_i0", factor=1.5
+            )
+            assert mutated["ok"] and mutated["analysis"]["ok"]
+            assert "touched_cluster" not in mutated
+            client.shutdown()
+        assert done.wait(timeout=10.0)
+        assert status["code"] == 0
+        clusters = cache_dir / "clusters"
+        assert not clusters.exists() or not any(clusters.rglob("*"))
+        # The result cache under the same directory is still in use.
+        assert any(cache_dir.rglob("*.json"))
+
+    def test_serve_rejects_zero_workers(self, tmp_path):
+        with pytest.raises(SystemExit, match="--workers must be at least 1"):
+            main(
+                [
+                    "serve",
+                    "--socket",
+                    str(tmp_path / "zero.sock"),
+                    "--workers",
+                    "0",
+                ]
+            )
+
+    def test_cluster_cache_flags_are_batch_only(self, capsys):
+        for command, present in (("batch", True), ("serve", False)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            for flag in ("--no-cluster-cache", "--cluster-cache-entries"):
+                assert (flag in text) is present, (command, flag)
+        assert "--no-snapshot-reads" not in text

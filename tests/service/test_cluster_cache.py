@@ -1,20 +1,17 @@
-"""Cluster-granular cache: digests, invalidation map, byte-identity.
+"""Cluster-granular cache: digests, warm passes, byte-identity.
 
-Covers the PR-5 tentpole end to end:
+Covers the batch workers' cluster cache end to end:
 
 * :func:`repro.service.digest.cluster_digest` -- stability across
   re-extraction, locality of a one-cell delay change;
-* :class:`repro.service.cluster_cache.ClusterMap` -- cell/net
-  ownership, synchroniser fallback;
 * :class:`repro.service.cluster_cache.ClusterCache` -- cold warm,
-  full-hit warm, one-dirty-cluster warm, invalidation, schema guard;
+  full-hit warm, one-dirty-cluster warm, the ``repro.clusterart/2``
+  artifact shape, schema guard;
 * the byte-identity property: a cluster-cached re-analysis after a
   single-cell delay mutation produces the *same* manifest digest as a
   from-scratch run, while every cluster outside the mutated cone hits;
-* :class:`repro.core.incremental.IncrementalAnalyzer` touched-cluster
-  reporting (including survival across control-cone rebuilds);
-* daemon and batch wiring (``touched_cluster`` / ``dropped_sub_keys``
-  responses, warm-re-run hit rates).
+* wiring: batch warm-re-run hit rates, and no cluster fields from
+  the daemon (which keeps no cluster cache).
 """
 
 from __future__ import annotations
@@ -25,9 +22,8 @@ from hypothesis import strategies as st
 
 from repro.core.analyzer import Hummingbird
 from repro.core.clusters import ARTIFACT_SCHEMA, extract_clusters
-from repro.core.incremental import IncrementalAnalyzer
 from repro.delay.estimator import estimate_delays
-from repro.generators import clock_gated_design, latch_pipeline
+from repro.generators import latch_pipeline
 from repro.report.manifest import manifest_digest
 from repro.service import (
     BatchEngine,
@@ -35,7 +31,7 @@ from repro.service import (
     ClusterCache,
     DaemonClient,
     TimingDaemon,
-    build_cluster_map,
+    cluster_digest,
 )
 
 CONFIG_SHA = "a" * 64
@@ -57,98 +53,75 @@ def store(tmp_path):
     return ClusterCache(tmp_path / "clusters")
 
 
+def _keys(network, schedule, delays, config_sha=CONFIG_SHA):
+    """cluster name -> content sub-key over a fresh extraction."""
+    return {
+        cluster.name: cluster_digest(cluster, schedule, delays, config_sha)
+        for cluster in extract_clusters(network)
+    }
+
+
+def _owner(clusters, cell_name):
+    """The cluster owning a combinational cell."""
+    return next(
+        cluster.name
+        for cluster in clusters
+        if any(cell.name == cell_name for cell in cluster.cells)
+    )
+
+
 class TestClusterDigest:
     def test_keys_stable_across_reextraction(self, design):
         network, schedule = design
         delays = estimate_delays(network)
-        first = build_cluster_map(network, schedule, delays, CONFIG_SHA)
-        second = build_cluster_map(network, schedule, delays, CONFIG_SHA)
-        assert first.keys == second.keys
+        first = _keys(network, schedule, delays)
+        assert first == _keys(network, schedule, delays)
         # And across a *fresh* network build of the same circuit.
         network2, schedule2 = _design()
-        third = build_cluster_map(
-            network2, schedule2, estimate_delays(network2), CONFIG_SHA
-        )
-        assert first.keys == third.keys
+        assert first == _keys(network2, schedule2, estimate_delays(network2))
 
     def test_one_cell_mutation_changes_exactly_one_key(self, design):
         network, schedule = design
         delays = estimate_delays(network)
-        before = build_cluster_map(network, schedule, delays, CONFIG_SHA)
-        after = build_cluster_map(
-            network,
-            schedule,
-            delays.with_scaled_cell("s1_i0", 1.5),
-            CONFIG_SHA,
+        before = _keys(network, schedule, delays)
+        after = _keys(
+            network, schedule, delays.with_scaled_cell("s1_i0", 1.5)
         )
-        changed = [
-            name
-            for name in before.keys
-            if before.keys[name] != after.keys[name]
-        ]
-        assert changed == [before.owner_of_cell("s1_i0")]
+        changed = [name for name in before if before[name] != after[name]]
+        assert changed == [_owner(extract_clusters(network), "s1_i0")]
 
     def test_config_perturbs_every_key(self, design):
         network, schedule = design
         delays = estimate_delays(network)
-        a = build_cluster_map(network, schedule, delays, CONFIG_SHA)
-        b = build_cluster_map(network, schedule, delays, "b" * 64)
-        assert all(a.keys[name] != b.keys[name] for name in a.keys)
+        a = _keys(network, schedule, delays)
+        b = _keys(network, schedule, delays, "b" * 64)
+        assert all(a[name] != b[name] for name in a)
 
     def test_schedule_perturbs_every_key(self, design):
         """Boundary clock waveforms are part of every digest."""
         network, schedule = design
         delays = estimate_delays(network)
-        a = build_cluster_map(network, schedule, delays, CONFIG_SHA)
-        b = build_cluster_map(
-            network, schedule.scaled(2), delays, CONFIG_SHA
-        )
-        assert all(a.keys[name] != b.keys[name] for name in a.keys)
-
-
-class TestClusterMap:
-    def test_cell_and_net_ownership_agree(self, design):
-        network, schedule = design
-        cmap = build_cluster_map(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        owner = cmap.owner_of_cell("s1_i0")
-        assert owner is not None
-        cluster = next(c for c in cmap.clusters if c.name == owner)
-        assert any(cell.name == "s1_i0" for cell in cluster.cells)
-        # The inverter's output net lives in the same cluster.
-        assert cmap.owner_of_net("s1_c0") == owner
-
-    def test_synchronisers_have_no_owner(self, design):
-        network, schedule = design
-        cmap = build_cluster_map(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        assert cmap.owner_of_cell("s1_l") is None
-
-    def test_to_dict_summary(self, design):
-        network, schedule = design
-        cmap = build_cluster_map(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        summary = cmap.to_dict()
-        assert summary["clusters"] == len(cmap.clusters)
-        assert set(summary["keys"]) == set(cmap.keys)
+        a = _keys(network, schedule, delays)
+        b = _keys(network, schedule.scaled(2), delays)
+        assert all(a[name] != b[name] for name in a)
 
 
 class TestWarm:
     def test_cold_warm_recomputes_everything(self, design, store):
         network, schedule = design
-        warmup = store.warm(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
+        delays = estimate_delays(network)
+        warmup = store.warm(network, schedule, delays, CONFIG_SHA)
         assert warmup.hits == []
         assert sorted(warmup.recomputed) == sorted(
-            c.name for c in warmup.map.clusters
+            c.name for c in warmup.clusters
         )
         assert warmup.hit_rate == 0.0
-        for artifact in warmup.artifacts.values():
+        for cluster in warmup.clusters:
+            artifact = store.probe(
+                cluster_digest(cluster, schedule, delays, CONFIG_SHA)
+            )
             assert artifact["schema"] == ARTIFACT_SCHEMA
+            assert set(artifact) == {"schema", "cluster", "cells", "reach"}
 
     def test_second_warm_hits_everything(self, design, store):
         network, schedule = design
@@ -161,21 +134,18 @@ class TestWarm:
     def test_warm_seeds_reachability_on_hit(self, design, store):
         network, schedule = design
         delays = estimate_delays(network)
-        cold = store.warm(network, schedule, delays, CONFIG_SHA)
+        store.warm(network, schedule, delays, CONFIG_SHA)
         clusters = extract_clusters(network)
         warm = store.warm(
             network, schedule, delays, CONFIG_SHA, clusters=clusters
         )
         assert warm.hit_rate == 1.0
-        for cluster in clusters:
-            # The seeded map equals what the cold BFS computed.
-            seeded = {
-                source: sorted(captures)
-                for source, captures in cluster.reachable_captures(
-                    network
-                ).items()
-            }
-            assert seeded == cold.artifacts[cluster.name]["reach"]
+        fresh = extract_clusters(network)
+        for seeded, cold in zip(clusters, fresh):
+            # The seeded map equals what the cold BFS computes.
+            assert seeded.reachable_captures(
+                network
+            ) == cold.reachable_captures(network)
 
     def test_mutation_recomputes_only_the_dirty_cluster(
         self, design, store
@@ -185,33 +155,8 @@ class TestWarm:
         store.warm(network, schedule, delays, CONFIG_SHA)
         mutated = delays.with_scaled_cell("s1_i0", 1.5)
         warmup = store.warm(network, schedule, mutated, CONFIG_SHA)
-        assert warmup.recomputed == [warmup.map.owner_of_cell("s1_i0")]
-        assert len(warmup.hits) == len(warmup.map.clusters) - 1
-
-    def test_invalidate_drops_one_sub_entry(self, design, store):
-        network, schedule = design
-        delays = estimate_delays(network)
-        warmup = store.warm(network, schedule, delays, CONFIG_SHA)
-        owner = store.invalidate(warmup.map, "s1_i0")
-        assert owner == warmup.map.owner_of_cell("s1_i0")
-        again = store.warm(network, schedule, delays, CONFIG_SHA)
-        assert again.recomputed == [owner]
-
-    def test_invalidate_synchroniser_returns_none(self, design, store):
-        network, schedule = design
-        warmup = store.warm(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        assert store.invalidate(warmup.map, "s1_l") is None
-
-    def test_invalidate_all_drops_every_sub_entry(self, design, store):
-        network, schedule = design
-        delays = estimate_delays(network)
-        warmup = store.warm(network, schedule, delays, CONFIG_SHA)
-        dropped = store.invalidate_all(warmup.map)
-        assert dropped == len(warmup.map.clusters)
-        again = store.warm(network, schedule, delays, CONFIG_SHA)
-        assert again.hits == []
+        assert warmup.recomputed == [_owner(warmup.clusters, "s1_i0")]
+        assert len(warmup.hits) == len(warmup.clusters) - 1
 
     def test_probe_rejects_foreign_schema(self, store):
         store.store("k" * 64, {"schema": "bogus/9", "reach": {}})
@@ -253,8 +198,8 @@ class TestByteIdentity:
             network, schedule, mutated, CONFIG_SHA, clusters=clusters
         )
         # Every cluster outside the mutated cone hits.
-        assert warmup.recomputed == [warmup.map.owner_of_cell(cell)]
-        assert len(warmup.hits) == len(warmup.map.clusters) - 1
+        assert warmup.recomputed == [_owner(clusters, cell)]
+        assert len(warmup.hits) == len(clusters) - 1
 
         cached = Hummingbird(
             network, schedule, delays=mutated, clusters=clusters
@@ -274,92 +219,15 @@ class TestByteIdentity:
         )
 
 
-class TestIncrementalTouchedCluster:
-    def test_scale_cell_reports_owner(self, design):
-        network, schedule = design
-        analyzer = IncrementalAnalyzer(network, schedule)
-        assert analyzer.last_touched_cluster is None
-        analyzer.scale_cell("s1_i0", 1.5)
-        assert analyzer.last_touched_cluster == analyzer.cluster_of(
-            "s1_i0"
-        )
-        assert analyzer.swaps == 1
-
-    def test_scale_synchroniser_reports_none(self, design):
-        network, schedule = design
-        analyzer = IncrementalAnalyzer(network, schedule)
-        analyzer.scale_cell("s1_l", 1.5)
-        assert analyzer.last_touched_cluster is None
-
-    def test_touched_cluster_survives_control_cone_rebuild(self):
-        network, schedule = clock_gated_design()
-        analyzer = IncrementalAnalyzer(network, schedule)
-        owner = analyzer.cluster_of("en_buf0")
-        assert owner is not None
-        analyzer.scale_cell("en_buf0", 1.5)
-        # Control-cone edit: full rebuild, but the touched cluster is
-        # still reported so the cache layer can drop its sub-entry.
-        assert analyzer.rebuilds == 1
-        assert analyzer.last_touched_cluster == owner
-
-
 class TestDaemonWiring:
-    @pytest.fixture
-    def served(self, tmp_path, design_files):
-        sock = str(tmp_path / "repro.sock")
-        daemon = TimingDaemon(
-            sock,
-            cache=None,
-            cluster_cache=ClusterCache(tmp_path / "clusters"),
-        )
-        with daemon, DaemonClient(sock, timeout=30.0) as client:
-            yield client, design_files
-
-    def test_analyze_reports_cluster_cache(self, served):
-        client, (netlist, clocks) = served
-        first = client.analyze(netlist, clocks)
-        assert first["ok"]
-        info = first["cluster_cache"]
-        assert info["recomputed"] == info["clusters"] > 0
-        assert info["hits"] == 0
-
-    def test_mutate_drops_exactly_one_sub_key(self, served):
-        client, (netlist, clocks) = served
-        client.analyze(netlist, clocks)
-        response = client.mutate(
-            netlist, clocks, "scale_cell", cell="s1_i0", factor=1.5
-        )
-        assert response["ok"]
-        assert response["touched_cluster"] is not None
-        assert response["dropped_sub_keys"] == 1
-        # The follow-up analysis recomputes only the dirty cluster.
-        info = response["analysis"]["cluster_cache"]
-        assert info["recomputed"] == 1
-        assert info["hits"] == info["clusters"] - 1
-
-    def test_clock_mutation_drops_the_whole_map(self, served):
-        client, (netlist, clocks) = served
-        baseline = client.analyze(netlist, clocks)
-        clusters = baseline["cluster_cache"]["clusters"]
-        response = client.mutate(
-            netlist, clocks, "scale_clocks", factor=2
-        )
-        assert response["ok"]
-        assert response["touched_cluster"] is None
-        assert response["dropped_sub_keys"] == clusters
-
-    def test_stats_includes_cluster_cache(self, served):
-        client, (netlist, clocks) = served
-        client.analyze(netlist, clocks)
-        stats = client.stats()
-        assert stats["cluster_cache"] is not None
-
     def test_disabled_cache_omits_cluster_fields(
         self, tmp_path, design_files
     ):
+        """The daemon keeps no cluster cache, so no response carries
+        cluster-cache fields."""
         netlist, clocks = design_files
         sock = str(tmp_path / "plain.sock")
-        with TimingDaemon(sock) as daemon:  # noqa: F841
+        with TimingDaemon(sock):
             with DaemonClient(sock, timeout=30.0) as client:
                 analyzed = client.analyze(netlist, clocks)
                 assert "cluster_cache" not in analyzed
@@ -368,6 +236,7 @@ class TestDaemonWiring:
                     cell="s1_i0", factor=1.5,
                 )
                 assert "touched_cluster" not in mutated
+                assert "cluster_cache" not in client.stats()
 
 
 class TestBatchWiring:

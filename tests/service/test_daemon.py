@@ -81,6 +81,10 @@ class TestProtocol:
         else:  # pragma: no cover
             pytest.fail("daemon kept listening after shutdown")
 
+    def test_zero_workers_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            TimingDaemon(str(tmp_path / "none.sock"), workers=0)
+
 
 class TestServing:
     def test_analyze_cold_then_warm(self, client, design_files):

@@ -109,20 +109,6 @@ class TestSnapshotReads:
         # Both parameter variants coexist in the current snapshot.
         assert client.analyze(netlist, clocks)["engine"] == "snapshot"
 
-    def test_snapshot_reads_disabled_keeps_locked_path(
-        self, tmp_path, design_files
-    ):
-        netlist, clocks = design_files
-        sock = str(tmp_path / "locked.sock")
-        with TimingDaemon(sock, snapshot_reads=False) as server:
-            with DaemonClient(sock, timeout=30.0) as c:
-                assert c.analyze(netlist, clocks)["engine"] == "cold"
-                repeat = c.analyze(netlist, clocks)
-                assert repeat["engine"] == "incremental-warm"
-            counters = _counters(server)
-            assert "service.daemon.snapshot_hits" not in counters
-            assert server._buildinfo()["config"]["snapshot_reads"] is False
-
     def test_snapshot_hit_response_is_not_aliased(
         self, daemon, client, design_files
     ):
