@@ -58,6 +58,10 @@ class TableDelay:
             low, high = len(loads) - 2, len(loads) - 1
         else:
             low, high = index - 1, index
+        if delays[high] == delays[low]:
+            # A flat segment: skip the fraction, which overflows to inf
+            # (and inf * 0.0 is nan) when the loads differ by a subnormal.
+            return delays[low]
         span = loads[high] - loads[low]
         fraction = (load - loads[low]) / span
         return delays[low] + fraction * (delays[high] - delays[low])

@@ -25,12 +25,10 @@ clock description, run the analysis, print the report::
     repro-sta alerts --socket /tmp/repro.sock
     repro-sta alerts --socket /tmp/repro.sock --ack daemon.error_burn
     repro-sta doctor --socket /tmp/repro.sock
-    repro-sta perf-diff BENCH_PR5.json bench.candidate.json
 
 (Equivalently ``python -m repro.cli ...``.)  Netlist format is selected
-by extension: ``.json`` (:mod:`repro.netlist.persistence`), ``.blif``
-(:mod:`repro.netlist.blif`) or ``.v`` structural Verilog
-(:mod:`repro.netlist.verilog`).
+by extension (:func:`repro.netlist.read_netlist`): ``.json``, ``.blif``
+or ``.v`` structural Verilog.
 
 Every subcommand accepts the observability flags (see
 ``docs/observability.md``)::
@@ -51,30 +49,20 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
-from repro.cells import standard_library
 from repro.clocks.serialize import load_schedule
 from repro.core.analyzer import Hummingbird
 from repro.core.enable_paths import check_enable_paths
 from repro.core.frequency import find_max_frequency
 from repro.core.mindelay import check_min_delays
-from repro.netlist.blif import load_blif
-from repro.netlist.persistence import load_network
-from repro.netlist.verilog import load_verilog
+from repro.netlist import read_netlist
 from repro.viz import render_constraints, render_schedule
 
 
 def _read_network(path: str, default_clock: Optional[str]):
-    library = standard_library()
-    suffix = Path(path).suffix.lower()
-    if suffix == ".blif":
-        return load_blif(path, library, default_clock)
-    if suffix == ".json":
-        return load_network(path, library)
-    if suffix == ".v":
-        return load_verilog(path, library, default_clock)
-    raise SystemExit(
-        f"unknown netlist format {suffix!r} (use .json, .blif or .v)"
-    )
+    try:
+        return read_netlist(path, default_clock)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _common_arguments(parser: argparse.ArgumentParser, with_netlist=True):
@@ -566,7 +554,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache=_make_cache(args),
         cache_server=cache_server,
         slow_path_limit=args.limit,
-        telemetry=not args.no_telemetry,
         http_port=args.http_port,
         access_log=access_log,
         slow_threshold_s=args.slow_threshold,
@@ -1005,48 +992,6 @@ def cmd_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.report import diff_bench, load_bench
-
-    per_workload = {}
-    for override in args.tolerance or ():
-        name, sep, value = override.partition("=")
-        if not sep or not name:
-            raise SystemExit(
-                f"--tolerance wants NAME=PCT, got {override!r}"
-            )
-        try:
-            per_workload[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance {override!r}: {value!r} is not a number"
-            )
-    try:
-        base = load_bench(args.base)
-        cand = load_bench(args.candidate)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit(str(exc))
-    diff = diff_bench(
-        base,
-        cand,
-        default_tolerance_pct=args.default_tolerance,
-        per_workload=per_workload,
-        workloads=args.workload or None,
-    )
-    if args.json:
-        print(
-            json.dumps(
-                diff.to_dict(),
-                indent=2,
-                sort_keys=True,
-                separators=(",", ": "),
-            )
-        )
-    else:
-        print(diff.render_text())
-    return diff.exit_code()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sta",
@@ -1359,12 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="requests at least this slow get their full span tree "
         "attached to the access-log line (default: 1.0)",
-    )
-    telemetry.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the always-on service recorder (health stays, "
-        "metrics op and /metrics refuse)",
     )
     telemetry.add_argument(
         "--profile",
@@ -1706,45 +1645,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the raw op response",
     )
     traces.set_defaults(func=cmd_traces)
-
-    perf_diff = sub.add_parser(
-        "perf-diff",
-        help="compare two repro.bench/1 documents and gate on "
-        "wall-time regressions (exit 1 on regression)",
-    )
-    perf_diff.add_argument(
-        "base", metavar="BASE.json", help="baseline bench document"
-    )
-    perf_diff.add_argument(
-        "candidate", metavar="CAND.json", help="candidate bench document"
-    )
-    perf_diff.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro.perfdiff/1 document instead of text",
-    )
-    perf_diff.add_argument(
-        "--tolerance",
-        action="append",
-        metavar="NAME=PCT",
-        help="per-workload tolerance override (repeatable), e.g. "
-        "--tolerance analyze_random=50",
-    )
-    perf_diff.add_argument(
-        "--default-tolerance",
-        type=float,
-        default=30.0,
-        metavar="PCT",
-        help="allowed wall-time growth before a workload counts as "
-        "regressed (default: 30)",
-    )
-    perf_diff.add_argument(
-        "--workload",
-        action="append",
-        metavar="NAME",
-        help="compare only this workload (repeatable; default: all)",
-    )
-    perf_diff.set_defaults(func=cmd_perf_diff)
 
     return parser
 

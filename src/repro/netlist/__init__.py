@@ -13,8 +13,14 @@ library cell specs) connected by *nets*, with
   the paper's Section 3,
 * :mod:`repro.netlist.hierarchy` -- module definitions and flattening
   (the SM1H vs SM1F distinction of Table 1),
-* :mod:`repro.netlist.persistence` -- JSON save/load.
+* :mod:`repro.netlist.persistence` -- JSON save/load,
+
+and :func:`read_netlist`, which picks the reader (JSON, BLIF or
+structural Verilog) from a design file's suffix.
 """
+
+from pathlib import Path
+from typing import Optional, Union
 
 from repro.netlist.blif import load_blif, save_blif
 from repro.netlist.builder import NetworkBuilder
@@ -27,6 +33,28 @@ from repro.netlist.persistence import load_network, save_network
 from repro.netlist.terminals import Terminal, TerminalKind
 from repro.netlist.validate import ValidationError, validate_network
 from repro.netlist.verilog import load_verilog, save_verilog
+
+
+def read_netlist(
+    path: Union[str, Path], default_clock: Optional[str] = None
+) -> Network:
+    """Read a ``.json``, ``.blif`` or ``.v`` design against the standard
+    library; ``default_clock`` is the reference clock for BLIF/Verilog
+    pads without pragmas."""
+    from repro.cells import standard_library
+
+    suffix = Path(path).suffix.lower()
+    library = standard_library()
+    if suffix == ".json":
+        return load_network(path, library)
+    if suffix == ".blif":
+        return load_blif(path, library, default_clock)
+    if suffix == ".v":
+        return load_verilog(path, library, default_clock)
+    raise ValueError(
+        f"unknown netlist format {suffix!r} (use .json, .blif or .v)"
+    )
+
 
 __all__ = [
     "Cell",
@@ -45,6 +73,7 @@ __all__ = [
     "load_blif",
     "load_network",
     "load_verilog",
+    "read_netlist",
     "save_blif",
     "save_network",
     "save_verilog",

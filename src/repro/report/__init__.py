@@ -19,10 +19,7 @@ traces), this package makes the **analysis results** explainable:
 * :mod:`repro.report.diff` -- run-to-run comparison of two manifests:
   per-endpoint slack deltas, new/fixed violations and iteration-count
   regressions (the primitive behind ``repro-sta diff`` and CI perf
-  tracking);
-* :mod:`repro.report.perf` -- bench-to-bench wall-time comparison of
-  two ``repro.bench/1`` documents with per-workload tolerances (the
-  primitive behind ``repro-sta perf-diff`` and the CI perf gate).
+  tracking).
 
 See ``docs/reporting.md`` for the report anatomy and schema reference.
 """
@@ -39,13 +36,6 @@ from repro.report.manifest import (
     manifest_digest,
     timing_digest,
     write_manifest,
-)
-from repro.report.perf import (
-    PERFDIFF_SCHEMA,
-    PerfDiff,
-    PerfRow,
-    diff_bench,
-    load_bench,
 )
 from repro.report.provenance import (
     AuditTrail,
@@ -76,9 +66,4 @@ __all__ = [
     "RunDiff",
     "diff_manifests",
     "load_manifest",
-    "PERFDIFF_SCHEMA",
-    "PerfDiff",
-    "PerfRow",
-    "diff_bench",
-    "load_bench",
 ]

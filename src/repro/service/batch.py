@@ -1077,24 +1077,10 @@ class BatchEngine:
 
 def _load_design(job: BatchJob):
     """Parse one job's design + schedule in the parent (plan phase)."""
-    from pathlib import Path as _Path
-
-    from repro.cells import standard_library
     from repro.clocks.serialize import load_schedule
-    from repro.netlist.blif import load_blif
-    from repro.netlist.persistence import load_network
-    from repro.netlist.verilog import load_verilog
+    from repro.netlist import read_netlist
 
-    suffix = _Path(job.netlist).suffix.lower()
-    library = standard_library()
-    if suffix == ".blif":
-        network = load_blif(job.netlist, library, job.default_clock)
-    elif suffix == ".v":
-        network = load_verilog(job.netlist, library, job.default_clock)
-    elif suffix == ".json":
-        network = load_network(job.netlist, library)
-    else:
-        raise ValueError(
-            f"unknown netlist format {suffix!r} (use .json, .blif or .v)"
-        )
-    return network, load_schedule(job.clocks)
+    return (
+        read_netlist(job.netlist, job.default_clock),
+        load_schedule(job.clocks),
+    )

@@ -123,6 +123,20 @@ def _json_num(value) -> object:
     return value
 
 
+def _last_param(
+    params: Dict[str, str], default: Optional[int] = None
+) -> Optional[int]:
+    """The ``?last=N`` query parameter (a non-integer answers 400)."""
+    if "last" not in params:
+        return default
+    try:
+        return int(params["last"])
+    except ValueError:
+        raise ValueError(
+            f"?last must be an integer, got {params['last']!r}"
+        ) from None
+
+
 class AnalysisSnapshot:
     """An immutable published analysis result for one design.
 
@@ -153,29 +167,13 @@ class _DesignState:
     """One warm design: parsed network + incremental engine."""
 
     def __init__(self, netlist: str, clocks: str, default_clock=None):
-        from repro.cells import standard_library
         from repro.clocks.serialize import load_schedule
         from repro.core.incremental import IncrementalAnalyzer
-        from repro.netlist.blif import load_blif
-        from repro.netlist.persistence import load_network
-        from repro.netlist.verilog import load_verilog
-        from pathlib import Path
+        from repro.netlist import read_netlist
 
         self.netlist = netlist
         self.clocks = clocks
-        suffix = Path(netlist).suffix.lower()
-        library = standard_library()
-        if suffix == ".blif":
-            self.network = load_blif(netlist, library, default_clock)
-        elif suffix == ".v":
-            self.network = load_verilog(netlist, library, default_clock)
-        elif suffix == ".json":
-            self.network = load_network(netlist, library)
-        else:
-            raise ValueError(
-                f"unknown netlist format {suffix!r} "
-                "(use .json, .blif or .v)"
-            )
+        self.network = read_netlist(netlist, default_clock)
         self.schedule = load_schedule(clocks)
         self.analyzer = IncrementalAnalyzer(self.network, self.schedule)
         self.lock = threading.Lock()
@@ -229,10 +227,6 @@ class TimingDaemon:
         Optional :class:`ResultCache` short-circuiting cold loads.
     slow_path_limit:
         Default ``analyze`` slow-path limit.
-    telemetry:
-        Keep an always-on service :class:`repro.obs.Recorder` feeding
-        the ``health``/``metrics`` ops and the HTTP sidecar (default
-        on; ``False`` strips the daemon back to PR-3 behaviour).
     http_port:
         When not ``None``, serve ``/healthz`` and ``/metrics`` over
         localhost HTTP on this port (``0`` picks an ephemeral port;
@@ -248,8 +242,6 @@ class TimingDaemon:
         ``None`` for the built-in :data:`repro.obs.alerts.DEFAULT_RULES`,
         a path to a TOML/JSON rule file (extends/overrides the
         defaults), or an explicit rule sequence.
-    flight_capacity:
-        Events kept in the always-on flight ring (0 disables it).
     crash_dir:
         Directory ``repro.crash/1`` reports are written to (``None``
         keeps the last report in memory only).
@@ -279,16 +271,12 @@ class TimingDaemon:
         socket_path: Union[str, "os.PathLike[str]"],
         cache: Optional[ResultCache] = None,
         slow_path_limit: Optional[int] = 50,
-        telemetry: bool = True,
         http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
-        history_interval_s: float = 5.0,
-        history_capacity: int = 720,
         alert_rules: Union[
             None, str, "os.PathLike[str]", Sequence[AlertRule]
         ] = None,
-        flight_capacity: int = 256,
         crash_dir: Union[None, str, "os.PathLike[str]"] = None,
         stall_timeout_s: Optional[float] = 30.0,
         debug_ops: bool = False,
@@ -337,67 +325,39 @@ class TimingDaemon:
         self._fabric_probe_at = 0.0
         #: Seconds between active peer health probes (and the probe's
         #: per-peer timeout is capped well under the history interval).
-        self.fabric_probe_interval_s = max(
-            5.0, float(history_interval_s)
-        )
+        self.fabric_probe_interval_s = 5.0
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
         self.errors = 0
         self.in_flight = 0
         self.last_error: Optional[Dict[str, object]] = None
-        #: Always-on service recorder (``None`` with telemetry off).
-        self.recorder: Optional[obs.Recorder] = (
-            obs.Recorder(max_spans=10_000, max_events=2_000)
-            if telemetry
-            else None
-        )
-        #: Always-on metrics ring buffer (requires the service recorder).
-        self.history: Optional[MetricsHistory] = (
-            MetricsHistory(
-                capacity=history_capacity, interval_s=history_interval_s
-            )
-            if telemetry
-            else None
-        )
-        #: Always-on flight ring of recent requests/spans/errors
-        #: (``None`` with telemetry off or ``flight_capacity=0``).
-        self.flight: Optional[FlightRecorder] = (
-            FlightRecorder(capacity=flight_capacity)
-            if telemetry and flight_capacity > 0
-            else None
-        )
-        if self.flight is not None and self.recorder is not None:
-            self.flight.subscribe_spans(self.recorder)
-        #: Declarative alerting over the metrics history (``None`` with
-        #: telemetry off).
-        if telemetry:
-            if alert_rules is None:
-                rules: Optional[Iterable[AlertRule]] = None
-            elif isinstance(alert_rules, (str, os.PathLike)):
-                rules = load_rules(alert_rules)
-            else:
-                rules = tuple(alert_rules)
-            self.alerts: Optional[AlertEngine] = AlertEngine(
-                rules, on_transition=self._on_alert_transition
-            )
+        #: Always-on service recorder.
+        self.recorder = obs.Recorder(max_spans=10_000, max_events=2_000)
+        #: Always-on metrics ring buffer: 720 points, one every 5 s.
+        self.history = MetricsHistory()
+        #: Always-on flight ring of recent requests/spans/errors.
+        self.flight = FlightRecorder()
+        self.flight.subscribe_spans(self.recorder)
+        #: Declarative alerting over the metrics history.
+        if alert_rules is None:
+            rules: Optional[Iterable[AlertRule]] = None
+        elif isinstance(alert_rules, (str, os.PathLike)):
+            rules = load_rules(alert_rules)
         else:
-            self.alerts = None
+            rules = tuple(alert_rules)
+        self.alerts = AlertEngine(
+            rules, on_transition=self._on_alert_transition
+        )
         #: Crash forensics: builds/persists ``repro.crash/1`` reports.
-        #: Always constructed -- a stripped-down daemon still deserves a
-        #: postmortem (the report simply embeds no flight ring/alerts).
         self.crash = CrashHandler(
             crash_dir=crash_dir,
             flight=self.flight,
-            alerts=(
-                (lambda: self.alerts.active())
-                if self.alerts is not None
-                else None
-            ),
+            alerts=self.alerts.active,
             buildinfo=self._buildinfo,
         )
         self._install_crash_hooks = bool(install_crash_hooks)
-        #: Stall watchdog (``None`` with telemetry off or no deadline).
+        #: Stall watchdog (``None`` with no deadline).
         self.watchdog: Optional[StallWatchdog] = (
             StallWatchdog(
                 deadline_s=stall_timeout_s,
@@ -405,7 +365,7 @@ class TimingDaemon:
                 on_clear=self._on_stall_clear,
                 on_all_clear=self._on_all_stalls_clear,
             )
-            if telemetry and stall_timeout_s is not None
+            if stall_timeout_s is not None
             else None
         )
         self.debug_ops = bool(debug_ops) or (
@@ -447,13 +407,11 @@ class TimingDaemon:
     # ------------------------------------------------------------------
     def _counter(self, name: str, value: float = 1.0) -> None:
         """Count into the service recorder *and* any ambient recorder."""
-        if self.recorder is not None:
-            self.recorder.counter(name, value)
+        self.recorder.counter(name, value)
         obs.counter(name, value)
 
     def _gauge(self, name: str, value: float) -> None:
-        if self.recorder is not None:
-            self.recorder.gauge(name, value)
+        self.recorder.gauge(name, value)
         obs.gauge(name, value)
 
     def _histogram(
@@ -462,10 +420,9 @@ class TimingDaemon:
         value: float,
         exemplar: Optional[Dict[str, object]] = None,
     ) -> None:
-        if self.recorder is not None:
-            self.recorder.histogram(
-                name, value, LATENCY_BUCKETS, exemplar=exemplar
-            )
+        self.recorder.histogram(
+            name, value, LATENCY_BUCKETS, exemplar=exemplar
+        )
         obs.histogram(name, value, LATENCY_BUCKETS, exemplar=exemplar)
 
     # ------------------------------------------------------------------
@@ -591,16 +548,15 @@ class TimingDaemon:
         self._sidecar.start()
 
     def _start_history(self) -> None:
-        if self.history is not None and self.recorder is not None:
-            if not self.history.running:
-                # Gauges sync just before each snapshot (so every point
-                # carries them) and the alert engine evaluates just
-                # after (so alerting shares the history cadence).
-                self.history.start(
-                    self.recorder,
-                    before_point=self._history_tick,
-                    on_point=self._evaluate_alerts,
-                )
+        if not self.history.running:
+            # Gauges sync just before each snapshot (so every point
+            # carries them) and the alert engine evaluates just after
+            # (so alerting shares the history cadence).
+            self.history.start(
+                self.recorder,
+                before_point=self._history_tick,
+                on_point=self._evaluate_alerts,
+            )
 
     def _history_tick(self) -> None:
         """Per-snapshot work: probe the fabric, then refresh gauges.
@@ -637,16 +593,14 @@ class TimingDaemon:
             self.watchdog.start()
         if self._install_crash_hooks:
             self.crash.install()
-        if self.flight is not None:
-            self.flight.record_log(
-                "daemon started",
-                pid=os.getpid(),
-                socket=self.socket_path,
-            )
+        self.flight.record_log(
+            "daemon started",
+            pid=os.getpid(),
+            socket=self.socket_path,
+        )
 
     def _evaluate_alerts(self, point: Dict[str, object]) -> None:
-        if self.alerts is not None and self.history is not None:
-            self.alerts.evaluate(self.history)
+        self.alerts.evaluate(self.history)
 
     # ------------------------------------------------------------------
     # self-diagnosis hooks (alert transitions, stalls)
@@ -657,72 +611,64 @@ class TimingDaemon:
         self._counter("service.alerts.transitions")
         if new == "firing":
             self._counter("service.alerts.fired")
-        if self.flight is not None:
-            self.flight.record(
-                "log",
-                message=f"alert {rule.name}: {old} -> {new}",
-                alert=rule.name,
-                state=new,
-                severity=rule.severity,
-            )
+        self.flight.record(
+            "log",
+            message=f"alert {rule.name}: {old} -> {new}",
+            alert=rule.name,
+            state=new,
+            severity=rule.severity,
+        )
 
     def _on_stall(self, info: Dict[str, object]) -> None:
         waited = float(info.get("waited_s") or 0.0)
         self._counter("service.daemon.stalls")
-        if self.flight is not None:
-            self.flight.record(
-                "stall",
-                op=info.get("op"),
-                design=info.get("design"),
-                status="stalled",
-                waited_s=round(waited, 3),
-                thread_id=info.get("thread_id"),
-                stack=info.get("stack"),
-            )
-        if self.alerts is not None:
-            self.alerts.fire(
-                "daemon.stalled",
-                message=(
-                    f"op {info.get('op') or '?'} in flight "
-                    f"{waited:.1f}s (deadline "
-                    f"{self.watchdog.deadline_s:g}s)"
-                    if self.watchdog is not None
-                    else f"op {info.get('op') or '?'} stalled"
-                ),
-                value=round(waited, 3),
-            )
+        self.flight.record(
+            "stall",
+            op=info.get("op"),
+            design=info.get("design"),
+            status="stalled",
+            waited_s=round(waited, 3),
+            thread_id=info.get("thread_id"),
+            stack=info.get("stack"),
+        )
+        self.alerts.fire(
+            "daemon.stalled",
+            message=(
+                f"op {info.get('op') or '?'} in flight {waited:.1f}s "
+                f"(deadline {self.watchdog.deadline_s:g}s)"
+            ),
+            value=round(waited, 3),
+        )
 
     def _on_stall_clear(self, info: Dict[str, object]) -> None:
-        if self.flight is not None:
-            self.flight.record(
-                "stall",
-                op=info.get("op"),
-                design=info.get("design"),
-                status="resolved",
-                waited_s=round(float(info.get("waited_s") or 0.0), 3),
-            )
+        self.flight.record(
+            "stall",
+            op=info.get("op"),
+            design=info.get("design"),
+            status="resolved",
+            waited_s=round(float(info.get("waited_s") or 0.0), 3),
+        )
 
     def _on_all_stalls_clear(self) -> None:
-        if self.alerts is not None:
-            self.alerts.clear("daemon.stalled")
+        self.alerts.clear("daemon.stalled")
 
     @property
     def http_address(self) -> Optional[Tuple[str, int]]:
         """``(host, port)`` of the live HTTP sidecar, or ``None``."""
         return self._sidecar.address if self._sidecar else None
 
-    def _http_healthz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        body = json.dumps(
-            {"ok": True, "status": "ok", **self._snapshot()},
-            sort_keys=True,
-        )
+    def _http_json(self, doc: Dict[str, object]) -> Tuple[str, str]:
+        body = json.dumps(doc, sort_keys=True, default=str)
         return "application/json", body + "\n"
+
+    def _http_healthz(self, params: Dict[str, str]) -> Tuple[str, str]:
+        return self._http_json(
+            {"ok": True, "status": "ok", **self._snapshot()}
+        )
 
     def _http_metrics(self, params: Dict[str, str]) -> Tuple[str, str]:
         from repro.obs.metrics import render_prometheus
 
-        if self.recorder is None:
-            raise RuntimeError("telemetry disabled (no service recorder)")
         self._sync_gauges()
         return (
             "text/plain; version=0.0.4",
@@ -730,18 +676,9 @@ class TimingDaemon:
         )
 
     def _http_history(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.history is None:
-            raise RuntimeError("telemetry disabled (no metrics history)")
-        last = None
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
-        body = json.dumps({"ok": True, **self.history.to_dict(last=last)})
-        return "application/json", body + "\n"
+        return self._http_json(
+            self._op_history({"last": _last_param(params)})
+        )
 
     def _http_profile(self, params: Dict[str, str]) -> Tuple[str, str]:
         doc = self._profile_document()
@@ -754,51 +691,18 @@ class TimingDaemon:
         return "application/json", body + "\n"
 
     def _http_buildz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        body = json.dumps(
-            {"ok": True, **self._buildinfo()}, sort_keys=True
-        )
-        return "application/json", body + "\n"
+        return self._http_json(self._op_buildinfo({}))
 
     def _http_alertz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.alerts is None:
-            raise RuntimeError("telemetry disabled (no alert engine)")
-        body = json.dumps(
-            {"ok": True, **self.alerts.to_dict()}, sort_keys=True
-        )
-        return "application/json", body + "\n"
+        return self._http_json(self._op_alerts({}))
 
     def _http_crashz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        latest = self.crash.latest()
-        path = self.crash.latest_path()
-        body = json.dumps(
-            {
-                "ok": True,
-                "crash": latest,
-                "path": str(path) if path is not None else None,
-                "reports_written": self.crash.reports_written,
-            },
-            sort_keys=True,
-            default=str,
-        )
-        return "application/json", body + "\n"
+        return self._http_json(self._op_crash_report({}))
 
     def _http_flightz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.flight is None:
-            raise RuntimeError("flight recorder disabled on this daemon")
-        last = None
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
-        body = json.dumps(
-            {"ok": True, **self.flight.to_dict(last=last)},
-            sort_keys=True,
-            default=str,
+        return self._http_json(
+            self._op_flight({"last": _last_param(params)})
         )
-        return "application/json", body + "\n"
 
     def _http_fabricz(self, params: Dict[str, str]) -> Tuple[str, str]:
         """Fabric client view from the daemon's sidecar (the cache
@@ -831,18 +735,12 @@ class TimingDaemon:
             raise RuntimeError(
                 "trace store disabled (start with --trace-dir)"
             )
-        last = 50
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
         body = json.dumps(
             {
                 "ok": True,
-                "traces": self.trace_store.list(last=last),
+                "traces": self.trace_store.list(
+                    last=_last_param(params, default=50)
+                ),
                 "stats": self.trace_store.stats(),
             }
         )
@@ -896,23 +794,14 @@ class TimingDaemon:
             "uptime_s": round(time.time() - self.started_at, 3),
             "config": {
                 "socket": self.socket_path,
-                "telemetry": self.recorder is not None,
                 "result_cache": self.cache is not None,
                 "access_log": self.access_log is not None,
                 "slow_path_limit": self.slow_path_limit,
                 "slow_threshold_s": self.slow_threshold_s,
-                "history_interval_s": (
-                    self.history.interval_s if self.history else None
-                ),
-                "history_capacity": (
-                    self.history.capacity if self.history else None
-                ),
-                "alert_rules": (
-                    len(self.alerts.rules) if self.alerts else 0
-                ),
-                "flight_capacity": (
-                    self.flight.capacity if self.flight else 0
-                ),
+                "history_interval_s": self.history.interval_s,
+                "history_capacity": self.history.capacity,
+                "alert_rules": len(self.alerts.rules),
+                "flight_capacity": self.flight.capacity,
                 "crash_dir": (
                     str(self.crash.crash_dir)
                     if self.crash.crash_dir is not None
@@ -962,8 +851,6 @@ class TimingDaemon:
 
     def _sync_gauges(self) -> None:
         """Refresh point-in-time gauges before a metrics export."""
-        if self.recorder is None:
-            return
         with self._designs_lock:
             designs_loaded = len(self._designs)
             epoch_sum = sum(s.epoch for s in self._designs.values())
@@ -975,28 +862,19 @@ class TimingDaemon:
             "service.daemon.uptime_seconds",
             time.time() - self.started_at,
         )
-        if self.history is not None:
-            self.recorder.gauge(
-                "service.tsdb.points", len(self.history)
-            )
-            self.recorder.gauge(
-                "service.tsdb.snapshots", self.history.snapshots
-            )
+        self.recorder.gauge("service.tsdb.points", len(self.history))
+        self.recorder.gauge(
+            "service.tsdb.snapshots", self.history.snapshots
+        )
         if self.watchdog is not None:
             self.recorder.gauge(
                 "service.daemon.stalled", self.watchdog.stalled_count()
             )
-        if self.flight is not None:
-            self.recorder.gauge(
-                "service.flight.events", len(self.flight)
-            )
-            self.recorder.gauge(
-                "service.flight.dropped", self.flight.dropped
-            )
-        if self.alerts is not None:
-            self.recorder.gauge(
-                "service.alerts.firing", self.alerts.firing_count()
-            )
+        self.recorder.gauge("service.flight.events", len(self.flight))
+        self.recorder.gauge("service.flight.dropped", self.flight.dropped)
+        self.recorder.gauge(
+            "service.alerts.firing", self.alerts.firing_count()
+        )
         if self.trace_store is not None:
             store_stats = self.trace_store.stats()
             self.recorder.gauge(
@@ -1112,8 +990,7 @@ class TimingDaemon:
         server, self.cache_server = self.cache_server, None
         if server is not None:
             server.stop()
-        if self.history is not None:
-            self.history.stop()
+        self.history.stop()
         if self.watchdog is not None:
             self.watchdog.stop()
         self.crash.uninstall()
@@ -1215,13 +1092,12 @@ class TimingDaemon:
                     "ts": round(time.time(), 3),
                     "frames": error_doc["frames"],
                 }
-            if self.flight is not None:
-                self.flight.record(
-                    "error",
-                    op=op or None,
-                    design=getattr(local, "design", None),
-                    error=error_doc,
-                )
+            self.flight.record(
+                "error",
+                op=op or None,
+                design=getattr(local, "design", None),
+                error=error_doc,
+            )
             if not isinstance(exc, _EXPECTED_ERRORS):
                 # A bad request (unknown op, missing file, wrong type)
                 # is business as usual; anything else is a bug worth a
@@ -1292,15 +1168,14 @@ class TimingDaemon:
         self._histogram("service.daemon.handle_seconds", handle_s)
         if duration >= self.slow_threshold_s:
             self._counter("service.daemon.slow_requests")
-        if self.flight is not None:
-            self.flight.record_request(
-                op or "?",
-                getattr(local, "design", None),
-                status,
-                duration,
-                engine=getattr(local, "engine", None),
-                error_type=error_type,
-            )
+        self.flight.record_request(
+            op or "?",
+            getattr(local, "design", None),
+            status,
+            duration,
+            engine=getattr(local, "engine", None),
+            error_type=error_type,
+        )
         if self.access_log is not None:
             self.access_log.record(
                 "daemon",
@@ -1494,7 +1369,6 @@ class TimingDaemon:
         return {
             "ok": True,
             "status": "ok",
-            "telemetry": self.recorder is not None,
             "http": list(self.http_address) if self.http_address else None,
             **self._snapshot(),
         }
@@ -1503,11 +1377,6 @@ class TimingDaemon:
         """The service recorder's contents: Prometheus text + JSON."""
         from repro.obs.metrics import metrics_dict, render_prometheus
 
-        if self.recorder is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no service "
-                "recorder); restart without telemetry=False"
-            )
         self._sync_gauges()
         return {
             "ok": True,
@@ -1580,10 +1449,6 @@ class TimingDaemon:
 
     def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
         """The metrics ring buffer (``last`` trims to the newest N)."""
-        if self.history is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no metrics history)"
-            )
         last = request.get("last")
         last = int(last) if last is not None else None
         self._counter("service.tsdb.reads")
@@ -1772,10 +1637,6 @@ class TimingDaemon:
         * ``ack`` (with ``name``) acknowledges a firing alert so
           dashboards can demote its banner without resolving it.
         """
-        if self.alerts is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no alert engine)"
-            )
         action = str(request.get("action", "list"))
         if action == "list":
             return {"ok": True, **self.alerts.to_dict()}
@@ -1793,10 +1654,6 @@ class TimingDaemon:
 
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
-        if self.flight is None:
-            raise ValueError(
-                "flight recorder is disabled on this daemon"
-            )
         last = request.get("last")
         last = int(last) if last is not None else None
         return {"ok": True, **self.flight.to_dict(last=last)}

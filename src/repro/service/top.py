@@ -35,7 +35,7 @@ The renderer derives everything from daemon telemetry:
 the raw sub-documents plus the derived rate/quantiles, so scripts and
 CI consume the same data the human dashboard shows without scraping.
 
-A daemon started with ``telemetry=False`` still renders: the latency
+A frame whose ``metrics`` op was refused still renders: the latency
 block degrades to ``telemetry disabled``.
 """
 
@@ -65,10 +65,10 @@ _LATENCY_ROWS = (
 def fetch_frame(client) -> Dict[str, object]:
     """Poll one dashboard frame from a :class:`DaemonClient`.
 
-    Never raises on an ``ok=False`` op response (e.g. ``metrics`` with
-    telemetry disabled) -- the degraded sub-document is kept so the
-    renderer can say why a block is empty.  Socket-level errors *do*
-    propagate; the CLI loop reports them and retries.
+    Never raises on an ``ok=False`` op response -- the degraded
+    sub-document is kept so the renderer can say why a block is empty.
+    Socket-level errors *do* propagate; the CLI loop reports them and
+    retries.
     """
     return {
         "ts": time.time(),

@@ -141,12 +141,9 @@ def _maybe_inject_faults(spec: Dict[str, object]) -> None:
 def run_job(spec: Dict[str, object]) -> Dict[str, object]:
     """Analyse one job spec; returns the result document."""
     from repro import obs
-    from repro.cells import standard_library
     from repro.clocks.serialize import load_schedule
     from repro.core.analyzer import Hummingbird
-    from repro.netlist.blif import load_blif
-    from repro.netlist.persistence import load_network
-    from repro.netlist.verilog import load_verilog
+    from repro.netlist import read_netlist
     from repro.obs import live
     from repro.service.digest import (
         analysis_config,
@@ -186,24 +183,9 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                 category="service",
                 job=str(spec.get("name", "")),
             ):
-                suffix = os.path.splitext(str(spec["netlist"]))[1].lower()
-                library = standard_library()
-                default_clock = spec.get("default_clock")
-                if suffix == ".blif":
-                    network = load_blif(
-                        str(spec["netlist"]), library, default_clock
-                    )
-                elif suffix == ".v":
-                    network = load_verilog(
-                        str(spec["netlist"]), library, default_clock
-                    )
-                elif suffix == ".json":
-                    network = load_network(str(spec["netlist"]), library)
-                else:
-                    raise ValueError(
-                        f"unknown netlist format {suffix!r} "
-                        "(use .json, .blif or .v)"
-                    )
+                network = read_netlist(
+                    str(spec["netlist"]), spec.get("default_clock")
+                )
                 schedule = load_schedule(str(spec["clocks"]))
                 slow_path_limit = spec.get("slow_path_limit", 50)
                 tolerance = float(spec.get("tolerance", 0.0) or 0.0)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cells import standard_library
@@ -159,6 +159,7 @@ class TestTableDelayProperties:
         ),
         st.floats(min_value=0.0, max_value=120.0),
     )
+    @example(loads=[0.0, 5e-324], query=1.0)
     @settings(max_examples=200)
     def test_interpolation_bounded_by_extremes_inside_range(
         self, loads, query

@@ -429,6 +429,46 @@ class TestBatchOverFabric:
         assert report.computed == 1
         assert cache.remote.degraded
 
+    def test_new_design_hits_clusters_stored_by_other_designs(
+        self, tmp_path, server
+    ):
+        """A design no host has analyzed still loads its prefix
+        clusters from the fabric: shallower pipelines stored them."""
+        from repro.clocks.serialize import save_schedule
+        from repro.generators.pipelines import latch_pipeline
+        from repro.netlist.persistence import save_network
+
+        def job(stages):
+            name = f"pipe{stages}"
+            network, schedule = latch_pipeline(
+                stages=stages, period=40.0, name=name
+            )
+            save_network(network, tmp_path / f"{name}.json")
+            save_schedule(schedule, tmp_path / f"{name}.clocks.json")
+            return BatchJob(
+                name,
+                str(tmp_path / f"{name}.json"),
+                str(tmp_path / f"{name}.clocks.json"),
+            )
+
+        peers = [_base(server)]
+
+        def host(name):
+            return BatchEngine(
+                cache=TieredCache(
+                    ResultCache(tmp_path / name / "cache"),
+                    RemoteCache(peers),
+                ),
+                cluster_cache=str(tmp_path / name / "clusters"),
+                peers=peers,
+                serial=True,
+            )
+
+        assert host("host_a").run([job(3), job(4)]).computed == 2
+        outcome = host("host_b").run([job(5)]).outcomes[0]
+        assert outcome.status == "computed"
+        assert outcome.cluster_cache["hits"] > 0
+
 
 class TestDynamicPeerMembership:
     """``--peers-file`` reloads: a new peer starts receiving the

@@ -141,7 +141,6 @@ class TestHealthAndMetricsOps:
         assert health["designs_loaded"] == 1
         assert health["in_flight"] >= 0
         assert health["uptime_s"] >= 0.0
-        assert health["telemetry"] is True
         assert health["last_error"] is None
 
     def test_health_reports_last_error(self, daemon_socket):
@@ -172,14 +171,6 @@ class TestHealthAndMetricsOps:
         # Prometheus text parses: every line is comment or name value.
         for line in metrics["text"].splitlines():
             assert line.startswith("#") or len(line.split()) == 2
-
-    def test_metrics_refused_when_telemetry_disabled(self, daemon_socket):
-        with TimingDaemon(daemon_socket, telemetry=False):
-            with DaemonClient(daemon_socket) as client:
-                metrics = client.metrics()
-                health = client.health()
-        assert not metrics["ok"]
-        assert health["ok"] and health["telemetry"] is False
 
     def test_snapshot_consistency_across_ops(
         self, daemon_socket, design_files
@@ -304,7 +295,6 @@ class TestHttpHygiene:
         build = json.loads(body)
         assert build["ok"] and build["version"]
         assert build["pid"] == os.getpid()
-        assert build["config"]["telemetry"] is True
 
     def test_metrics_history_route(self, daemon_socket, design_files):
         netlist, clocks = design_files
@@ -427,13 +417,6 @@ class TestProfileAndHistoryOps:
                 trimmed = client.history(last=1)
                 assert len(trimmed["points"]) == 1
             assert daemon.recorder.counters["service.tsdb.reads"] == 2
-
-    def test_history_refused_when_telemetry_disabled(self, daemon_socket):
-        with TimingDaemon(daemon_socket, telemetry=False):
-            with DaemonClient(daemon_socket) as client:
-                response = client.history()
-                assert response["ok"] is False
-                assert "telemetry" in response["error"]
 
     def test_buildinfo_op(self, daemon_socket):
         with TimingDaemon(daemon_socket) as daemon:
