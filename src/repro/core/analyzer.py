@@ -243,8 +243,8 @@ class Hummingbird:
         Largest break-set size tried exhaustively in pass selection.
     clusters:
         Precomputed cluster partition of ``network`` (e.g. warmed from
-        the cluster cache so reachability BFS is skipped); extracted
-        from the network when omitted.
+        the cluster cache so the reachability sweep is skipped);
+        extracted from the network when omitted.
     """
 
     def __init__(

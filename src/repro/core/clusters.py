@@ -12,12 +12,23 @@ form degenerate single-net clusters carrying a zero-delay path.
 Clusters also precompute, per source terminal, the set of capture
 terminals reachable through the cluster: the "cluster input-output
 combinations between which switching paths exist" that drive the
-requirement arcs of the break-open pass selection.
+requirement arcs of the break-open pass selection.  One forward sweep
+over the cluster's cells, in topological order, computes every source's
+reach set at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole
@@ -70,24 +81,41 @@ class Cluster:
 
     def reachable_captures(self, network: Network) -> Dict[str, FrozenSet[str]]:
         """Map each source terminal's full name to the full names of the
-        capture terminals a switching path can reach."""
+        capture terminals a switching path can reach.
+
+        One pass over :attr:`cells` (already topologically ordered)
+        carries a Python-int bitset per net, bit ``i`` standing for
+        ``sources[i]``: each cell arc ORs its input net's bits into its
+        output net's.  A capture's bits then name the sources reaching
+        it.
+        """
         if self._reach:
             return self._reach
-        capture_by_net: Dict[str, List[str]] = {}
+        bits: Dict[str, int] = {}
+        for index, source in enumerate(self.sources):
+            assert source.net is not None
+            name = source.net.name
+            bits[name] = bits.get(name, 0) | (1 << index)
+        for cell in self.cells:
+            for in_pin, out_pin in cell_arc_pairs(cell):
+                in_net = cell.terminal(in_pin).net
+                reached = bits.get(in_net.name, 0) if in_net is not None else 0
+                out_net = cell.terminal(out_pin).net
+                if reached and out_net is not None:
+                    bits[out_net.name] = bits.get(out_net.name, 0) | reached
+        captures_of: List[List[str]] = [[] for _ in self.sources]
         for capture in self.captures:
             assert capture.net is not None
-            capture_by_net.setdefault(capture.net.name, []).append(
-                capture.full_name
-            )
-        for source in self.sources:
-            assert source.net is not None
-            reached_nets = self._nets_reachable_from(network, source.net.name)
-            captures = frozenset(
-                name
-                for net_name in reached_nets
-                for name in capture_by_net.get(net_name, ())
-            )
-            self._reach[source.full_name] = captures
+            reached = bits.get(capture.net.name, 0)
+            name = capture.full_name
+            while reached:
+                lowest = reached & -reached
+                captures_of[lowest.bit_length() - 1].append(name)
+                reached ^= lowest
+        self._reach = {
+            source.full_name: frozenset(names)
+            for source, names in zip(self.sources, captures_of)
+        }
         return self._reach
 
     def seed_reachability(
@@ -96,10 +124,10 @@ class Cluster:
         """Install a precomputed source-to-capture reachability map.
 
         Used by the cluster-granular result cache: a cached
-        ``repro.clusterart/2`` artifact carries the exact map the BFS in
-        :meth:`reachable_captures` would compute, so a warm analysis can
-        skip the per-source net traversal for clean clusters.  The map
-        must come from an artifact whose :func:`~repro.service.digest.cluster_digest`
+        ``repro.clusterart/2`` artifact carries the exact map the sweep
+        in :meth:`reachable_captures` would compute, so a warm analysis
+        can skip it for clean clusters.  The map must come from an
+        artifact whose :func:`~repro.service.digest.cluster_digest`
         matches this cluster -- the cache layer guarantees that.
         """
         self._reach = {
@@ -110,6 +138,8 @@ class Cluster:
     def _nets_reachable_from(
         self, network: Network, start_net: str
     ) -> FrozenSet[str]:
+        """Nets reachable from ``start_net`` by breadth-first search: the
+        slow, obviously-right reference for :meth:`reachable_captures`."""
         reached = {start_net}
         frontier = [start_net]
         while frontier:
@@ -139,16 +169,22 @@ class _UnionFind:
         self._parent: Dict[str, str] = {}
 
     def find(self, key: str) -> str:
-        parent = self._parent.setdefault(key, key)
-        if parent == key:
-            return key
-        root = self.find(parent)
-        self._parent[key] = root
+        parent = self._parent
+        root = parent.setdefault(key, key)
+        while parent[root] != root:
+            root = parent[root]
+        # Path compression: point every key on the walk at the root.
+        while key != root:
+            up = parent[key]
+            parent[key] = root
+            key = up
         return root
 
     def union(self, a: str, b: str) -> None:
         root_a, root_b = self.find(a), self.find(b)
         if root_a != root_b:
+            # Always ``a``'s root: cluster names follow the sorted root
+            # keys, so another rule (e.g. by rank) would rename clusters.
             self._parent[root_b] = root_a
 
 
@@ -166,8 +202,16 @@ def _is_capture_terminal(terminal: Terminal) -> bool:
     return cell.role is CellRole.PRIMARY_OUTPUT
 
 
-def extract_clusters(network: Network) -> Tuple[Cluster, ...]:
-    """Partition the combinational logic of ``network`` into clusters."""
+def extract_clusters(
+    network: Network, order: Optional[Sequence[Cell]] = None
+) -> Tuple[Cluster, ...]:
+    """Partition the combinational logic of ``network`` into clusters.
+
+    ``order`` is ``network.comb_topological_cells()`` when the caller
+    already has it (``ValidationReport.comb_order`` from
+    :func:`~repro.netlist.validate.validate_network`); it is computed
+    here otherwise.
+    """
     uf = _UnionFind()
     # Union each combinational cell with every net it touches.
     for cell in network.combinational_cells:
@@ -177,9 +221,10 @@ def extract_clusters(network: Network) -> Tuple[Cluster, ...]:
                 uf.union(cell_key, f"n:{terminal.net.name}")
 
     # Group combinational cells and their nets by component root.
-    topo = network.comb_topological_cells()
+    if order is None:
+        order = network.comb_topological_cells()
     cells_by_root: Dict[str, List[Cell]] = {}
-    for cell in topo:
+    for cell in order:
         cells_by_root.setdefault(uf.find(f"c:{cell.name}"), []).append(cell)
 
     nets_by_root: Dict[str, List[str]] = {}
@@ -220,7 +265,7 @@ def cluster_timing_artifact(
     ``reach`` is the exact source-to-capture reachability map the
     break-open pass selection needs (:meth:`Cluster.reachable_captures`),
     reusable via :meth:`Cluster.seed_reachability`.  A warm run is
-    byte-identical to a cold one because ``reach`` *is* the cold BFS
+    byte-identical to a cold one because ``reach`` *is* the cold sweep's
     output.
     """
     reach = cluster.reachable_captures(network)

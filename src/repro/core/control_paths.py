@@ -11,13 +11,17 @@ control-path delay with a memoised backward traversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.delay.estimator import DelayMap
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole
 from repro.netlist.network import Network
 from repro.netlist.terminals import Terminal
+
+#: One driver of a control-cone net: ``None`` for a clock source, else a
+#: combinational (cell, in pin, out pin) arc.
+_Fanin = Optional[Tuple[Cell, str, str]]
 
 
 @dataclass(frozen=True)
@@ -61,22 +65,50 @@ class ControlDelayExtractor:
 
     # ------------------------------------------------------------------
     def _arrival_at(self, terminal: Terminal) -> Tuple[float, float]:
-        """(max, min) delay from the clock source to a sink terminal."""
-        memoised = self._memo.get(terminal.full_name)
-        if memoised is not None:
-            return memoised
+        """(max, min) delay from the clock source to a sink terminal.
+
+        A post-order walk of the control cone on an explicit stack, so
+        clock-buffer chains of any depth fit: a terminal is summed once
+        all its fanin terminals are memoised.
+        """
+        memo = self._memo
+        stack: List[Tuple[Terminal, Optional[List[_Fanin]]]] = [
+            (terminal, None)
+        ]
+        open_names: Set[str] = set()
+        while stack:
+            node, fanin = stack.pop()
+            name = node.full_name
+            if fanin is not None:
+                memo[name] = self._sum(fanin)
+                open_names.discard(name)
+                continue
+            if name in memo:
+                continue
+            if name in open_names:
+                raise ValueError(f"control path through {name} is cyclic")
+            open_names.add(name)
+            fanin = self._fanin(node)
+            stack.append((node, fanin))
+            for arc in reversed(fanin):
+                if arc is not None:
+                    stack.append((arc[0].terminal(arc[1]), None))
+        return memo[terminal.full_name]
+
+    def _fanin(self, terminal: Terminal) -> List[_Fanin]:
+        """The drivers shaping ``terminal``'s control arrival, in net
+        order: ``None`` for a clock source, else a combinational
+        (cell, in pin, out pin) arc."""
         net = terminal.net
         if net is None or not net.drivers:
             raise ValueError(
                 f"control path reaches undriven terminal {terminal.full_name}"
             )
-        latest = float("-inf")
-        earliest = float("inf")
+        fanin: List[_Fanin] = []
         for driver in net.drivers:
             cell = driver.cell
             if cell.role is CellRole.CLOCK_SOURCE:
-                latest = max(latest, 0.0)
-                earliest = min(earliest, 0.0)
+                fanin.append(None)
                 continue
             if cell.is_synchroniser or cell.role is CellRole.PRIMARY_INPUT:
                 # Enable-path branch: carries gating data, not the clock
@@ -89,20 +121,30 @@ class ControlDelayExtractor:
                     f"{cell.name!r}; validate the network first"
                 )
             for in_pin, out_pin in self._delays.arcs_of(cell):
-                if out_pin != driver.pin:
-                    continue
-                up_latest, up_earliest = self._arrival_at(
-                    cell.terminal(in_pin)
-                )
-                if up_latest == float("-inf"):
-                    continue  # branch carries no clock transition
-                arc_max = self._delays.arc_delay(cell, in_pin, out_pin)
-                arc_min = self._delays.arc_delay_min(cell, in_pin, out_pin)
-                latest = max(latest, up_latest + arc_max.worst)
-                earliest = min(earliest, up_earliest + arc_min.best)
-        result = (latest, earliest)
-        self._memo[terminal.full_name] = result
-        return result
+                if out_pin == driver.pin:
+                    fanin.append((cell, in_pin, out_pin))
+        return fanin
+
+    def _sum(self, fanin: List[_Fanin]) -> Tuple[float, float]:
+        """(max, min) over ``fanin``, whose terminals are all memoised."""
+        latest = float("-inf")
+        earliest = float("inf")
+        for arc in fanin:
+            if arc is None:
+                latest = max(latest, 0.0)
+                earliest = min(earliest, 0.0)
+                continue
+            cell, in_pin, out_pin = arc
+            up_latest, up_earliest = self._memo[
+                cell.terminal(in_pin).full_name
+            ]
+            if up_latest == float("-inf"):
+                continue  # branch carries no clock transition
+            arc_max = self._delays.arc_delay(cell, in_pin, out_pin)
+            arc_min = self._delays.arc_delay_min(cell, in_pin, out_pin)
+            latest = max(latest, up_latest + arc_max.worst)
+            earliest = min(earliest, up_earliest + arc_min.best)
+        return latest, earliest
 
 
 def control_arrivals(

@@ -9,8 +9,10 @@ then iterated over cheaply by Algorithms 1 and 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.clocks.schedule import ClockSchedule
 from repro.core.breakopen import BreakOpenPlan, RequirementArc, plan_for_cluster
@@ -96,7 +98,9 @@ class AnalysisModel:
             self._degrade_to_edge_triggered()
 
         self.clusters: Tuple[Cluster, ...] = (
-            clusters if clusters is not None else extract_clusters(network)
+            clusters
+            if clusters is not None
+            else extract_clusters(network, report.comb_order)
         )
         self.plans: Dict[str, BreakOpenPlan] = {}
         self.launch_ports: Dict[str, Tuple[LaunchPort, ...]] = {}
@@ -153,6 +157,9 @@ class AnalysisModel:
     def _build_ports(self, exhaustive_limit: int) -> None:
         candidate_breaks = self.schedule.edge_times()
         period = self.schedule.overall_period
+        # A plan depends only on the cluster's distinct arc set, and
+        # clusters share a handful of those (DES: 2 over 185 clusters).
+        plans: Dict[FrozenSet[RequirementArc], BreakOpenPlan] = {}
         for cluster in self.clusters:
             if self.pass_strategy == "per_edge":
                 # Wallace/Szymanski-style: one settling time per clock edge.
@@ -161,9 +168,11 @@ class AnalysisModel:
                 )
             else:
                 arcs = self._requirement_arcs(cluster)
-                plan = plan_for_cluster(
-                    period, candidate_breaks, arcs, exhaustive_limit
-                )
+                plan = plans.get(arcs)
+                if plan is None:
+                    plan = plans[arcs] = plan_for_cluster(
+                        period, candidate_breaks, arcs, exhaustive_limit
+                    )
             self.plans[cluster.name] = plan
 
             launches: List[LaunchPort] = []
@@ -202,36 +211,36 @@ class AnalysisModel:
                     )
             self.capture_ports[cluster.name] = tuple(captures)
 
-    def _requirement_arcs(self, cluster: Cluster) -> List[RequirementArc]:
-        """One arc per (launch instance, capture instance) edge-time pair
-        connected by a switching path."""
+    def _requirement_arcs(
+        self, cluster: Cluster
+    ) -> FrozenSet[RequirementArc]:
+        """The distinct (assertion edge, closure edge) pairs connected by
+        a switching path: per source, its launch instances' assertion
+        edges times the closure edges of every capture it reaches."""
         reach = cluster.reachable_captures(self.network)
-        capture_cell_by_terminal = {
-            t.full_name: t.cell.name for t in cluster.captures
+        closures_of: Dict[str, FrozenSet[Fraction]] = {
+            terminal.full_name: frozenset(
+                i.closure_edge
+                for i in self.instances[terminal.cell.name]
+                if i.has_input and i.closure_edge is not None
+            )
+            for terminal in cluster.captures
         }
-        arcs: List[RequirementArc] = []
+        pairs: Set[Tuple[Fraction, Fraction]] = set()
         for source in cluster.sources:
             targets = reach.get(source.full_name, frozenset())
             if not targets:
                 continue
-            source_instances = [
-                i
+            assertions = {
+                i.assertion_edge
                 for i in self.instances[source.cell.name]
                 if i.has_output and i.assertion_edge is not None
-            ]
-            for target_name in targets:
-                capture_cell = capture_cell_by_terminal[target_name]
-                for capture in self.instances[capture_cell]:
-                    if not capture.has_input or capture.closure_edge is None:
-                        continue
-                    for launch in source_instances:
-                        arcs.append(
-                            RequirementArc(
-                                assertion=launch.assertion_edge,
-                                closure=capture.closure_edge,
-                            )
-                        )
-        return arcs
+            }
+            closures: Set[Fraction] = set()
+            for target in targets:
+                closures |= closures_of[target]
+            pairs.update(itertools.product(assertions, closures))
+        return frozenset(RequirementArc(a, c) for a, c in pairs)
 
     # ------------------------------------------------------------------
     # statistics (Table 1 style)

@@ -13,7 +13,7 @@ warm re-run of an edited design
 
 * **hits** on every clean cluster -- its ``repro.clusterart/2`` artifact
   (the source-to-capture reachability map) loads from the cache and
-  seeds the analysis model, skipping the per-source BFS;
+  seeds the analysis model, skipping the cluster's reachability sweep;
 * **recomputes** only the dirty cluster's artifact.
 
 There is no invalidation step: an edit gives the dirty cluster a new
@@ -144,10 +144,10 @@ class ClusterCache:
         map from the stored artifact (counted as
         ``service.cluster_cache.seeded``); a miss recomputes the
         artifact (``service.cluster_cache.recomputed``) -- which *is*
-        the cold BFS -- and stores it.  Either way the cluster object
-        ends up warm, so the analysis model built from these clusters
-        never re-runs the BFS.  ``clusters`` reuses an already-extracted
-        partition; otherwise it is extracted here.
+        the cold reachability sweep -- and stores it.  Either way the
+        cluster object ends up warm, so the analysis model built from
+        these clusters never re-runs the sweep.  ``clusters`` reuses an
+        already-extracted partition; otherwise it is extracted here.
         """
         if clusters is None:
             clusters = extract_clusters(network)

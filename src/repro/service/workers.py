@@ -195,7 +195,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                 # Cluster-granular warm-up: when the spec carries a
                 # ``cluster_cache`` descriptor, probe the on-disk sub-key
                 # store.  Clean clusters load their artifacts (reach maps
-                # seeded, BFS skipped); dirty clusters recompute and store.
+                # seeded, sweep skipped); dirty clusters recompute and store.
                 # Delays are estimated here with the same defaults the
                 # analyzer would use, so the handoff is byte-identical.
                 delays = None

@@ -73,3 +73,13 @@ class TestControlArrivals:
         n = b.build()
         with pytest.raises(ValueError, match="undriven"):
             control_arrivals(n, estimate_delays(n))
+
+    def test_cyclic_control_cone_raises(self, lib):
+        b = NetworkBuilder(lib)
+        b.clock("clk")
+        b.input("i", "w", clock="clk")
+        b.gate("loop", "AND2", A="clk", B="fb", Z="fb")
+        b.latch("l", "DLATCH", D="w", G="fb", Q="q")
+        n = b.build()
+        with pytest.raises(ValueError, match="cyclic"):
+            control_arrivals(n, estimate_delays(n))
