@@ -63,6 +63,9 @@ def _read_network(path: str, default_clock: Optional[str]):
         return read_netlist(path, default_clock)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    except KeyError as exc:
+        # An unknown cell, pin or net; str() would quote the message.
+        raise SystemExit(str(exc.args[0]) if exc.args else repr(exc))
 
 
 def _common_arguments(parser: argparse.ArgumentParser, with_netlist=True):

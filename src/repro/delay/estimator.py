@@ -9,8 +9,9 @@ Section 8 mentions ("Adjustments may also be made to component delays").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import AbstractSet, Dict, Optional, Tuple
 
 from repro import obs
 from repro.cells.combinational import GateSpec
@@ -31,7 +32,8 @@ class DelayParameters:
     route).  ``min_derate`` converts maximum delays into the minimum delays
     used by the supplementary-constraint extension.  ``module_port_load``
     is the load assumed for nets driving a module's output ports when the
-    module is characterised in isolation.
+    module is characterised in isolation.  Every load must be finite and
+    non-negative.
     """
 
     wire_cap_per_fanout: float = 0.4
@@ -43,6 +45,17 @@ class DelayParameters:
     def __post_init__(self) -> None:
         if not 0 < self.min_derate <= 1:
             raise ValueError("min_derate must be in (0, 1]")
+        for name in (
+            "wire_cap_per_fanout",
+            "default_pin_cap",
+            "module_port_load",
+            "dangling_output_load",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -220,8 +233,16 @@ def estimate_delays(
 
 
 def _estimate_delays(
-    network: Network, params: Optional[DelayParameters]
+    network: Network,
+    params: Optional[DelayParameters],
+    port_nets: AbstractSet[str] = frozenset(),
 ) -> DelayMap:
+    """The body of :func:`estimate_delays`.
+
+    Gate outputs driving a net in ``port_nets`` (a module's output-port
+    nets, when the module is characterised in isolation) also see
+    ``params.module_port_load``.
+    """
     params = params or DelayParameters()
     arc_max: Dict[_ArcKey, RiseFall] = {}
     arc_min: Dict[_ArcKey, RiseFall] = {}
@@ -247,25 +268,37 @@ def _estimate_delays(
             if pin_delays is None:
                 pin_delays = _characterise_module(spec, params)
                 module_cache[id(spec)] = pin_delays
-            pairs = []
             for (in_pin, out_pin), (dmax, dmin) in pin_delays.items():
                 key = (cell.name, in_pin, out_pin)
                 arc_max[key] = dmax
                 arc_min[key] = dmin
                 arc_sense[key] = Unateness.NON_UNATE
-                pairs.append((in_pin, out_pin))
-            cell_arcs[cell.name] = tuple(pairs)
+            cell_arcs[cell.name] = tuple(pin_delays)
         elif isinstance(spec, GateSpec):
-            pairs = []
+            # One load per output pin, and one (max, min) delay pair per
+            # arc model on it: simple gates share one arc across inputs.
+            loads: Dict[str, float] = {}
+            pairs: Dict[Tuple[str, int], Tuple[RiseFall, RiseFall]] = {}
             for (in_pin, out_pin), arc in spec.arcs.items():
-                load = terminal_load(network, cell.terminal(out_pin), params)
-                delay = arc.delay_at(load)
+                pair = pairs.get((out_pin, id(arc)))
+                if pair is None:
+                    load = loads.get(out_pin)
+                    if load is None:
+                        terminal = cell.terminal(out_pin)
+                        load = terminal_load(network, terminal, params)
+                        if (
+                            terminal.net is not None
+                            and terminal.net.name in port_nets
+                        ):
+                            load += params.module_port_load
+                        loads[out_pin] = load
+                    delay = arc.delay_at(load)
+                    pair = (delay, delay.scaled(params.min_derate))
+                    pairs[(out_pin, id(arc))] = pair
                 key = (cell.name, in_pin, out_pin)
-                arc_max[key] = delay
-                arc_min[key] = delay.scaled(params.min_derate)
+                arc_max[key], arc_min[key] = pair
                 arc_sense[key] = arc.unateness
-                pairs.append((in_pin, out_pin))
-            cell_arcs[cell.name] = tuple(pairs)
+            cell_arcs[cell.name] = tuple(spec.arcs)
         elif cell.role is CellRole.COMBINATIONAL:  # pragma: no cover
             raise TypeError(
                 f"cell {cell.name!r} has unsupported combinational spec "
@@ -298,44 +331,16 @@ def _characterise_module(spec: ModuleSpec, params: DelayParameters) -> Dict:
     if cached is not None:
         return cached
 
-    inner_map = estimate_delays(spec.definition.inner, params)
-    inner_map = _add_port_loads(spec, params, inner_map)
-    result = module_pin_delays(spec, inner_map)
+    definition = spec.definition
+    with obs.span("delay.characterise", category="delay", module=spec.name):
+        inner_map = _estimate_delays(
+            definition.inner,
+            params,
+            frozenset(definition.output_ports.values()),
+        )
+        result = module_pin_delays(spec, inner_map)
     cache[params] = result
     return result
-
-
-def _add_port_loads(
-    spec: ModuleSpec, params: DelayParameters, inner_map: DelayMap
-) -> DelayMap:
-    """Re-estimate arcs that drive output-port nets with the port load.
-
-    Arcs whose output net is a module port were estimated with only the
-    net's inner sinks; add the assumed external load.
-    """
-    inner = spec.definition.inner
-    port_nets = set(spec.definition.output_ports.values())
-    adjusted = inner_map
-    for cell in inner.cells:
-        if not isinstance(cell.spec, GateSpec):
-            continue
-        for (in_pin, out_pin), arc in cell.spec.arcs.items():
-            net = cell.terminal(out_pin).net
-            if net is None or net.name not in port_nets:
-                continue
-            load = (
-                terminal_load(inner, cell.terminal(out_pin), params)
-                + params.module_port_load
-            )
-            delay = arc.delay_at(load)
-            adjusted = adjusted.with_arc_override(
-                cell.name,
-                in_pin,
-                out_pin,
-                delay,
-                delay.scaled(params.min_derate),
-            )
-    return adjusted
 
 
 __all__ = [

@@ -27,6 +27,10 @@ class ModuleDefinition:
         The subnetwork; every cell must be combinational.
     input_ports / output_ports:
         Mappings from port (pin) name to the inner net carrying it.
+
+    The inner cells' topological order is computed once, here, and kept
+    on :attr:`order`; a module whose logic has a combinational cycle
+    raises :class:`~repro.netlist.network.CombinationalCycleError`.
     """
 
     def __init__(
@@ -49,29 +53,35 @@ class ModuleDefinition:
         self.inner = inner
         self.input_ports: Dict[str, str] = dict(input_ports)
         self.output_ports: Dict[str, str] = dict(output_ports)
+        self.order: Tuple[Cell, ...] = inner.comb_topological_cells()
 
     def reachable_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        """All (input port, output port) pairs connected by a path."""
+        """All (input port, output port) pairs connected by a path.
+
+        One forward sweep over :attr:`order` with a bitset per net (bit
+        *i* = the *i*-th input port): a cell passes the union of its
+        input nets' bits on to every one of its output nets.
+        """
+        reach: Dict[str, int] = {}
+        for index, net_name in enumerate(self.input_ports.values()):
+            reach[net_name] = reach.get(net_name, 0) | (1 << index)
+        for cell in self.order:
+            bits = 0
+            for terminal in cell.input_terminals:
+                if terminal.net is not None:
+                    bits |= reach.get(terminal.net.name, 0)
+            if not bits:
+                continue
+            for terminal in cell.output_terminals:
+                if terminal.net is not None:
+                    name = terminal.net.name
+                    reach[name] = reach.get(name, 0) | bits
         pairs: List[Tuple[str, str]] = []
-        for in_port, in_net in self.input_ports.items():
-            reached = self._reachable_nets(in_net)
+        for index, in_port in enumerate(self.input_ports):
             for out_port, out_net in self.output_ports.items():
-                if out_net in reached:
+                if reach.get(out_net, 0) >> index & 1:
                     pairs.append((in_port, out_port))
         return tuple(pairs)
-
-    def _reachable_nets(self, start_net: str) -> set:
-        reached = {start_net}
-        frontier = [start_net]
-        while frontier:
-            net = self.inner.net(frontier.pop())
-            for sink in net.sinks:
-                for out_terminal in sink.cell.output_terminals:
-                    out_net = out_terminal.net
-                    if out_net is not None and out_net.name not in reached:
-                        reached.add(out_net.name)
-                        frontier.append(out_net.name)
-        return reached
 
 
 class ModuleSpec:

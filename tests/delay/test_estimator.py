@@ -56,6 +56,32 @@ class TestEstimateDelays:
         with pytest.raises(ValueError):
             DelayParameters(min_derate=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "wire_cap_per_fanout",
+            "default_pin_cap",
+            "module_port_load",
+            "dangling_output_load",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0])
+    def test_rejects_non_finite_or_negative_load(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DelayParameters(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "wire_cap_per_fanout",
+            "default_pin_cap",
+            "module_port_load",
+            "dangling_output_load",
+        ],
+    )
+    def test_zero_load_is_legal(self, field):
+        assert getattr(DelayParameters(**{field: 0.0}), field) == 0.0
+
     def test_sync_timing_from_spec(self, lib):
         b = NetworkBuilder(lib)
         b.clock("clk")

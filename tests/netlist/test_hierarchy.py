@@ -10,6 +10,7 @@ from repro.netlist import (
     validate_network,
 )
 from repro.netlist.kinds import Unateness
+from repro.netlist.network import CombinationalCycleError
 
 
 def _make_module(lib, name="M"):
@@ -54,6 +55,21 @@ class TestModuleDefinition:
         inner_b.clock("clk")
         inner_b.latch("l", "DFF", D="pa", CK="clk", Q="pz")
         with pytest.raises(ValueError, match="combinational"):
+            ModuleDefinition(
+                inner_b.build(),
+                input_ports={"A": "pa"},
+                output_ports={"Z": "pz"},
+            )
+
+    def test_order_is_topological(self, lib):
+        definition = _make_module(lib).definition
+        assert [c.name for c in definition.order] == ["i1", "n1"]
+
+    def test_rejects_cyclic_module(self, lib):
+        inner_b = NetworkBuilder(lib, name="inner")
+        inner_b.gate("i1", "NAND2", A="pa", B="loop", Z="pz")
+        inner_b.gate("i2", "INV", A="pz", Z="loop")
+        with pytest.raises(CombinationalCycleError, match="i1, i2"):
             ModuleDefinition(
                 inner_b.build(),
                 input_ports={"A": "pa"},

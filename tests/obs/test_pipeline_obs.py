@@ -14,7 +14,7 @@ from repro.core.incremental import IncrementalAnalyzer
 from repro.core.model import AnalysisModel
 from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
-from repro.generators import latch_pipeline
+from repro.generators import generate_sm1h, latch_pipeline
 
 from tests.conftest import build_ff_stage
 
@@ -30,6 +30,20 @@ class TestAnalyzerSpans:
         assert "analyzer.build_model" in names
         assert "analyzer.analysis" in names
         assert "delay.estimate" in names
+
+    def test_module_characterisation_span(self):
+        network, schedule = generate_sm1h()
+        with obs.recording() as rec:
+            Hummingbird(network, schedule)
+        (span,) = [r for r in rec.spans if r.name == "delay.characterise"]
+        assert dict(span.args) == {"module": "SM1_LOGIC"}
+        (estimate,) = [r for r in rec.spans if r.name == "delay.estimate"]
+        assert span.depth == estimate.depth + 1
+        # The inner cells count once, in the characterisation.
+        inner = network.cell("logic").spec.definition.inner
+        assert rec.counters["delay.cells_estimated"] == (
+            network.num_cells + inner.num_cells
+        )
 
     def test_phase_gauges_published(self, lib):
         network, schedule = build_ff_stage(lib, chain=2, period=10)

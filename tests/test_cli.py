@@ -1,6 +1,9 @@
 """Tests for the repro-sta command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,9 @@ from repro.clocks.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.generators import generate_sm1h
 from repro.netlist.blif import save_blif
-from repro.netlist.persistence import save_network
+from repro.netlist.persistence import network_to_dict, save_network
 
 from tests.conftest import build_ff_stage
 
@@ -396,3 +400,69 @@ class TestForensicsCommands:
         stats_doc = json.loads(out)
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert stats_doc["timing"] == manifest["timing"]
+
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _add_inverter_loop(doc):
+    doc["modules"]["SM1_LOGIC"]["inner"]["cells"] += [
+        {"name": "cyc1", "spec": "INV", "attrs": {},
+         "pins": {"A": "cyc_b", "Z": "cyc_a"}},
+        {"name": "cyc2", "spec": "INV", "attrs": {},
+         "pins": {"A": "cyc_a", "Z": "cyc_b"}},
+    ]
+
+
+def _dangle_output_port(doc):
+    doc["modules"]["SM1_LOGIC"]["output_ports"]["ns0"] = "no_such_net"
+
+
+def _unknown_inner_spec(doc):
+    doc["modules"]["SM1_LOGIC"]["inner"]["cells"][0]["spec"] = "NAND9"
+
+
+def _unknown_instance_pin(doc):
+    instance = next(c for c in doc["cells"] if c["spec"] == "SM1_LOGIC")
+    instance["pins"]["bogus"] = "xin0"
+
+
+def _unknown_top_spec(doc):
+    register = next(c for c in doc["cells"] if c["spec"] == "DFF")
+    register["spec"] = "DFFX"
+
+
+class TestMalformedHierarchicalNetlists:
+    """Broken SM1H files exit 1 with a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "corrupt, culprit",
+        [
+            (_add_inverter_loop, "directed cycle through: cyc1, cyc2"),
+            (_dangle_output_port, "no net named 'no_such_net'"),
+            (_unknown_inner_spec, "has no cell 'NAND9'"),
+            (_unknown_instance_pin, "cell 'logic' (SM1_LOGIC) has no pin 'bogus'"),
+            (_unknown_top_spec, "has no cell 'DFFX'"),
+        ],
+    )
+    def test_analyze_exits_with_message(self, tmp_path, corrupt, culprit):
+        network, schedule = generate_sm1h()
+        doc = network_to_dict(network)
+        corrupt(doc)
+        netlist = tmp_path / "broken.json"
+        clocks = tmp_path / "clocks.json"
+        netlist.write_text(json.dumps(doc))
+        save_schedule(schedule, clocks)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "analyze", str(netlist),
+                "--clocks", str(clocks),
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert culprit in proc.stderr
+        assert not proc.stderr.startswith(("'", '"'))
