@@ -42,6 +42,8 @@ class TimingResult:
     stats: Dict[str, int] = field(default_factory=dict)
     #: Combined CPU seconds (pre-processing + analysis) for manifests.
     cpu_seconds: float = 0.0
+    #: Wall-clock seconds of slow-path extraction (not in either phase).
+    slow_paths_seconds: float = 0.0
     #: Back-reference to the analyser that produced this result; set by
     #: :meth:`Hummingbird.analyze` and used by the forensics/manifest
     #: accessors below (excluded from comparisons and repr).
@@ -124,6 +126,7 @@ class TimingResult:
             "cost": {
                 "preprocess_s": self.preprocess_seconds,
                 "analysis_s": self.analysis_seconds,
+                "slow_paths_s": self.slow_paths_seconds,
                 "cpu_s": self.cpu_seconds,
             },
         }
@@ -184,8 +187,9 @@ def build_timing_result(
     tolerance: float,
 ) -> TimingResult:
     """Time ``run()`` -- one Algorithm 1 run over ``analyzer``'s model --
-    and wrap its outcome as a :class:`TimingResult`: slow paths, model
-    stats with the iteration counts, and the combined CPU cost.
+    and wrap its outcome as a :class:`TimingResult`: slow paths (timed
+    separately), model stats with the iteration counts, and the combined
+    CPU cost.
 
     The one assembly path behind :meth:`Hummingbird.analyze` and
     :meth:`repro.core.incremental.IncrementalAnalyzer.timing_result`.
@@ -198,6 +202,7 @@ def build_timing_result(
     outcome = run()
     analysis_seconds = time.perf_counter() - started
     analysis_cpu_seconds = time.process_time() - started_cpu
+    paths_started = time.perf_counter()
     with obs.span("analyzer.slow_paths", category="analyzer"):
         slow_paths = (
             []
@@ -210,6 +215,7 @@ def build_timing_result(
                 limit=slow_path_limit,
             )
         )
+    slow_paths_seconds = time.perf_counter() - paths_started
     stats = analyzer.model.stats()
     stats["algorithm1_iterations"] = outcome.iterations.total
     stats["algorithm1_forward_cycles"] = outcome.iterations.forward
@@ -221,6 +227,7 @@ def build_timing_result(
         analysis_seconds=analysis_seconds,
         stats=stats,
         cpu_seconds=analyzer.preprocess_cpu_seconds + analysis_cpu_seconds,
+        slow_paths_seconds=slow_paths_seconds,
         analyzer=analyzer,
     )
 

@@ -116,6 +116,7 @@ def _corner_delays(nominal: DelayMap, corner: Corner) -> DelayMap:
         scaled_min._arc_min,
         scaled_max._arc_sense,
         scaled_max._cell_arcs,
+        scaled_max._arc_keys,
         scaled_max._sync,
     )
 

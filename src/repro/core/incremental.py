@@ -79,10 +79,15 @@ class IncrementalAnalyzer:
         return self._delays
 
     def scale_cell(self, cell_name: str, factor: float) -> None:
-        """Scale one cell's delays (the re-synthesis loop's operation)."""
+        """Scale one cell's delays (the re-synthesis loop's operation).
+
+        An unknown cell (``KeyError``) or a negative, NaN or infinite
+        ``factor`` (``ValueError``) is rejected before anything changes.
+        """
         self.network.cell(cell_name)
+        delays = self._delays.with_scaled_cell(cell_name, factor)
         self.epoch += 1
-        self._delays = self._delays.with_scaled_cell(cell_name, factor)
+        self._delays = delays
         if cell_name in self._control_cells:
             # Control-path delays shape O_ac; rebuild the instances.
             self.rebuilds += 1

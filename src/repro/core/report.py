@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import AnalysisModel, CapturePort
-from repro.core.slack import SlackEngine
-from repro.rftime import RiseFall
+from repro.core.slack import ArcTable, SlackEngine, Sweep
 
 _TRACE_TOLERANCE = 1e-6
 
@@ -68,21 +67,32 @@ def extract_slow_paths(
     """Trace one critical path per violated capture port.
 
     ``capture_slacks`` are Algorithm 1's final capture-side node slacks.
-    Paths are returned most-violating first.
+    Paths are returned most-violating first.  Each (cluster, pass) among
+    the violated captures takes one forward sweep, shared by its paths.
     """
-    violations: List[Tuple[float, CapturePort]] = []
-    for cluster in model.clusters:
-        for port in model.capture_ports[cluster.name]:
+    violations: List[Tuple[float, CapturePort, ArcTable, int]] = []
+    for table in engine.tables.values():
+        for port, net in table.captures:
             slack = capture_slacks.get(port.instance.name, math.inf)
             if slack <= tolerance:
-                violations.append((slack, port))
+                violations.append((slack, port, table, net))
     violations.sort(key=lambda item: item[0])
     if limit is not None:
         violations = violations[:limit]
 
+    drivers: Dict[str, Dict[int, List[tuple]]] = {}
+    sweeps: Dict[Tuple[str, int], Sweep] = {}
     paths = []
-    for slack, port in violations:
-        path = trace_endpoint_path(model, engine, port, slack)
+    for slack, port, table, net in violations:
+        if table.name not in drivers:
+            drivers[table.name] = _drivers(table)
+        key = (table.name, port.pass_index)
+        if key not in sweeps:
+            sweeps[key] = engine._forward(table, port.pass_index)
+        path = _trace_path(
+            model, engine, table, drivers[table.name], sweeps[key], port,
+            net, slack,
+        )
         if path is not None:
             paths.append(path)
     return paths
@@ -96,148 +106,129 @@ def trace_endpoint_path(
 ) -> Optional[SlowPath]:
     """Trace the critical path ending at one capture port.
 
-    Public provenance hook: :func:`extract_slow_paths` uses it for
-    violated endpoints, and :class:`repro.report.PathForensics` uses it
+    Public provenance hook: :class:`repro.report.PathForensics` uses it
     to explain *any* endpoint (passing the endpoint's current node
     slack), not just the slow ones.
     """
-    for cluster in model.clusters:
-        if cluster.name == port.cluster_name:
-            return _trace_path(model, engine, cluster, port, slack)
-    return None
+    table = engine.tables.get(port.cluster_name)
+    if table is None:
+        return None
+    return _trace_path(
+        model,
+        engine,
+        table,
+        _drivers(table),
+        engine._forward(table, port.pass_index),
+        port,
+        table.nets.index(port.net_name),
+        slack,
+    )
+
+
+def _drivers(table: ArcTable) -> Dict[int, List[tuple]]:
+    """The arcs driving each net, by net number, in table order."""
+    drivers: Dict[int, List[tuple]] = {}
+    for arc in table.arcs:
+        drivers.setdefault(arc[1], []).append(arc)
+    return drivers
 
 
 def _trace_path(
     model: AnalysisModel,
     engine: SlackEngine,
-    cluster,
+    table: ArcTable,
+    drivers: Dict[int, List[tuple]],
+    ready: Sweep,
     port: CapturePort,
+    net: int,
     slack: float,
 ) -> Optional[SlowPath]:
-    detail = engine.cluster_detail(cluster)
-    ready = detail.passes[port.pass_index].ready
-    at_capture = ready.get(port.net_name)
-    if at_capture is None or not at_capture.is_finite():
+    """Trace the latest-arriving transition at ``net`` (the capture's)
+    backwards: each step takes the first driving arc whose input
+    arrival plus delay reproduces the output arrival."""
+    rise, fall, _ = ready
+    at_rise, at_fall = rise[net], fall[net]
+    if at_rise is None or not (
+        math.isfinite(at_rise) and math.isfinite(at_fall)
+    ):
         return None
-    closure = _closure_time(engine, cluster.name, port)
-
-    # Trace the latest-arriving transition backwards.
-    transition = "rise" if at_capture.rise >= at_capture.fall else "fall"
-    net_name = port.net_name
+    delays = model.delays.max_delays
+    arrivals = (rise, fall)  # indexed by transition: 0 rise, 1 fall
+    transition = 0 if at_rise >= at_fall else 1
     steps: List[PathStep] = []
-    guard = len(cluster.cells) + 2
-    cells_by_out_net = _cells_by_output_net(model, cluster)
-    while guard > 0:
-        guard -= 1
-        hop = _find_driving_arc(
-            model, cells_by_out_net, ready, net_name, transition
-        )
-        if hop is None:
+    for __ in table.nets:  # a path visits each net at most once
+        target = arrivals[transition][net]
+        if target is None or not math.isfinite(target):
             break
-        cell_name, in_pin, out_pin, in_net, in_transition = hop
-        steps.append(
-            PathStep(
-                cell_name=cell_name,
-                in_pin=in_pin,
-                out_pin=out_pin,
-                net_name=net_name,
-                arrival=getattr(ready[net_name], transition),
+        for in_net, _, sense, key in drivers.get(net, ()):
+            in_rise = rise[in_net]
+            if in_rise is None:
+                continue
+            in_fall = fall[in_net]
+            if sense == 0:
+                at_input = in_rise if transition == 0 else in_fall
+                in_transition = transition
+            elif sense == 1:
+                at_input = in_fall if transition == 0 else in_rise
+                in_transition = 1 - transition
+            else:  # the worse input transition drives both
+                at_input = in_fall if in_fall > in_rise else in_rise
+                in_transition = 0 if in_rise >= in_fall else 1
+            delay = delays[key]
+            value = at_input + (delay.rise if transition == 0 else delay.fall)
+            if abs(value - target) > _TRACE_TOLERANCE:
+                continue
+            cell_name, in_pin, out_pin = key
+            steps.append(
+                PathStep(
+                    cell_name=cell_name,
+                    in_pin=in_pin,
+                    out_pin=out_pin,
+                    net_name=table.nets[net],
+                    arrival=target,
+                )
             )
-        )
-        net_name = in_net
-        transition = in_transition
+            net = in_net
+            transition = in_transition
+            break
+        else:  # no driving arc reproduces the arrival: the path starts here
+            break
 
-    launch = _launch_at(model, engine, cluster, port.pass_index, net_name, ready)
     return SlowPath(
-        cluster=cluster.name,
+        cluster=table.name,
         pass_index=port.pass_index,
-        launch_instance=launch,
+        launch_instance=_launch_at(engine, table, port.pass_index, net, ready),
         capture_instance=port.instance.name,
         capture_net=port.net_name,
         slack=slack,
-        arrival=at_capture.worst,
-        closure=closure,
+        arrival=at_fall if at_fall > at_rise else at_rise,
+        closure=engine._closure_time(table.name, port),
         steps=tuple(steps),
     )
 
 
-def _closure_time(engine: SlackEngine, cluster_name: str, port) -> float:
-    return engine._closure_time(cluster_name, port)
-
-
-def _cells_by_output_net(model: AnalysisModel, cluster) -> Dict[str, List]:
-    by_net: Dict[str, List] = {}
-    for cell in cluster.cells:
-        for in_pin, out_pin in model.delays.arcs_of(cell):
-            out_net = cell.terminal(out_pin).net
-            if out_net is not None:
-                by_net.setdefault(out_net.name, []).append(
-                    (cell, in_pin, out_pin)
-                )
-    return by_net
-
-
-def _find_driving_arc(
-    model: AnalysisModel,
-    cells_by_out_net: Dict[str, List],
-    ready: Dict[str, RiseFall],
-    net_name: str,
-    transition: str,
-):
-    """Find the arc that produced ``ready[net_name].<transition>``."""
-    target = getattr(ready.get(net_name, RiseFall.never()), transition)
-    if not math.isfinite(target):
-        return None
-    for cell, in_pin, out_pin in cells_by_out_net.get(net_name, ()):
-        in_net = cell.terminal(in_pin).net
-        if in_net is None:
-            continue
-        at_input = ready.get(in_net.name)
-        if at_input is None:
-            continue
-        sense = model.delays.arc_unateness(cell, in_pin, out_pin)
-        value = at_input.through_arc(sense).plus(
-            model.delays.arc_delay(cell, in_pin, out_pin)
-        )
-        if abs(getattr(value, transition) - target) > _TRACE_TOLERANCE:
-            continue
-        in_transition = _input_transition(sense, transition, at_input)
-        return cell.name, in_pin, out_pin, in_net.name, in_transition
-    return None
-
-
-def _input_transition(sense, transition: str, at_input: RiseFall) -> str:
-    from repro.netlist.kinds import Unateness
-
-    if sense is Unateness.POSITIVE:
-        return transition
-    if sense is Unateness.NEGATIVE:
-        return "fall" if transition == "rise" else "rise"
-    return "rise" if at_input.rise >= at_input.fall else "fall"
-
-
 def _launch_at(
-    model: AnalysisModel,
     engine: SlackEngine,
-    cluster,
+    table: ArcTable,
     pass_index: int,
-    net_name: str,
-    ready: Dict[str, RiseFall],
+    net: int,
+    ready: Sweep,
 ) -> Optional[str]:
-    """Which launch port asserts ``net_name`` at its ready time."""
-    target = ready.get(net_name)
-    if target is None:
+    """Which launch port asserts ``net`` at its ready time."""
+    rise, fall, _ = ready
+    if rise[net] is None:
         return None
-    for port in model.launch_ports[cluster.name]:
-        if port.net_name != net_name:
+    worst = fall[net] if fall[net] > rise[net] else rise[net]
+    for port, port_net in table.launches:
+        if port_net != net:
             continue
-        t = engine._assertion_time(cluster.name, pass_index, port)
-        if abs(t - target.worst) <= _TRACE_TOLERANCE:
+        t = engine._assertion_time(table.name, pass_index, port)
+        if abs(t - worst) <= _TRACE_TOLERANCE:
             return port.instance.name
     # Fall back to any launch port on the net (conservative arrival from a
     # different instance of the same element).
-    for port in model.launch_ports[cluster.name]:
-        if port.net_name == net_name:
+    for port, port_net in table.launches:
+        if port_net == net:
             return port.instance.name
     return None
 

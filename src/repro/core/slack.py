@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.clusters import Cluster
 from repro.core.model import AnalysisModel, CapturePort, LaunchPort
+from repro.delay.estimator import ArcKey
 from repro.netlist.kinds import Unateness
 from repro.rftime import RiseFall
 
@@ -93,13 +94,41 @@ class ClusterDetail:
         )
 
 
+@dataclass(frozen=True)
+class ArcTable:
+    """One cluster's combinational arcs over numbered nets.
+
+    ``nets[i]`` names net *i*.  ``arcs`` holds one ``(input net, output
+    net, sense, key)`` tuple per arc, in the cluster's topological
+    order; the sense is 0 positive, 1 negative or 2 non-unate, and the
+    :data:`~repro.delay.estimator.ArcKey` indexes
+    :attr:`~repro.delay.estimator.DelayMap.max_delays`.  ``launches``
+    and ``captures`` pair each boundary port with its net's number.
+    """
+
+    name: str
+    nets: Tuple[str, ...]
+    arcs: Tuple[Tuple[int, int, int, ArcKey], ...]
+    launches: Tuple[Tuple[LaunchPort, int], ...]
+    captures: Tuple[Tuple[CapturePort, int], ...]
+    num_passes: int
+
+
+#: One sweep's result: per net number the rise and fall values
+#: (``None``: not reached), and the reached nets in first-touch order.
+Sweep = Tuple[List[Optional[float]], List[Optional[float]], List[int]]
+
+
 class SlackEngine:
     """Evaluates node slacks for the current offsets of a model.
 
-    Construction precomputes, per cluster and pass, the axis positions of
-    every boundary edge (pure clock arithmetic); repeated slack queries
-    during Algorithm 1/2 iterations then only involve float work linear in
-    the cluster sizes.
+    Construction numbers each cluster's nets and flattens its arcs into
+    an :class:`ArcTable`, and precomputes, per cluster and pass, the axis
+    positions of every boundary edge (pure clock arithmetic); repeated
+    slack queries during Algorithm 1/2 iterations then only involve
+    float work linear in the cluster sizes.  Delays are read from the
+    model at every sweep, so a delay map swapped under the model is seen
+    by the next query.
     """
 
     def __init__(self, model: AnalysisModel) -> None:
@@ -109,41 +138,49 @@ class SlackEngine:
         # (cluster, instance) -> axis position of the closure edge in the
         # capture's designated pass
         self._capture_pos: Dict[Tuple[str, str], float] = {}
-        # Per cluster: flat arc tuples (cell, in_pin, out_pin, in_net,
-        # out_net, sense code) in topological order, so the sweeps avoid
-        # terminal lookups.  Sense codes: 0 positive, 1 negative, 2 other.
-        self._cluster_arcs: Dict[str, Tuple[Tuple, ...]] = {}
-        sense_codes = {
-            Unateness.POSITIVE: 0,
-            Unateness.NEGATIVE: 1,
-            Unateness.NON_UNATE: 2,
-        }
+        #: Cluster name -> its :class:`ArcTable`, in cluster order.
+        self.tables: Dict[str, ArcTable] = {}
+        delays = model.delays
+        senses = delays.senses
+        positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
         for cluster in model.clusters:
+            index: Dict[str, int] = {}
             arcs = []
             for cell in cluster.cells:
-                for in_pin, out_pin in model.delays.arcs_of(cell):
+                for key in delays.arc_keys(cell):
+                    __, in_pin, out_pin = key
                     in_net = cell.terminal(in_pin).net
                     out_net = cell.terminal(out_pin).net
                     if in_net is None or out_net is None:
                         continue
+                    sense = senses[key]
                     arcs.append(
                         (
-                            cell,
-                            in_pin,
-                            out_pin,
-                            in_net.name,
-                            out_net.name,
-                            sense_codes[
-                                model.delays.arc_unateness(
-                                    cell, in_pin, out_pin
-                                )
-                            ],
+                            index.setdefault(in_net.name, len(index)),
+                            index.setdefault(out_net.name, len(index)),
+                            0 if sense is positive else
+                            1 if sense is negative else 2,
+                            key,
                         )
                     )
-            self._cluster_arcs[cluster.name] = tuple(arcs)
-        for cluster in model.clusters:
+            launches = tuple(
+                (port, index.setdefault(port.net_name, len(index)))
+                for port in model.launch_ports[cluster.name]
+            )
+            captures = tuple(
+                (port, index.setdefault(port.net_name, len(index)))
+                for port in model.capture_ports[cluster.name]
+            )
             plan = model.plans[cluster.name]
-            for port in model.launch_ports[cluster.name]:
+            self.tables[cluster.name] = ArcTable(
+                cluster.name,
+                tuple(index),
+                tuple(arcs),
+                launches,
+                captures,
+                plan.num_passes,
+            )
+            for port, __ in launches:
                 assert port.instance.assertion_edge is not None
                 for pass_index in range(plan.num_passes):
                     self._launch_pos[
@@ -153,7 +190,7 @@ class SlackEngine:
                             port.instance.assertion_edge, pass_index
                         )
                     )
-            for port in model.capture_ports[cluster.name]:
+            for port, __ in captures:
                 assert port.instance.closure_edge is not None
                 self._capture_pos[(cluster.name, port.instance.name)] = float(
                     plan.position_closure(
@@ -172,57 +209,56 @@ class SlackEngine:
                 slacks.capture.setdefault(instance.name, math.inf)
             if instance.has_output:
                 slacks.launch.setdefault(instance.name, math.inf)
-        for cluster in self._model.clusters:
-            self._cluster_port_slacks(cluster, slacks, rec)
+        for table in self.tables.values():
+            self._cluster_port_slacks(table, slacks, rec)
         if rec is not None:
             rec.counter("slack.evaluations")
         return slacks
 
     def _cluster_port_slacks(
         self,
-        cluster: Cluster,
+        table: ArcTable,
         slacks: PortSlacks,
         rec: Optional["obs.Recorder"] = None,
     ) -> None:
-        model = self._model
-        plan = model.plans[cluster.name]
-        launches = model.launch_ports[cluster.name]
-        captures = model.capture_ports[cluster.name]
-        for pass_index in range(plan.num_passes):
-            designated = [c for c in captures if c.pass_index == pass_index]
-            arrival = self._forward(cluster, launches, pass_index)
+        capture = slacks.capture
+        launch = slacks.launch
+        for pass_index in range(table.num_passes):
+            ready_rise, ready_fall, reached = self._forward(table, pass_index)
             if rec is not None:
                 rec.counter("slack.cluster_passes")
                 rec.counter("slack.forward_sweeps")
-                rec.counter("slack.nodes_visited", len(arrival))
-            required: Dict[str, RiseFall] = {}
-            for port in designated:
-                closure = self._closure_time(cluster.name, port)
-                ready = arrival.get(port.net_name)
-                if ready is not None and ready.is_finite():
-                    slack = min(closure - ready.rise, closure - ready.fall)
+                rec.counter("slack.nodes_visited", len(reached))
+            for port, net in table.captures:
+                if port.pass_index != pass_index:
+                    continue
+                rise = ready_rise[net]
+                if (
+                    rise is not None
+                    and math.isfinite(rise)
+                    and math.isfinite(ready_fall[net])
+                ):
+                    closure = self._closure_time(table.name, port)
+                    slack = min(closure - rise, closure - ready_fall[net])
                 else:
                     slack = math.inf
                 name = port.instance.name
-                slacks.capture[name] = min(slacks.capture[name], slack)
-                existing = required.get(port.net_name)
-                pair = RiseFall.both(closure)
-                required[port.net_name] = (
-                    pair if existing is None else existing.min_with(pair)
-                )
-            if not required:
+                capture[name] = min(capture[name], slack)
+            need_rise, need_fall, constrained = self._backward(
+                table, pass_index
+            )
+            if not constrained:
                 continue
-            self._backward(cluster, required)
             if rec is not None:
                 rec.counter("slack.backward_sweeps")
-            for port in launches:
-                need = required.get(port.net_name)
+            for port, net in table.launches:
+                need = need_rise[net]
                 if need is None:
                     continue
-                t = self._assertion_time(cluster.name, pass_index, port)
-                slack = need.best - t
+                t = self._assertion_time(table.name, pass_index, port)
+                slack = min(need, need_fall[net]) - t
                 name = port.instance.name
-                slacks.launch[name] = min(slacks.launch[name], slack)
+                launch[name] = min(launch[name], slack)
 
     # ------------------------------------------------------------------
     # full detail (reports, Algorithm 2 outputs)
@@ -234,30 +270,16 @@ class SlackEngine:
             return self._cluster_detail(cluster)
 
     def _cluster_detail(self, cluster: Cluster) -> ClusterDetail:
-        model = self._model
-        plan = model.plans[cluster.name]
-        launches = model.launch_ports[cluster.name]
-        captures = model.capture_ports[cluster.name]
+        table = self.tables[cluster.name]
+        plan = self._model.plans[cluster.name]
         details: List[PassDetail] = []
-        for pass_index in range(plan.num_passes):
-            arrival = self._forward(cluster, launches, pass_index)
-            required: Dict[str, RiseFall] = {}
-            for port in captures:
-                if port.pass_index != pass_index:
-                    continue
-                closure = self._closure_time(cluster.name, port)
-                pair = RiseFall.both(closure)
-                existing = required.get(port.net_name)
-                required[port.net_name] = (
-                    pair if existing is None else existing.min_with(pair)
-                )
-            self._backward(cluster, required)
+        for pass_index in range(table.num_passes):
             details.append(
                 PassDetail(
                     pass_index=pass_index,
                     break_time=float(plan.breaks[pass_index]),
-                    ready=arrival,
-                    required=required,
+                    ready=_pairs(table, self._forward(table, pass_index)),
+                    required=_pairs(table, self._backward(table, pass_index)),
                 )
             )
         return ClusterDetail(cluster_name=cluster.name, passes=details)
@@ -285,86 +307,107 @@ class SlackEngine:
             + port.instance.closure_offset
         )
 
-    def _forward(
-        self,
-        cluster: Cluster,
-        launches: Tuple[LaunchPort, ...],
-        pass_index: int,
-    ) -> Dict[str, RiseFall]:
-        """Equation 1: trace ready times forward through the cluster.
+    def _forward(self, table: ArcTable, pass_index: int) -> Sweep:
+        """Equation 1: trace ready times forward through the cluster,
+        from its launch ports' assertion times in pass ``pass_index``.
 
-        The arc loop is flattened and the rise/fall algebra inlined -- it
-        is the analysis's innermost loop (see DESIGN.md performance note).
+        The arc loop is the analysis's innermost loop: it runs over the
+        flat table with the rise/fall algebra inlined on two float lists
+        (see DESIGN.md performance note).
         """
-        delays = self._model.delays
-        arc_delay = delays.arc_delay
-        arrival: Dict[str, RiseFall] = {}
-        for port in launches:
-            t = self._assertion_time(cluster.name, pass_index, port)
-            pair = RiseFall.both(t)
-            existing = arrival.get(port.net_name)
-            arrival[port.net_name] = (
-                pair if existing is None else existing.max_with(pair)
-            )
-        get = arrival.get
-        for cell, in_pin, out_pin, in_net, out_net, sense in (
-            self._cluster_arcs[cluster.name]
-        ):
-            at_input = get(in_net)
-            if at_input is None:
+        rise: List[Optional[float]] = [None] * len(table.nets)
+        fall: List[Optional[float]] = [None] * len(table.nets)
+        reached: List[int] = []
+        for port, net in table.launches:
+            t = self._assertion_time(table.name, pass_index, port)
+            if rise[net] is None:
+                rise[net] = fall[net] = t
+                reached.append(net)
+            else:
+                if t > rise[net]:
+                    rise[net] = t
+                if t > fall[net]:
+                    fall[net] = t
+        delays = self._model.delays.max_delays
+        for in_net, out_net, sense, key in table.arcs:
+            in_rise = rise[in_net]
+            if in_rise is None:
                 continue
-            delay = arc_delay(cell, in_pin, out_pin)
+            in_fall = fall[in_net]
+            delay = delays[key]
             if sense == 0:  # positive unate
-                rise = at_input.rise + delay.rise
-                fall = at_input.fall + delay.fall
+                out_rise = in_rise + delay.rise
+                out_fall = in_fall + delay.fall
             elif sense == 1:  # negative unate: output rise from input fall
-                rise = at_input.fall + delay.rise
-                fall = at_input.rise + delay.fall
+                out_rise = in_fall + delay.rise
+                out_fall = in_rise + delay.fall
             else:  # non-unate: worst input transition drives both
-                worst = (
-                    at_input.rise
-                    if at_input.rise >= at_input.fall
-                    else at_input.fall
-                )
-                rise = worst + delay.rise
-                fall = worst + delay.fall
-            existing = get(out_net)
+                worst = in_rise if in_rise >= in_fall else in_fall
+                out_rise = worst + delay.rise
+                out_fall = worst + delay.fall
+            existing = rise[out_net]
             if existing is None:
-                arrival[out_net] = RiseFall(rise, fall)
-            elif rise > existing.rise or fall > existing.fall:
-                arrival[out_net] = RiseFall(
-                    rise if rise > existing.rise else existing.rise,
-                    fall if fall > existing.fall else existing.fall,
-                )
-        return arrival
+                rise[out_net] = out_rise
+                fall[out_net] = out_fall
+                reached.append(out_net)
+            else:
+                if out_rise > existing:
+                    rise[out_net] = out_rise
+                if out_fall > fall[out_net]:
+                    fall[out_net] = out_fall
+        return rise, fall, reached
 
-    def _backward(
-        self, cluster: Cluster, required: Dict[str, RiseFall]
-    ) -> None:
-        """Equation 2: trace required times backward (in place)."""
-        arc_delay = self._model.delays.arc_delay
-        get = required.get
-        for cell, in_pin, out_pin, in_net, out_net, sense in reversed(
-            self._cluster_arcs[cluster.name]
-        ):
-            at_output = get(out_net)
-            if at_output is None:
+    def _backward(self, table: ArcTable, pass_index: int) -> Sweep:
+        """Equation 2: trace required times backward through the
+        cluster, from the closure times of the captures designated to
+        pass ``pass_index``.  With no such capture nothing is reached."""
+        rise: List[Optional[float]] = [None] * len(table.nets)
+        fall: List[Optional[float]] = [None] * len(table.nets)
+        reached: List[int] = []
+        for port, net in table.captures:
+            if port.pass_index != pass_index:
                 continue
-            delay = arc_delay(cell, in_pin, out_pin)
-            out_rise = at_output.rise - delay.rise
-            out_fall = at_output.fall - delay.fall
+            closure = self._closure_time(table.name, port)
+            if rise[net] is None:
+                rise[net] = fall[net] = closure
+                reached.append(net)
+            else:
+                if closure < rise[net]:
+                    rise[net] = closure
+                if closure < fall[net]:
+                    fall[net] = closure
+        if not reached:
+            return rise, fall, reached
+        delays = self._model.delays.max_delays
+        for in_net, out_net, sense, key in reversed(table.arcs):
+            out_rise = rise[out_net]
+            if out_rise is None:
+                continue
+            delay = delays[key]
+            out_rise -= delay.rise
+            out_fall = fall[out_net] - delay.fall
             if sense == 0:
-                rise, fall = out_rise, out_fall
+                in_rise, in_fall = out_rise, out_fall
             elif sense == 1:  # adjoint of the forward swap
-                rise, fall = out_fall, out_rise
+                in_rise, in_fall = out_fall, out_rise
             else:  # non-unate: the tighter requirement binds both
-                best = out_rise if out_rise <= out_fall else out_fall
-                rise = fall = best
-            existing = get(in_net)
-            if existing is None:
-                required[in_net] = RiseFall(rise, fall)
-            elif rise < existing.rise or fall < existing.fall:
-                required[in_net] = RiseFall(
-                    rise if rise < existing.rise else existing.rise,
-                    fall if fall < existing.fall else existing.fall,
+                in_rise = in_fall = (
+                    out_rise if out_rise <= out_fall else out_fall
                 )
+            existing = rise[in_net]
+            if existing is None:
+                rise[in_net] = in_rise
+                fall[in_net] = in_fall
+                reached.append(in_net)
+            else:
+                if in_rise < existing:
+                    rise[in_net] = in_rise
+                if in_fall < fall[in_net]:
+                    fall[in_net] = in_fall
+        return rise, fall, reached
+
+
+def _pairs(table: ArcTable, sweep: Sweep) -> Dict[str, RiseFall]:
+    """A sweep as ``{net name: RiseFall}``, in first-touch order."""
+    rise, fall, reached = sweep
+    return {table.nets[net]: RiseFall(rise[net], fall[net]) for net in reached}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.cells.combinational import GateSpec
@@ -73,7 +74,9 @@ class SyncTiming:
     c_to_q_min: float = 0.0
 
 
-_ArcKey = Tuple[str, str, str]  # (cell name, input pin, output pin)
+#: Key of one timing arc in a :class:`DelayMap`: (cell name, input pin,
+#: output pin).
+ArcKey = Tuple[str, str, str]
 
 
 class DelayMap:
@@ -81,23 +84,27 @@ class DelayMap:
 
     Queried by the analysis through :meth:`arc_delay`,
     :meth:`arc_delay_min`, :meth:`arc_unateness`, :meth:`arcs_of` and
-    :meth:`sync_timing`.  Immutable from the analysis's point of view;
-    :meth:`with_scaled_cell` and :meth:`with_arc_override` return modified
-    copies for what-if exploration and for the re-synthesis loop.
+    :meth:`sync_timing`; the slack engine reads :attr:`max_delays` and
+    :attr:`senses` by the keys of :meth:`arc_keys`.  Immutable from
+    the analysis's point of view; :meth:`with_scaled_cell` and
+    :meth:`with_arc_override` return modified copies for what-if
+    exploration and for the re-synthesis loop.
     """
 
     def __init__(
         self,
-        arc_max: Dict[_ArcKey, RiseFall],
-        arc_min: Dict[_ArcKey, RiseFall],
-        arc_sense: Dict[_ArcKey, Unateness],
+        arc_max: Dict[ArcKey, RiseFall],
+        arc_min: Dict[ArcKey, RiseFall],
+        arc_sense: Dict[ArcKey, Unateness],
         cell_arcs: Dict[str, Tuple[Tuple[str, str], ...]],
+        arc_keys: Dict[str, Tuple[ArcKey, ...]],
         sync: Dict[str, SyncTiming],
     ) -> None:
         self._arc_max = arc_max
         self._arc_min = arc_min
         self._arc_sense = arc_sense
         self._cell_arcs = cell_arcs
+        self._arc_keys = arc_keys
         self._sync = sync
 
     # ------------------------------------------------------------------
@@ -106,6 +113,21 @@ class DelayMap:
     def arcs_of(self, cell: Cell) -> Tuple[Tuple[str, str], ...]:
         """The (input pin, output pin) arcs of ``cell``."""
         return self._cell_arcs.get(cell.name, ())
+
+    def arc_keys(self, cell: Cell) -> Tuple[ArcKey, ...]:
+        """The :data:`ArcKey` of each of ``cell``'s arcs, in
+        :meth:`arcs_of` order."""
+        return self._arc_keys.get(cell.name, ())
+
+    @property
+    def max_delays(self) -> Mapping[ArcKey, RiseFall]:
+        """Read-only view of every arc's maximum propagation delay."""
+        return MappingProxyType(self._arc_max)
+
+    @property
+    def senses(self) -> Mapping[ArcKey, Unateness]:
+        """Read-only view of every arc's unateness."""
+        return MappingProxyType(self._arc_sense)
 
     def arc_delay(self, cell: Cell, in_pin: str, out_pin: str) -> RiseFall:
         """Maximum propagation delay of an arc."""
@@ -147,16 +169,15 @@ class DelayMap:
         This is the re-synthesis model's hook: "speeding up" a module
         multiplies its delays by a factor < 1.
         """
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        check_scale_factor(factor)
         arc_max = dict(self._arc_max)
         arc_min = dict(self._arc_min)
-        for key in self._cell_arcs.get(cell_name, ()):
-            full_key = (cell_name, key[0], key[1])
-            arc_max[full_key] = arc_max[full_key].scaled(factor)
-            arc_min[full_key] = arc_min[full_key].scaled(factor)
+        for key in self._arc_keys.get(cell_name, ()):
+            arc_max[key] = arc_max[key].scaled(factor)
+            arc_min[key] = arc_min[key].scaled(factor)
         return DelayMap(
-            arc_max, arc_min, self._arc_sense, self._cell_arcs, self._sync
+            arc_max, arc_min, self._arc_sense, self._cell_arcs,
+            self._arc_keys, self._sync,
         )
 
     def globally_scaled(self, factor: float) -> "DelayMap":
@@ -167,13 +188,13 @@ class DelayMap:
         paths switch with arbitrarily small, but finite, delays") -- the
         reference the event simulator compares against.
         """
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        check_scale_factor(factor)
         return DelayMap(
             {k: v.scaled(factor) for k, v in self._arc_max.items()},
             {k: v.scaled(factor) for k, v in self._arc_min.items()},
             self._arc_sense,
             self._cell_arcs,
+            self._arc_keys,
             {
                 name: SyncTiming(
                     setup=t.setup * factor,
@@ -203,7 +224,16 @@ class DelayMap:
         arc_max[key] = max_delay
         arc_min[key] = min_delay if min_delay is not None else max_delay
         return DelayMap(
-            arc_max, arc_min, self._arc_sense, self._cell_arcs, self._sync
+            arc_max, arc_min, self._arc_sense, self._cell_arcs,
+            self._arc_keys, self._sync,
+        )
+
+
+def check_scale_factor(factor: float) -> None:
+    """Reject a delay scale factor that is negative, NaN or infinite."""
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(
+            f"scale factor must be finite and non-negative, got {factor!r}"
         )
 
 
@@ -244,10 +274,11 @@ def _estimate_delays(
     ``params.module_port_load``.
     """
     params = params or DelayParameters()
-    arc_max: Dict[_ArcKey, RiseFall] = {}
-    arc_min: Dict[_ArcKey, RiseFall] = {}
-    arc_sense: Dict[_ArcKey, Unateness] = {}
+    arc_max: Dict[ArcKey, RiseFall] = {}
+    arc_min: Dict[ArcKey, RiseFall] = {}
+    arc_sense: Dict[ArcKey, Unateness] = {}
     cell_arcs: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+    arc_keys: Dict[str, Tuple[ArcKey, ...]] = {}
     sync: Dict[str, SyncTiming] = {}
     module_cache: Dict[int, Dict] = {}
     cells_estimated = 0
@@ -268,17 +299,21 @@ def _estimate_delays(
             if pin_delays is None:
                 pin_delays = _characterise_module(spec, params)
                 module_cache[id(spec)] = pin_delays
+            keys = []
             for (in_pin, out_pin), (dmax, dmin) in pin_delays.items():
                 key = (cell.name, in_pin, out_pin)
                 arc_max[key] = dmax
                 arc_min[key] = dmin
                 arc_sense[key] = Unateness.NON_UNATE
+                keys.append(key)
             cell_arcs[cell.name] = tuple(pin_delays)
+            arc_keys[cell.name] = tuple(keys)
         elif isinstance(spec, GateSpec):
             # One load per output pin, and one (max, min) delay pair per
             # arc model on it: simple gates share one arc across inputs.
             loads: Dict[str, float] = {}
             pairs: Dict[Tuple[str, int], Tuple[RiseFall, RiseFall]] = {}
+            keys = []
             for (in_pin, out_pin), arc in spec.arcs.items():
                 pair = pairs.get((out_pin, id(arc)))
                 if pair is None:
@@ -298,7 +333,9 @@ def _estimate_delays(
                 key = (cell.name, in_pin, out_pin)
                 arc_max[key], arc_min[key] = pair
                 arc_sense[key] = arc.unateness
+                keys.append(key)
             cell_arcs[cell.name] = tuple(spec.arcs)
+            arc_keys[cell.name] = tuple(keys)
         elif cell.role is CellRole.COMBINATIONAL:  # pragma: no cover
             raise TypeError(
                 f"cell {cell.name!r} has unsupported combinational spec "
@@ -310,7 +347,7 @@ def _estimate_delays(
     if rec is not None:
         rec.counter("delay.cells_estimated", cells_estimated)
         rec.counter("delay.arcs_estimated", len(arc_max))
-    return DelayMap(arc_max, arc_min, arc_sense, cell_arcs, sync)
+    return DelayMap(arc_max, arc_min, arc_sense, cell_arcs, arc_keys, sync)
 
 
 def _characterise_module(spec: ModuleSpec, params: DelayParameters) -> Dict:
@@ -344,9 +381,11 @@ def _characterise_module(spec: ModuleSpec, params: DelayParameters) -> Dict:
 
 
 __all__ = [
+    "ArcKey",
     "DelayMap",
     "DelayParameters",
     "SyncTiming",
+    "check_scale_factor",
     "estimate_delays",
     "terminal_load",
 ]

@@ -11,7 +11,8 @@ tracking:
 * **outcome** -- intended/violated verdict, WNS/TNS, per-endpoint
   capture slacks (the diffable payload), iteration counts;
 * **cost** -- wall-clock and CPU seconds for pre-processing and
-  analysis, plus an optional :mod:`repro.obs` metric snapshot.
+  analysis, wall-clock seconds of slow-path extraction, plus an
+  optional :mod:`repro.obs` metric snapshot.
 
 Manifests are written into a ``runs/`` artifact directory (or any
 explicit path) as deterministic JSON; only the ``created_at`` timestamp
@@ -145,6 +146,7 @@ def build_manifest(
         "cost": {
             "preprocess_s": result.preprocess_seconds,
             "analysis_s": result.analysis_seconds,
+            "slow_paths_s": result.slow_paths_seconds,
             "cpu_s": result.cpu_seconds,
         },
     }

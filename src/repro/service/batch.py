@@ -25,8 +25,9 @@ through four phases:
 3. **Fan-out** -- misses are submitted to a ``ProcessPoolExecutor``
    (:func:`repro.service.workers.run_job`) with a per-job timeout and a
    bounded retry budget.  A dead worker (``BrokenProcessPool``) poisons
-   the whole pool, so the engine collects what finished, rebuilds the
-   pool and resubmits the survivors.  Jobs that exhaust their retries
+   the whole pool, possibly before every job is queued, so the engine
+   collects what finished, rebuilds the pool and resubmits the
+   survivors and the unsent.  Jobs that exhaust their retries
    degrade gracefully to in-process serial execution -- the batch always
    completes.
 4. **Store** -- computed results (payload + manifest) are written back
@@ -859,12 +860,22 @@ class BatchEngine:
             broken = False
             try:
                 futures = {}
-                for plan in pending:
+                for index, plan in enumerate(pending):
                     attempts[plan.job.name] += 1
-                    futures[pool.submit(run_job, self._spec(plan))] = (
-                        plan,
-                        time.perf_counter(),
-                    )
+                    submitted = time.perf_counter()
+                    try:
+                        future = pool.submit(run_job, self._spec(plan))
+                    except BrokenProcessPool:
+                        # A worker died before the rest were queued:
+                        # re-dispatch them on a fresh pool.
+                        broken = True
+                        for unsent in pending[index:]:
+                            self._reschedule(
+                                unsent, attempts, retry, fallback,
+                                "worker pool broken before dispatch",
+                            )
+                        break
+                    futures[future] = (plan, submitted)
                 for future, (plan, submitted) in futures.items():
                     name = plan.job.name
                     try:

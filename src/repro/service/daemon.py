@@ -81,7 +81,7 @@ import socketserver
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.obs import live
@@ -1529,30 +1529,16 @@ class TimingDaemon:
         state = self._design(request)
         action = str(request.get("action", ""))
         with self._locked_design(state):
+            # A rejected request raises here, before the epoch bump, so
+            # the published snapshot stays valid.
+            apply = self._mutation(state, action, request)
             # Invalidate lock-free readers *before* the engine is
             # touched: any analyze that read the old snapshot after
             # this bump fails the epoch check and queues on the lock.
             state.epoch += 1
             self._counter("service.daemon.epoch_bumps")
             with obs.span("service.daemon.mutate", category="service"):
-                if action == "scale_cell":
-                    cell = str(request.get("cell", ""))
-                    factor = float(request["factor"])
-                    state.analyzer.scale_cell(cell, factor)
-                elif action == "scale_clocks":
-                    factor = request["factor"]
-                    state.schedule = state.schedule.scaled(factor)
-                    self._rebuild(state)
-                elif action == "set_pulse_width":
-                    state.schedule = state.schedule.with_pulse_width(
-                        str(request["clock"]), request["width"]
-                    )
-                    self._rebuild(state)
-                else:
-                    raise ValueError(
-                        f"unknown mutate action {action!r} (use "
-                        "scale_cell, scale_clocks or set_pulse_width)"
-                    )
+                apply()
             state.mutations += 1
             self._counter("service.daemon.mutations")
             response: Dict[str, object] = {
@@ -1565,6 +1551,36 @@ class TimingDaemon:
             if request.get("analyze", True):
                 response["analysis"] = self._analyze_state(state, request)
             return response
+
+    def _mutation(
+        self, state: _DesignState, action: str, request: Dict[str, object]
+    ) -> Callable[[], None]:
+        """Validate a mutate request; return the step that applies it."""
+        if action == "scale_cell":
+            from repro.delay.estimator import check_scale_factor
+
+            cell = str(request.get("cell", ""))
+            factor = float(request["factor"])
+            state.network.cell(cell)
+            check_scale_factor(factor)
+            return lambda: state.analyzer.scale_cell(cell, factor)
+        if action == "scale_clocks":
+            schedule = state.schedule.scaled(request["factor"])
+        elif action == "set_pulse_width":
+            schedule = state.schedule.with_pulse_width(
+                str(request["clock"]), request["width"]
+            )
+        else:
+            raise ValueError(
+                f"unknown mutate action {action!r} (use "
+                "scale_cell, scale_clocks or set_pulse_width)"
+            )
+
+        def rebuild() -> None:
+            state.schedule = schedule
+            self._rebuild(state)
+
+        return rebuild
 
     def _rebuild(self, state: _DesignState) -> None:
         """Clock edits change the instance windows: rebuild the engine

@@ -174,6 +174,30 @@ class TestMutateMatchesFromScratch:
         inc.analyze(warm=True)
         assert inc._warm is True  # noqa: SLF001 -- deliberate
 
+    @pytest.mark.parametrize(
+        "cell, factor, error",
+        [
+            ("no_such_cell", 1.5, KeyError),
+            ("s1_i0", float("nan"), ValueError),
+            ("s1_i0", float("inf"), ValueError),
+            ("s1_i0", -1.0, ValueError),
+        ],
+    )
+    def test_rejected_scale_changes_nothing(self, lib, cell, factor, error):
+        network, schedule = latch_pipeline(
+            stages=4, stage_lengths=[10, 1, 1, 1], period=12.0,
+            library=lib,
+        )
+        inc = IncrementalAnalyzer(network, schedule)
+        before = inc.timing_result().payload()
+        delays = inc.delays
+        with pytest.raises(error):
+            inc.scale_cell(cell, factor)
+        assert inc.delays is delays and inc.model.delays is delays
+        assert (inc.epoch, inc.swaps, inc.rebuilds) == (0, 0, 0)
+        after = inc.timing_result().payload()
+        assert after["endpoint_slacks"] == before["endpoint_slacks"]
+
     def test_repeat_query_is_stable(self, lib):
         """Unchanged delays: warm repeat answers are byte-identical."""
         network, schedule = latch_pipeline(

@@ -132,6 +132,7 @@ def reference_pairs(definition: ModuleDefinition) -> Tuple:
 def reference_estimate(network: Network, params: DelayParameters) -> DelayMap:
     """One load evaluation per arc; modules characterised uncached."""
     arc_max, arc_min, arc_sense, cell_arcs, sync = {}, {}, {}, {}, {}
+    arc_keys = {}
     for cell in network.cells:
         spec = cell.spec
         if isinstance(spec, SyncSpec):
@@ -152,6 +153,7 @@ def reference_estimate(network: Network, params: DelayParameters) -> DelayMap:
                 arc_sense[key] = Unateness.NON_UNATE
                 pairs.append(pins)
             cell_arcs[cell.name] = tuple(pairs)
+            arc_keys[cell.name] = tuple((cell.name, *p) for p in pairs)
         elif isinstance(spec, GateSpec):
             pairs = []
             for (in_pin, out_pin), arc in spec.arcs.items():
@@ -163,7 +165,8 @@ def reference_estimate(network: Network, params: DelayParameters) -> DelayMap:
                 arc_sense[key] = arc.unateness
                 pairs.append((in_pin, out_pin))
             cell_arcs[cell.name] = tuple(pairs)
-    return DelayMap(arc_max, arc_min, arc_sense, cell_arcs, sync)
+            arc_keys[cell.name] = tuple((cell.name, *p) for p in pairs)
+    return DelayMap(arc_max, arc_min, arc_sense, cell_arcs, arc_keys, sync)
 
 
 def reference_inner_map(spec: ModuleSpec, params: DelayParameters) -> DelayMap:
@@ -216,6 +219,7 @@ def assert_same_map(network: Network, ours: DelayMap, theirs: DelayMap):
     arcs = 0
     for cell in network.cells:
         assert ours.arcs_of(cell) == theirs.arcs_of(cell), cell.name
+        assert ours.arc_keys(cell) == theirs.arc_keys(cell), cell.name
         for in_pin, out_pin in theirs.arcs_of(cell):
             arcs += 1
             where = (cell.name, in_pin, out_pin)

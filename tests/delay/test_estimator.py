@@ -1,5 +1,7 @@
 """Unit tests for load computation and the delay map."""
 
+import math
+
 import pytest
 
 from repro.delay import DelayParameters, estimate_delays
@@ -147,6 +149,42 @@ class TestWhatIfAdjustments:
         n = _fanout_network(lib, 1)
         with pytest.raises(ValueError):
             estimate_delays(n).with_scaled_cell("drv", -1.0)
+
+    @pytest.mark.parametrize(
+        "factor", [math.nan, math.inf, -math.inf, -1.0]
+    )
+    def test_scaling_rejects_non_finite_or_negative(self, lib, factor):
+        dm = estimate_delays(_fanout_network(lib, 1))
+        with pytest.raises(ValueError, match=repr(factor)):
+            dm.with_scaled_cell("drv", factor)
+        with pytest.raises(ValueError, match=repr(factor)):
+            dm.globally_scaled(factor)
+
+    def test_scaling_by_zero_is_legal(self, lib):
+        n = _fanout_network(lib, 1)
+        dm = estimate_delays(n)
+        drv = n.cell("drv")
+        assert dm.with_scaled_cell("drv", 0.0).arc_delay(
+            drv, "A", "Z"
+        ) == RiseFall(0.0, 0.0)
+        assert dm.globally_scaled(0).arc_delay(drv, "A", "Z") == RiseFall(
+            0.0, 0.0
+        )
+
+    def test_read_only_views_keyed_by_arc_keys(self, lib):
+        n = _fanout_network(lib, 1)
+        dm = estimate_delays(n)
+        drv = n.cell("drv")
+        (key,) = dm.arc_keys(drv)
+        assert dm.max_delays[key] is dm.arc_delay(drv, "A", "Z")
+        assert dm.senses[key] is dm.arc_unateness(drv, "A", "Z")
+        with pytest.raises(TypeError):
+            dm.max_delays[key] = RiseFall(1.0, 1.0)
+        with pytest.raises(TypeError):
+            dm.senses[key] = Unateness.POSITIVE
+        scaled = dm.with_scaled_cell("drv", 2.0)
+        assert scaled.arc_keys(drv) == (key,)
+        assert scaled.max_delays[key] == dm.arc_delay(drv, "A", "Z").scaled(2)
 
     def test_worst_arc_delay(self, lib):
         n = _fanout_network(lib, 1)

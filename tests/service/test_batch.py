@@ -189,6 +189,61 @@ class TestFaultTolerance:
         assert crashy.payload["intended"] is True
         assert recorder.counters.get("service.batch.worker_crashes", 0) >= 1
 
+    def test_crash_before_next_dispatch_is_retried(
+        self, tmp_path, design_files, monkeypatch
+    ):
+        """The crashed worker breaks the pool before the second job is
+        submitted: submission itself raises BrokenProcessPool, and the
+        unsent job goes to the next round like the crashed one."""
+        import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.service import batch as batch_module
+
+        pools = []
+
+        class BreaksBeforeSecondSubmit(ProcessPoolExecutor):
+            """The first pool holds its second submission until the
+            crashed worker has broken it."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self.submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                if self is pools[0] and self.submitted == 1:
+                    deadline = time.monotonic() + 30.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert self._broken, "the crash did not break the pool"
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(
+            batch_module, "ProcessPoolExecutor", BreaksBeforeSecondSubmit
+        )
+        netlist, clocks = design_files
+        flag = tmp_path / "crash.flag"
+        flag.write_text("boom")
+        jobs = [
+            BatchJob(
+                "crashy",
+                netlist,
+                clocks,
+                inject=(("inject_crash_file", str(flag)),),
+            ),
+            BatchJob("steady", netlist, clocks, slow_path_limit=9),
+        ]
+        report = BatchEngine(
+            cache=ResultCache(tmp_path / "cache"), max_workers=2, retries=2
+        ).run(jobs)
+        assert report.failed == 0
+        assert report.computed == 2
+        assert not flag.exists()
+        steady = next(o for o in report.outcomes if o.job.name == "steady")
+        assert steady.attempts == 2, "the unsent job ran in the next round"
+
     def test_degrades_to_serial_when_retries_exhausted(
         self, tmp_path, design_files
     ):

@@ -81,6 +81,36 @@ class TestSnapshotReads:
         assert stats["snapshot_hits"] == 2
         assert stats["snapshot_published"] is True
 
+    @pytest.mark.parametrize(
+        "cell, factor",
+        [
+            ("no_such_cell", 1.5),
+            ("s1_i0", "nan"),
+            ("s1_i0", "inf"),
+            ("s1_i0", -1.0),
+        ],
+    )
+    def test_rejected_mutate_keeps_snapshot(
+        self, daemon, client, design_files, cell, factor
+    ):
+        """A mutate that fails validation changes nothing: no epoch
+        bump, and the next read is the published answer."""
+        netlist, clocks = design_files
+        first = client.analyze(netlist, clocks)
+        rejected = client.mutate(
+            netlist, clocks, "scale_cell", cell=cell, factor=factor
+        )
+        assert rejected["ok"] is False
+        assert rejected["error_doc"]["schema"] == "repro.error/1"
+        after = client.analyze(netlist, clocks)
+        assert after["engine"] == "snapshot"
+        assert after["manifest_digest"] == first["manifest_digest"]
+        counters = _counters(daemon)
+        assert counters["service.daemon.snapshot_hits"] == 1
+        assert counters.get("service.daemon.epoch_bumps", 0) == 0
+        stats = client.stats()["designs"]["latch_pipeline"]
+        assert (stats["epoch"], stats["mutations"]) == (0, 0)
+
     def test_distinct_parameters_miss_then_hit(
         self, daemon, client, design_files
     ):
