@@ -58,14 +58,27 @@ from repro.netlist import read_netlist
 from repro.viz import render_constraints, render_schedule
 
 
-def _read_network(path: str, default_clock: Optional[str]):
+def _load_and_analyze(args: argparse.Namespace, analyze=Hummingbird):
+    """Read ``args.netlist`` and ``args.clocks`` and return the network,
+    the schedule and ``analyze(network, schedule)``.
+
+    A design or clocks file that cannot be read or fails validation (an
+    unknown cell, a combinational loop, a floating input, a missing
+    clocks file or one without its format tag) exits 1 with a one-line
+    message instead of a traceback.
+    """
     try:
-        return read_netlist(path, default_clock)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        network = read_netlist(args.netlist, args.default_clock)
     except KeyError as exc:
         # An unknown cell, pin or net; str() would quote the message.
         raise SystemExit(str(exc.args[0]) if exc.args else repr(exc))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc))
+    try:
+        schedule = load_schedule(args.clocks)
+        return network, schedule, analyze(network, schedule)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc))
 
 
 def _common_arguments(parser: argparse.ArgumentParser, with_netlist=True):
@@ -131,9 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.report import auditing, write_audit_json, write_manifest
 
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    __, __, analyzer = _load_and_analyze(args)
     audit_ctx = auditing() if args.audit else nullcontext()
     with audit_ctx as trail:
         result = analyzer.analyze(slow_path_limit=args.limit)
@@ -175,9 +186,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    network, __, analyzer = _load_and_analyze(args)
     outcome = analyzer.generate_constraints()
     print(
         render_constraints(
@@ -191,9 +200,7 @@ def cmd_constraints(args: argparse.Namespace) -> int:
 
 
 def cmd_maxfreq(args: argparse.Namespace) -> int:
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    network, schedule, analyzer = _load_and_analyze(args)
     result = find_max_frequency(network, schedule, analyzer.delays)
     if result.min_period is None:
         print("no feasible clock scale found in the search window")
@@ -208,17 +215,13 @@ def cmd_maxfreq(args: argparse.Namespace) -> int:
 def cmd_corners(args: argparse.Namespace) -> int:
     from repro.core.corners import analyze_corners
 
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    result = analyze_corners(network, schedule)
+    __, __, result = _load_and_analyze(args, analyze_corners)
     print(result.summary())
     return 0 if result.intended else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    __, __, analyzer = _load_and_analyze(args)
     result = analyzer.analyze()
     stats = analyzer.statistics(histogram_bins=args.bins)
     if args.json:
@@ -258,9 +261,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    __, __, analyzer = _load_and_analyze(args)
     result = analyzer.analyze()
     forensics = result.path_forensics()
     if args.endpoint:
@@ -322,9 +323,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim import dynamic_intended_check
 
-    network = _read_network(args.netlist, args.default_clock)
-    schedule = load_schedule(args.clocks)
-    analyzer = Hummingbird(network, schedule)
+    network, schedule, analyzer = _load_and_analyze(args)
     sta = analyzer.analyze()
     print(f"static analysis: {sta.summary()}")
     check = dynamic_intended_check(

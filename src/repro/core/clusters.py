@@ -19,6 +19,7 @@ reach set at once.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -32,8 +33,9 @@ from typing import (
 
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole
+from repro.netlist.net import Net
 from repro.netlist.network import Network
-from repro.netlist.terminals import Terminal
+from repro.netlist.terminals import Terminal, TerminalKind
 
 #: Schema identifier of one cached per-cluster timing artifact.
 ARTIFACT_SCHEMA = "repro.clusterart/2"
@@ -164,44 +166,6 @@ class Cluster:
         )
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def find(self, key: str) -> str:
-        parent = self._parent
-        root = parent.setdefault(key, key)
-        while parent[root] != root:
-            root = parent[root]
-        # Path compression: point every key on the walk at the root.
-        while key != root:
-            up = parent[key]
-            parent[key] = root
-            key = up
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            # Always ``a``'s root: cluster names follow the sorted root
-            # keys, so another rule (e.g. by rank) would rename clusters.
-            self._parent[root_b] = root_a
-
-
-def _is_launch_terminal(terminal: Terminal) -> bool:
-    cell = terminal.cell
-    return (
-        cell.is_synchroniser and terminal.is_driver
-    ) or cell.role is CellRole.PRIMARY_INPUT
-
-
-def _is_capture_terminal(terminal: Terminal) -> bool:
-    cell = terminal.cell
-    if cell.is_synchroniser:
-        return terminal is cell.data_input
-    return cell.role is CellRole.PRIMARY_OUTPUT
-
-
 def extract_clusters(
     network: Network, order: Optional[Sequence[Cell]] = None
 ) -> Tuple[Cluster, ...]:
@@ -211,46 +175,82 @@ def extract_clusters(
     already has it (``ValidationReport.comb_order`` from
     :func:`~repro.netlist.validate.validate_network`); it is computed
     here otherwise.
+
+    A union-find over numbers -- the nets in network order, then the
+    combinational cells -- joins each cell with the net of every
+    connected terminal.
     """
-    uf = _UnionFind()
-    # Union each combinational cell with every net it touches.
-    for cell in network.combinational_cells:
-        cell_key = f"c:{cell.name}"
+    nets = network.nets
+    comb = network.combinational_cells
+    net_number = {net: index for index, net in enumerate(nets)}
+    cell_number = {
+        cell: index for index, cell in enumerate(comb, start=len(nets))
+    }
+    parent = list(range(len(nets) + len(comb)))
+
+    def find(node: int) -> int:
+        root = node
+        while parent[root] != root:
+            root = parent[root]
+        # Path compression: point every node on the walk at the root.
+        while node != root:
+            up = parent[node]
+            parent[node] = root
+            node = up
+        return root
+
+    # Union each combinational cell, in network order, with every net it
+    # touches, in pin order.  A cell is joined only in its own turn, so
+    # it is still a root then, and it stays the root of all it joins:
+    # every component's root is a cell, and clusters are numbered in
+    # the order of their root cells' names.  Another rule (e.g. by rank)
+    # would rename clusters.
+    for cell, number in cell_number.items():
         for terminal in cell.terminals():
             if terminal.net is not None:
-                uf.union(cell_key, f"n:{terminal.net.name}")
+                root = find(net_number[terminal.net])
+                if root != number:
+                    parent[root] = number
 
     # Group combinational cells and their nets by component root.
     if order is None:
         order = network.comb_topological_cells()
-    cells_by_root: Dict[str, List[Cell]] = {}
+    cells_by_root: Dict[int, List[Cell]] = {}
     for cell in order:
-        cells_by_root.setdefault(uf.find(f"c:{cell.name}"), []).append(cell)
+        cells_by_root.setdefault(find(cell_number[cell]), []).append(cell)
 
-    nets_by_root: Dict[str, List[str]] = {}
-    degenerate_nets: List[str] = []
-    for net in network.nets:
-        key = f"n:{net.name}"
-        root = uf.find(key)
-        if root != key or root in cells_by_root:
-            nets_by_root.setdefault(root, []).append(net.name)
+    nets_by_root: Dict[int, List[Net]] = {}
+    degenerate: List[Tuple[str, List[Terminal], List[Terminal]]] = []
+    for index, net in enumerate(nets):
+        root = find(index)
+        if root != index:
+            nets_by_root.setdefault(root, []).append(net)
         else:
             # Net touching no combinational cell: a cluster of its own if
             # it links a launch terminal to a capture terminal.
-            has_launch = any(_is_launch_terminal(t) for t in net.drivers)
-            has_capture = any(_is_capture_terminal(t) for t in net.sinks)
-            if has_launch and has_capture:
-                degenerate_nets.append(net.name)
+            sources, captures = _boundary_terminals((net,))
+            if sources and captures:
+                degenerate.append((net.name, sources, captures))
 
+    first = len(nets)
+    roots = sorted(cells_by_root, key=lambda root: comb[root - first].name)
     clusters: List[Cluster] = []
-    for index, (root, cells) in enumerate(sorted(cells_by_root.items())):
-        net_names = sorted(nets_by_root.get(root, ()))
-        sources, captures = _boundary_terminals(network, net_names)
-        clusters.append(
-            Cluster(f"cluster_{index}", cells, net_names, sources, captures)
+    for index, root in enumerate(roots):
+        cluster_nets = sorted(
+            nets_by_root.get(root, ()), key=attrgetter("name")
         )
-    for net_name in sorted(degenerate_nets):
-        sources, captures = _boundary_terminals(network, [net_name])
+        sources, captures = _boundary_terminals(cluster_nets)
+        clusters.append(
+            Cluster(
+                f"cluster_{index}",
+                cells_by_root[root],
+                [net.name for net in cluster_nets],
+                sources,
+                captures,
+            )
+        )
+    # Net names are unique, so the rows sort by name alone.
+    for net_name, sources, captures in sorted(degenerate):
         clusters.append(
             Cluster(f"cluster_net_{net_name}", (), [net_name], sources, captures)
         )
@@ -281,16 +281,26 @@ def cluster_timing_artifact(
 
 
 def _boundary_terminals(
-    network: Network, net_names: Sequence[str]
+    nets: Iterable[Net],
 ) -> Tuple[List[Terminal], List[Terminal]]:
+    """The launch terminals driving ``nets`` (synchroniser outputs and
+    primary inputs) and the capture terminals they feed (synchroniser
+    data inputs and primary outputs), in net and pin order."""
+    synchroniser = CellRole.SYNCHRONISER
+    primary_input = CellRole.PRIMARY_INPUT
+    primary_output = CellRole.PRIMARY_OUTPUT
+    data_input = TerminalKind.INPUT
     sources: List[Terminal] = []
     captures: List[Terminal] = []
-    for net_name in net_names:
-        net = network.net(net_name)
+    for net in nets:
         for driver in net.drivers:
-            if _is_launch_terminal(driver):
+            role = driver.cell.spec.role
+            if role is synchroniser or role is primary_input:
                 sources.append(driver)
         for sink in net.sinks:
-            if _is_capture_terminal(sink):
+            role = sink.cell.spec.role
+            if role is primary_output or (
+                role is synchroniser and sink.kind is data_input
+            ):
                 captures.append(sink)
     return sources, captures

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.clocks.schedule import ClockSchedule
 from repro.core.breakopen import BreakOpenPlan, RequirementArc, plan_for_cluster
 from repro.core.clusters import Cluster, extract_clusters
@@ -88,24 +89,28 @@ class AnalysisModel:
         self.latch_model = latch_model
         self.pass_strategy = pass_strategy
 
-        report = validate_network(network, set(schedule.clock_names))
-        report.raise_if_failed()
+        with obs.span("model.validate", category="model"):
+            report = validate_network(network, set(schedule.clock_names))
+            report.raise_if_failed()
         self.validation = report
 
         self.instances: Dict[str, Tuple[GenericInstance, ...]] = {}
-        self._build_instances()
-        if latch_model == "edge":
-            self._degrade_to_edge_triggered()
+        with obs.span("model.instances", category="model"):
+            self._build_instances()
+            if latch_model == "edge":
+                self._degrade_to_edge_triggered()
 
-        self.clusters: Tuple[Cluster, ...] = (
-            clusters
-            if clusters is not None
-            else extract_clusters(network, report.comb_order)
-        )
+        with obs.span("model.clusters", category="model"):
+            self.clusters: Tuple[Cluster, ...] = (
+                clusters
+                if clusters is not None
+                else extract_clusters(network, report.comb_order)
+            )
         self.plans: Dict[str, BreakOpenPlan] = {}
         self.launch_ports: Dict[str, Tuple[LaunchPort, ...]] = {}
         self.capture_ports: Dict[str, Tuple[CapturePort, ...]] = {}
-        self._build_ports(exhaustive_limit)
+        with obs.span("model.ports", category="model"):
+            self._build_ports(exhaustive_limit)
 
     # ------------------------------------------------------------------
     # instance expansion
@@ -160,6 +165,9 @@ class AnalysisModel:
         # A plan depends only on the cluster's distinct arc set, and
         # clusters share a handful of those (DES: 2 over 185 clusters).
         plans: Dict[FrozenSet[RequirementArc], BreakOpenPlan] = {}
+        # (plan, closure edge) -> designated pass; plans are keyed by id,
+        # all of them being alive in self.plans for the whole build.
+        passes: Dict[Tuple[int, Fraction], int] = {}
         for cluster in self.clusters:
             if self.pass_strategy == "per_edge":
                 # Wallace/Szymanski-style: one settling time per clock edge.
@@ -197,16 +205,20 @@ class AnalysisModel:
                     if not instance.has_input:
                         continue
                     assert terminal.net is not None
-                    assert instance.closure_edge is not None
+                    edge = instance.closure_edge
+                    assert edge is not None
+                    pass_index = passes.get((id(plan), edge))
+                    if pass_index is None:
+                        pass_index = passes[(id(plan), edge)] = (
+                            plan.designated_pass(edge)
+                        )
                     captures.append(
                         CapturePort(
                             instance=instance,
                             terminal_name=terminal.full_name,
                             net_name=terminal.net.name,
                             cluster_name=cluster.name,
-                            pass_index=plan.designated_pass(
-                                instance.closure_edge
-                            ),
+                            pass_index=pass_index,
                         )
                     )
             self.capture_ports[cluster.name] = tuple(captures)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -143,6 +144,11 @@ class SlackEngine:
         delays = model.delays
         senses = delays.senses
         positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
+        # (plan, edge, pass) -> axis position; plans are keyed by id, all
+        # of them being alive in model.plans.  Clusters share a few plans
+        # and instances a few edges, so each Fraction is computed once.
+        assertion_at: Dict[Tuple[int, Fraction, int], float] = {}
+        closure_at: Dict[Tuple[int, Fraction, int], float] = {}
         for cluster in model.clusters:
             index: Dict[str, int] = {}
             arcs = []
@@ -181,21 +187,29 @@ class SlackEngine:
                 plan.num_passes,
             )
             for port, __ in launches:
-                assert port.instance.assertion_edge is not None
+                edge = port.instance.assertion_edge
+                assert edge is not None
                 for pass_index in range(plan.num_passes):
+                    key = (id(plan), edge, pass_index)
+                    position = assertion_at.get(key)
+                    if position is None:
+                        position = assertion_at[key] = float(
+                            plan.position_assertion(edge, pass_index)
+                        )
                     self._launch_pos[
                         (cluster.name, pass_index, port.instance.name)
-                    ] = float(
-                        plan.position_assertion(
-                            port.instance.assertion_edge, pass_index
-                        )
-                    )
+                    ] = position
             for port, __ in captures:
-                assert port.instance.closure_edge is not None
-                self._capture_pos[(cluster.name, port.instance.name)] = float(
-                    plan.position_closure(
-                        port.instance.closure_edge, port.pass_index
+                edge = port.instance.closure_edge
+                assert edge is not None
+                key = (id(plan), edge, port.pass_index)
+                position = closure_at.get(key)
+                if position is None:
+                    position = closure_at[key] = float(
+                        plan.position_closure(edge, port.pass_index)
                     )
+                self._capture_pos[(cluster.name, port.instance.name)] = (
+                    position
                 )
 
     # ------------------------------------------------------------------

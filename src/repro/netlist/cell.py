@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, ValuesView
 
 from repro.netlist.kinds import CellRole, CellSpecLike, SyncStyle
 from repro.netlist.terminals import Terminal, TerminalKind
@@ -86,8 +86,10 @@ class Cell:
                 f"cell {self.name!r} ({self.spec.name}) has no pin {pin!r}"
             ) from None
 
-    def terminals(self) -> Tuple[Terminal, ...]:
-        return tuple(self._terminals.values())
+    def terminals(self) -> ValuesView[Terminal]:
+        """A read-only view of the cell's terminals, in pin order
+        (inputs, outputs, control)."""
+        return self._terminals.values()
 
     @property
     def input_terminals(self) -> Tuple[Terminal, ...]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.netlist.cell import Cell
@@ -135,7 +135,7 @@ class Network:
         return len(self._nets)
 
     def cells_with_role(self, role: CellRole) -> Tuple[Cell, ...]:
-        return tuple(c for c in self._cells.values() if c.role is role)
+        return tuple([c for c in self._cells.values() if c.spec.role is role])
 
     @property
     def combinational_cells(self) -> Tuple[Cell, ...]:
@@ -183,52 +183,55 @@ class Network:
             return ()
         return tuple(net.sinks)
 
-    def comb_fanin_cells(self, cell: Cell) -> Iterator[Cell]:
-        """Combinational cells driving any data input of ``cell``."""
-        seen = set()
-        for terminal in cell.input_terminals:
-            net = terminal.net
-            if net is None:
-                continue
-            for driver in net.drivers:
-                upstream = driver.cell
-                if upstream.is_combinational and upstream.name not in seen:
-                    seen.add(upstream.name)
-                    yield upstream
-
-    def comb_fanout_cells(self, cell: Cell) -> Iterator[Cell]:
-        """Combinational cells fed by any output of ``cell``."""
-        seen = set()
-        for terminal in cell.output_terminals:
-            for sink in self.sinks_of(terminal):
-                downstream = sink.cell
-                if downstream.is_combinational and downstream.name not in seen:
-                    seen.add(downstream.name)
-                    yield downstream
-
     def comb_topological_cells(self) -> Tuple[Cell, ...]:
         """Combinational cells in topological (fanin-before-fanout) order.
 
-        Raises :class:`CombinationalCycleError` when the combinational
-        portion of the network contains a directed cycle.
+        The cells are numbered in network order.  One pass over each
+        cell's output nets lists its distinct combinational fanout cells,
+        in first-occurrence order, and counts every cell's indegree;
+        Kahn's FIFO queue, seeded in network order, then emits the order.
+
+        Raises :class:`CombinationalCycleError`, naming the cells that lie
+        on a directed cycle, when the combinational portion of the
+        network contains one.
         """
         comb = self.combinational_cells
-        indegree: Dict[str, int] = {c.name: 0 for c in comb}
-        for cell in comb:
-            for __ in self.comb_fanin_cells(cell):
-                indegree[cell.name] += 1
-        ready = deque(c for c in comb if indegree[c.name] == 0)
+        number = {cell: index for index, cell in enumerate(comb)}
+        indegree = [0] * len(comb)
+        fanout: List[List[int]] = []
+        # listed_by[j] is the last cell that listed j as a fanout, so a
+        # repeated sink costs O(1) however wide its net is.
+        listed_by = [-1] * len(comb)
+        for index, cell in enumerate(comb):
+            downstream: List[int] = []
+            for pin in cell.spec.outputs:
+                net = cell.terminal(pin).net
+                if net is None:
+                    continue
+                for sink in net.sinks:
+                    other = number.get(sink.cell)
+                    if other is not None and listed_by[other] != index:
+                        listed_by[other] = index
+                        downstream.append(other)
+                        indegree[other] += 1
+            fanout.append(downstream)
+        ready = deque(
+            index for index, degree in enumerate(indegree) if not degree
+        )
         order: List[Cell] = []
         while ready:
-            cell = ready.popleft()
-            order.append(cell)
-            for downstream in self.comb_fanout_cells(cell):
-                indegree[downstream.name] -= 1
-                if indegree[downstream.name] == 0:
-                    ready.append(downstream)
+            index = ready.popleft()
+            order.append(comb[index])
+            for other in fanout[index]:
+                indegree[other] -= 1
+                if not indegree[other]:
+                    ready.append(other)
         if len(order) != len(comb):
-            stuck = [name for name, degree in indegree.items() if degree > 0]
-            raise CombinationalCycleError(stuck)
+            # Every cell left with indegree sits on a cycle or below one.
+            stuck = [index for index, degree in enumerate(indegree) if degree]
+            raise CombinationalCycleError(
+                sorted(comb[index].name for index in _on_cycles(fanout, stuck))
+            )
         return tuple(order)
 
     # ------------------------------------------------------------------
@@ -236,14 +239,15 @@ class Network:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Cell/net counts broken down by role (for Table-1 style rows)."""
+        roles = Counter(cell.spec.role for cell in self._cells.values())
         return {
             "cells": self.num_cells,
             "nets": self.num_nets,
-            "combinational": len(self.combinational_cells),
-            "synchronisers": len(self.synchronisers),
-            "clock_sources": len(self.clock_sources),
-            "primary_inputs": len(self.primary_inputs),
-            "primary_outputs": len(self.primary_outputs),
+            "combinational": roles[CellRole.COMBINATIONAL],
+            "synchronisers": roles[CellRole.SYNCHRONISER],
+            "clock_sources": roles[CellRole.CLOCK_SOURCE],
+            "primary_inputs": roles[CellRole.PRIMARY_INPUT],
+            "primary_outputs": roles[CellRole.PRIMARY_OUTPUT],
         }
 
     def __repr__(self) -> str:
@@ -251,6 +255,55 @@ class Network:
             f"Network({self.name!r}, cells={self.num_cells}, "
             f"nets={self.num_nets})"
         )
+
+
+def _on_cycles(fanout: List[List[int]], nodes: Iterable[int]) -> List[int]:
+    """The nodes of ``nodes`` that lie on a directed cycle of ``fanout``:
+    members of a strongly connected component of two or more nodes, or
+    nodes with an edge to themselves.
+
+    ``nodes`` must be closed under ``fanout``.  Tarjan's algorithm with an
+    explicit stack, so a long chain cannot exhaust the recursion limit.
+    """
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack = set()
+    found: List[int] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(fanout[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(fanout[successor])))
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in fanout[node]:
+                        found.extend(component)
+    return found
 
 
 def terminals_of(cells: Iterable[Cell]) -> Iterator[Terminal]:

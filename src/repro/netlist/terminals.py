@@ -23,11 +23,6 @@ class TerminalKind(enum.Enum):
     OUTPUT = "output"
     CONTROL = "control"
 
-    @property
-    def is_sink(self) -> bool:
-        """True when a net drives *into* this terminal."""
-        return self in (TerminalKind.INPUT, TerminalKind.CONTROL)
-
 
 class Terminal:
     """One pin of a cell instance.

@@ -223,17 +223,18 @@ def _check_net_drivers(network: Network, report: ValidationReport) -> None:
 
 
 def _check_connectivity(network: Network, report: ValidationReport) -> None:
+    output = TerminalKind.OUTPUT
     for cell in network.cells:
         for terminal in cell.terminals():
-            if terminal.kind.is_sink and (
-                terminal.net is None or not terminal.net.drivers
-            ):
+            net = terminal.net
+            if terminal.kind is output:
+                if net is None:
+                    report.warnings.append(
+                        f"output terminal {terminal.full_name} is unconnected"
+                    )
+            elif net is None or not net.drivers:
                 report.errors.append(
                     f"input terminal {terminal.full_name} is floating"
-                )
-            if terminal.kind is TerminalKind.OUTPUT and terminal.net is None:
-                report.warnings.append(
-                    f"output terminal {terminal.full_name} is unconnected"
                 )
 
 

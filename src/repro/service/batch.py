@@ -12,11 +12,11 @@ through four phases:
    back to the parse path: the design is parsed once in the parent,
    its content digests computed (:mod:`repro.service.digest`) and a
    cheap structural fingerprint extracted -- the clock-domain set
-   (:func:`repro.core.domains.clock_domains`) and the cluster profile
-   (:func:`repro.core.clusters.extract_clusters`); workers report the
+   (:func:`repro.core.domains.clock_domains`) and the combinational
+   cell count, i.e. the total size of its clusters; workers report the
    fingerprint back so the map learns it for next time.  Jobs are
    grouped by clock-domain *partition* and ordered
-   largest-cluster-first inside each partition (LPT), so heavy jobs
+   largest-design-first inside each partition (LPT), so heavy jobs
    start early and jobs that share clocking structure land on the same
    worker wave.
 2. **Cache probe** -- each job's content address is looked up in the
@@ -508,16 +508,16 @@ class _Plan:
     def weigh(self) -> None:
         """Compute the LPT weight from the held network, then drop it.
 
-        Weighing parses the cluster structure, which costs as much as
-        the digest itself -- so it is deferred until we know the job
-        actually misses the cache.  A fast-path plan (no parsed
-        network) falls back to the weight the source map remembered.
+        The weight is the combinational cell count, which is also the
+        total size of the design's clusters (every combinational cell
+        lies in exactly one).  Counting needs no graph walk, so a design
+        that fails validation (a combinational loop, say) is weighed
+        like any other and fails in its worker, not here.  A fast-path
+        plan (no parsed network) falls back to the weight the source
+        map remembered.
         """
-        from repro.core.clusters import extract_clusters
-
         if self.network is not None:
-            clusters = extract_clusters(self.network)
-            self.weight = sum(len(c.cells) for c in clusters)
+            self.weight = len(self.network.combinational_cells)
             self.network = None
         elif not self.weight and self.cached_weight:
             self.weight = self.cached_weight

@@ -280,16 +280,13 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                 )
                 # Structural fingerprint the parent's SourceMap learns,
                 # so the next plan of these exact source bytes parses
-                # nothing.  The weight matches _Plan.weigh exactly: the
-                # model's clusters ARE extract_clusters(network).
+                # nothing.  The weight is _Plan.weigh's: the
+                # combinational cell count.
                 from repro.core.domains import clock_domains
 
                 fingerprint = {
                     "partition": list(clock_domains(network)),
-                    "weight": sum(
-                        len(c.cells)
-                        for c in analyzer.model.clusters
-                    ),
+                    "weight": len(network.combinational_cells),
                 }
             if profiler is not None:
                 profile_doc = profiler.stop()

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro import obs
+from repro.cells import standard_library
+from repro.netlist.persistence import load_network, save_network
 from repro.service import (
     BatchEngine,
     BatchJob,
@@ -276,6 +278,32 @@ class TestFaultTolerance:
         )
         assert report.failed == 1
         assert "unknown netlist format" in report.outcomes[0].error
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_looped_job_fails_alone(self, tmp_path, design_files, cached):
+        """Planning never walks the graph, so a combinational loop fails
+        its own job, with the validation message, and not the batch."""
+        netlist, clocks = design_files
+        network = load_network(netlist, standard_library())
+        gate = network.combinational_cells[0]
+        network.reconnect_sink(
+            gate.terminal("A"), gate.terminal("Z").net.name
+        )
+        looped = tmp_path / "looped.json"
+        save_network(network, looped)
+        cache = ResultCache(tmp_path / "cache") if cached else None
+        report = BatchEngine(cache=cache, serial=True).run(
+            [
+                BatchJob("good", netlist, clocks),
+                BatchJob("looped", str(looped), clocks),
+            ]
+        )
+        assert (report.computed, report.failed) == (1, 1)
+        (failure,) = [o for o in report.outcomes if o.status == "failed"]
+        assert failure.job.name == "looped"
+        assert failure.error.endswith(
+            f"directed cycle through: {gate.name}"
+        )
 
     def test_report_document_shape(self, tmp_path, design_files):
         netlist, clocks = design_files

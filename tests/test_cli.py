@@ -15,7 +15,7 @@ from repro.clocks.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.generators import generate_sm1h
+from repro.generators import generate_sm1h, latch_pipeline
 from repro.netlist.blif import save_blif
 from repro.netlist.persistence import network_to_dict, save_network
 
@@ -465,4 +465,76 @@ class TestMalformedHierarchicalNetlists:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert culprit in proc.stderr
+        assert not proc.stderr.startswith(("'", '"'))
+
+
+def _self_loop(doc, clocks):
+    _pins(doc, "s0_i0")["A"] = "s0_c0"
+
+
+def _floating_input(doc, clocks):
+    _pins(doc, "s0_i0")["A"] = "nowhere"
+
+
+def _unknown_clock(doc, clocks):
+    source = next(c for c in doc["cells"] if c["name"] == "clkgen_phi1")
+    source["attrs"]["clock"] = "phi9"
+
+
+def _untagged_clocks(doc, clocks):
+    del clocks["format"]
+
+
+def _missing_clocks(doc, clocks):
+    return "no_such_clocks.json"
+
+
+def _pins(doc, cell_name):
+    return next(c for c in doc["cells"] if c["name"] == cell_name)["pins"]
+
+
+class TestInvalidDesignOrClocks:
+    """A design that fails validation, or a clocks file that cannot be
+    read, exits 1 with a one-line error from every analysing subcommand,
+    not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, corrupt, culprit",
+        [
+            ("analyze", _self_loop, "directed cycle through: s0_i0"),
+            ("analyze", _floating_input, "input terminal s0_i0/A is floating"),
+            (
+                "analyze",
+                _unknown_clock,
+                "clock source 'clkgen_phi1' refers to unknown clock 'phi9'",
+            ),
+            ("analyze", _untagged_clocks, "missing format tag"),
+            ("analyze", _missing_clocks, "No such file or directory"),
+            ("stats", _self_loop, "directed cycle through: s0_i0"),
+            ("stats", _missing_clocks, "No such file or directory"),
+        ],
+    )
+    def test_exits_with_message(self, tmp_path, command, corrupt, culprit):
+        network, schedule = latch_pipeline(
+            stages=4, stage_lengths=[10, 1, 1, 1], period=12.0
+        )
+        doc = network_to_dict(network)
+        clocks_doc = schedule_to_dict(schedule)
+        clocks = tmp_path / (corrupt(doc, clocks_doc) or "clocks.json")
+        netlist = tmp_path / "design.json"
+        netlist.write_text(json.dumps(doc))
+        (tmp_path / "clocks.json").write_text(json.dumps(clocks_doc))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", command, str(netlist),
+                "--clocks", str(clocks),
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert culprit in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
         assert not proc.stderr.startswith(("'", '"'))
