@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -131,13 +130,60 @@ def _profile_arguments(group) -> None:
     )
 
 
-def _json_num(value: Optional[float]) -> object:
-    """JSON-safe numeric encoding (infinities become strings)."""
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+def _pretty_json(document: object) -> str:
+    """Indented, key-sorted JSON: every document the CLI prints."""
+    return json.dumps(
+        document, indent=2, sort_keys=True, separators=(",", ": ")
+    )
+
+
+@contextmanager
+def _daemon_client(args: argparse.Namespace):
+    """A :class:`DaemonClient` on ``--socket``; an unreachable daemon
+    exits with "cannot reach daemon at ..." instead of a traceback."""
+    from repro.service import DaemonClient
+
+    try:
+        with DaemonClient(args.socket, timeout=args.timeout) as client:
+            yield client
+    except (OSError, ConnectionError) as exc:
+        raise SystemExit(
+            f"cannot reach daemon at {args.socket}: {exc}"
+        ) from exc
+
+
+def _redraw(args: argparse.Namespace, frame) -> int:
+    """Print ``frame()`` every ``--interval`` seconds: once with
+    ``--once``, N times with ``--iterations N``, else redrawn in place
+    until Ctrl-C.  ``frame`` returns a JSON document under ``--json``
+    (printed as one line), the rendered text otherwise, or ``None`` to
+    skip a refresh."""
+    import time
+
+    iterations = 1 if args.once else args.iterations
+    rendered = 0
+    try:
+        while iterations is None or rendered < iterations:
+            shown = frame()
+            if shown is None:
+                time.sleep(args.interval)
+                continue
+            if args.json:
+                print(
+                    json.dumps(shown, sort_keys=True, separators=(",", ":"))
+                )
+                sys.stdout.flush()
+            elif args.once or args.iterations is not None:
+                print(shown)
+            else:  # live mode: clear + home, redraw in place
+                sys.stdout.write("\x1b[H\x1b[2J" + shown + "\n")
+                sys.stdout.flush()
+            rendered += 1
+            if iterations is None or rendered < iterations:
+                time.sleep(args.interval)
+    except KeyboardInterrupt:
+        pass
+    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -221,6 +267,8 @@ def cmd_corners(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from repro.report.manifest import json_num
+
     __, __, analyzer = _load_and_analyze(args)
     result = analyzer.analyze()
     stats = analyzer.statistics(histogram_bins=args.bins)
@@ -238,7 +286,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 name: {
                     "endpoints": group.endpoints,
                     "violating": group.violating,
-                    "worst_slack": _json_num(group.worst_slack),
+                    "worst_slack": json_num(group.worst_slack),
                     "total_negative_slack": group.total_negative_slack,
                 }
                 for name, group in sorted(stats.by_clock.items())
@@ -248,11 +296,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 for lower, count in stats.histogram
             ],
         }
-        print(
-            json.dumps(
-                payload, indent=2, sort_keys=True, separators=(",", ": ")
-            )
-        )
+        print(_pretty_json(payload))
         return 0 if result.intended else 1
     print(result.summary())
     print()
@@ -307,14 +351,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise SystemExit(str(exc))
     if args.json:
-        print(
-            json.dumps(
-                diff.to_dict(),
-                indent=2,
-                sort_keys=True,
-                separators=(",", ": "),
-            )
-        )
+        print(_pretty_json(diff.to_dict()))
     else:
         print(diff.render_text(limit=args.limit))
     return 1 if diff.has_regression else 0
@@ -357,76 +394,29 @@ def cmd_waveforms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_remote(args: argparse.Namespace):
-    """Fabric client for ``--peers``/``--peers-file``, or ``None``.
-
-    A ``--peers-file`` fabric re-reads the file on mtime change (the
-    daemon checks on its history cadence), so peers can join or leave
-    without a restart.
-    """
-    from repro.service import RemoteCache
-
-    peers = list(getattr(args, "peers", None) or ())
-    peers_file = getattr(args, "peers_file", None)
-    if peers_file:
-        from repro.obs.fleet import load_peers
-
-        try:
-            for url in load_peers(peers_file):
-                if url not in peers:
-                    peers.append(url)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read --peers-file: {exc}")
-    if not peers:
-        return None
-    return RemoteCache(
-        peers,
-        timeout_s=getattr(args, "peer_timeout", 2.0),
-        peers_file=peers_file,
-    )
-
-
 def _make_cache(args: argparse.Namespace):
-    """Result cache; with ``--peers`` a TieredCache (local L1 in
-    front of the fabric's shared L2)."""
-    from repro.service import ResultCache, TieredCache
+    """The result cache under ``--cache-dir`` (``None`` with
+    ``--no-cache``).  Processes that open the same directory share its
+    warm results."""
+    from repro.service import ResultCache
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    local = ResultCache(args.cache_dir, max_entries=args.cache_entries)
-    remote = _make_remote(args)
-    if remote is None:
-        return local
-    return TieredCache(local, remote)
+    return ResultCache(args.cache_dir, max_entries=args.cache_entries)
 
 
 def _make_cluster_cache(args: argparse.Namespace):
     """The batch workers' cluster-granular sub-key cache, placed next
     to the triple cache at ``<cache-dir>/clusters``.  Disabled
     alongside the triple cache (``--no-cache``) or on its own
-    (``--no-cluster-cache``).  With ``--peers`` the store is tiered
-    over the fabric, so cluster artifacts computed on other hosts are
-    hits here too."""
-    from repro.service import ClusterCache, ResultCache, TieredCache
+    (``--no-cluster-cache``)."""
+    from repro.service import ClusterCache
 
     if args.no_cache or args.no_cluster_cache:
         return None
-    root = Path(args.cache_dir) / "clusters"
-    remote = _make_remote(args)
-    backend = None
-    if remote is not None:
-        backend = TieredCache(
-            ResultCache(
-                root,
-                max_entries=args.cluster_cache_entries,
-                counter_prefix="service.cluster_cache",
-            ),
-            remote,
-        )
     return ClusterCache(
-        root,
+        Path(args.cache_dir) / "clusters",
         max_entries=args.cluster_cache_entries,
-        backend=backend,
     )
 
 
@@ -448,8 +438,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         serial=args.serial,
         access_log=args.access_log,
         profile_hz=args.profile_hz if args.profile else None,
-        peers=args.peers,
-        peer_timeout_s=args.peer_timeout,
     )
     # ``--profile``: sample the parent alongside the per-job worker
     # profilers, then export one merged speedscope (one tab per pid).
@@ -491,15 +479,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             f"manifests written to {args.manifest_dir}", file=sys.stderr
         )
     if args.stats_out:
-        Path(args.stats_out).write_text(
-            json.dumps(
-                report.to_dict(),
-                indent=2,
-                sort_keys=True,
-                separators=(",", ": "),
-            )
-            + "\n"
-        )
+        Path(args.stats_out).write_text(_pretty_json(report.to_dict()) + "\n")
         print(f"batch stats written to {args.stats_out}", file=sys.stderr)
     return report.exit_code()
 
@@ -512,18 +492,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"--workers must be at least 1 (got {args.workers}): "
             "requests always dispatch on the thread pool"
         )
-    cache_server = None
-    if getattr(args, "cache_listen", None) is not None:
-        from repro.service import CacheServer
-
-        # The fabric store is a separate namespace next to the triple
-        # cache: this daemon *serves* <cache-dir>/fabric to its peers,
-        # while its own probes go through the TieredCache built from
-        # --peers (which normally includes this very server).
-        cache_server = CacheServer(
-            Path(args.cache_dir) / "fabric",
-            port=args.cache_listen,
-        )
     access_log = args.access_log
     if access_log and getattr(args, "access_log_max_bytes", None):
         from repro.obs.accesslog import AccessLog
@@ -535,10 +503,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             backups=args.access_log_backups,
         )
     collector = None
-    if getattr(args, "collect", False):
+    if args.collect:
         from repro.service import FleetCollector
 
-        if not getattr(args, "peers_file", None):
+        if not args.peers_file:
             raise SystemExit("--collect needs --peers-file")
         if args.http_port is None:
             raise SystemExit(
@@ -548,13 +516,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         collector = FleetCollector(
             args.peers_file,
             interval_s=args.collect_interval,
-            timeout_s=args.peer_timeout,
             http_port=None,
         )
     daemon = TimingDaemon(
         args.socket,
         cache=_make_cache(args),
-        cache_server=cache_server,
         slow_path_limit=args.limit,
         http_port=args.http_port,
         access_log=access_log,
@@ -584,7 +550,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"telemetry http on 127.0.0.1:{args.http_port} "
             "(GET /healthz, /metrics, /metrics/history, /profile, "
-            "/buildz, /alertz, /crashz, /flightz, /fabricz, /traces)",
+            "/buildz, /alertz, /crashz, /flightz, /traces)",
             file=sys.stderr,
         )
     if daemon.trace_store is not None:
@@ -602,20 +568,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{args.peers_file} every {args.collect_interval:g}s "
             "(GET /fleetz, /fleet/doctor, /fleet/metrics, "
             "/fleet/history)",
-            file=sys.stderr,
-        )
-    if cache_server is not None:
-        # Bind now so the address is printable before serve_forever
-        # blocks (the daemon's start path skips an already-bound one).
-        host, port = cache_server.start()
-        print(
-            f"cache fabric store on {host}:{port} "
-            f"(GET/PUT/HEAD /objects/<key>, {Path(args.cache_dir) / 'fabric'})",
-            file=sys.stderr,
-        )
-    if args.peers:
-        print(
-            f"cache fabric peers: {', '.join(args.peers)}",
             file=sys.stderr,
         )
     if args.access_log:
@@ -659,109 +611,72 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.service import DaemonClient
-
     try:
         request = json.loads(args.request)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"request is not valid JSON: {exc}")
-    try:
-        with DaemonClient(args.socket, timeout=args.timeout) as client:
-            # ``--profile``: sample the *daemon* while it handles this
-            # request, then export its repro.profile/1 as speedscope.
-            # A profiler someone else already started is left running
-            # (fetch instead of stop).
-            started = False
-            if args.profile:
-                start_resp = client.profile("start", hz=args.profile_hz)
-                started = bool(start_resp.get("started"))
-            response = client.request(request)
-            if args.profile:
-                from repro import obs
+    with _daemon_client(args) as client:
+        # ``--profile``: sample the *daemon* while it handles this
+        # request, then export its repro.profile/1 as speedscope.
+        # A profiler someone else already started is left running
+        # (fetch instead of stop).
+        started = False
+        if args.profile:
+            start_resp = client.profile("start", hz=args.profile_hz)
+            started = bool(start_resp.get("started"))
+        response = client.request(request)
+        if args.profile:
+            from repro import obs
 
-                action = "stop" if started else "fetch"
-                profile_resp = client.profile(action)
-                doc = profile_resp.get("profile")
-                if isinstance(doc, dict):
-                    path = obs.write_speedscope(doc, args.profile)
-                    print(
-                        f"daemon profile written to {path}",
-                        file=sys.stderr,
-                    )
-    except (OSError, ConnectionError) as exc:
-        raise SystemExit(f"cannot reach daemon at {args.socket}: {exc}")
-    print(
-        json.dumps(
-            response, indent=2, sort_keys=True, separators=(",", ": ")
-        )
-    )
+            action = "stop" if started else "fetch"
+            profile_resp = client.profile(action)
+            doc = profile_resp.get("profile")
+            if isinstance(doc, dict):
+                path = obs.write_speedscope(doc, args.profile)
+                print(
+                    f"daemon profile written to {path}",
+                    file=sys.stderr,
+                )
+    print(_pretty_json(response))
     return 0 if response.get("ok") else 1
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.service import DaemonClient
     from repro.service.top import fetch_frame, json_frame, render_top
 
     previous = None
-    iterations = 1 if args.once else args.iterations
-    rendered = 0
-    try:
-        while iterations is None or rendered < iterations:
-            try:
-                with DaemonClient(
-                    args.socket, timeout=args.timeout
-                ) as client:
-                    frame = fetch_frame(client)
-            except (OSError, ConnectionError) as exc:
-                if args.once:
-                    raise SystemExit(
-                        f"cannot reach daemon at {args.socket}: {exc}"
-                    )
-                print(
-                    f"waiting for daemon at {args.socket} ({exc})",
-                    file=sys.stderr,
-                )
-                _time.sleep(args.interval)
-                continue
-            if args.json:
-                # One machine-readable frame per refresh (JSON lines).
-                print(
-                    json.dumps(
-                        json_frame(frame, previous),
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                )
-                sys.stdout.flush()
-            else:
-                text = render_top(frame, previous)
-                if args.once or args.iterations is not None:
-                    print(text)
-                else:  # live mode: clear + home, redraw in place
-                    sys.stdout.write("\x1b[H\x1b[2J" + text + "\n")
-                    sys.stdout.flush()
-            previous = frame
-            rendered += 1
-            if iterations is None or rendered < iterations:
-                _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
+
+    def frame():
+        nonlocal previous
+        try:
+            with _daemon_client(args) as client:
+                current = fetch_frame(client)
+        except SystemExit as exc:
+            if args.once:
+                raise
+            # Live mode keeps polling until the daemon is back.
+            print(
+                f"waiting for daemon at {args.socket} ({exc.__cause__})",
+                file=sys.stderr,
+            )
+            return None
+        shown = (
+            json_frame(current, previous)
+            if args.json
+            else render_top(current, previous)
+        )
+        previous = current
+        return shown
+
+    return _redraw(args, frame)
 
 
 def cmd_alerts(args: argparse.Namespace) -> int:
-    from repro.service import DaemonClient
-
-    try:
-        with DaemonClient(args.socket, timeout=args.timeout) as client:
-            if args.ack:
-                response = client.alerts("ack", name=args.ack)
-            else:
-                response = client.alerts()
-    except (OSError, ConnectionError) as exc:
-        raise SystemExit(f"cannot reach daemon at {args.socket}: {exc}")
+    with _daemon_client(args) as client:
+        if args.ack:
+            response = client.alerts("ack", name=args.ack)
+        else:
+            response = client.alerts()
     if not response.get("ok"):
         print(
             f"alerts: {response.get('error', 'op failed')}",
@@ -769,11 +684,7 @@ def cmd_alerts(args: argparse.Namespace) -> int:
         )
         return 1
     if args.json:
-        print(
-            json.dumps(
-                response, indent=2, sort_keys=True, separators=(",", ": ")
-            )
-        )
+        print(_pretty_json(response))
         return 0
     if args.ack:
         print(f"acknowledged {args.ack}")
@@ -828,16 +739,11 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         )
         doc = build_fleet_doctor(scrapes)
         if args.json:
-            print(
-                json.dumps(
-                    doc, indent=2, sort_keys=True, separators=(",", ": ")
-                )
-            )
+            print(_pretty_json(doc))
         else:
             print(render_fleet_doctor(doc))
         return fleet_doctor_exit_code(doc)
 
-    from repro.service import DaemonClient
     from repro.service.doctor import (
         doctor_exit_code,
         fetch_doctor,
@@ -846,17 +752,10 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
     if not args.socket:
         raise SystemExit("doctor needs --socket (or --fleet with peers)")
-    try:
-        with DaemonClient(args.socket, timeout=args.timeout) as client:
-            doc = fetch_doctor(client, flight_last=args.flight)
-    except (OSError, ConnectionError) as exc:
-        raise SystemExit(f"cannot reach daemon at {args.socket}: {exc}")
+    with _daemon_client(args) as client:
+        doc = fetch_doctor(client, flight_last=args.flight)
     if args.json:
-        print(
-            json.dumps(
-                doc, indent=2, sort_keys=True, separators=(",", ": ")
-            )
-        )
+        print(_pretty_json(doc))
     else:
         print(render_doctor(doc))
     return doctor_exit_code(doc)
@@ -893,57 +792,29 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Multi-peer dashboard (``repro-sta fleet``)."""
-    import time as _time
-
     from repro.obs.fleet import build_fleet_doc, render_fleet
     from repro.service.collector import scrape_fleet
 
     peers = _fleet_peers(args)
-    iterations = 1 if args.once else args.iterations
-    rendered = 0
-    try:
-        while iterations is None or rendered < iterations:
-            doc = build_fleet_doc(
-                scrape_fleet(peers, timeout_s=args.timeout)
-            )
-            if args.json:
-                print(
-                    json.dumps(
-                        doc, sort_keys=True, separators=(",", ":")
-                    )
-                )
-                sys.stdout.flush()
-            else:
-                text = render_fleet(doc)
-                if args.once or args.iterations is not None:
-                    print(text)
-                else:
-                    sys.stdout.write("\x1b[H\x1b[2J" + text + "\n")
-                    sys.stdout.flush()
-            rendered += 1
-            if iterations is None or rendered < iterations:
-                _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
+
+    def frame():
+        doc = build_fleet_doc(scrape_fleet(peers, timeout_s=args.timeout))
+        return doc if args.json else render_fleet(doc)
+
+    return _redraw(args, frame)
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
     """Browse the daemon's tail-sampled trace store."""
-    from repro.service import DaemonClient
-
-    try:
-        with DaemonClient(args.socket, timeout=args.timeout) as client:
-            if args.action == "show":
-                if not args.trace_id:
-                    raise SystemExit("traces show needs a <trace_id>")
-                response = client.traces("show", trace_id=args.trace_id)
-            elif args.action == "stats":
-                response = client.traces("stats")
-            else:
-                response = client.traces("list", last=args.last)
-    except (OSError, ConnectionError) as exc:
-        raise SystemExit(f"cannot reach daemon at {args.socket}: {exc}")
+    with _daemon_client(args) as client:
+        if args.action == "show":
+            if not args.trace_id:
+                raise SystemExit("traces show needs a <trace_id>")
+            response = client.traces("show", trace_id=args.trace_id)
+        elif args.action == "stats":
+            response = client.traces("stats")
+        else:
+            response = client.traces("list", last=args.last)
     if not response.get("ok"):
         print(
             f"traces: {response.get('error', 'op failed')}",
@@ -953,11 +824,7 @@ def cmd_traces(args: argparse.Namespace) -> int:
     if args.json or args.action == "show":
         # A stored trace is a document, not a table -- emit it whole
         # (jq-friendly, and the span tree nests arbitrarily deep).
-        print(
-            json.dumps(
-                response, indent=2, sort_keys=True, separators=(",", ": ")
-            )
-        )
+        print(_pretty_json(response))
         return 0
     if args.action == "stats":
         stats = response.get("stats") or {}
@@ -1138,34 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the result cache entirely",
         )
-        fabric = parser.add_argument_group("cache fabric")
-        fabric.add_argument(
-            "--peers",
-            metavar="URL",
-            nargs="+",
-            default=None,
-            help="cache-fabric peer base URLs (e.g. "
-            "http://127.0.0.1:9400); keys shard over the list and "
-            "the local cache becomes an L1 in front of the fleet's "
-            "shared L2",
-        )
-        fabric.add_argument(
-            "--peers-file",
-            metavar="FILE",
-            default=None,
-            help="read fabric peer URLs from FILE (one per line, or "
-            "JSON); the file is re-read when it changes, so peers "
-            "can join or leave without a restart",
-        )
-        fabric.add_argument(
-            "--peer-timeout",
-            type=float,
-            default=2.0,
-            metavar="S",
-            help="per-request timeout against fabric peers "
-            "(default: 2.0s); a slow or dead peer degrades to "
-            "local-only, never fails a job",
-        )
 
     batch = sub.add_parser(
         "batch",
@@ -1240,9 +1079,12 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_arguments(obs_batch)
     batch.set_defaults(func=cmd_batch)
 
+    # No abbreviations: a retired ``--peers`` must not silently parse
+    # as ``--peers-file``.
     serve = sub.add_parser(
         "serve",
         help="start the timing daemon on a Unix socket (JSON-lines)",
+        allow_abbrev=False,
     )
     serve.add_argument(
         "--socket",
@@ -1259,15 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-dispatch thread-pool size (at least 1); "
         "connections pipeline onto it so a slow cold analysis cannot "
         "head-of-line-block other designs (default: 8)",
-    )
-    serve.add_argument(
-        "--cache-listen",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve this host's cache-fabric object store on "
-        "127.0.0.1:PORT (0 picks an ephemeral port); peers address "
-        "it via their --peers list",
     )
     _cache_arguments(serve)
     telemetry = serve.add_argument_group("telemetry")
@@ -1354,6 +1187,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--peers-file on the history cadence and serve /fleetz, "
         "/fleet/doctor, /fleet/metrics and /fleet/history from this "
         "daemon's --http-port",
+    )
+    fleet_group.add_argument(
+        "--peers-file",
+        metavar="FILE",
+        default=None,
+        help="peer sidecar base URLs for --collect (one per line, or "
+        "JSON; re-read when the file changes)",
     )
     fleet_group.add_argument(
         "--collect-interval",
@@ -1568,8 +1408,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="multi-peer dashboard: one row per daemon with req/s, "
-        "latency quantiles, cache/fabric hit rates, firing alerts "
-        "and up/degraded/down state",
+        "latency quantiles, cache hit rate, firing alerts and "
+        "up/degraded/down state",
     )
     fleet.add_argument(
         "--peers",

@@ -91,22 +91,18 @@ class TimingResult:
         model objects.  Infinities are encoded as ``"inf"``/``"-inf"``
         strings so the payload is strict JSON.
         """
-
-        def _num(value: float) -> object:
-            if isinstance(value, float) and math.isinf(value):
-                return "inf" if value > 0 else "-inf"
-            return value
+        from repro.report.manifest import json_num
 
         iterations = self.algorithm1.iterations
         return {
             "schema": "repro.result/1",
             "intended": self.intended,
             "converged": self.algorithm1.converged,
-            "worst_slack": _num(self.worst_slack),
+            "worst_slack": json_num(self.worst_slack),
             "summary": self.summary(),
             "slow_paths": len(self.slow_paths),
             "endpoint_slacks": {
-                name: _num(value)
+                name: json_num(value)
                 for name, value in sorted(
                     self.algorithm1.slacks.capture.items()
                 )

@@ -242,19 +242,6 @@ DEFAULT_RULES: Tuple[AlertRule, ...] = (
         severity="critical",
         description="a request exceeded the stall watchdog deadline",
     ),
-    AlertRule(
-        name="fabric.peer_down",
-        kind="threshold",
-        metric="service.fabric.degraded",
-        op=">",
-        threshold=0.0,
-        for_s=0.0,
-        severity="warning",
-        description=(
-            "one or more cache-fabric peers unreachable "
-            "(degraded to local-only caching)"
-        ),
-    ),
 )
 
 

@@ -1,14 +1,14 @@
 """Fleet-level aggregation of per-daemon observability documents.
 
-PR 8 made the service multi-host; this module makes the *telemetry*
-multi-host.  Everything here is **pure**: the HTTP scraping lives in
+This module makes the *telemetry* of several daemons one view.
+Everything here is **pure**: the HTTP scraping lives in
 :mod:`repro.service.collector`, and these functions turn the scraped
 per-peer documents (``/healthz``, ``/metrics/history``, ``/alertz``,
-``/fabricz``) into:
+``/crashz``) into:
 
 * a **fleet document** (schema ``repro.fleet/1``) -- one row per peer
   with its up/down/degraded state, request rate, latency quantiles,
-  cache/fabric hit rates and firing alerts, plus a fleet summary --
+  cache hit rate and firing alerts, plus a fleet summary --
   served on ``GET /fleetz`` and rendered by ``repro-sta fleet``;
 * a **fleet doctor document** (schema ``repro.fleetdoctor/1``) --
   every peer's triage verdict aggregated into one exit code
@@ -60,17 +60,15 @@ _LATENCY = "service.daemon.request_seconds"
 def load_peers(path: Union[str, Path]) -> List[str]:
     """Parse a peers file into a normalised, deduplicated URL list.
 
-    Two formats are accepted (the fabric and the collector share this
-    parser, so one ``--peers-file`` drives both):
+    Two formats are accepted (``--peers-file`` of ``serve --collect``,
+    ``collect``, ``fleet`` and ``doctor --fleet``):
 
     * plain text -- one base URL per line, ``#`` comments and blank
       lines ignored;
     * JSON -- either a bare list of URLs or ``{"peers": [...]}``.
 
     URLs are normalised (surrounding whitespace and trailing ``/``
-    stripped) and deduplicated preserving first-seen order, matching
-    :class:`repro.service.fabric.ShardRouter`'s normalisation so the
-    two views of the peer set cannot drift.
+    stripped) and deduplicated preserving first-seen order.
     """
     text = Path(path).read_text()
     stripped = text.lstrip()
@@ -175,7 +173,7 @@ def peer_row(
 
     ``scrape`` is what :func:`repro.service.collector.scrape_peer`
     returns: ``{"ok", "error", "healthz", "history", "alertz",
-    "fabricz"}`` with failed sub-documents ``None``.
+    "crashz"}`` with failed sub-documents ``None``.
     """
     if not scrape.get("ok"):
         return {
@@ -185,10 +183,9 @@ def peer_row(
         }
     healthz = scrape.get("healthz") or {}
     history = scrape.get("history")
-    fabricz = scrape.get("fabricz")
     firing = _firing_names(scrape.get("alertz"))
     point = _last_point(history)
-    row: Dict[str, object] = {
+    return {
         "url": url,
         "state": "degraded" if firing else "up",
         "error": None,
@@ -203,14 +200,6 @@ def peer_row(
         "cache_hit_rate": _cache_hit_rate(point),
         "alerts_firing": firing,
     }
-    if isinstance(fabricz, dict):
-        gauges = point.get("gauges") or {}
-        row["fabric"] = {
-            "hit_rate": gauges.get("service.fabric.remote_hit_rate"),
-            "peers": gauges.get("service.fabric.peers"),
-            "down": gauges.get("service.fabric.degraded"),
-        }
-    return row
 
 
 def build_fleet_doc(
@@ -275,7 +264,7 @@ def render_fleet(doc: Dict[str, object], width: int = 100) -> str:
     lines.append("-" * width)
     lines.append(
         f"   {'PEER':<28}{'STATE':<10}{'REQ/S':>7}{'P50ms':>8}"
-        f"{'P95ms':>8}{'CACHE':>7}{'FABRIC':>7}  ALERTS"
+        f"{'P95ms':>8}{'CACHE':>7}  ALERTS"
     )
     for row in doc.get("peers") or []:
         state = str(row.get("state", "?"))
@@ -283,20 +272,18 @@ def render_fleet(doc: Dict[str, object], width: int = 100) -> str:
         if state == "down":
             lines.append(
                 f"{mark} {str(row.get('url', '?')):<28}{state:<10}"
-                f"{'-':>7}{'-':>8}{'-':>8}{'-':>7}{'-':>7}  "
+                f"{'-':>7}{'-':>8}{'-':>8}{'-':>7}  "
                 f"({row.get('error') or 'unreachable'})"[:width]
             )
             continue
         latency = row.get("latency") or {}
-        fabric = row.get("fabric") or {}
         firing = row.get("alerts_firing") or []
         lines.append(
             f"{mark} {str(row.get('url', '?')):<28}{state:<10}"
             f"{float(row.get('rate_rps') or 0.0):7.1f}"
             f"{_fmt_ms(latency.get('p50_s'))}"
             f"{_fmt_ms(latency.get('p95_s'))}"
-            f"{_fmt_pct(row.get('cache_hit_rate'))}"
-            f"{_fmt_pct(fabric.get('hit_rate'))}  "
+            f"{_fmt_pct(row.get('cache_hit_rate'))}  "
             f"{', '.join(firing) if firing else '-'}"[:width]
         )
     return "\n".join(lines)

@@ -47,7 +47,7 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
-from repro.obs.profile import _frame_label
+from repro.obs.profile import _frame_label, current_frames
 
 __all__ = [
     "ERROR_SCHEMA",
@@ -131,7 +131,7 @@ def thread_stacks(
     skip = frozenset(exclude)
     rows: List[Dict[str, object]] = []
     try:
-        current = sys._current_frames()
+        current = current_frames()
     except Exception:  # pragma: no cover -- interpreter teardown
         return rows
     for tid, frame in sorted(current.items()):

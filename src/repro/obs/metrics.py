@@ -109,7 +109,6 @@ WELL_KNOWN_COUNTERS = (
     "service.collector.scrapes",
     "service.collector.scrape_errors",
     "service.collector.peer_set_reloads",
-    "service.fabric.peer_set_reloads",
 )
 
 

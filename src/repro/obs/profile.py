@@ -43,6 +43,7 @@ Typical in-process usage::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -105,6 +106,29 @@ def _frame_label(frame) -> str:
     parts = filename.replace("\\", "/").rsplit("/", 2)
     short = "/".join(parts[-2:]) if len(parts) > 1 else filename
     return f"{code.co_name} ({short}:{frame.f_lineno})"
+
+
+#: Serialises :func:`current_frames`, so one caller cannot re-enable the
+#: collector while another is still inside ``sys._current_frames()``.
+_FRAMES_LOCK = threading.Lock()
+
+
+def current_frames() -> Dict[int, object]:
+    """``sys._current_frames()`` with the garbage collector paused.
+
+    CPython 3.11 can run a collection inside that call while it holds
+    the interpreter's thread-list lock.  Collecting a ``threading.local``
+    (the daemon keeps several) takes the same lock again, and the
+    process deadlocks.
+    """
+    with _FRAMES_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sys._current_frames()
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class SamplingProfiler:
@@ -216,7 +240,7 @@ class SamplingProfiler:
     def _sample_once(self, own_ident: int) -> None:
         recorder = self._recorder
         try:
-            frames = sys._current_frames()
+            frames = current_frames()
         except Exception:  # pragma: no cover -- interpreter teardown
             return
         for tid, frame in frames.items():

@@ -33,6 +33,8 @@ from typing import Dict, Optional, Union
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
+    "canonical_json",
+    "json_num",
     "manifest_digest",
     "timing_digest",
     "write_manifest",
@@ -42,13 +44,13 @@ __all__ = [
 MANIFEST_SCHEMA = "repro.manifest/1"
 
 
-def _canonical(data: object) -> str:
+def canonical_json(data: object) -> str:
+    """Deterministic JSON: sorted keys, compact separators."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _num(value: Optional[float]) -> object:
-    if value is None:
-        return None
+def json_num(value: Optional[float]) -> object:
+    """JSON-safe number: infinities become ``"inf"`` / ``"-inf"``."""
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
@@ -73,11 +75,11 @@ def input_digest(
     if netlist_path is not None and Path(netlist_path).exists():
         h.update(Path(netlist_path).read_bytes())
     else:
-        h.update(_canonical(network_to_dict(network)).encode())
+        h.update(canonical_json(network_to_dict(network)).encode())
     if clocks_path is not None and Path(clocks_path).exists():
         h.update(Path(clocks_path).read_bytes())
     else:
-        h.update(_canonical(schedule_to_dict(schedule)).encode())
+        h.update(canonical_json(schedule_to_dict(schedule)).encode())
     return h.hexdigest()
 
 
@@ -101,7 +103,7 @@ def build_manifest(
     model = analyzer.model
     stats = timing_statistics(model, result.algorithm1.slacks)
     endpoint_slacks = {
-        name: _num(value)
+        name: json_num(value)
         for name, value in sorted(result.algorithm1.slacks.capture.items())
     }
     iterations = result.algorithm1.iterations
@@ -127,8 +129,8 @@ def build_manifest(
         "timing": {
             "intended": result.intended,
             "converged": result.algorithm1.converged,
-            "worst_slack": _num(stats.overall.worst_slack),
-            "total_negative_slack": _num(
+            "worst_slack": json_num(stats.overall.worst_slack),
+            "total_negative_slack": json_num(
                 stats.overall.total_negative_slack
             ),
             "endpoints": stats.overall.endpoints,
@@ -176,7 +178,7 @@ def manifest_digest(manifest: Dict[str, object]) -> str:
         for key, value in manifest.items()
         if key not in ("created_at", "cost", "obs")
     }
-    return hashlib.sha256(_canonical(stable).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
 
 
 def timing_digest(manifest: Dict[str, object]) -> str:
@@ -195,7 +197,7 @@ def timing_digest(manifest: Dict[str, object]) -> str:
         for key in ("schema", "design", "input_digest", "clock_schedule",
                     "config", "timing")
     }
-    return hashlib.sha256(_canonical(stable).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
 
 
 def write_manifest(

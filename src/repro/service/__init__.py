@@ -9,8 +9,9 @@ engine for repeated and concurrent timing queries:
   the content-addressed cache key,
 * :mod:`repro.service.cache` -- :class:`ResultCache`, an on-disk LRU
   store of ``repro.result/1`` payloads + ``repro.manifest/1`` records
-  with integrity-checked loads (corrupt entries are evicted, never
-  crash),
+  with atomic writes and integrity-checked loads (corrupt entries are
+  evicted, never crash); processes -- and hosts mounting the same
+  directory -- share warm results through one cache directory,
 * :mod:`repro.service.batch` / :mod:`repro.service.workers` --
   :class:`BatchEngine`, a clock-domain-aware scheduler that fans
   cache-miss jobs out over a ``ProcessPoolExecutor`` with per-job
@@ -24,11 +25,6 @@ engine for repeated and concurrent timing queries:
   (:class:`RouteTable` / :class:`RouteHTTPServer`) and
   :class:`TelemetrySidecar`, the server behind ``repro-sta serve
   --http-port`` exposing ``/healthz`` and ``/metrics``,
-* :mod:`repro.service.fabric` -- the distributed cache fabric:
-  :class:`CacheServer` (HTTP object store over a :class:`ResultCache`),
-  :class:`ShardRouter` (deterministic digest-prefix sharding),
-  :class:`RemoteCache` / :class:`TieredCache` (local L1 over the
-  fleet's shared L2, with graceful degradation),
 * :mod:`repro.service.top` -- frame fetch + pure renderer for the
   ``repro-sta top`` live daemon dashboard,
 * :mod:`repro.service.doctor` -- one-shot triage (``repro-sta
@@ -72,12 +68,6 @@ from repro.service.doctor import (
     fetch_doctor,
     render_doctor,
 )
-from repro.service.fabric import (
-    CacheServer,
-    RemoteCache,
-    ShardRouter,
-    TieredCache,
-)
 from repro.service.httpmon import (
     RouteHTTPServer,
     RouteTable,
@@ -89,16 +79,12 @@ __all__ = [
     "BatchEngine",
     "BatchJob",
     "BatchReport",
-    "CacheServer",
     "CacheStats",
     "ClusterCache",
     "ClusterWarmup",
-    "RemoteCache",
     "RouteHTTPServer",
     "RouteTable",
-    "ShardRouter",
     "SourceMap",
-    "TieredCache",
     "cluster_digest",
     "DaemonClient",
     "FleetCollector",

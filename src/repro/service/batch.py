@@ -558,14 +558,6 @@ class BatchEngine:
         per-job ``repro.profile/1`` documents come back on the
         :class:`JobOutcome` rows and merge via
         :meth:`BatchReport.merged_profile`.
-    peers:
-        Cache-fabric peer URLs (see :mod:`repro.service.fabric`),
-        forwarded to every worker so their cluster caches probe the
-        fabric too.  The *result* cache tier is the caller's choice:
-        pass a :class:`~repro.service.fabric.TieredCache` as ``cache``
-        (the CLI does) to make the probe phase fabric-aware.
-    peer_timeout_s:
-        Per-request timeout workers use against the fabric peers.
     """
 
     def __init__(
@@ -578,8 +570,6 @@ class BatchEngine:
         access_log: Union[AccessLog, str, Path, None] = None,
         cluster_cache: Union[ClusterCache, str, Path, None] = None,
         profile_hz: Optional[float] = None,
-        peers: Optional[Sequence[str]] = None,
-        peer_timeout_s: float = 2.0,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -603,8 +593,6 @@ class BatchEngine:
             self.cluster_cache: Optional[ClusterCache] = cluster_cache
         else:
             self.cluster_cache = ClusterCache(cluster_cache)
-        self.peers: Tuple[str, ...] = tuple(peers or ())
-        self.peer_timeout_s = float(peer_timeout_s)
         # The warm-plan fast path persists next to the result cache;
         # no cache, no map (and plan() always takes the parse path).
         root = getattr(cache, "root", None)
@@ -805,11 +793,6 @@ class BatchEngine:
                 "root": str(self.cluster_cache.root),
                 "max_entries": self.cluster_cache.max_entries,
             }
-            if self.peers:
-                spec["cluster_cache"]["peers"] = list(self.peers)
-                spec["cluster_cache"]["peer_timeout_s"] = (
-                    self.peer_timeout_s
-                )
         ctx = live.trace_context()
         if ctx is not None:
             spec["trace"] = ctx

@@ -20,10 +20,18 @@ Robustness rules (the cache must *never* take the analysis down):
   the payload+manifest; a mismatch, JSON error, truncated file or bad
   schema **evicts** the entry and counts ``service.cache.corrupt`` --
   it never raises;
-* writes are atomic (temp file + ``os.replace``) so a crashed writer
-  leaves either the old entry or the new one, not a torn file;
+* writes are atomic (a ``.tmp`` file + ``os.replace``) so a crashed
+  writer leaves either the old entry or the new one, not a torn file;
 * the LRU index (``<root>/index.json``) is advisory: if it is missing
-  or corrupt it is rebuilt by scanning the object store.
+  or corrupt it is rebuilt by scanning the object store.  The scan,
+  ``len()`` and :meth:`ResultCache.clear` see only well-formed
+  ``<key>.json`` entry files, never another writer's temp file.
+
+Processes share warm results by opening one cache directory: batch
+pool workers share ``<cache-dir>/clusters`` this way, and hosts that
+mount the same ``--cache-dir`` share it too.  Each handle keeps its own
+view of the index, so under concurrent writers the LRU bound is
+approximate; reads and writes stay safe.
 
 Eviction is LRU by last *use* (hits refresh recency), bounded by
 ``max_entries``.  All mutations bump :mod:`repro.obs` counters
@@ -50,7 +58,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro import obs
 from repro.service.digest import canonical_json
@@ -95,6 +103,11 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def _well_formed(key: str) -> bool:
+    """Could ``key`` name an entry file?  Temp files never do."""
+    return bool(key) and not any(ch in key for ch in "/\\.")
+
+
 def _payload_sha(payload: object, manifest: object) -> str:
     doc = canonical_json({"payload": payload, "manifest": manifest})
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
@@ -114,13 +127,6 @@ class ResultCache:
         result cache uses the default ``service.cache``; the
         cluster-granular sub-key cache reuses this class under
         ``service.cluster_cache``.
-    protect:
-        Optional predicate ``key -> bool``; keys it answers True for
-        are skipped by LRU eviction (the cache-fabric
-        :class:`~repro.service.fabric.CacheServer` protects leased
-        entries this way).  Protected keys can push the store over
-        ``max_entries``; the bound is advisory under protection
-        pressure.  Explicit :meth:`evict` / :meth:`clear` ignore it.
     """
 
     def __init__(
@@ -128,7 +134,6 @@ class ResultCache:
         root: Union[str, Path],
         max_entries: Optional[int] = 256,
         counter_prefix: str = "service.cache",
-        protect: Optional[Callable[[str], bool]] = None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None)")
@@ -139,7 +144,6 @@ class ResultCache:
         self._index_path = self.root / "index.json"
         self._index: Optional[Dict[str, float]] = None
         self._prefix = counter_prefix
-        self._protect = protect
         #: True when the in-memory index has recency updates that have
         #: not been written to ``index.json`` yet (write-behind).
         self._dirty = False
@@ -268,17 +272,20 @@ class ResultCache:
     # internals
     # ------------------------------------------------------------------
     def _entry_path(self, key: str) -> Path:
-        if not key or any(ch in key for ch in "/\\."):
+        if not _well_formed(key):
             raise ValueError(f"malformed cache key {key!r}")
         return self._objects / key[:2] / f"{key}.json"
 
     def _iter_entries(self):
+        """Entry files only: another writer's temp file is skipped."""
         if not self._objects.is_dir():
             return
         for shard in sorted(self._objects.iterdir()):
             if not shard.is_dir():
                 continue
-            yield from sorted(shard.glob("*.json"))
+            for path in sorted(shard.glob("*.json")):
+                if _well_formed(path.stem):
+                    yield path
 
     def _verify(self, key: str, entry: object) -> bool:
         if not isinstance(entry, dict):
@@ -328,9 +335,6 @@ class ResultCache:
         for key in sorted(index, key=lambda k: index.get(k, 0.0)):
             if overflow <= 0:
                 break
-            if self._protect is not None and self._protect(key):
-                obs.counter(f"{self._prefix}.eviction_blocked")
-                continue
             if self._remove_entry(key):
                 self.stats.evictions += 1
                 obs.counter(f"{self._prefix}.evictions")
@@ -353,15 +357,21 @@ class ResultCache:
             entries = data["entries"]
             if not isinstance(entries, dict):
                 raise ValueError("bad index entries")
+            # A malformed row (an older writer's temp file, say) is
+            # dropped here, so eviction never trips over it.
             self._index = {
-                str(key): float(value) for key, value in entries.items()
+                str(key): float(value)
+                for key, value in entries.items()
+                if _well_formed(str(key))
             }
         except (OSError, ValueError, KeyError, TypeError):
             # Advisory only: rebuild from the object store.
-            self._index = {
-                path.stem: path.stat().st_mtime
-                for path in self._iter_entries()
-            }
+            self._index = {}
+            for path in self._iter_entries():
+                try:
+                    self._index[path.stem] = path.stat().st_mtime
+                except OSError:  # evicted by another process mid-scan
+                    pass
         self.stats.entries = len(self._index)
         return self._index
 
@@ -384,7 +394,7 @@ class ResultCache:
     @staticmethod
     def _atomic_write(path: Path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
+            dir=str(path.parent), prefix=".tmp-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:

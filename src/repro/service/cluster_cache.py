@@ -84,29 +84,19 @@ class ClusterCache:
         LRU bound of the underlying :class:`ResultCache`; clusters are
         much smaller than whole-design results, so the default bound is
         wider.
-    backend:
-        Pre-built store implementing the :class:`ResultCache` surface
-        (e.g. a :class:`repro.service.fabric.TieredCache` fronting the
-        cache fabric).  When given, ``root``/``max_entries`` describe
-        it rather than build a new local store -- this is how cluster
-        artifacts computed on other hosts become hits here.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         max_entries: Optional[int] = 4096,
-        backend: Optional[ResultCache] = None,
     ) -> None:
         self.root = Path(root)
-        if backend is not None:
-            self._cache = backend
-        else:
-            self._cache = ResultCache(
-                self.root,
-                max_entries=max_entries,
-                counter_prefix=COUNTER_PREFIX,
-            )
+        self._cache = ResultCache(
+            self.root,
+            max_entries=max_entries,
+            counter_prefix=COUNTER_PREFIX,
+        )
 
     # ------------------------------------------------------------------
     # probing / warming

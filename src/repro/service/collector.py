@@ -1,7 +1,7 @@
 """Fleet collector: scrapes peer sidecars into one aggregated view.
 
 The per-daemon telemetry sidecar (PR 4-8) answers ``/healthz``,
-``/metrics/history``, ``/alertz`` and ``/fabricz`` for *one* process.
+``/metrics/history``, ``/alertz`` and ``/crashz`` for *one* process.
 This module adds the fleet layer on top:
 
 * :func:`scrape_peer` pulls those documents from one peer over HTTP,
@@ -64,7 +64,6 @@ COUNTER_PREFIX = "service.collector"
 _AUX_ENDPOINTS = (
     ("history", "/metrics/history?last={history_last}"),
     ("alertz", "/alertz"),
-    ("fabricz", "/fabricz"),
     ("crashz", "/crashz"),
 )
 
@@ -93,9 +92,8 @@ def scrape_peer(
 
     ``/healthz`` is the up/down gate: if it cannot be fetched and
     parsed the peer is ``down`` and nothing else is attempted.  The
-    auxiliary endpoints are best-effort -- a daemon without a fabric
-    has no useful ``/fabricz``, an old daemon may lack ``/crashz`` --
-    so their failures leave that sub-document ``None``.
+    auxiliary endpoints are best-effort -- an old daemon may lack
+    ``/crashz`` -- so their failures leave that sub-document ``None``.
     """
     base = url.rstrip("/")
     scrape: Dict[str, object] = {
@@ -104,7 +102,6 @@ def scrape_peer(
         "healthz": None,
         "history": None,
         "alertz": None,
-        "fabricz": None,
         "crashz": None,
     }
     try:

@@ -14,8 +14,9 @@ once.  ``analyze`` answers from the warm engine (cold only on first
 load), ``mutate`` applies delay/clock edits through the incremental
 engine (cheap delay swap when outside control cones, tracked rebuild
 otherwise) and the next ``analyze`` warm-starts Algorithm 1 from the
-previous fixed point.  An optional :class:`repro.service.cache.
-ResultCache` short-circuits repeated cold loads across daemon restarts.
+previous fixed point.  The daemon never reads a result cache: given
+an optional :class:`repro.service.cache.ResultCache`, it writes each
+unmutated design's result there for ``repro-sta batch`` to reuse.
 
 Requests (see ``docs/service.md`` for the full protocol)::
 
@@ -74,7 +75,6 @@ thread-locally, so they no longer serialise daemon-wide.
 from __future__ import annotations
 
 import json
-import math
 import os
 import socket
 import socketserver
@@ -115,12 +115,6 @@ PROTOCOL_VERSION = 1
 #: a structured error response but no crash report.  Anything outside
 #: this set dumps a ``repro.crash/1`` postmortem.
 _EXPECTED_ERRORS = (ValueError, KeyError, TypeError, OSError)
-
-
-def _json_num(value) -> object:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
 
 
 def _last_param(
@@ -224,7 +218,8 @@ class TimingDaemon:
     socket_path:
         Unix-domain socket to listen on.
     cache:
-        Optional :class:`ResultCache` short-circuiting cold loads.
+        Optional :class:`ResultCache` the daemon writes unmutated
+        results to (it never reads them back).
     slow_path_limit:
         Default ``analyze`` slow-path limit.
     http_port:
@@ -281,7 +276,6 @@ class TimingDaemon:
         stall_timeout_s: Optional[float] = 30.0,
         debug_ops: bool = False,
         install_crash_hooks: bool = False,
-        cache_server=None,
         trace_dir: Union[None, str, "os.PathLike[str]"] = None,
         trace_max_bytes: int = 64 * 1024 * 1024,
         trace_sample: float = 0.05,
@@ -295,9 +289,6 @@ class TimingDaemon:
             )
         self.socket_path = str(socket_path)
         self.cache = cache
-        #: Cache-fabric object store co-hosted with this daemon
-        #: (``serve --cache-listen``); started/stopped with the daemon.
-        self.cache_server = cache_server
         #: Tail-sampled on-disk trace ring (``serve --trace-dir``);
         #: every request mints a trace id, the sampler keeps errored,
         #: p95-slow and a deterministic fraction of the rest, and the
@@ -316,16 +307,6 @@ class TimingDaemon:
         #: ``/fleetz``-family routes merge into this daemon's sidecar
         #: and its scrape loop starts/stops with the daemon.
         self.collector = collector
-        #: Fabric client when ``cache`` is a
-        #: :class:`repro.service.fabric.TieredCache` -- probed on the
-        #: history cadence so the ``service.fabric.degraded`` gauge
-        #: (and the ``fabric.peer_down`` alert) track peer health even
-        #: while no cache traffic flows.
-        self._fabric = getattr(cache, "remote", None)
-        self._fabric_probe_at = 0.0
-        #: Seconds between active peer health probes (and the probe's
-        #: per-peer timeout is capped well under the history interval).
-        self.fabric_probe_interval_s = 5.0
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
@@ -521,7 +502,6 @@ class TimingDaemon:
         ("/alertz", "_http_alertz"),
         ("/crashz", "_http_crashz"),
         ("/flightz", "_http_flightz"),
-        ("/fabricz", "_http_fabricz"),
         ("/traces", "_http_traces"),
     )
 
@@ -554,39 +534,9 @@ class TimingDaemon:
             # (so alerting shares the history cadence).
             self.history.start(
                 self.recorder,
-                before_point=self._history_tick,
+                before_point=self._sync_gauges,
                 on_point=self._evaluate_alerts,
             )
-
-    def _history_tick(self) -> None:
-        """Per-snapshot work: probe the fabric, then refresh gauges.
-
-        Runs on the history thread just before each metrics point, so
-        the ``service.fabric.degraded`` value the alert engine sees was
-        measured in the same tick it evaluates.
-        """
-        self._probe_fabric()
-        self._sync_gauges()
-
-    def _probe_fabric(self) -> None:
-        if self._fabric is None:
-            return
-        try:
-            # Dynamic membership: pick up peers-file edits on the same
-            # cadence as the health probes (cheap mtime check).
-            self._fabric.maybe_reload_peers()
-        except Exception:  # noqa: BLE001 -- telemetry must not die
-            pass
-        now = time.monotonic()
-        if now - self._fabric_probe_at < self.fabric_probe_interval_s:
-            return
-        self._fabric_probe_at = now
-        try:
-            # Short per-peer timeout: N dead peers must not eat the
-            # history interval.
-            self._fabric.probe_peers(timeout_s=0.5)
-        except Exception:  # noqa: BLE001 -- telemetry must not die
-            pass
 
     def _start_self_diagnosis(self) -> None:
         if self.watchdog is not None and not self.watchdog.running:
@@ -704,32 +654,6 @@ class TimingDaemon:
             self._op_flight({"last": _last_param(params)})
         )
 
-    def _http_fabricz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        """Fabric client view from the daemon's sidecar (the cache
-        server's own ``/fabricz`` shows the server side)."""
-        if self._fabric is None:
-            raise RuntimeError("no cache fabric on this daemon")
-        doc: Dict[str, object] = {
-            "ok": True,
-            "peers": list(self._fabric.peers),
-            "down": self._fabric.down_peers(),
-            "degraded": self._fabric.degraded,
-            "stats": self._fabric.stats.to_dict(),
-            "hit_rate": self._fabric.stats.hit_rate,
-            "peers_file": (
-                str(self._fabric.peers_file)
-                if getattr(self._fabric, "peers_file", None) is not None
-                else None
-            ),
-        }
-        if self.cache_server is not None:
-            doc["cache_server"] = (
-                list(self.cache_server.address)
-                if self.cache_server.address is not None
-                else None
-            )
-        return "application/json", json.dumps(doc, sort_keys=True) + "\n"
-
     def _http_traces(self, params: Dict[str, str]) -> Tuple[str, str]:
         if self.trace_store is None:
             raise RuntimeError(
@@ -812,17 +736,6 @@ class TimingDaemon:
                 ),
                 "debug_ops": self.debug_ops,
                 "workers": self.workers,
-                "cache_peers": (
-                    list(self._fabric.peers)
-                    if self._fabric is not None
-                    else []
-                ),
-                "cache_server": (
-                    list(self.cache_server.address)
-                    if self.cache_server is not None
-                    and self.cache_server.address is not None
-                    else None
-                ),
                 "trace_dir": (
                     str(self.trace_store.root)
                     if self.trace_store is not None
@@ -885,18 +798,6 @@ class TimingDaemon:
                 "service.tracestore.bytes",
                 float(store_stats["bytes"]),
             )
-        if self._fabric is not None:
-            self.recorder.gauge(
-                "service.fabric.degraded",
-                float(len(self._fabric.down_peers())),
-            )
-            self.recorder.gauge(
-                "service.fabric.peers", float(len(self._fabric.peers))
-            )
-            self.recorder.gauge(
-                "service.fabric.remote_hit_rate",
-                self._fabric.stats.hit_rate,
-            )
         with self._profiler_lock:
             profiler = self._profiler
         if profiler is not None:
@@ -925,7 +826,6 @@ class TimingDaemon:
             raise RuntimeError("daemon already started")
         self._server = self._make_server()
         self._start_pool()
-        self._start_cache_server()
         self._start_sidecar()
         self._start_collector()
         self._start_history()
@@ -943,7 +843,6 @@ class TimingDaemon:
             raise RuntimeError("daemon already started")
         self._server = self._make_server()
         self._start_pool()
-        self._start_cache_server()
         self._start_sidecar()
         self._start_collector()
         self._start_history()
@@ -963,12 +862,6 @@ class TimingDaemon:
             self._thread = None
         self._cleanup()
 
-    def _start_cache_server(self) -> None:
-        if self.cache_server is not None and (
-            self.cache_server.address is None
-        ):
-            self.cache_server.start()
-
     def _start_collector(self) -> None:
         if self.collector is not None and (
             getattr(self.collector, "_thread", None) is None
@@ -987,9 +880,6 @@ class TimingDaemon:
         collector, self.collector = self.collector, None
         if collector is not None:
             collector.stop()
-        server, self.cache_server = self.cache_server, None
-        if server is not None:
-            server.stop()
         self.history.stop()
         if self.watchdog is not None:
             self.watchdog.stop()
@@ -1265,7 +1155,11 @@ class TimingDaemon:
     def _analyze_state(
         self, state: _DesignState, request: Dict[str, object]
     ) -> Dict[str, object]:
-        from repro.report.manifest import manifest_digest, timing_digest
+        from repro.report.manifest import (
+            json_num,
+            manifest_digest,
+            timing_digest,
+        )
 
         limit = request.get("slow_path_limit", self.slow_path_limit)
         tolerance = float(request.get("tolerance", 0.0) or 0.0)
@@ -1284,16 +1178,18 @@ class TimingDaemon:
             clocks_path=state.clocks,
             label=request.get("label"),
         )
-        if self.cache is not None:
+        if self.cache is not None and state.mutations == 0:
+            # Hash the network only when the result is cacheable: a
+            # mutated design's key would be computed and thrown away.
             key = state.content_key(limit, tolerance)
-            if state.mutations == 0 and key not in self.cache:
+            if key not in self.cache:
                 self.cache.put(key, result.payload(), manifest)
         response = {
             "ok": True,
             "engine": engine,
             "design": state.network.name,
             "intended": result.intended,
-            "worst_slack": _json_num(result.worst_slack),
+            "worst_slack": json_num(result.worst_slack),
             "slow_paths": len(result.slow_paths),
             "iterations": result.algorithm1.iterations.total,
             "summary": result.summary(),

@@ -20,10 +20,10 @@ invalidates every old entry instead of mis-reading it.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, Mapping, Optional
 
 from repro.core.clusters import ARTIFACT_SCHEMA
+from repro.report.manifest import canonical_json
 
 __all__ = [
     "PAYLOAD_SCHEMA_VERSION",
@@ -40,11 +40,6 @@ __all__ = [
 #: Version of the cached-result payload format; bumping it invalidates
 #: every existing cache entry (their keys no longer match).
 PAYLOAD_SCHEMA_VERSION = 1
-
-
-def canonical_json(data: object) -> str:
-    """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _sha256(text: str) -> str:

@@ -5,9 +5,9 @@ Two HTTP services share this module:
 * :class:`TelemetrySidecar` -- the read-only telemetry endpoint behind
   ``repro-sta serve --http-port`` (``GET /healthz``, ``/metrics``,
   ``/metrics/history``, ``/profile``, ``/buildz``, ``/alertz``,
-  ``/crashz``, ``/flightz``),
-* :class:`repro.service.fabric.CacheServer` -- the cache-fabric object
-  store (``GET/PUT/HEAD /objects/<key>``).
+  ``/crashz``, ``/flightz``, ``/traces``),
+* the fleet collector (:mod:`repro.service.collector`, ``repro-sta
+  collect``), serving ``/fleetz`` and its family.
 
 Both are built from the same two pieces so the HTTP hygiene rules are
 implemented (and tested) exactly once:
@@ -20,7 +20,7 @@ implemented (and tested) exactly once:
   handler with the body stripped; a handler raising :class:`ValueError`
   answers 400 (bad client input), anything else 500.
 * :class:`RouteHTTPServer` -- a threading HTTP server bound to
-  **127.0.0.1 only** (neither telemetry nor the cache fabric is an
+  **127.0.0.1 only** (neither telemetry nor the fleet view is an
   external API) that feeds requests through one :class:`RouteTable`.
 
 Everything is standard library (``http.server``); requests never block
@@ -47,8 +47,8 @@ __all__ = [
 #: ``query_params`` holds the last value of each query-string key.
 Route = Callable[[Dict[str, str]], Tuple[str, str]]
 
-#: Request bodies above this size are refused with 413 (the fabric's
-#: PUT bodies are whole cache entries; anything bigger is a bug).
+#: Request bodies above this size are refused with 413 (every route is
+#: a read; a large body is malformed outside input).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
@@ -77,11 +77,11 @@ class RouteTable:
     """Method-aware route dispatch shared by every HTTP service here.
 
     Routes are registered per ``(method, pattern)``.  A pattern ending
-    in ``/<name>`` is a *prefix* route: ``/objects/<key>`` matches
-    ``/objects/abc123`` with ``request.operand == "abc123"``.  All
+    in ``/<name>`` is a *prefix* route: ``/traces/<id>`` matches
+    ``/traces/abc123`` with ``request.operand == "abc123"``.  All
     dispatch-policy behavior (404 listing routes, 405 with ``Allow``,
     HEAD-from-GET, ValueError -> 400, Exception -> 500) lives in
-    :meth:`dispatch` so the sidecar and the cache server cannot drift
+    :meth:`dispatch` so the sidecar and the collector cannot drift
     apart.
     """
 

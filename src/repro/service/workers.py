@@ -17,13 +17,10 @@ Job spec (plain dict)::
       "slow_path_limit": 50,
       "tolerance": 0.0,
       # cluster-granular sub-key cache (optional; see
-      # repro.service.cluster_cache).  With "peers" the worker fronts
-      # the store with the cache fabric (repro.service.fabric), so
-      # cluster artifacts computed on other hosts are hits here too:
+      # repro.service.cluster_cache).  Every worker opens its own
+      # handle on this one directory:
       "cluster_cache": {"root": ".repro-cache/clusters",
-                        "max_entries": 4096,
-                        "peers": ["http://127.0.0.1:9400"],
-                        "peer_timeout_s": 2.0},
+                        "max_entries": 4096},
       # per-job sampling profiler (optional; ships a repro.profile/1
       # document back under "profile" for the parent to merge):
       "profile": {"hz": 100},
@@ -84,14 +81,6 @@ REPORTED_COUNTERS = (
     "service.cluster_cache.seeded",
     "service.cluster_cache.recomputed",
     "service.cluster_cache.stores",
-    "service.fabric.remote_hits",
-    "service.fabric.remote_misses",
-    "service.fabric.remote_stores",
-    "service.fabric.errors",
-    "service.fabric.retries",
-    "service.fabric.peer_down",
-    "service.fabric.degraded_skips",
-    "service.fabric.integrity_failures",
 )
 
 
@@ -210,46 +199,9 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                         "service.worker.cluster_warm", category="service"
                     ):
                         delays = estimate_delays(network)
-                        backend = None
-                        peers = cc_spec.get("peers")
-                        if peers:
-                            # Front the local store with the cache
-                            # fabric: cluster artifacts computed on
-                            # other hosts become hits here.  Fabric
-                            # construction failure (bad peer URL) is a
-                            # degradation, not a job failure.
-                            from repro.service.cache import ResultCache
-                            from repro.service.fabric import (
-                                RemoteCache,
-                                TieredCache,
-                            )
-
-                            try:
-                                backend = TieredCache(
-                                    ResultCache(
-                                        str(cc_spec["root"]),
-                                        max_entries=cc_spec.get(
-                                            "max_entries", 4096
-                                        ),
-                                        counter_prefix=(
-                                            "service.cluster_cache"
-                                        ),
-                                    ),
-                                    RemoteCache(
-                                        [str(p) for p in peers],
-                                        timeout_s=float(
-                                            cc_spec.get(
-                                                "peer_timeout_s", 2.0
-                                            )
-                                        ),
-                                    ),
-                                )
-                            except ValueError:
-                                backend = None
                         cluster_store = ClusterCache(
                             str(cc_spec["root"]),
                             max_entries=cc_spec.get("max_entries", 4096),
-                            backend=backend,
                         )
                         warmup = cluster_store.warm(
                             network,

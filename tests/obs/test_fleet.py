@@ -58,7 +58,6 @@ def _scrape(ok=True, error=None, **over):
         },
         "history": _history([90, 100]),
         "alertz": {"ok": True, "alerts": []},
-        "fabricz": None,
         "crashz": {"ok": True, "crash": None},
     }
     scrape.update(over)
@@ -148,19 +147,6 @@ class TestPeerRow:
         assert row["state"] == "up"
         assert row["rate_rps"] == 0.0
         assert row["cache_hit_rate"] is None
-
-    def test_fabric_block_from_gauges(self):
-        history = _history([90, 100])
-        history["points"][-1]["gauges"] = {
-            "service.fabric.remote_hit_rate": 0.5,
-            "service.fabric.peers": 3,
-            "service.fabric.degraded": 1,
-        }
-        row = peer_row(
-            "http://a:1",
-            _scrape(history=history, fabricz={"ok": True}),
-        )
-        assert row["fabric"] == {"hit_rate": 0.5, "peers": 3, "down": 1}
 
 
 class TestFleetDoc:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service.cache import CACHE_SCHEMA, ResultCache
 
 
@@ -244,3 +251,101 @@ class TestHotPath:
         del cache  # simulated crash: write-behind state lost
         fresh = ResultCache(tmp_path / "cache")
         assert fresh.get(_key("a")) is not None
+
+
+#: One writer process: waits for the go file, then puts COUNT distinct
+#: keys into the shared cache directory.
+_WRITER = """
+import hashlib, os, sys, time
+from repro.service.cache import ResultCache
+root, go, tag, count, bound = sys.argv[1:6]
+cache = ResultCache(root, max_entries=None if bound == "none" else int(bound))
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(int(count)):
+    key = hashlib.sha256(f"{tag}-{i}".encode()).hexdigest()
+    cache.put(key, {"tag": tag, "i": i})
+"""
+
+
+def _concurrent_writers(tmp_path, root, writers, count, bound):
+    """Run ``writers`` processes that put distinct keys into ``root``
+    at the same time; returns every key written."""
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    go = tmp_path / "go"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(root), str(go), f"w{n}",
+             str(count), str(bound)],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for n in range(writers)
+    ]
+    time.sleep(0.5)  # let every writer import and reach the barrier
+    go.touch()
+    for proc in procs:
+        __, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    return [
+        hashlib.sha256(f"w{n}-{i}".encode()).hexdigest()
+        for n in range(writers)
+        for i in range(count)
+    ]
+
+
+class TestSharedDirectory:
+    """Processes share warm results through one cache directory."""
+
+    def test_stray_temp_file_is_not_an_entry(self, tmp_path):
+        """Another writer's temp file, seen by an index rebuild, is
+        neither counted, evicted nor cleared."""
+        root = tmp_path / "cache"
+        shard = root / "objects" / "aa"
+        shard.mkdir(parents=True)
+        stray = shard / ".tmp-x.json"
+        stray.write_text("{")
+        cache = ResultCache(root, max_entries=1)
+        for tag in "abc":
+            cache.put(_key(tag), PAYLOAD)  # every put past "a" evicts
+            assert len(cache) == 1
+        assert cache.get(_key("c")) is not None
+        assert cache.clear() == 1
+        assert stray.exists()
+
+    def test_malformed_index_row_is_dropped(self, tmp_path):
+        """An index saved with a temp file's row recovers instead of
+        failing every later evicting put."""
+        root = tmp_path / "cache"
+        ResultCache(root, max_entries=1).put(_key("a"), PAYLOAD)
+        index = json.loads((root / "index.json").read_text())
+        index["entries"][".tmp-y"] = 0.0  # the oldest row: first victim
+        (root / "index.json").write_text(json.dumps(index))
+        cache = ResultCache(root, max_entries=1)
+        cache.put(_key("b"), PAYLOAD)
+        cache.put(_key("c"), PAYLOAD)
+        assert len(cache) == 1
+        assert cache.get(_key("c")) is not None
+
+    def test_concurrent_writers_unbounded(self, tmp_path):
+        root = tmp_path / "cache"
+        keys = _concurrent_writers(tmp_path, root, 4, 150, "none")
+        fresh = ResultCache(root, max_entries=None)
+        assert all(fresh.get(key) is not None for key in keys)
+        assert fresh.stats.corrupt == 0
+        assert len(fresh) == len(keys)
+        assert not list(root.rglob(".tmp-*"))
+
+    def test_concurrent_writers_bounded(self, tmp_path):
+        """With a small bound every writer evicts under the others'
+        feet; no put raises and what is left reads back intact."""
+        root = tmp_path / "cache"
+        _concurrent_writers(tmp_path, root, 4, 100, 20)
+        fresh = ResultCache(root, max_entries=None)
+        left = [path.stem for path in root.glob("objects/*/*.json")]
+        assert left
+        assert all(fresh.get(key) is not None for key in left)
+        assert fresh.stats.corrupt == 0
+        assert not list(root.rglob(".tmp-*"))

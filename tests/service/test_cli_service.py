@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.service import DaemonClient, TimingDaemon
 
 
@@ -209,3 +209,27 @@ class TestServeCommand:
             for flag in ("--no-cluster-cache", "--cluster-cache-entries"):
                 assert (flag in text) is present, (command, flag)
         assert "--no-snapshot-reads" not in text
+
+    def test_cache_peer_flags_are_gone(self, capsys):
+        """Processes share a cache through one --cache-dir; there are
+        no peer or cache-server flags any more."""
+        for argv in (
+            ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
+            ["batch", "jobs.json", "--peers-file", "peers.txt"],
+            ["batch", "jobs.json", "--peer-timeout", "1"],
+            ["serve", "--socket", "s.sock", "--peers",
+             "http://127.0.0.1:9400"],
+            ["serve", "--socket", "s.sock", "--peer-timeout", "1"],
+            ["serve", "--socket", "s.sock", "--cache-listen", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(argv)
+            assert exc_info.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_peers_file_feeds_the_collector(self):
+        args = build_parser().parse_args(
+            ["serve", "--socket", "s.sock", "--http-port", "0",
+             "--collect", "--peers-file", "peers.txt"]
+        )
+        assert args.collect and args.peers_file == "peers.txt"

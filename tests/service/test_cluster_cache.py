@@ -30,6 +30,7 @@ from repro.service import (
     BatchJob,
     ClusterCache,
     DaemonClient,
+    ResultCache,
     TimingDaemon,
     cluster_digest,
 )
@@ -259,6 +260,40 @@ class TestBatchWiring:
         summary = warm.to_dict()["cluster_cache"]
         assert summary["hit_rate"] == 1.0
         assert "cluster hit rate" in warm.render_text()
+
+    def test_new_design_hits_clusters_stored_by_other_designs(
+        self, tmp_path
+    ):
+        """Engines with separate result caches share one cluster
+        directory: a design neither has analyzed loads the prefix
+        clusters that shallower pipelines stored there."""
+        from repro.clocks.serialize import save_schedule
+        from repro.netlist.persistence import save_network
+
+        def job(stages):
+            name = f"pipe{stages}"
+            network, schedule = latch_pipeline(
+                stages=stages, period=40.0, name=name
+            )
+            save_network(network, tmp_path / f"{name}.json")
+            save_schedule(schedule, tmp_path / f"{name}.clocks.json")
+            return BatchJob(
+                name,
+                str(tmp_path / f"{name}.json"),
+                str(tmp_path / f"{name}.clocks.json"),
+            )
+
+        def engine(name):
+            return BatchEngine(
+                cache=ResultCache(tmp_path / name),
+                cluster_cache=tmp_path / "clusters",
+                serial=True,
+            )
+
+        assert engine("first").run([job(3), job(4)]).computed == 2
+        outcome = engine("second").run([job(5)]).outcomes[0]
+        assert outcome.status == "computed"
+        assert outcome.cluster_cache["hits"] > 0
 
     def test_outcomes_carry_cluster_info(self, tmp_path, design_files):
         netlist, clocks = design_files

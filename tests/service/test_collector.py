@@ -97,8 +97,8 @@ class TestScrapeDegradation:
         routes = {
             "/healthz": _json_route(_HEALTH),
             "/alertz": lambda p: ("application/json", "<html>"),
-            "/fabricz": exploding,
-            # /metrics/history and /crashz: not registered -> 404
+            "/crashz": exploding,
+            # /metrics/history: not registered -> 404
         }
         with _serve(routes) as srv:
             host, port = srv.address
@@ -107,7 +107,6 @@ class TestScrapeDegradation:
         assert scrape["healthz"]["pid"] == 4242
         assert scrape["history"] is None
         assert scrape["alertz"] is None
-        assert scrape["fabricz"] is None
         assert scrape["crashz"] is None
 
     def test_one_bad_peer_does_not_poison_the_sweep(self):

@@ -145,6 +145,42 @@ class TestServing:
             result.payload()["endpoint_slacks"]
         )
 
+    def test_mutate_does_not_hash_the_network(
+        self, tmp_path, design_files, monkeypatch
+    ):
+        """Only an unmutated result is cached, so only it pays for the
+        network digest: one analyze plus five mutates digest once."""
+        import repro.service.daemon as daemon_module
+
+        netlist, clocks = design_files
+        calls = []
+        digest = daemon_module.network_digest
+
+        def counting(network):
+            calls.append(network.name)
+            return digest(network)
+
+        monkeypatch.setattr(daemon_module, "network_digest", counting)
+
+        def session(sock, cache):
+            with TimingDaemon(sock, cache=cache), DaemonClient(
+                sock, timeout=30.0
+            ) as c:
+                answers = [c.analyze(netlist, clocks)["timing_digest"]]
+                for __ in range(5):
+                    mutated = c.mutate(
+                        netlist, clocks, "scale_cell", cell="s1_i0",
+                        factor=1.1,
+                    )
+                    answers.append(mutated["analysis"]["timing_digest"])
+            return answers
+
+        cache = ResultCache(tmp_path / "digest-cache")
+        cached = session(str(tmp_path / "cached.sock"), cache)
+        assert len(calls) == 1
+        assert len(cache) == 1
+        assert cached == session(str(tmp_path / "plain.sock"), None)
+
     def test_report_endpoint(self, client, design_files):
         netlist, clocks = design_files
         analyzed = client.analyze(netlist, clocks)

@@ -1,7 +1,7 @@
 """The shared route-dispatch stack (RouteTable / RouteHTTPServer).
 
 One test suite for the HTTP hygiene rules both the telemetry sidecar
-and the cache-fabric object store are built on: unknown paths answer a
+and the fleet collector are built on: unknown paths answer a
 JSON 404 listing every route, unsupported methods answer 405 with an
 accurate ``Allow`` header, HEAD is served from GET with the body
 stripped, ValueError maps to 400 and anything else to 500, and prefix

@@ -542,7 +542,7 @@ class TestSelfDiagnosisRoutes:
             + ["/traces/<id>"]  # the trace-show handler route (PR 9)
         )
         assert sorted(payload["routes"]) == expected
-        for path in ("/alertz", "/crashz", "/flightz", "/fabricz"):
+        for path in ("/alertz", "/crashz", "/flightz"):
             assert path in payload["routes"]
 
     def test_route_table_handlers_exist(self):
