@@ -162,8 +162,10 @@ class TimingResult:
         clocks_path=None,
         recorder=None,
         label: Optional[str] = None,
+        digest: Optional[str] = None,
     ) -> Dict[str, object]:
-        """The run manifest (``repro.manifest/1``) of this analysis."""
+        """The run manifest (``repro.manifest/1``) of this analysis
+        (see :func:`repro.report.manifest.build_manifest`)."""
         from repro.report.manifest import build_manifest
 
         return build_manifest(
@@ -173,6 +175,7 @@ class TimingResult:
             clocks_path=clocks_path,
             recorder=recorder,
             label=label,
+            digest=digest,
         )
 
 

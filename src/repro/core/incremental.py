@@ -17,6 +17,15 @@ delays.  The one exception is a delay change on a cell inside a
 *control* cone: that shifts ``O_ac`` offsets, which are baked into the
 instances, so such changes trigger a full model rebuild (tracked in
 :attr:`IncrementalAnalyzer.rebuilds`).
+
+What makes a re-run cheap is the slack engine, kept across delay swaps.
+It remembers each cluster's boundary values per exact boundary times
+(:meth:`repro.core.slack.SlackEngine.port_slacks`), and a swap drops
+only the memos of the clusters whose arc delays changed: the scaled
+cell's.  Re-seeded windows walk Algorithm 1 through much the same
+offsets as the previous run did, so most cluster evaluations of a
+re-run are recalled rather than swept, and the answer is bit-identical
+to a from-scratch run.
 """
 
 from __future__ import annotations

@@ -18,14 +18,27 @@ The block method deliberately does not discard false paths -- pessimistic
 slacks are safe and fast, which is what an analysis-redesign loop needs
 (Section 7's discussion).  The exact alternative is implemented in
 :mod:`repro.baselines.path_enumeration` for comparison.
+
+A cluster's boundary values are a function of its boundary times alone
+(the view of Li et al.'s timing model extraction): the ready times at
+its captures depend only on its arc delays and launch times, the
+required times at its launches only on its arc delays and closure
+times.  A violating design takes Algorithm 1 through a score of
+evaluations of every cluster (19 on the e2e edit-loop design), and
+Algorithm 3 re-runs it after every edit, mostly with boundary times
+some earlier evaluation already had, so :meth:`SlackEngine.port_slacks`
+sweeps a cluster only for boundary times it has not seen since the
+cluster's delays last changed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.clusters import Cluster
@@ -119,36 +132,114 @@ class ArcTable:
 #: (``None``: not reached), and the reached nets in first-touch order.
 Sweep = Tuple[List[Optional[float]], List[Optional[float]], List[int]]
 
+#: Evaluations kept by each (cluster, pass, direction) memo of
+#: :meth:`SlackEngine.port_slacks`; the least recently used goes first.
+_MEMO_ENTRIES = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _packer(count: int) -> Callable[..., bytes]:
+    """Packs ``count`` floats into a memo key.  Bytes tell apart what
+    float equality does not: ``-0.0`` from ``0.0``, and NaNs."""
+    return struct.Struct(f"{count}d").pack
+
+
+def _position(cache, compute, plan, edge: Fraction, pass_index: int) -> float:
+    """``compute(edge, pass_index)``, a method of ``plan``, as a float,
+    computed once per (plan, edge, pass) in ``cache``.  Plans are keyed
+    by id, all of them being alive in ``model.plans``."""
+    assert edge is not None
+    key = (id(plan), edge, pass_index)
+    position = cache.get(key)
+    if position is None:
+        position = cache[key] = float(compute(edge, pass_index))
+    return position
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing: the memos of an engine's passes until
+    its second call (see :meth:`SlackEngine.port_slacks`)."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+_FORGETFUL = _Forgetful()
+
+
+class _Pass:
+    """One analysis pass of one cluster, as flat lists, and its memos.
+    Only a pass with captures designated to it has one: any other pass
+    yields no slack."""
+
+    __slots__ = (
+        "index",
+        "launch_positions",
+        "captures",
+        "closure_positions",
+        "pack_times",
+        "pack_closures",
+        "forward",
+        "backward",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        launch_positions: Tuple[float, ...],
+        captures: Tuple[Tuple[CapturePort, int], ...],
+        closure_positions: Tuple[float, ...],
+        pack_times: Callable[..., bytes],
+        pack_closures: Callable[..., bytes],
+    ) -> None:
+        self.index = index
+        #: Axis position of each launch port's assertion edge, in the
+        #: order of :attr:`ArcTable.launches`.
+        self.launch_positions = launch_positions
+        #: The (port, net) pairs of the captures designated to the pass,
+        #: in table order, and the axis positions of their closure edges.
+        self.captures = captures
+        self.closure_positions = closure_positions
+        #: Pack the launch times and the closure times into memo keys.
+        self.pack_times = pack_times
+        self.pack_closures = pack_closures
+        #: Packed launch times -> the ready rise values, then the ready
+        #: fall values, at the designated captures (``None``: not
+        #: reached).
+        self.forward: Dict[bytes, List[Optional[float]]] = _FORGETFUL
+        #: Packed closure times -> ``min(need rise, need fall)`` at each
+        #: launch port (``None``: not reached).
+        self.backward: Dict[bytes, List[Optional[float]]] = _FORGETFUL
+
 
 class SlackEngine:
     """Evaluates node slacks for the current offsets of a model.
 
     Construction numbers each cluster's nets and flattens its arcs into
-    an :class:`ArcTable`, and precomputes, per cluster and pass, the axis
-    positions of every boundary edge (pure clock arithmetic); repeated
-    slack queries during Algorithm 1/2 iterations then only involve
-    float work linear in the cluster sizes.  Delays are read from the
-    model at every sweep, so a delay map swapped under the model is seen
-    by the next query.
+    an :class:`ArcTable`, and precomputes, per cluster and per pass that
+    takes slacks, the axis positions of its boundary edges (pure clock
+    arithmetic); repeated slack queries during Algorithm 1/2 iterations
+    then only involve float work linear in the cluster sizes.  Delays
+    are read from the model at every sweep, so a delay map swapped under
+    the model is seen by the next query, and :meth:`port_slacks` drops
+    the memo of each cluster the new map changes.
     """
 
     def __init__(self, model: AnalysisModel) -> None:
         self._model = model
-        # (cluster, pass, instance) -> axis position of the assertion edge
-        self._launch_pos: Dict[Tuple[str, int, str], float] = {}
-        # (cluster, instance) -> axis position of the closure edge in the
-        # capture's designated pass
-        self._capture_pos: Dict[Tuple[str, str], float] = {}
         #: Cluster name -> its :class:`ArcTable`, in cluster order.
         self.tables: Dict[str, ArcTable] = {}
+        #: Cluster name -> its passes that take slacks.
+        self._passes: Dict[str, Tuple[_Pass, ...]] = {}
+        # (plan, edge, pass) -> axis position of an assertion or closure
+        # edge; plans are keyed by id, all of them being alive in
+        # model.plans.  Clusters share a few plans and instances a few
+        # edges, so each Fraction is computed once.
+        self._assertion_at: Dict[Tuple[int, Fraction, int], float] = {}
+        self._closure_at: Dict[Tuple[int, Fraction, int], float] = {}
         delays = model.delays
         senses = delays.senses
         positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
-        # (plan, edge, pass) -> axis position; plans are keyed by id, all
-        # of them being alive in model.plans.  Clusters share a few plans
-        # and instances a few edges, so each Fraction is computed once.
-        assertion_at: Dict[Tuple[int, Fraction, int], float] = {}
-        closure_at: Dict[Tuple[int, Fraction, int], float] = {}
         for cluster in model.clusters:
             index: Dict[str, int] = {}
             arcs = []
@@ -177,102 +268,212 @@ class SlackEngine:
                 (port, index.setdefault(port.net_name, len(index)))
                 for port in model.capture_ports[cluster.name]
             )
-            plan = model.plans[cluster.name]
-            self.tables[cluster.name] = ArcTable(
+            table = self.tables[cluster.name] = ArcTable(
                 cluster.name,
                 tuple(index),
                 tuple(arcs),
                 launches,
                 captures,
-                plan.num_passes,
+                model.plans[cluster.name].num_passes,
             )
-            for port, __ in launches:
-                edge = port.instance.assertion_edge
-                assert edge is not None
-                for pass_index in range(plan.num_passes):
-                    key = (id(plan), edge, pass_index)
-                    position = assertion_at.get(key)
-                    if position is None:
-                        position = assertion_at[key] = float(
-                            plan.position_assertion(edge, pass_index)
+            self._passes[cluster.name] = self._slack_passes(table)
+        # Every call starts from +inf at each boundary terminal, in
+        # instance order.
+        instances = model.all_instances()
+        self._capture_names = tuple(i.name for i in instances if i.has_input)
+        self._launch_names = tuple(i.name for i in instances if i.has_output)
+        # The delay map the memos were filled from.
+        self._filled_from = delays
+        self._calls = 0
+
+    def _slack_passes(self, table: ArcTable) -> Tuple[_Pass, ...]:
+        """``table``'s passes that take slacks, with the axis positions
+        of their boundary edges."""
+        plan = self._model.plans[table.name]
+        pack_times = _packer(len(table.launches))
+        passes = []
+        for pass_index in range(table.num_passes):
+            captures = tuple(
+                [
+                    pair
+                    for pair in table.captures
+                    if pair[0].pass_index == pass_index
+                ]
+            )
+            if not captures:
+                continue
+            passes.append(
+                _Pass(
+                    pass_index,
+                    tuple([
+                        _position(
+                            self._assertion_at, plan.position_assertion,
+                            plan, port.instance.assertion_edge, pass_index,
                         )
-                    self._launch_pos[
-                        (cluster.name, pass_index, port.instance.name)
-                    ] = position
-            for port, __ in captures:
-                edge = port.instance.closure_edge
-                assert edge is not None
-                key = (id(plan), edge, port.pass_index)
-                position = closure_at.get(key)
-                if position is None:
-                    position = closure_at[key] = float(
-                        plan.position_closure(edge, port.pass_index)
-                    )
-                self._capture_pos[(cluster.name, port.instance.name)] = (
-                    position
+                        for port, __ in table.launches
+                    ]),
+                    captures,
+                    tuple([
+                        _position(
+                            self._closure_at, plan.position_closure,
+                            plan, port.instance.closure_edge, pass_index,
+                        )
+                        for port, __ in captures
+                    ]),
+                    pack_times,
+                    _packer(len(captures)),
                 )
+            )
+        return tuple(passes)
+
+    def _forget(self, cluster_name: str) -> None:
+        """Drop the memos of one cluster."""
+        for step in self._passes[cluster_name]:
+            step.forward.clear()
+            step.backward.clear()
 
     # ------------------------------------------------------------------
     # fast path: boundary slacks only (the Algorithm 1/2 inner loop)
     # ------------------------------------------------------------------
     def port_slacks(self) -> PortSlacks:
-        rec = obs.active()
-        slacks = PortSlacks()
-        for instance in self._model.all_instances():
-            if instance.has_input:
-                slacks.capture.setdefault(instance.name, math.inf)
-            if instance.has_output:
-                slacks.launch.setdefault(instance.name, math.inf)
-        for table in self.tables.values():
-            self._cluster_port_slacks(table, slacks, rec)
-        if rec is not None:
-            rec.counter("slack.evaluations")
-        return slacks
+        """Node slacks at every boundary terminal for the current offsets.
 
-    def _cluster_port_slacks(
-        self,
-        table: ArcTable,
-        slacks: PortSlacks,
-        rec: Optional["obs.Recorder"] = None,
-    ) -> None:
+        A cluster's forward sweep in a pass depends only on its arc
+        delays and its launch times, and its backward sweep only on its
+        arc delays and the closure times of the pass's captures.  So
+        each (cluster, pass, direction) keeps a memo from those exact
+        times (packed, so ``-0.0`` and ``0.0`` are different keys) to
+        the boundary values the slacks are computed from, and sweeps
+        only for times it has not seen since the cluster's delays last
+        changed.  The slacks take the same float operations in the same
+        order whether the values are swept or recalled, so the answer is
+        bit-identical to sweeping every time.  A pass with no capture
+        designated to it yields no slack and is not evaluated.
+
+        The first call of an engine stores nothing: a one-shot analysis
+        of an intended design makes no other, and would pay for a memo
+        it never reads.
+        """
+        rec = obs.active()
+        if self._model.delays is not self._filled_from:
+            self._forget_changed_clusters()
+        if self._calls == 1:  # the second call: start remembering
+            for steps in self._passes.values():
+                for step in steps:
+                    step.forward, step.backward = {}, {}
+        self._calls += 1
+        slacks = PortSlacks(
+            dict.fromkeys(self._capture_names, math.inf),
+            dict.fromkeys(self._launch_names, math.inf),
+        )
         capture = slacks.capture
         launch = slacks.launch
-        for pass_index in range(table.num_passes):
-            ready_rise, ready_fall, reached = self._forward(table, pass_index)
-            if rec is not None:
-                rec.counter("slack.cluster_passes")
-                rec.counter("slack.forward_sweeps")
-                rec.counter("slack.nodes_visited", len(reached))
-            for port, net in table.captures:
-                if port.pass_index != pass_index:
-                    continue
-                rise = ready_rise[net]
-                if (
-                    rise is not None
-                    and math.isfinite(rise)
-                    and math.isfinite(ready_fall[net])
-                ):
-                    closure = self._closure_time(table.name, port)
-                    slack = min(closure - rise, closure - ready_fall[net])
+        isfinite = math.isfinite
+        inf = math.inf
+        cluster_passes = forward = backward = visited = reused = 0
+        for table in self.tables.values():
+            launches = table.launches
+            offsets = [port.instance.assertion_offset for port, __ in launches]
+            for step in self._passes[table.name]:
+                captures = step.captures
+                swept = False
+                times = [
+                    position + offset
+                    for position, offset in zip(step.launch_positions, offsets)
+                ]
+                memo = step.forward
+                key = step.pack_times(*times)
+                ready = memo.pop(key, None)
+                if ready is None:
+                    rise, fall, reached = self._sweep_forward(
+                        table, launches, times
+                    )
+                    ready = [rise[net] for __, net in captures]
+                    ready += [fall[net] for __, net in captures]
+                    if len(memo) >= _MEMO_ENTRIES:
+                        del memo[next(iter(memo))]
+                    swept = True
+                    forward += 1
+                    visited += len(reached)
                 else:
-                    slack = math.inf
-                name = port.instance.name
-                capture[name] = min(capture[name], slack)
-            need_rise, need_fall, constrained = self._backward(
-                table, pass_index
-            )
-            if not constrained:
-                continue
-            if rec is not None:
-                rec.counter("slack.backward_sweeps")
-            for port, net in table.launches:
-                need = need_rise[net]
-                if need is None:
-                    continue
-                t = self._assertion_time(table.name, pass_index, port)
-                slack = min(need, need_fall[net]) - t
-                name = port.instance.name
-                launch[name] = min(launch[name], slack)
+                    reused += 1
+                memo[key] = ready
+                closures = [
+                    position + port.instance.closure_offset
+                    for position, (port, __) in zip(
+                        step.closure_positions, captures
+                    )
+                ]
+                count = len(captures)
+                for k, (port, __) in enumerate(captures):
+                    rise = ready[k]
+                    fall = ready[count + k]
+                    if rise is not None and isfinite(rise) and isfinite(fall):
+                        closure = closures[k]
+                        slack = min(closure - rise, closure - fall)
+                    else:
+                        slack = inf
+                    name = port.instance.name
+                    capture[name] = min(capture[name], slack)
+                memo = step.backward
+                key = step.pack_closures(*closures)
+                needs = memo.pop(key, None)
+                if needs is None:
+                    rise, fall, __ = self._sweep_backward(
+                        table, captures, closures
+                    )
+                    needs = [
+                        None if rise[net] is None
+                        else min(rise[net], fall[net])
+                        for __, net in launches
+                    ]
+                    if len(memo) >= _MEMO_ENTRIES:
+                        del memo[next(iter(memo))]
+                    swept = True
+                    backward += 1
+                else:
+                    reused += 1
+                memo[key] = needs
+                for need, t, (port, __) in zip(needs, times, launches):
+                    if need is not None:
+                        slack = need - t
+                        name = port.instance.name
+                        launch[name] = min(launch[name], slack)
+                if swept:
+                    cluster_passes += 1
+        if rec is not None:
+            rec.counter("slack.evaluations")
+            for name, value in (
+                ("slack.cluster_passes", cluster_passes),
+                ("slack.forward_sweeps", forward),
+                ("slack.backward_sweeps", backward),
+                ("slack.nodes_visited", visited),
+                ("slack.sweeps_reused", reused),
+            ):
+                if value:
+                    rec.counter(name, value)
+        return slacks
+
+    def _forget_changed_clusters(self) -> None:
+        """Drop the memos of every cluster with an arc whose delay in
+        ``model.delays`` is not the very object it was when the memos
+        were filled.
+
+        :meth:`DelayMap.with_scaled_cell` and
+        :meth:`DelayMap.with_arc_override` copy every other arc's
+        delay object, so one identity scan finds the changed clusters
+        without a cell-to-cluster map.  The old map is held until the
+        scan, so no object of it can be freed and its id reused.
+        """
+        new = self._model.delays.max_delays
+        old = self._filled_from.max_delays
+        for table in self.tables.values():
+            for arc in table.arcs:
+                key = arc[3]
+                if new[key] is not old[key]:
+                    self._forget(table.name)
+                    break
+        self._filled_from = self._model.delays
 
     # ------------------------------------------------------------------
     # full detail (reports, Algorithm 2 outputs)
@@ -310,20 +511,48 @@ class SlackEngine:
     def _assertion_time(
         self, cluster_name: str, pass_index: int, port: LaunchPort
     ) -> float:
-        return (
-            self._launch_pos[(cluster_name, pass_index, port.instance.name)]
-            + port.instance.assertion_offset
-        )
+        plan = self._model.plans[cluster_name]
+        instance = port.instance
+        return _position(
+            self._assertion_at, plan.position_assertion, plan,
+            instance.assertion_edge, pass_index,
+        ) + instance.assertion_offset
 
     def _closure_time(self, cluster_name: str, port: CapturePort) -> float:
-        return (
-            self._capture_pos[(cluster_name, port.instance.name)]
-            + port.instance.closure_offset
-        )
+        plan = self._model.plans[cluster_name]
+        instance = port.instance
+        return _position(
+            self._closure_at, plan.position_closure, plan,
+            instance.closure_edge, port.pass_index,
+        ) + instance.closure_offset
 
     def _forward(self, table: ArcTable, pass_index: int) -> Sweep:
         """Equation 1: trace ready times forward through the cluster,
-        from its launch ports' assertion times in pass ``pass_index``.
+        from its launch ports' assertion times in pass ``pass_index``."""
+        times = [
+            self._assertion_time(table.name, pass_index, port)
+            for port, __ in table.launches
+        ]
+        return self._sweep_forward(table, table.launches, times)
+
+    def _backward(self, table: ArcTable, pass_index: int) -> Sweep:
+        """Equation 2: trace required times backward through the
+        cluster, from the closure times of the captures designated to
+        pass ``pass_index``.  With no such capture nothing is reached."""
+        captures = [
+            pair for pair in table.captures if pair[0].pass_index == pass_index
+        ]
+        closures = [
+            self._closure_time(table.name, port) for port, __ in captures
+        ]
+        return self._sweep_backward(table, captures, closures)
+
+    def _sweep_forward(
+        self, table: ArcTable, ports: Sequence[tuple], times: List[float]
+    ) -> Sweep:
+        """The forward sweep from ready time ``times[j]`` at the net of
+        the (port, net) pair ``ports[j]`` (the latest where several ports
+        share a net).
 
         The arc loop is the analysis's innermost loop: it runs over the
         flat table with the rise/fall algebra inlined on two float lists
@@ -332,8 +561,7 @@ class SlackEngine:
         rise: List[Optional[float]] = [None] * len(table.nets)
         fall: List[Optional[float]] = [None] * len(table.nets)
         reached: List[int] = []
-        for port, net in table.launches:
-            t = self._assertion_time(table.name, pass_index, port)
+        for (__, net), t in zip(ports, times):
             if rise[net] is None:
                 rise[net] = fall[net] = t
                 reached.append(net)
@@ -371,17 +599,16 @@ class SlackEngine:
                     fall[out_net] = out_fall
         return rise, fall, reached
 
-    def _backward(self, table: ArcTable, pass_index: int) -> Sweep:
-        """Equation 2: trace required times backward through the
-        cluster, from the closure times of the captures designated to
-        pass ``pass_index``.  With no such capture nothing is reached."""
+    def _sweep_backward(
+        self, table: ArcTable, ports: Sequence[tuple], closures: List[float]
+    ) -> Sweep:
+        """The backward sweep from required time ``closures[k]`` at the
+        net of the (port, net) pair ``ports[k]`` (the earliest where
+        several ports share a net)."""
         rise: List[Optional[float]] = [None] * len(table.nets)
         fall: List[Optional[float]] = [None] * len(table.nets)
         reached: List[int] = []
-        for port, net in table.captures:
-            if port.pass_index != pass_index:
-                continue
-            closure = self._closure_time(table.name, port)
+        for (__, net), closure in zip(ports, closures):
             if rise[net] is None:
                 rise[net] = fall[net] = closure
                 reached.append(net)

@@ -15,24 +15,34 @@ library cell specs) connected by *nets*, with
   (the SM1H vs SM1F distinction of Table 1),
 * :mod:`repro.netlist.persistence` -- JSON save/load,
 
-and :func:`read_netlist`, which picks the reader (JSON, BLIF or
-structural Verilog) from a design file's suffix.
+and :func:`read_netlist` (:func:`parse_netlist` for bytes read
+already), which picks the reader (JSON, BLIF or structural Verilog)
+from a design file's suffix.
 """
 
+import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.netlist.blif import load_blif, save_blif
+from repro.netlist.blif import blif_to_network, load_blif, save_blif
 from repro.netlist.builder import NetworkBuilder
 from repro.netlist.cell import Cell
 from repro.netlist.hierarchy import ModuleDefinition, ModuleSpec, flatten
 from repro.netlist.kinds import CellRole, SyncStyle, Unateness
 from repro.netlist.net import Net
 from repro.netlist.network import Network
-from repro.netlist.persistence import load_network, save_network
+from repro.netlist.persistence import (
+    load_network,
+    network_from_dict,
+    save_network,
+)
 from repro.netlist.terminals import Terminal, TerminalKind
 from repro.netlist.validate import ValidationError, validate_network
-from repro.netlist.verilog import load_verilog, save_verilog
+from repro.netlist.verilog import (
+    load_verilog,
+    save_verilog,
+    verilog_to_network,
+)
 
 
 def read_netlist(
@@ -41,19 +51,36 @@ def read_netlist(
     """Read a ``.json``, ``.blif`` or ``.v`` design against the standard
     library; ``default_clock`` is the reference clock for BLIF/Verilog
     pads without pragmas."""
+    _format(path)  # an unknown suffix fails before the file is read
+    return parse_netlist(Path(path).read_bytes(), path, default_clock)
+
+
+def parse_netlist(
+    data: bytes, path: Union[str, Path], default_clock: Optional[str] = None
+) -> Network:
+    """:func:`read_netlist` of a design file's bytes, read already.
+
+    ``path`` names the file; its suffix picks the reader.  A caller that
+    hashes the bytes it parses names exactly the design it analyses.
+    """
     from repro.cells import standard_library
 
-    suffix = Path(path).suffix.lower()
+    suffix = _format(path)
     library = standard_library()
     if suffix == ".json":
-        return load_network(path, library)
+        return network_from_dict(json.loads(data), library)
     if suffix == ".blif":
-        return load_blif(path, library, default_clock)
-    if suffix == ".v":
-        return load_verilog(path, library, default_clock)
-    raise ValueError(
-        f"unknown netlist format {suffix!r} (use .json, .blif or .v)"
-    )
+        return blif_to_network(data.decode(), library, default_clock)
+    return verilog_to_network(data.decode(), library, default_clock)
+
+
+def _format(path: Union[str, Path]) -> str:
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".json", ".blif", ".v"):
+        raise ValueError(
+            f"unknown netlist format {suffix!r} (use .json, .blif or .v)"
+        )
+    return suffix
 
 
 __all__ = [
@@ -73,6 +100,7 @@ __all__ = [
     "load_blif",
     "load_network",
     "load_verilog",
+    "parse_netlist",
     "read_netlist",
     "save_blif",
     "save_network",

@@ -76,24 +76,55 @@ def _network_from_json(
     module_specs: Dict[str, ModuleSpec],
 ) -> Network:
     network = Network(data["name"])
-    for entry in data["cells"]:
-        spec_name = entry["spec"]
-        spec: CellSpecLike
-        if spec_name in module_specs:
-            spec = module_specs[spec_name]
-        elif spec_name in _PORT_SPECS:
-            spec = _PORT_SPECS[spec_name]
-        else:
-            spec = library.spec(spec_name)
-        cell = network.add_cell(Cell(entry["name"], spec, entry.get("attrs")))
-        for pin, net_name in entry["pins"].items():
-            network.connect(net_name, cell.terminal(pin))
+    entry: Any = None
+    try:
+        for entry in data["cells"]:
+            spec_name = entry["spec"]
+            spec: CellSpecLike
+            if spec_name in module_specs:
+                spec = module_specs[spec_name]
+            elif spec_name in _PORT_SPECS:
+                spec = _PORT_SPECS[spec_name]
+            else:
+                spec = library.spec(spec_name)
+            cell = network.add_cell(
+                Cell(entry["name"], spec, entry.get("attrs"))
+            )
+            for pin, net_name in entry["pins"].items():
+                network.connect(net_name, cell.terminal(pin))
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(_malformed(data, entry, exc)) from exc
     return network
 
 
+def _malformed(data: Any, entry: Any, exc: Exception) -> str:
+    """Name the cell and key a wrongly typed netlist entry broke on."""
+    if not isinstance(data.get("cells"), list):
+        return "netlist 'cells' must be a list of objects"
+    if not isinstance(entry, dict):
+        return f"netlist cell entry {entry!r:.60} is not an object"
+    for key, kinds in (
+        ("name", str),
+        ("spec", str),
+        ("attrs", (dict, type(None))),
+        ("pins", dict),
+    ):
+        value = entry.get(key)
+        if not isinstance(value, kinds):
+            return (
+                f"netlist cell {entry.get('name')!r}: {key!r} has the "
+                f"wrong type ({type(value).__name__})"
+            )
+    return f"netlist cell {entry.get('name')!r}: {exc}"
+
+
 def network_from_dict(data: Dict[str, Any], library: SpecSource) -> Network:
-    """Rebuild a network from :func:`network_to_dict` output."""
-    if data.get("format") != "repro-netlist-v1":
+    """Rebuild a network from :func:`network_to_dict` output.
+
+    A cell entry of the wrong shape (not an object, or a key of the
+    wrong type) raises :class:`ValueError` naming the cell and the key.
+    """
+    if not isinstance(data, dict) or data.get("format") != "repro-netlist-v1":
         raise ValueError("not a repro netlist (missing/unknown format tag)")
     module_specs: Dict[str, ModuleSpec] = {}
     # Module definitions may reference other modules; resolve until stable.

@@ -49,6 +49,7 @@ WELL_KNOWN_COUNTERS = (
     "slack.forward_sweeps",
     "slack.backward_sweeps",
     "slack.nodes_visited",
+    "slack.sweeps_reused",
     # Break-open pass selection (Section 7).
     "breakopen.searches",
     "breakopen.combos_tried",

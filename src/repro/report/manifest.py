@@ -34,6 +34,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
     "canonical_json",
+    "digest_inputs",
     "json_num",
     "manifest_digest",
     "timing_digest",
@@ -62,7 +63,7 @@ def input_digest(
     netlist_path: Optional[Union[str, Path]] = None,
     clocks_path: Optional[Union[str, Path]] = None,
 ) -> str:
-    """SHA-256 over the analysis inputs.
+    """SHA-256 over the analysis inputs (:func:`digest_inputs`).
 
     When the original input files are known their raw bytes are hashed
     (so the digest matches what is on disk); otherwise the canonical
@@ -71,15 +72,22 @@ def input_digest(
     from repro.clocks.serialize import schedule_to_dict
     from repro.netlist.persistence import network_to_dict
 
-    h = hashlib.sha256()
     if netlist_path is not None and Path(netlist_path).exists():
-        h.update(Path(netlist_path).read_bytes())
+        netlist = Path(netlist_path).read_bytes()
     else:
-        h.update(canonical_json(network_to_dict(network)).encode())
+        netlist = canonical_json(network_to_dict(network)).encode()
     if clocks_path is not None and Path(clocks_path).exists():
-        h.update(Path(clocks_path).read_bytes())
+        clocks = Path(clocks_path).read_bytes()
     else:
-        h.update(canonical_json(schedule_to_dict(schedule)).encode())
+        clocks = canonical_json(schedule_to_dict(schedule)).encode()
+    return digest_inputs(netlist, clocks)
+
+
+def digest_inputs(netlist: bytes, clocks: bytes) -> str:
+    """The manifest's ``input_digest`` of a netlist's and a clock
+    schedule's bytes."""
+    h = hashlib.sha256(netlist)
+    h.update(clocks)
     return h.hexdigest()
 
 
@@ -90,12 +98,16 @@ def build_manifest(
     clocks_path: Optional[Union[str, Path]] = None,
     recorder=None,
     label: Optional[str] = None,
+    digest: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble the manifest for one finished :class:`TimingResult`.
 
     ``analyzer`` is the :class:`repro.core.analyzer.Hummingbird` that
     produced ``result``; ``recorder`` an optional :class:`repro.obs.
     Recorder` whose counters/gauges are snapshotted into the manifest.
+    ``digest`` is the ``input_digest`` of the bytes the caller parsed
+    (:func:`digest_inputs`); without it the paths' current contents (or
+    the in-memory inputs) are hashed.
     """
     from repro.clocks.serialize import schedule_to_dict
     from repro.core.statistics import timing_statistics
@@ -112,7 +124,7 @@ def build_manifest(
         "design": model.network.name,
         "label": label or model.network.name,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "input_digest": input_digest(
+        "input_digest": digest or input_digest(
             model.network, model.schedule, netlist_path, clocks_path
         ),
         "clock_schedule": schedule_to_dict(model.schedule),

@@ -81,6 +81,7 @@ import socketserver
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -161,14 +162,20 @@ class _DesignState:
     """One warm design: parsed network + incremental engine."""
 
     def __init__(self, netlist: str, clocks: str, default_clock=None):
-        from repro.clocks.serialize import load_schedule
+        from repro.clocks.serialize import schedule_from_dict
         from repro.core.incremental import IncrementalAnalyzer
-        from repro.netlist import read_netlist
+        from repro.netlist import parse_netlist
+        from repro.report.manifest import digest_inputs
 
         self.netlist = netlist
         self.clocks = clocks
-        self.network = read_netlist(netlist, default_clock)
-        self.schedule = load_schedule(clocks)
+        netlist_bytes = Path(netlist).read_bytes()
+        self.network = parse_netlist(netlist_bytes, netlist, default_clock)
+        clocks_bytes = Path(clocks).read_bytes()
+        self.schedule = schedule_from_dict(json.loads(clocks_bytes))
+        #: The manifest's ``input_digest``: the bytes parsed here, not
+        #: whatever the files hold by the time a request is answered.
+        self.input_digest = digest_inputs(netlist_bytes, clocks_bytes)
         self.analyzer = IncrementalAnalyzer(self.network, self.schedule)
         self.lock = threading.Lock()
         self.mutations = 0
@@ -1174,9 +1181,7 @@ class TimingDaemon:
             state.analyses += 1
         state.served = True
         manifest = result.manifest(
-            netlist_path=state.netlist,
-            clocks_path=state.clocks,
-            label=request.get("label"),
+            label=request.get("label"), digest=state.input_digest
         )
         if self.cache is not None and state.mutations == 0:
             # Hash the network only when the result is cacheable: a

@@ -76,6 +76,7 @@ REPORTED_COUNTERS = (
     "alg1.backward_cycles",
     "slack.evaluations",
     "slack.nodes_visited",
+    "slack.sweeps_reused",
     "service.cluster_cache.hits",
     "service.cluster_cache.misses",
     "service.cluster_cache.seeded",

@@ -635,23 +635,55 @@ def test_capture_passes_match_plan(analyzer):
 
 
 def test_engine_positions_match_plan(analyzer):
+    """Every boundary time the engine reads is the plan's position plus
+    the instance's offset: through ``_assertion_time`` /
+    ``_closure_time``, and from the per-pass lists ``port_slacks``
+    reads."""
     model, engine = analyzer.model, analyzer.engine
     for cluster in model.clusters:
         plan = model.plans[cluster.name]
-        for port in model.launch_ports[cluster.name]:
-            edge = port.instance.assertion_edge
-            for pass_index in range(plan.num_passes):
+        launches = model.launch_ports[cluster.name]
+        captures = model.capture_ports[cluster.name]
+
+        def assertion(port, pass_index):
+            return float(plan.position_assertion(
+                port.instance.assertion_edge, pass_index
+            ))
+
+        def closure(port):
+            return float(plan.position_closure(
+                port.instance.closure_edge, port.pass_index
+            ))
+
+        for pass_index in range(plan.num_passes):
+            for port in launches:
                 key = (cluster.name, pass_index, port.instance.name)
-                assert engine._launch_pos[key].hex() == float(
-                    plan.position_assertion(edge, pass_index)
+                assert engine._assertion_time(
+                    cluster.name, pass_index, port
+                ).hex() == (
+                    assertion(port, pass_index)
+                    + port.instance.assertion_offset
                 ).hex(), key
-        for port in model.capture_ports[cluster.name]:
+        for port in captures:
             key = (cluster.name, port.instance.name)
-            assert engine._capture_pos[key].hex() == float(
-                plan.position_closure(
-                    port.instance.closure_edge, port.pass_index
-                )
+            assert engine._closure_time(cluster.name, port).hex() == (
+                closure(port) + port.instance.closure_offset
             ).hex(), key
+        passes = engine._passes[cluster.name]
+        assert [step.index for step in passes] == sorted(
+            {port.pass_index for port in captures}
+        )
+        for step in passes:
+            assert [p.hex() for p in step.launch_positions] == [
+                assertion(port, step.index).hex() for port in launches
+            ], (cluster.name, step.index)
+            designated = [
+                port for port in captures if port.pass_index == step.index
+            ]
+            assert [port for port, __ in step.captures] == designated
+            assert [p.hex() for p in step.closure_positions] == [
+                closure(port).hex() for port in designated
+            ], (cluster.name, step.index)
 
 
 def test_des_edge_arithmetic_once_per_key(monkeypatch):

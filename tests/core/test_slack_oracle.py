@@ -19,6 +19,11 @@ designs, 30 incremental delay swaps, and hand-built cases (NaN and
 infinite arcs, split rise/fall maxima, non-unate arcs, an unreached
 capture, several launch ports on one net).  A count guard checks that
 slow-path extraction takes one forward sweep per violated cluster pass.
+
+The memo of :meth:`SlackEngine.port_slacks` is checked against an
+engine that forgets it before every call (edit sequences on the e2e
+edit-loop and violator designs), and against a fresh engine after
+every kind of delay map, a window move and a ``-0.0`` boundary time.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from typing import Dict, List, Optional
 
 import pytest
 
+from repro import obs
 from repro.cells import standard_library
 from repro.clocks import ClockSchedule
+from repro.core.algorithm2 import run_algorithm2
 from repro.core.analyzer import Hummingbird
 from repro.core.incremental import IncrementalAnalyzer
 from repro.core.report import (
@@ -41,7 +48,13 @@ from repro.core.report import (
     extract_slow_paths,
     trace_endpoint_path,
 )
-from repro.core.slack import ClusterDetail, PassDetail, PortSlacks, SlackEngine
+from repro.core.slack import (
+    _MEMO_ENTRIES,
+    ClusterDetail,
+    PassDetail,
+    PortSlacks,
+    SlackEngine,
+)
 from repro.delay import DelayMap, estimate_delays
 from repro.generators import fig1_circuit, loop_of_latches, random_design
 from repro.generators.alu import generate_alu
@@ -49,6 +62,7 @@ from repro.generators.des import generate_des
 from repro.generators.fsm import generate_sm1f, generate_sm1h
 from repro.netlist import NetworkBuilder
 from repro.netlist.kinds import CellRole, Unateness
+from repro.report.manifest import manifest_digest
 from repro.rftime import RiseFall
 
 from tests.core.test_preprocess_oracle import DESIGNS as PREPROCESS_DESIGNS
@@ -545,26 +559,236 @@ def test_agrees_with_reference(design):
     check(*DESIGNS[design]())
 
 
-def test_incremental_delay_swaps():
-    """The edit loop's design through 30 one-cell delay swaps: the
-    engine reads each swapped delay map with no rebuild."""
-    network, schedule = random_design(
+def edit_loop_design():
+    return random_design(
         2026, n_banks=4, gates_per_bank=150, bits=8, style="latch"
     )
+
+
+def _gates(network) -> List[str]:
+    return sorted(
+        c.name for c in network.cells if c.role is CellRole.COMBINATIONAL
+    )
+
+
+def _edit(rng: random.Random, cells: List[str]):
+    """One random edit of the e2e edit loop: (cell, scale factor)."""
+    return rng.choice(cells), round(rng.uniform(1.01, 1.15), 3)
+
+
+def test_incremental_delay_swaps():
+    """The edit loop's design through 30 one-cell delay swaps: the
+    engine reads each swapped delay map with no rebuild, and answers
+    most cluster evaluations from its memo."""
+    network, schedule = edit_loop_design()
     analyzer = IncrementalAnalyzer(network, schedule)
     checked = Checked(analyzer)
     checked.assert_agrees(analyzer.timing_result())
-    cells = sorted(
-        c.name for c in network.cells if c.role is CellRole.COMBINATIONAL
-    )
+    cells = _gates(network)
     rng = random.Random(0)
-    for __ in range(30):
-        cell, factor = rng.choice(cells), round(rng.uniform(1.01, 1.15), 3)
-        analyzer.scale_cell(cell, factor)
-        checked.watch()
-        checked.assert_agrees(analyzer.timing_result(warm=True))
+    with obs.recording() as rec:
+        for __ in range(30):
+            analyzer.scale_cell(*_edit(rng, cells))
+            checked.watch()
+            checked.assert_agrees(analyzer.timing_result(warm=True))
     assert analyzer.swaps + analyzer.rebuilds == 30
     assert analyzer.swaps > 0
+    reused = rec.counters["slack.sweeps_reused"]
+    swept = (
+        rec.counters["slack.forward_sweeps"]
+        + rec.counters["slack.backward_sweeps"]
+    )
+    assert reused > swept > 0
+
+
+# ----------------------------------------------------------------------
+# the boundary memo of port_slacks()
+# ----------------------------------------------------------------------
+class FullSweeps(SlackEngine):
+    """An engine that forgets its memo before every call, so every
+    cluster evaluation sweeps."""
+
+    def port_slacks(self) -> PortSlacks:
+        for name in self.tables:
+            self._forget(name)
+        return super().port_slacks()
+
+
+class FullSweepAnalyzer(IncrementalAnalyzer):
+    def _build(self) -> None:
+        super()._build()
+        self.engine = FullSweeps(self.model)
+
+
+def _recording_calls(engine: SlackEngine) -> List[tuple]:
+    """Every later ``port_slacks()`` answer of ``engine``, bit-exact."""
+    calls: List[tuple] = []
+    method = type(engine).port_slacks
+
+    def port_slacks() -> PortSlacks:
+        slacks = method(engine)
+        calls.append(slacks_view(slacks))
+        return slacks
+
+    engine.port_slacks = port_slacks
+    return calls
+
+
+def _answer(analyzer) -> tuple:
+    calls = _recording_calls(analyzer.engine)
+    result = analyzer.timing_result()
+    return (
+        calls,
+        result.intended,
+        result.algorithm1.iterations,
+        manifest_digest(result.manifest()),
+    )
+
+
+@pytest.mark.parametrize(
+    "design, edits", [(edit_loop_design, 50), (violator, 5)]
+)
+def test_memo_equals_full_sweeps(design, edits):
+    """Every port_slacks() answer, verdict, iteration count and
+    manifest digest of an edit sequence equals that of an engine that
+    sweeps every cluster on every call."""
+    network, schedule = design()
+    ours = IncrementalAnalyzer(network, schedule)
+    full = FullSweepAnalyzer(network, schedule)
+    assert _answer(ours) == _answer(full)
+    cells = _gates(network)
+    rng = random.Random(1)
+    for edit in range(edits):
+        cell, factor = _edit(rng, cells)
+        ours.scale_cell(cell, factor)
+        full.scale_cell(cell, factor)
+        assert _answer(ours) == _answer(full), edit
+
+
+def _agrees_with_fresh_engine(model, engine) -> tuple:
+    view = slacks_view(engine.port_slacks())
+    assert view == slacks_view(SlackEngine(model).port_slacks())
+    return view
+
+
+def test_memo_follows_every_kind_of_delay_map():
+    network, schedule = edit_loop_design()
+    analyzer = Hummingbird(network, schedule)
+    analyzer.analyze()
+    model, engine = analyzer.model, analyzer.engine
+    original = model.delays
+    before = _agrees_with_fresh_engine(model, engine)
+    (cell, in_pin, out_pin), = _gate_arcs(network, original, 1)
+    maps = {
+        "arc_override": original.with_arc_override(
+            cell, in_pin, out_pin, RiseFall(50.0, 50.0)
+        ),
+        "globally_scaled": original.globally_scaled(1.5),
+        "re_estimated": estimate_delays(network),
+        "scaled_cell": original.with_scaled_cell(cell, 3.0),
+        "original": original,
+    }
+    for name, delays in maps.items():
+        model.delays = delays
+        view = _agrees_with_fresh_engine(model, engine)
+        assert (view == before) == (name in ("re_estimated", "original")), (
+            name
+        )
+        # Again, from the memo just filled.
+        assert _agrees_with_fresh_engine(model, engine) == view, name
+
+
+def test_memo_follows_scale_cell():
+    network, schedule = edit_loop_design()
+    analyzer = IncrementalAnalyzer(network, schedule)
+    analyzer.analyze()
+    before = _agrees_with_fresh_engine(analyzer.model, analyzer.engine)
+    cell = next(
+        name for name in _gates(network)
+        if name not in analyzer._control_cells
+    )
+    analyzer.scale_cell(cell, 10.0)
+    assert analyzer.swaps == 1
+    after = _agrees_with_fresh_engine(analyzer.model, analyzer.engine)
+    assert after != before
+
+
+def test_memo_follows_windows():
+    """Algorithm 2 (time snatching on a violating design) and a window
+    reset move the offsets under a filled memo."""
+    network, schedule = violator()
+    analyzer = Hummingbird(network, schedule)
+    analyzer.analyze()
+    model, engine = analyzer.model, analyzer.engine
+    analyzed = _agrees_with_fresh_engine(model, engine)
+    run_algorithm2(model, engine)
+    constrained = _agrees_with_fresh_engine(model, engine)
+    model.reset_windows()
+    reset = _agrees_with_fresh_engine(model, engine)
+    assert len({analyzed, constrained, reset}) == 3
+
+
+def test_memo_tells_negative_zero_from_zero():
+    """A launch time of -0.0 is a new boundary time, not a hit on 0.0.
+
+    Clock positions are never -0.0, so the pad's position is set to
+    -0.0 by hand, in the engine under test and in the fresh one alike;
+    the pad's offset then picks the sign of its launch time."""
+    network, schedule = _two_input_stage("AND2", 2.0)
+    model = Hummingbird(network, schedule).model
+    (pad,) = model.instances["din"]
+
+    def negative_zero_position(engine: SlackEngine) -> SlackEngine:
+        (name,) = [
+            name for name, table in engine.tables.items()
+            if any(port.instance is pad for port, __ in table.launches)
+        ]
+        for step in engine._passes[name]:
+            step.launch_positions = (-0.0,)
+        return engine
+
+    engine = negative_zero_position(SlackEngine(model))
+    pad.fixed_offset = 0.0  # launch time -0.0 + 0.0 == 0.0
+    engine.port_slacks()
+    engine.port_slacks()  # the first call keeps nothing; this one does
+    pad.fixed_offset = -0.0  # launch time -0.0 + -0.0 == -0.0
+    with obs.recording() as rec:
+        view = slacks_view(engine.port_slacks())
+    assert rec.counters["slack.forward_sweeps"] == 1
+    fresh = negative_zero_position(SlackEngine(model))
+    assert view == slacks_view(fresh.port_slacks())
+
+
+def test_one_shot_analysis_keeps_no_memo():
+    """An intended design converges in one port_slacks() call, so the
+    memo would be pure overhead: the first call keeps nothing."""
+    network, schedule = generate_sm1f()
+    analyzer = Hummingbird(network, schedule)
+    result = analyzer.analyze()
+    assert result.intended and result.algorithm1.iterations.total == 0
+    assert not any(
+        step.forward or step.backward
+        for passes in analyzer.engine._passes.values()
+        for step in passes
+    )
+
+
+def test_memo_stays_bounded():
+    """300 edits fill some memo to the bound and none past it."""
+    network, schedule = edit_loop_design()
+    analyzer = IncrementalAnalyzer(network, schedule)
+    cells = _gates(network)
+    rng = random.Random(2)
+    for __ in range(300):
+        analyzer.scale_cell(*_edit(rng, cells))
+        analyzer.analyze()
+    sizes = [
+        len(memo)
+        for passes in analyzer.engine._passes.values()
+        for step in passes
+        for memo in (step.forward, step.backward)
+    ]
+    assert max(sizes) == _MEMO_ENTRIES
 
 
 # ----------------------------------------------------------------------

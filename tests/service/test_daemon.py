@@ -11,7 +11,8 @@ from repro.cells import standard_library
 from repro.clocks.serialize import load_schedule
 from repro.core.analyzer import Hummingbird
 from repro.delay.estimator import estimate_delays
-from repro.netlist.persistence import load_network
+from repro.generators import latch_pipeline
+from repro.netlist.persistence import load_network, save_network
 from repro.report.manifest import manifest_digest, timing_digest
 from repro.service import DaemonClient, ResultCache, TimingDaemon
 
@@ -181,6 +182,28 @@ class TestServing:
         assert len(cache) == 1
         assert cached == session(str(tmp_path / "plain.sock"), None)
 
+    def test_manifest_digests_the_bytes_it_analysed(
+        self, tmp_path, client, design_files
+    ):
+        """Overwriting the netlist after load changes neither the
+        analysed design nor its ``input_digest``: the manifest names
+        the bytes that were parsed, not the file as it is now."""
+        netlist, clocks = design_files
+        first = client.analyze(netlist, clocks)
+        other, __ = latch_pipeline(
+            stages=3, stage_lengths=[2, 1, 1], period=12.0
+        )
+        save_network(other, netlist)
+        mutated = client.mutate(
+            netlist, clocks, "scale_cell", cell="s1_i0", factor=1.0
+        )["analysis"]
+        assert mutated["design"] == first["design"]
+        assert mutated["timing_digest"] == first["timing_digest"]
+        assert (
+            mutated["manifest"]["input_digest"]
+            == first["manifest"]["input_digest"]
+        )
+
     def test_report_endpoint(self, client, design_files):
         netlist, clocks = design_files
         analyzed = client.analyze(netlist, clocks)
@@ -297,6 +320,31 @@ class TestSelfDiagnosis:
         c.request({"op": "analyze"})  # ValueError: bad request
         assert c.crash_report()["crash"] is None
         assert server.crash.reports_written == 0
+
+    @pytest.mark.parametrize(
+        "corrupt, culprit",
+        [
+            (lambda doc: doc["cells"][3].update(pins="oops"), "'pins'"),
+            (lambda doc: doc["cells"].__setitem__(3, "oops"), "'oops'"),
+        ],
+    )
+    def test_malformed_netlist_is_a_value_error(
+        self, diag, tmp_path, design_files, corrupt, culprit
+    ):
+        server, c = diag
+        netlist, clocks = design_files
+        doc = json.loads(open(netlist).read())
+        corrupt(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        response = c.analyze(str(broken), clocks)
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert culprit in response["error"]
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
+        counters = c.metrics()["metrics"]["counters"]
+        assert not counters.get("service.daemon.crash_reports")
 
     def test_failed_request_logs_spans_regardless_of_threshold(
         self, tmp_path

@@ -489,6 +489,14 @@ def _missing_clocks(doc, clocks):
     return "no_such_clocks.json"
 
 
+def _pins_not_an_object(doc, clocks):
+    next(c for c in doc["cells"] if c["name"] == "s0_i0")["pins"] = "oops"
+
+
+def _cell_not_an_object(doc, clocks):
+    doc["cells"][0] = "oops"
+
+
 def _pins(doc, cell_name):
     return next(c for c in doc["cells"] if c["name"] == cell_name)["pins"]
 
@@ -510,6 +518,16 @@ class TestInvalidDesignOrClocks:
             ),
             ("analyze", _untagged_clocks, "missing format tag"),
             ("analyze", _missing_clocks, "No such file or directory"),
+            (
+                "analyze",
+                _pins_not_an_object,
+                "netlist cell 's0_i0': 'pins' has the wrong type (str)",
+            ),
+            (
+                "analyze",
+                _cell_not_an_object,
+                "netlist cell entry 'oops' is not an object",
+            ),
             ("stats", _self_loop, "directed cycle through: s0_i0"),
             ("stats", _missing_clocks, "No such file or directory"),
         ],
