@@ -502,22 +502,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_bytes=args.access_log_max_bytes,
             backups=args.access_log_backups,
         )
-    collector = None
-    if args.collect:
-        from repro.service import FleetCollector
-
-        if not args.peers_file:
-            raise SystemExit("--collect needs --peers-file")
-        if args.http_port is None:
-            raise SystemExit(
-                "--collect needs --http-port (the fleet routes ride "
-                "the telemetry sidecar)"
-            )
-        collector = FleetCollector(
-            args.peers_file,
-            interval_s=args.collect_interval,
-            http_port=None,
-        )
     daemon = TimingDaemon(
         args.socket,
         cache=_make_cache(args),
@@ -530,7 +514,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         trace_max_bytes=args.trace_max_bytes,
         trace_sample=args.trace_sample,
-        collector=collector,
         workers=args.workers,
         stall_timeout_s=(
             args.stall_timeout if args.stall_timeout > 0 else None
@@ -560,14 +543,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"({stats['traces']} traces on disk, "
             f"max {args.trace_max_bytes} bytes, "
             f"sample {args.trace_sample:g})",
-            file=sys.stderr,
-        )
-    if collector is not None:
-        print(
-            f"fleet collector: {len(collector.peers)} peers from "
-            f"{args.peers_file} every {args.collect_interval:g}s "
-            "(GET /fleetz, /fleet/doctor, /fleet/metrics, "
-            "/fleet/history)",
             file=sys.stderr,
         )
     if args.access_log:
@@ -708,50 +683,13 @@ def cmd_alerts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_peers(args: argparse.Namespace) -> List[str]:
-    """Peer URLs for the fleet commands (``--peers`` + ``--peers-file``)."""
-    from repro.obs.fleet import load_peers
-
-    peers = list(getattr(args, "peers", None) or ())
-    if getattr(args, "peers_file", None):
-        try:
-            for url in load_peers(args.peers_file):
-                if url not in peers:
-                    peers.append(url)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read --peers-file: {exc}")
-    if not peers:
-        raise SystemExit("no peers: pass --peers and/or --peers-file")
-    return peers
-
-
 def cmd_doctor(args: argparse.Namespace) -> int:
-    if getattr(args, "fleet", False):
-        from repro.obs.fleet import (
-            build_fleet_doctor,
-            fleet_doctor_exit_code,
-            render_fleet_doctor,
-        )
-        from repro.service.collector import scrape_fleet
-
-        scrapes = scrape_fleet(
-            _fleet_peers(args), timeout_s=args.timeout
-        )
-        doc = build_fleet_doctor(scrapes)
-        if args.json:
-            print(_pretty_json(doc))
-        else:
-            print(render_fleet_doctor(doc))
-        return fleet_doctor_exit_code(doc)
-
     from repro.service.doctor import (
         doctor_exit_code,
         fetch_doctor,
         render_doctor,
     )
 
-    if not args.socket:
-        raise SystemExit("doctor needs --socket (or --fleet with peers)")
     with _daemon_client(args) as client:
         doc = fetch_doctor(client, flight_last=args.flight)
     if args.json:
@@ -759,49 +697,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         print(render_doctor(doc))
     return doctor_exit_code(doc)
-
-
-def cmd_collect(args: argparse.Namespace) -> int:
-    """Standalone fleet collector process (``repro-sta collect``)."""
-    import time as _time
-
-    from repro.service import FleetCollector
-
-    collector = FleetCollector(
-        args.peers_file,
-        interval_s=args.interval,
-        timeout_s=args.peer_timeout,
-        http_port=args.http_port,
-    )
-    host, port = collector.start()
-    print(
-        f"repro-sta collector on {host}:{port} "
-        f"(GET /fleetz, /fleet/doctor, /fleet/metrics, /fleet/history, "
-        f"/healthz); {len(collector.peers)} peers from {args.peers_file} "
-        f"every {args.interval:g}s",
-        file=sys.stderr,
-    )
-    try:
-        while True:
-            _time.sleep(3600.0)
-    except KeyboardInterrupt:
-        collector.stop()
-        print("collector stopped", file=sys.stderr)
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Multi-peer dashboard (``repro-sta fleet``)."""
-    from repro.obs.fleet import build_fleet_doc, render_fleet
-    from repro.service.collector import scrape_fleet
-
-    peers = _fleet_peers(args)
-
-    def frame():
-        doc = build_fleet_doc(scrape_fleet(peers, timeout_s=args.timeout))
-        return doc if args.json else render_fleet(doc)
-
-    return _redraw(args, frame)
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
@@ -1079,8 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_arguments(obs_batch)
     batch.set_defaults(func=cmd_batch)
 
-    # No abbreviations: a retired ``--peers`` must not silently parse
-    # as ``--peers-file``.
+    # No abbreviations: a flag parses only under its full name, so a
+    # short or retired spelling exits 2 instead of binding to the flag
+    # it is a prefix of (``--slow`` is not ``--slow-threshold``).
     serve = sub.add_parser(
         "serve",
         help="start the timing daemon on a Unix socket (JSON-lines)",
@@ -1178,30 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RATE",
         help="probability of keeping an unremarkable (ok, fast) "
         "request's trace (default: 0.05)",
-    )
-    fleet_group = serve.add_argument_group("fleet collector")
-    fleet_group.add_argument(
-        "--collect",
-        action="store_true",
-        help="embed a fleet collector: scrape the sidecars listed in "
-        "--peers-file on the history cadence and serve /fleetz, "
-        "/fleet/doctor, /fleet/metrics and /fleet/history from this "
-        "daemon's --http-port",
-    )
-    fleet_group.add_argument(
-        "--peers-file",
-        metavar="FILE",
-        default=None,
-        help="peer sidecar base URLs for --collect (one per line, or "
-        "JSON; re-read when the file changes)",
-    )
-    fleet_group.add_argument(
-        "--collect-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="collector scrape cadence (default: 5.0, the metrics-"
-        "history cadence)",
     )
     diagnosis = serve.add_argument_group("self-diagnosis")
     diagnosis.add_argument(
@@ -1327,10 +1199,9 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor",
         help="one-shot daemon triage: firing alerts, latest crash "
         "report, flight-recorder tail (exit 0 healthy / 1 alerts "
-        "firing / 2 crash report present); --fleet aggregates every "
-        "peer's verdict into one exit code",
+        "firing / 2 crash report present)",
     )
-    doctor.add_argument("--socket", metavar="PATH")
+    doctor.add_argument("--socket", required=True, metavar="PATH")
     doctor.add_argument(
         "--flight",
         type=int,
@@ -1342,114 +1213,9 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument(
         "--json",
         action="store_true",
-        help="emit the raw repro.doctor/1 (or repro.fleetdoctor/1) "
-        "document",
-    )
-    doctor.add_argument(
-        "--fleet",
-        action="store_true",
-        help="triage every peer sidecar over HTTP instead of one "
-        "daemon's socket (exit code = worst peer; a down peer is at "
-        "least exit 1)",
-    )
-    doctor.add_argument(
-        "--peers",
-        metavar="URL",
-        nargs="+",
-        default=None,
-        help="peer sidecar base URLs for --fleet",
-    )
-    doctor.add_argument(
-        "--peers-file",
-        metavar="FILE",
-        default=None,
-        help="read peer sidecar URLs for --fleet from FILE",
+        help="emit the raw repro.doctor/1 document",
     )
     doctor.set_defaults(func=cmd_doctor)
-
-    collect = sub.add_parser(
-        "collect",
-        help="run a standalone fleet collector: scrape every peer "
-        "sidecar on a cadence and serve the aggregated /fleetz view",
-    )
-    collect.add_argument(
-        "--peers-file",
-        required=True,
-        metavar="FILE",
-        help="peer sidecar base URLs (one per line or JSON; re-read "
-        "when the file changes)",
-    )
-    collect.add_argument(
-        "--http-port",
-        type=int,
-        required=True,
-        metavar="PORT",
-        help="serve GET /fleetz, /fleet/doctor, /fleet/metrics, "
-        "/fleet/history and /healthz on 127.0.0.1:PORT (0 picks an "
-        "ephemeral port)",
-    )
-    collect.add_argument(
-        "--interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="scrape cadence (default: 5.0, the metrics-history "
-        "cadence)",
-    )
-    collect.add_argument(
-        "--peer-timeout",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="per-endpoint scrape timeout (default: 2.0s)",
-    )
-    collect.set_defaults(func=cmd_collect)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="multi-peer dashboard: one row per daemon with req/s, "
-        "latency quantiles, cache hit rate, firing alerts and "
-        "up/degraded/down state",
-    )
-    fleet.add_argument(
-        "--peers",
-        metavar="URL",
-        nargs="+",
-        default=None,
-        help="peer sidecar base URLs (e.g. http://127.0.0.1:9200)",
-    )
-    fleet.add_argument(
-        "--peers-file",
-        metavar="FILE",
-        default=None,
-        help="read peer sidecar URLs from FILE",
-    )
-    fleet.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll/redraw period (default: 2.0)",
-    )
-    fleet.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="render N frames then exit (default: run until Ctrl-C)",
-    )
-    fleet.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame to stdout and exit (no redraw)",
-    )
-    fleet.add_argument("--timeout", type=float, default=2.0)
-    fleet.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one repro.fleet/1 JSON document per refresh",
-    )
-    fleet.set_defaults(func=cmd_fleet)
 
     traces = sub.add_parser(
         "traces",

@@ -19,10 +19,7 @@ pipeline.
   ``repro.error/1``, ``repro.crash/1``),
 * :mod:`repro.obs.tracestore` -- tail-sampled on-disk trace ring
   (``repro.tracedoc/1``) whose kept ids surface as exemplars in the
-  Prometheus latency histograms,
-* :mod:`repro.obs.fleet` -- pure fleet-level aggregation of per-daemon
-  telemetry (``repro.fleet/1``, ``repro.fleetdoctor/1``) behind
-  ``repro-sta fleet`` / ``doctor --fleet`` and the collector.
+  Prometheus latency histograms.
 
 Recording is **disabled by default**: every instrumentation site in the
 analysis pipeline degrades to a single global read (see
@@ -115,16 +112,6 @@ from repro.obs.tracestore import (
     TailSampler,
     TraceStore,
 )
-from repro.obs.fleet import (
-    FLEET_DOCTOR_SCHEMA,
-    FLEET_SCHEMA,
-    build_fleet_doc,
-    build_fleet_doctor,
-    fleet_doctor_exit_code,
-    load_peers,
-    render_fleet,
-    render_fleet_doctor,
-)
 
 __all__ = [
     "Recorder",
@@ -190,12 +177,4 @@ __all__ = [
     "TRACE_DOC_SCHEMA",
     "TailSampler",
     "TraceStore",
-    "FLEET_SCHEMA",
-    "FLEET_DOCTOR_SCHEMA",
-    "build_fleet_doc",
-    "build_fleet_doctor",
-    "fleet_doctor_exit_code",
-    "load_peers",
-    "render_fleet",
-    "render_fleet_doctor",
 ]

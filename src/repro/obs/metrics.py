@@ -100,16 +100,13 @@ WELL_KNOWN_COUNTERS = (
     "service.profile.fetches",
     "service.profile.samples",
     "service.tsdb.reads",
-    # Fleet observability (PR 9; docs/observability.md).
+    # Tail-sampled trace store (PR 9; docs/observability.md).
     "service.tracestore.kept",
     "service.tracestore.kept_error",
     "service.tracestore.kept_slow",
     "service.tracestore.dropped",
     "service.tracestore.evicted",
     "service.tracestore.write_errors",
-    "service.collector.scrapes",
-    "service.collector.scrape_errors",
-    "service.collector.peer_set_reloads",
 )
 
 

@@ -21,19 +21,14 @@ engine for repeated and concurrent timing queries:
   :class:`DaemonClient`, a long-lived engine behind a JSON-lines Unix
   socket that keeps parsed networks warm and answers
   analyze / what-if / report queries through the incremental engine,
-* :mod:`repro.service.httpmon` -- the shared localhost HTTP stack
-  (:class:`RouteTable` / :class:`RouteHTTPServer`) and
-  :class:`TelemetrySidecar`, the server behind ``repro-sta serve
-  --http-port`` exposing ``/healthz`` and ``/metrics``,
+* :mod:`repro.service.httpmon` -- :class:`TelemetrySidecar`, the
+  localhost HTTP server behind ``repro-sta serve --http-port``
+  exposing ``/healthz``, ``/metrics`` and the other read-only routes,
 * :mod:`repro.service.top` -- frame fetch + pure renderer for the
   ``repro-sta top`` live daemon dashboard,
 * :mod:`repro.service.doctor` -- one-shot triage (``repro-sta
   doctor``): firing alerts, latest crash report and the flight-recorder
-  tail, with a CI-friendly exit code,
-* :mod:`repro.service.collector` -- the fleet observability plane:
-  :func:`scrape_peer` / :class:`FleetCollector` scrape every peer's
-  sidecar into one ``repro.fleet/1`` view (``GET /fleetz``,
-  ``repro-sta fleet``, ``repro-sta doctor --fleet``).
+  tail, with a CI-friendly exit code.
 
 See ``docs/service.md`` for the cache key scheme, batch semantics,
 the daemon protocol and the monitoring walkthrough.
@@ -49,11 +44,6 @@ from repro.service.batch import (
 )
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.cluster_cache import ClusterCache, ClusterWarmup
-from repro.service.collector import (
-    FleetCollector,
-    scrape_fleet,
-    scrape_peer,
-)
 from repro.service.daemon import DaemonClient, TimingDaemon
 from repro.service.digest import (
     analysis_config,
@@ -68,11 +58,7 @@ from repro.service.doctor import (
     fetch_doctor,
     render_doctor,
 )
-from repro.service.httpmon import (
-    RouteHTTPServer,
-    RouteTable,
-    TelemetrySidecar,
-)
+from repro.service.httpmon import TelemetrySidecar
 from repro.service.top import fetch_frame, render_top
 
 __all__ = [
@@ -82,14 +68,9 @@ __all__ = [
     "CacheStats",
     "ClusterCache",
     "ClusterWarmup",
-    "RouteHTTPServer",
-    "RouteTable",
     "SourceMap",
     "cluster_digest",
     "DaemonClient",
-    "FleetCollector",
-    "scrape_fleet",
-    "scrape_peer",
     "JobOutcome",
     "ResultCache",
     "TelemetrySidecar",

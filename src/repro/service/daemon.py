@@ -106,6 +106,7 @@ from repro.service.digest import (
     network_digest,
     schedule_digest,
 )
+from repro.service.httpmon import HttpRequest, TelemetrySidecar
 
 __all__ = ["DaemonClient", "TimingDaemon", "PROTOCOL_VERSION"]
 
@@ -286,7 +287,6 @@ class TimingDaemon:
         trace_dir: Union[None, str, "os.PathLike[str]"] = None,
         trace_max_bytes: int = 64 * 1024 * 1024,
         trace_sample: float = 0.05,
-        collector=None,
         workers: int = 8,
     ) -> None:
         if int(workers) < 1:
@@ -300,7 +300,8 @@ class TimingDaemon:
         #: every request mints a trace id, the sampler keeps errored,
         #: p95-slow and a deterministic fraction of the rest, and the
         #: kept ids surface as exemplars on the ``/metrics`` latency
-        #: histogram (see docs/observability.md, "Fleet observability").
+        #: histogram (see docs/observability.md, "Trace store and
+        #: exemplars").
         self.trace_store: Optional[TraceStore] = (
             TraceStore(
                 trace_dir,
@@ -310,10 +311,6 @@ class TimingDaemon:
             if trace_dir is not None
             else None
         )
-        #: Embedded fleet collector (``serve --collect``): its
-        #: ``/fleetz``-family routes merge into this daemon's sidecar
-        #: and its scrape loop starts/stops with the daemon.
-        self.collector = collector
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
@@ -497,9 +494,9 @@ class TimingDaemon:
         return server
 
     #: Declarative sidecar route table: path -> bound-method name.
-    #: ``_start_sidecar`` builds the live dict from this, and the
-    #: sidecar's JSON 404 lists exactly these paths -- adding a route is
-    #: one line here, with no ``do_GET`` if/else chain to grow.
+    #: ``_start_sidecar`` builds the live dict from this plus the
+    #: ``/traces/<id>`` prefix route, and the sidecar's JSON 404 lists
+    #: exactly those -- adding a route is one line here.
     HTTP_ROUTES: Tuple[Tuple[str, str], ...] = (
         ("/healthz", "_http_healthz"),
         ("/metrics", "_http_metrics"),
@@ -515,22 +512,16 @@ class TimingDaemon:
     def _start_sidecar(self) -> None:
         if self.http_port is None or self._sidecar is not None:
             return
-        from repro.service.httpmon import TelemetrySidecar
-
         routes = {
             path: getattr(self, attr) for path, attr in self.HTTP_ROUTES
         }
-        if self.collector is not None:
-            # ``serve --collect``: the fleet routes ride the daemon's
-            # own sidecar instead of a separate collector port.
-            routes.update(self.collector.embedded_routes())
+        routes["/traces/<id>"] = self._http_trace_show
         self._sidecar = TelemetrySidecar(
             routes=routes,
             port=self.http_port,
             on_request=lambda path: self._counter(
                 "service.daemon.http_requests"
             ),
-            handlers={"/traces/<id>": self._http_trace_show},
         )
         self._sidecar.start()
 
@@ -614,30 +605,31 @@ class TimingDaemon:
         """``(host, port)`` of the live HTTP sidecar, or ``None``."""
         return self._sidecar.address if self._sidecar else None
 
-    def _http_json(self, doc: Dict[str, object]) -> Tuple[str, str]:
+    def _http_json(self, doc: Dict[str, object]) -> Tuple[int, str, str]:
         body = json.dumps(doc, sort_keys=True, default=str)
-        return "application/json", body + "\n"
+        return 200, "application/json", body + "\n"
 
-    def _http_healthz(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_healthz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(
             {"ok": True, "status": "ok", **self._snapshot()}
         )
 
-    def _http_metrics(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_metrics(self, request: HttpRequest) -> Tuple[int, str, str]:
         from repro.obs.metrics import render_prometheus
 
         self._sync_gauges()
         return (
+            200,
             "text/plain; version=0.0.4",
             render_prometheus(self.recorder),
         )
 
-    def _http_history(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_history(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(
-            self._op_history({"last": _last_param(params)})
+            self._op_history({"last": _last_param(request.params)})
         )
 
-    def _http_profile(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_profile(self, request: HttpRequest) -> Tuple[int, str, str]:
         doc = self._profile_document()
         if doc is None:
             raise RuntimeError(
@@ -645,23 +637,23 @@ class TimingDaemon:
                 "or repro-sta serve --profile)"
             )
         body = json.dumps({"ok": True, "profile": doc})
-        return "application/json", body + "\n"
+        return 200, "application/json", body + "\n"
 
-    def _http_buildz(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_buildz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_buildinfo({}))
 
-    def _http_alertz(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_alertz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_alerts({}))
 
-    def _http_crashz(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_crashz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_crash_report({}))
 
-    def _http_flightz(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_flightz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(
-            self._op_flight({"last": _last_param(params)})
+            self._op_flight({"last": _last_param(request.params)})
         )
 
-    def _http_traces(self, params: Dict[str, str]) -> Tuple[str, str]:
+    def _http_traces(self, request: HttpRequest) -> Tuple[int, str, str]:
         if self.trace_store is None:
             raise RuntimeError(
                 "trace store disabled (start with --trace-dir)"
@@ -670,16 +662,15 @@ class TimingDaemon:
             {
                 "ok": True,
                 "traces": self.trace_store.list(
-                    last=_last_param(params, default=50)
+                    last=_last_param(request.params, default=50)
                 ),
                 "stats": self.trace_store.stats(),
             }
         )
-        return "application/json", body + "\n"
+        return 200, "application/json", body + "\n"
 
-    def _http_trace_show(self, request) -> Tuple[int, str, str]:
-        """``GET /traces/<id>`` -- full ``Handler`` signature so the
-        trace id arrives as the route operand."""
+    def _http_trace_show(self, request: HttpRequest) -> Tuple[int, str, str]:
+        """``GET /traces/<id>``: the trace id is the route operand."""
         if self.trace_store is None:
             return (
                 500,
@@ -694,7 +685,7 @@ class TimingDaemon:
                 )
                 + "\n",
             )
-        trace_id = str(request.operand or "").strip()
+        trace_id = request.operand.strip()
         document = self.trace_store.get(trace_id)
         if document is None:
             return (
@@ -758,7 +749,6 @@ class TimingDaemon:
                     if self.trace_store is not None
                     else None
                 ),
-                "collector": self.collector is not None,
             },
         }
 
@@ -834,7 +824,6 @@ class TimingDaemon:
         self._server = self._make_server()
         self._start_pool()
         self._start_sidecar()
-        self._start_collector()
         self._start_history()
         self._start_self_diagnosis()
         self._thread = threading.Thread(
@@ -851,7 +840,6 @@ class TimingDaemon:
         self._server = self._make_server()
         self._start_pool()
         self._start_sidecar()
-        self._start_collector()
         self._start_history()
         self._start_self_diagnosis()
         try:
@@ -869,12 +857,6 @@ class TimingDaemon:
             self._thread = None
         self._cleanup()
 
-    def _start_collector(self) -> None:
-        if self.collector is not None and (
-            getattr(self.collector, "_thread", None) is None
-        ):
-            self.collector.start()
-
     def _cleanup(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
@@ -884,9 +866,6 @@ class TimingDaemon:
         sidecar, self._sidecar = self._sidecar, None
         if sidecar is not None:
             sidecar.stop()
-        collector, self.collector = self.collector, None
-        if collector is not None:
-            collector.stop()
         self.history.stop()
         if self.watchdog is not None:
             self.watchdog.stop()

@@ -51,6 +51,50 @@ def build_ff_stage(
     return b.build(), ClockSchedule.single("clk", period)
 
 
+def _clock_without_trailing(doc):
+    del doc["clocks"][0]["trailing"]
+    return doc
+
+
+def _clocks_as_list(doc):
+    return doc["clocks"]
+
+
+def _clock_as_string(doc):
+    doc["clocks"][1] = "phi2"
+    return doc
+
+
+def _null_period(doc):
+    doc["clocks"][0]["period"] = None
+    return doc
+
+
+#: Malformed clocks files: ``(corrupt, message)`` where ``corrupt``
+#: maps a two-clock :func:`schedule_to_dict` document to the document
+#: written to disk, and ``message`` is part of the one-line error.
+MALFORMED_CLOCKS = [
+    pytest.param(
+        _clock_without_trailing,
+        "clock 'phi1': missing key 'trailing'",
+        id="no-trailing",
+    ),
+    pytest.param(
+        _clocks_as_list, "not a repro clock schedule", id="top-level-list"
+    ),
+    pytest.param(
+        _clock_as_string,
+        "clock entry 1 ('phi2') is not an object",
+        id="string-entry",
+    ),
+    pytest.param(
+        _null_period,
+        "clock 'phi1': 'period' is not a time (None)",
+        id="null-period",
+    ),
+]
+
+
 def analyze(network, schedule, delays=None):
     """Build a model+engine and run Algorithm 1; returns (result, model,
     engine)."""

@@ -211,8 +211,9 @@ class TestServeCommand:
         assert "--no-snapshot-reads" not in text
 
     def test_cache_peer_flags_are_gone(self, capsys):
-        """Processes share a cache through one --cache-dir; there are
-        no peer or cache-server flags any more."""
+        """Processes share a cache through one --cache-dir and each
+        daemon is triaged on its own; there are no peer, cache-server
+        or fleet-collector flags any more."""
         for argv in (
             ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
             ["batch", "jobs.json", "--peers-file", "peers.txt"],
@@ -221,15 +222,20 @@ class TestServeCommand:
              "http://127.0.0.1:9400"],
             ["serve", "--socket", "s.sock", "--peer-timeout", "1"],
             ["serve", "--socket", "s.sock", "--cache-listen", "0"],
+            ["serve", "--socket", "s.sock", "--collect"],
+            ["serve", "--socket", "s.sock", "--peers-file", "peers.txt"],
+            ["serve", "--socket", "s.sock", "--collect-interval", "1"],
+            ["doctor", "--socket", "s.sock", "--fleet"],
+            ["doctor", "--socket", "s.sock", "--peers",
+             "http://127.0.0.1:9400"],
+            ["doctor", "--socket", "s.sock", "--peers-file", "peers.txt"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(argv)
             assert exc_info.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_serve_peers_file_feeds_the_collector(self):
-        args = build_parser().parse_args(
-            ["serve", "--socket", "s.sock", "--http-port", "0",
-             "--collect", "--peers-file", "peers.txt"]
-        )
-        assert args.collect and args.peers_file == "peers.txt"
+        for command in ("collect", "fleet"):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args([command])
+            assert exc_info.value.code == 2, command
+            assert "invalid choice" in capsys.readouterr().err

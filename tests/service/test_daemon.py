@@ -16,6 +16,8 @@ from repro.netlist.persistence import load_network, save_network
 from repro.report.manifest import manifest_digest, timing_digest
 from repro.service import DaemonClient, ResultCache, TimingDaemon
 
+from tests.conftest import MALFORMED_CLOCKS
+
 
 @pytest.fixture
 def daemon(tmp_path):
@@ -345,6 +347,23 @@ class TestSelfDiagnosis:
         assert server.crash.reports_written == 0
         counters = c.metrics()["metrics"]["counters"]
         assert not counters.get("service.daemon.crash_reports")
+
+    @pytest.mark.parametrize("corrupt, culprit", MALFORMED_CLOCKS)
+    def test_malformed_clocks_is_a_value_error(
+        self, diag, tmp_path, design_files, corrupt, culprit
+    ):
+        server, c = diag
+        netlist, clocks = design_files
+        broken = tmp_path / "broken_clocks.json"
+        broken.write_text(
+            json.dumps(corrupt(json.loads(open(clocks).read())))
+        )
+        response = c.analyze(netlist, str(broken))
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert culprit in response["error"]
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
 
     def test_failed_request_logs_spans_regardless_of_threshold(
         self, tmp_path

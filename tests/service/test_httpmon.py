@@ -1,195 +1,168 @@
-"""The shared route-dispatch stack (RouteTable / RouteHTTPServer).
+"""The telemetry sidecar's HTTP hygiene, checked over the wire.
 
-One test suite for the HTTP hygiene rules both the telemetry sidecar
-and the fleet collector are built on: unknown paths answer a
-JSON 404 listing every route, unsupported methods answer 405 with an
-accurate ``Allow`` header, HEAD is served from GET with the body
-stripped, ValueError maps to 400 and anything else to 500, and prefix
-routes (``/objects/<key>``) dispatch with the operand split out.
+Unknown paths answer a JSON 404 listing every route, any method other
+than GET/HEAD answers 405 with ``Allow: GET, HEAD``, HEAD is served
+from GET with the body stripped, ValueError maps to 400 and anything
+else to 500, prefix routes (``/traces/<id>``) dispatch with the operand
+split out, and request bodies above the bound answer 413.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service.httpmon import HttpRequest, RouteHTTPServer, RouteTable
+from repro.service.httpmon import HttpRequest, TelemetrySidecar
 
 
 def _ok(request: HttpRequest):
     return 200, "application/json", json.dumps({"ok": True}) + "\n"
 
 
+def _bad_input(request: HttpRequest):
+    raise ValueError("bad input")
+
+
+def _boom(request: HttpRequest):
+    raise RuntimeError("boom")
+
+
+def _echo(request: HttpRequest):
+    doc = {"operand": request.operand, "params": request.params}
+    return 200, "application/json", json.dumps(doc)
+
+
+@pytest.fixture
+def sidecar():
+    seen = []
+    routes = {
+        "/healthz": _ok,
+        "/bad": _bad_input,
+        "/boom": _boom,
+        "/traces/<id>": _echo,
+    }
+    with TelemetrySidecar(routes, on_request=seen.append) as server:
+        server.seen = seen
+        yield server
+
+
+def _request(server, path, method="GET", data=None):
+    """``(status, headers, body)``; HTTP errors are returned, not raised."""
+    host, port = server.address
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}", data=data, method=method
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            return response.status, response.headers, response.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.headers, err.read()
+
+
 class TestRouteTable:
-    def test_exact_dispatch(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-        status, ctype, body, headers = table.dispatch("GET", "/healthz", {})
+    def test_exact_dispatch(self, sidecar):
+        status, headers, body = _request(sidecar, "/healthz")
         assert status == 200
+        assert headers["Content-Type"] == "application/json"
         assert json.loads(body) == {"ok": True}
 
-    def test_unknown_path_404_lists_routes(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-        table.add("PUT", "/objects/<key>", _ok)
-        status, ctype, body, headers = table.dispatch("GET", "/nope", {})
+    def test_unknown_path_404_lists_routes(self, sidecar):
+        status, headers, body = _request(sidecar, "/nope")
         assert status == 404
         doc = json.loads(body)
         assert doc["ok"] is False
-        assert doc["routes"] == ["/healthz", "/objects/<key>"]
+        assert doc["routes"] == ["/bad", "/boom", "/healthz", "/traces/<id>"]
 
-    def test_unknown_path_404_regardless_of_method(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-        status, *_ = table.dispatch("PUT", "/nope", {})
+    def test_unknown_path_404_regardless_of_method(self, sidecar):
+        status, *_ = _request(sidecar, "/nope", method="PUT", data=b"x")
         assert status == 404
 
-    def test_wrong_method_405_with_allow(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-        status, ctype, body, headers = table.dispatch("POST", "/healthz", {})
-        assert status == 405
-        assert headers["Allow"] == "GET, HEAD"
-        assert json.loads(body)["allow"] == ["GET", "HEAD"]
+    def test_wrong_method_405_with_allow(self, sidecar):
+        for method in ("POST", "PUT", "DELETE", "PATCH", "OPTIONS"):
+            status, headers, body = _request(
+                sidecar, "/healthz", method=method, data=b"{}"
+            )
+            assert status == 405, method
+            assert headers["Allow"] == "GET, HEAD"
+            assert json.loads(body)["allow"] == ["GET", "HEAD"]
 
-    def test_allow_reflects_registered_methods(self):
-        table = RouteTable()
-        table.add("PUT", "/objects/<key>", _ok)
-        table.add("GET", "/objects/<key>", _ok)
-        status, ctype, body, headers = table.dispatch(
-            "POST", "/objects/abc", {}
-        )
-        assert status == 405
-        assert headers["Allow"] == "GET, HEAD, PUT"
-
-    def test_head_falls_back_to_get_handler(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-        status, *_ = table.dispatch("HEAD", "/healthz", {})
+    def test_head_falls_back_to_get_handler(self, sidecar):
+        status, *_ = _request(sidecar, "/traces/abc", method="HEAD")
         assert status == 200
 
-    def test_prefix_route_operand(self):
-        seen = {}
-
-        def handler(request: HttpRequest):
-            seen["operand"] = request.operand
-            seen["params"] = request.params
-            return 200, "text/plain", "hi\n"
-
-        table = RouteTable()
-        table.add("GET", "/objects/<key>", handler)
-        status, *_ = table.dispatch(
-            "GET", "/objects/abc123", {"lease": "h1"}
-        )
+    def test_prefix_route_operand(self, sidecar):
+        status, __, body = _request(sidecar, "/traces/abc123?last=2&last=3")
         assert status == 200
-        assert seen["operand"] == "abc123"
-        assert seen["params"] == {"lease": "h1"}
+        assert json.loads(body) == {
+            "operand": "abc123",
+            "params": {"last": "3"},
+        }
 
-    def test_prefix_route_requires_operand(self):
-        table = RouteTable()
-        table.add("GET", "/objects/<key>", _ok)
-        status, *_ = table.dispatch("GET", "/objects/", {})
+    def test_prefix_route_requires_operand(self, sidecar):
+        status, *_ = _request(sidecar, "/traces/")
         assert status == 404
 
-    def test_value_error_maps_to_400(self):
-        def handler(request: HttpRequest):
-            raise ValueError("bad input")
-
-        table = RouteTable()
-        table.add("GET", "/healthz", handler)
-        status, ctype, body, _ = table.dispatch("GET", "/healthz", {})
+    def test_value_error_maps_to_400(self, sidecar):
+        status, __, body = _request(sidecar, "/bad")
         assert status == 400
         assert b"bad input" in body
 
-    def test_other_exception_maps_to_500(self):
-        def handler(request: HttpRequest):
-            raise RuntimeError("boom")
-
-        table = RouteTable()
-        table.add("GET", "/healthz", handler)
-        status, ctype, body, _ = table.dispatch("GET", "/healthz", {})
+    def test_other_exception_maps_to_500(self, sidecar):
+        status, __, body = _request(sidecar, "/boom")
         assert status == 500
         assert b"boom" in body
 
-    def test_body_reaches_handler(self):
-        seen = {}
 
-        def handler(request: HttpRequest):
-            seen["body"] = request.body
-            return 200, "text/plain", "ok\n"
-
-        table = RouteTable()
-        table.add("PUT", "/objects/<key>", handler)
-        table.dispatch("PUT", "/objects/k", {}, body=b"payload")
-        assert seen["body"] == b"payload"
-
-    def test_legacy_route_adapter(self):
-        table = RouteTable()
-        table.add_simple("/metrics", lambda params: ("text/plain", "m\n"))
-        status, ctype, body, _ = table.dispatch("GET", "/metrics", {})
+class TestTelemetrySidecar:
+    def test_round_trip(self, sidecar):
+        host, __ = sidecar.address
+        assert host == "127.0.0.1"
+        status, __, body = _request(sidecar, "/healthz")
         assert status == 200
-        assert ctype == "text/plain"
-        assert body == b"m\n"
+        assert json.loads(body) == {"ok": True}
+        assert sidecar.seen == ["/healthz"]
 
+    def test_head_has_no_body(self, sidecar):
+        status, headers, body = _request(sidecar, "/healthz", method="HEAD")
+        assert status == 200
+        assert body == b""
+        assert int(headers["Content-Length"]) == len(b'{"ok": true}\n')
 
-class TestRouteHTTPServer:
-    @pytest.fixture
-    def server(self):
-        table = RouteTable()
-        table.add("GET", "/healthz", _ok)
-
-        def echo(request: HttpRequest):
-            return (
-                200,
-                "application/octet-stream",
-                request.body or b"(empty)",
-            )
-
-        table.add("PUT", "/objects/<key>", echo)
-        with RouteHTTPServer(table=table) as srv:
-            yield srv
-
-    def _url(self, server, path):
-        host, port = server.address
-        return f"http://{host}:{port}{path}"
-
-    def test_round_trip(self, server):
-        with urllib.request.urlopen(self._url(server, "/healthz")) as r:
-            assert r.status == 200
-            assert json.loads(r.read()) == {"ok": True}
-
-    def test_put_body_round_trip(self, server):
-        request = urllib.request.Request(
-            self._url(server, "/objects/k1"), data=b"hello", method="PUT"
+    def test_405_over_the_wire_carries_allow(self, sidecar):
+        status, headers, __ = _request(
+            sidecar, "/healthz", method="POST", data=b"x"
         )
-        with urllib.request.urlopen(request) as r:
-            assert r.read() == b"hello"
+        assert status == 405
+        assert headers["Allow"] == "GET, HEAD"
 
-    def test_head_has_no_body(self, server):
-        request = urllib.request.Request(
-            self._url(server, "/healthz"), method="HEAD"
-        )
-        with urllib.request.urlopen(request) as r:
-            assert r.status == 200
-            assert r.read() == b""
-            assert int(r.headers["Content-Length"]) > 0
-
-    def test_405_over_the_wire_carries_allow(self, server):
-        request = urllib.request.Request(
-            self._url(server, "/healthz"), data=b"x", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 405
-        assert excinfo.value.headers["Allow"] == "GET, HEAD"
-
-    def test_404_over_the_wire_lists_routes(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(self._url(server, "/missing"))
-        assert excinfo.value.code == 404
-        doc = json.loads(excinfo.value.read())
+    def test_404_over_the_wire_lists_routes(self, sidecar):
+        status, __, body = _request(sidecar, "/missing")
+        assert status == 404
+        doc = json.loads(body)
         assert "/healthz" in doc["routes"]
-        assert "/objects/<key>" in doc["routes"]
+        assert "/traces/<id>" in doc["routes"]
+
+    def test_oversized_body_is_413(self, sidecar):
+        host, port = sidecar.address
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            # Only the header claims the size: the sidecar answers
+            # before reading any of it.
+            connection.putrequest("POST", "/healthz")
+            connection.putheader("Content-Length", str(1 << 40))
+            connection.endheaders()
+            assert connection.getresponse().status == 413
+        finally:
+            connection.close()
+
+    def test_failing_hook_does_not_fail_the_request(self):
+        def hook(path):
+            raise RuntimeError("hook")
+
+        with TelemetrySidecar({"/healthz": _ok}, on_request=hook) as server:
+            status, *_ = _request(server, "/healthz")
+        assert status == 200

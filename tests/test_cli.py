@@ -19,7 +19,7 @@ from repro.generators import generate_sm1h, latch_pipeline
 from repro.netlist.blif import save_blif
 from repro.netlist.persistence import network_to_dict, save_network
 
-from tests.conftest import build_ff_stage
+from tests.conftest import MALFORMED_CLOCKS, build_ff_stage
 
 
 @pytest.fixture
@@ -556,3 +556,28 @@ class TestInvalidDesignOrClocks:
         assert culprit in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not proc.stderr.startswith(("'", '"'))
+
+    @pytest.mark.parametrize("corrupt, culprit", MALFORMED_CLOCKS)
+    def test_malformed_clocks_exit_with_message(
+        self, tmp_path, corrupt, culprit
+    ):
+        network, schedule = latch_pipeline(
+            stages=3, stage_lengths=[3, 1, 1], period=12.0
+        )
+        netlist = tmp_path / "design.json"
+        clocks = tmp_path / "clocks.json"
+        save_network(network, netlist)
+        clocks.write_text(json.dumps(corrupt(schedule_to_dict(schedule))))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "analyze", str(netlist),
+                "--clocks", str(clocks),
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert culprit in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
