@@ -46,7 +46,7 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.clocks.serialize import load_schedule
 from repro.core.analyzer import Hummingbird
@@ -729,31 +729,39 @@ def cmd_traces(args: argparse.Namespace) -> int:
             f"in {stats.get('dir', '?')}"
         )
         return 0
-    rows = response.get("traces") or []
-    stats = response.get("stats") or {}
     print(
+        render_trace_list(
+            response.get("traces") or [], response.get("stats") or {}
+        )
+    )
+    return 0
+
+
+def render_trace_list(rows: List[Dict], stats: Dict) -> str:
+    """The ``traces list`` table; the OP column fits the longest op."""
+    ops = [str(row.get("op") or "-") for row in rows]
+    op_width = max([8] + [len(op) for op in ops]) + 2
+    lines = [
         f"{len(rows)} of {stats.get('traces', len(rows))} stored traces "
-        f"({stats.get('bytes', 0)} bytes in {stats.get('dir', '?')})"
-    )
-    print(
-        f"{'TRACE':<34}{'OP':<10}{'DESIGN':<18}{'STATUS':<8}"
-        f"{'DUR':>9}  KEPT-AS"
-    )
-    for row in rows:
+        f"({stats.get('bytes', 0)} bytes in {stats.get('dir', '?')})",
+        f"{'TRACE':<34}{'OP':<{op_width}}{'DESIGN':<18}{'STATUS':<8}"
+        f"{'DUR':>9}  KEPT-AS",
+    ]
+    for row, op in zip(rows, ops):
         duration = row.get("duration_s")
         duration_text = (
             f"{float(duration) * 1000.0:8.1f}ms"
             if isinstance(duration, (int, float))
             else f"{'-':>9}"
         )
-        print(
+        lines.append(
             f"{str(row.get('trace_id', '?')):<34}"
-            f"{str(row.get('op') or '-'):<10}"
+            f"{op:<{op_width}}"
             f"{str(row.get('design') or '-')[:17]:<18}"
             f"{str(row.get('status', '?')):<8}"
             f"{duration_text}  {row.get('sampling', '?')}"
         )
-    return 0
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ Example
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -315,7 +316,10 @@ class Hummingbird:
                 return run_algorithm1(self.model, self.engine)
 
         result = build_timing_result(self, run, slow_path_limit, tolerance)
-        self._last_result = result
+        # Kept without its back-reference: an analyser and its result
+        # form no reference cycle, so a one-shot caller's whole graph is
+        # freed when it drops the result, not at a full collection.
+        self._last_result = dataclasses.replace(result, analyzer=None)
         return result
 
     def generate_constraints(self) -> Algorithm2Result:

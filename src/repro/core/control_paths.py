@@ -17,11 +17,10 @@ from repro.delay.estimator import DelayMap
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole
 from repro.netlist.network import Network
-from repro.netlist.terminals import Terminal
 
 #: One driver of a control-cone net: ``None`` for a clock source, else a
-#: combinational (cell, in pin, out pin) arc.
-_Fanin = Optional[Tuple[Cell, str, str]]
+#: combinational arc as (input pin id, arc number).
+_Fanin = Optional[Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -43,107 +42,126 @@ class ControlDelayExtractor:
     def __init__(self, network: Network, delays: DelayMap) -> None:
         self._network = network
         self._delays = delays
-        self._memo: Dict[str, Tuple[float, float]] = {}
+        #: Sink pin id -> (max, min) delay from its clock source.
+        self._memo: Dict[int, Tuple[float, float]] = {}
 
     def arrival(self, sync_cell: Cell) -> ControlArrival:
         """Control arrival of ``sync_cell`` (validated networks only)."""
-        control = sync_cell.control_terminal
-        if control is None:
-            raise ValueError(f"{sync_cell.name!r} has no control terminal")
-        latest, earliest = self._arrival_at(control)
-        if latest == float("-inf"):
-            raise ValueError(
-                f"no clock source reachable from {control.full_name}"
-            )
-        return ControlArrival(latest=latest, earliest=earliest)
+        return self._arrival(self._network.cell_ids[sync_cell.name])
 
     def all_arrivals(self) -> Dict[str, ControlArrival]:
+        network = self._network
         return {
-            cell.name: self.arrival(cell)
-            for cell in self._network.synchronisers
+            network.cell_names[cell]: self._arrival(cell)
+            for cell in network.cell_ids_with_role(CellRole.SYNCHRONISER)
         }
 
     # ------------------------------------------------------------------
-    def _arrival_at(self, terminal: Terminal) -> Tuple[float, float]:
-        """(max, min) delay from the clock source to a sink terminal.
+    def _arrival(self, sync_cell: int) -> ControlArrival:
+        network = self._network
+        control = network.cell_specs[sync_cell].control
+        if control is None:
+            raise ValueError(
+                f"{network.cell_names[sync_cell]!r} has no control terminal"
+            )
+        pin = network.pin_id(sync_cell, control)
+        latest, earliest = self._arrival_at(pin)
+        if latest == float("-inf"):
+            raise ValueError(
+                "no clock source reachable from "
+                f"{network.pin_full_name(pin)}"
+            )
+        return ControlArrival(latest=latest, earliest=earliest)
+
+    def _arrival_at(self, pin: int) -> Tuple[float, float]:
+        """(max, min) delay from the clock source to sink pin ``pin``.
 
         A post-order walk of the control cone on an explicit stack, so
-        clock-buffer chains of any depth fit: a terminal is summed once
-        all its fanin terminals are memoised.
+        clock-buffer chains of any depth fit: a pin is summed once all
+        its fanin pins are memoised.
         """
         memo = self._memo
-        stack: List[Tuple[Terminal, Optional[List[_Fanin]]]] = [
-            (terminal, None)
-        ]
-        open_names: Set[str] = set()
+        stack: List[Tuple[int, Optional[List[_Fanin]]]] = [(pin, None)]
+        open_pins: Set[int] = set()
         while stack:
             node, fanin = stack.pop()
-            name = node.full_name
             if fanin is not None:
-                memo[name] = self._sum(fanin)
-                open_names.discard(name)
+                memo[node] = self._sum(fanin)
+                open_pins.discard(node)
                 continue
-            if name in memo:
+            if node in memo:
                 continue
-            if name in open_names:
-                raise ValueError(f"control path through {name} is cyclic")
-            open_names.add(name)
+            if node in open_pins:
+                raise ValueError(
+                    "control path through "
+                    f"{self._network.pin_full_name(node)} is cyclic"
+                )
+            open_pins.add(node)
             fanin = self._fanin(node)
             stack.append((node, fanin))
             for arc in reversed(fanin):
                 if arc is not None:
-                    stack.append((arc[0].terminal(arc[1]), None))
-        return memo[terminal.full_name]
+                    stack.append((arc[0], None))
+        return memo[pin]
 
-    def _fanin(self, terminal: Terminal) -> List[_Fanin]:
-        """The drivers shaping ``terminal``'s control arrival, in net
+    def _fanin(self, pin: int) -> List[_Fanin]:
+        """The drivers shaping sink pin ``pin``'s control arrival, in net
         order: ``None`` for a clock source, else a combinational
-        (cell, in pin, out pin) arc."""
-        net = terminal.net
-        if net is None or not net.drivers:
+        (input pin, arc) pair."""
+        network = self._network
+        net = network.pin_nets[pin]
+        fans = network.fanout_index()
+        start = fans.driver_starts[net] if net >= 0 else 0
+        stop = fans.driver_starts[net + 1] if net >= 0 else 0
+        if start == stop:
             raise ValueError(
-                f"control path reaches undriven terminal {terminal.full_name}"
+                "control path reaches undriven terminal "
+                f"{network.pin_full_name(pin)}"
             )
+        arc_pins = self._delays.arc_pins
         fanin: List[_Fanin] = []
-        for driver in net.drivers:
-            cell = driver.cell
-            if cell.role is CellRole.CLOCK_SOURCE:
+        for driver in fans.drivers[start:stop]:
+            cell = network.pin_cells[driver]
+            role = network.cell_specs[cell].role
+            if role is CellRole.CLOCK_SOURCE:
                 fanin.append(None)
                 continue
-            if cell.is_synchroniser or cell.role is CellRole.PRIMARY_INPUT:
+            if role is CellRole.SYNCHRONISER or role is CellRole.PRIMARY_INPUT:
                 # Enable-path branch: carries gating data, not the clock
                 # transition, so it does not shape the control arrival.
                 # Its own constraint is checked by core.enable_paths.
                 continue
-            if not cell.is_combinational:
+            if role is not CellRole.COMBINATIONAL:
                 raise ValueError(
-                    f"control path reaches {cell.role.value} cell "
-                    f"{cell.name!r}; validate the network first"
+                    f"control path reaches {role.value} cell "
+                    f"{network.cell_names[cell]!r}; validate the network "
+                    "first"
                 )
-            for in_pin, out_pin in self._delays.arcs_of(cell):
-                if out_pin == driver.pin:
-                    fanin.append((cell, in_pin, out_pin))
+            out_pin = network.pin_name(driver)
+            for arc in self._delays.arc_numbers(network.cell_names[cell]):
+                in_pin, arc_out = arc_pins[arc]
+                if arc_out == out_pin:
+                    fanin.append((network.pin_id(cell, in_pin), arc))
         return fanin
 
     def _sum(self, fanin: List[_Fanin]) -> Tuple[float, float]:
-        """(max, min) over ``fanin``, whose terminals are all memoised."""
+        """(max, min) over ``fanin``, whose pins are all memoised."""
+        delays = self._delays
         latest = float("-inf")
         earliest = float("inf")
-        for arc in fanin:
-            if arc is None:
+        for source in fanin:
+            if source is None:
                 latest = max(latest, 0.0)
                 earliest = min(earliest, 0.0)
                 continue
-            cell, in_pin, out_pin = arc
-            up_latest, up_earliest = self._memo[
-                cell.terminal(in_pin).full_name
-            ]
+            pin, arc = source
+            up_latest, up_earliest = self._memo[pin]
             if up_latest == float("-inf"):
                 continue  # branch carries no clock transition
-            arc_max = self._delays.arc_delay(cell, in_pin, out_pin)
-            arc_min = self._delays.arc_delay_min(cell, in_pin, out_pin)
-            latest = max(latest, up_latest + arc_max.worst)
-            earliest = min(earliest, up_earliest + arc_min.best)
+            worst = max(delays.max_rise[arc], delays.max_fall[arc])
+            best = min(delays.min_rise[arc], delays.min_fall[arc])
+            latest = max(latest, up_latest + worst)
+            earliest = min(earliest, up_earliest + best)
         return latest, earliest
 
 

@@ -22,10 +22,11 @@ from repro.core.control_paths import control_arrivals
 from repro.core.sync_elements import (
     GenericInstance,
     InstanceKind,
-    expand_synchroniser,
-    pad_instance,
+    pad_instance_of,
+    synchroniser_instances,
 )
 from repro.delay.estimator import DelayMap
+from repro.netlist.kinds import CellRole
 from repro.netlist.network import Network
 from repro.netlist.validate import validate_network
 
@@ -104,7 +105,7 @@ class AnalysisModel:
             self.clusters: Tuple[Cluster, ...] = (
                 clusters
                 if clusters is not None
-                else extract_clusters(network, report.comb_order)
+                else extract_clusters(network, report.comb_ids)
             )
         self.plans: Dict[str, BreakOpenPlan] = {}
         self.launch_ports: Dict[str, Tuple[LaunchPort, ...]] = {}
@@ -116,22 +117,31 @@ class AnalysisModel:
     # instance expansion
     # ------------------------------------------------------------------
     def _build_instances(self) -> None:
-        arrivals = control_arrivals(self.network, self.delays)
-        for cell in self.network.synchronisers:
-            trace = self.validation.control_traces[cell.name]
-            arrival = arrivals[cell.name]
-            timing = self.delays.sync_timing(cell)
-            self.instances[cell.name] = expand_synchroniser(
-                cell,
+        network = self.network
+        names, specs = network.cell_names, network.cell_specs
+        arrivals = control_arrivals(network, self.delays)
+        for cell in network.cell_ids_with_role(CellRole.SYNCHRONISER):
+            name, spec = names[cell], specs[cell]
+            trace = self.validation.control_traces[name]
+            arrival = arrivals[name]
+            self.instances[name] = synchroniser_instances(
+                name,
+                spec,
                 self.schedule,
                 trace.clock,
                 trace.sense,
-                timing,
+                self.delays.sync_timing_of(name, spec.role),
                 control_arrival=arrival.latest,
                 control_arrival_min=arrival.earliest,
             )
-        for cell in self.network.primary_inputs + self.network.primary_outputs:
-            self.instances[cell.name] = (pad_instance(cell, self.schedule),)
+        for role in (CellRole.PRIMARY_INPUT, CellRole.PRIMARY_OUTPUT):
+            for cell in network.cell_ids_with_role(role):
+                self.instances[names[cell]] = (
+                    pad_instance_of(
+                        names[cell], role, network.cell_attrs[cell],
+                        self.schedule,
+                    ),
+                )
 
     def _degrade_to_edge_triggered(self) -> None:
         """Treat every transparent element as closing *and* asserting on
@@ -162,6 +172,9 @@ class AnalysisModel:
     def _build_ports(self, exhaustive_limit: int) -> None:
         candidate_breaks = self.schedule.edge_times()
         period = self.schedule.overall_period
+        network = self.network
+        cell_names, net_names = network.cell_names, network.net_names
+        pin_cells, pin_nets = network.pin_cells, network.pin_nets
         # A plan depends only on the cluster's distinct arc set, and
         # clusters share a handful of those (DES: 2 over 185 clusters).
         plans: Dict[FrozenSet[RequirementArc], BreakOpenPlan] = {}
@@ -184,27 +197,29 @@ class AnalysisModel:
             self.plans[cluster.name] = plan
 
             launches: List[LaunchPort] = []
-            for terminal in cluster.sources:
-                for instance in self.instances[terminal.cell.name]:
+            for pin in cluster.source_pins:
+                terminal_name = network.pin_full_name(pin)
+                net_name = net_names[pin_nets[pin]]
+                for instance in self.instances[cell_names[pin_cells[pin]]]:
                     if not instance.has_output:
                         continue
-                    assert terminal.net is not None
                     launches.append(
                         LaunchPort(
                             instance=instance,
-                            terminal_name=terminal.full_name,
-                            net_name=terminal.net.name,
+                            terminal_name=terminal_name,
+                            net_name=net_name,
                             cluster_name=cluster.name,
                         )
                     )
             self.launch_ports[cluster.name] = tuple(launches)
 
             captures: List[CapturePort] = []
-            for terminal in cluster.captures:
-                for instance in self.instances[terminal.cell.name]:
+            for pin in cluster.capture_pins:
+                terminal_name = network.pin_full_name(pin)
+                net_name = net_names[pin_nets[pin]]
+                for instance in self.instances[cell_names[pin_cells[pin]]]:
                     if not instance.has_input:
                         continue
-                    assert terminal.net is not None
                     edge = instance.closure_edge
                     assert edge is not None
                     pass_index = passes.get((id(plan), edge))
@@ -215,8 +230,8 @@ class AnalysisModel:
                     captures.append(
                         CapturePort(
                             instance=instance,
-                            terminal_name=terminal.full_name,
-                            net_name=terminal.net.name,
+                            terminal_name=terminal_name,
+                            net_name=net_name,
                             cluster_name=cluster.name,
                             pass_index=pass_index,
                         )
@@ -229,23 +244,25 @@ class AnalysisModel:
         """The distinct (assertion edge, closure edge) pairs connected by
         a switching path: per source, its launch instances' assertion
         edges times the closure edges of every capture it reaches."""
-        reach = cluster.reachable_captures(self.network)
+        network = self.network
+        names, pin_cells = network.cell_names, network.pin_cells
+        reach = cluster.reachable_captures(network)
         closures_of: Dict[str, FrozenSet[Fraction]] = {
-            terminal.full_name: frozenset(
+            network.pin_full_name(pin): frozenset(
                 i.closure_edge
-                for i in self.instances[terminal.cell.name]
+                for i in self.instances[names[pin_cells[pin]]]
                 if i.has_input and i.closure_edge is not None
             )
-            for terminal in cluster.captures
+            for pin in cluster.capture_pins
         }
         pairs: Set[Tuple[Fraction, Fraction]] = set()
-        for source in cluster.sources:
-            targets = reach.get(source.full_name, frozenset())
+        for pin in cluster.source_pins:
+            targets = reach.get(network.pin_full_name(pin), frozenset())
             if not targets:
                 continue
             assertions = {
                 i.assertion_edge
-                for i in self.instances[source.cell.name]
+                for i in self.instances[names[pin_cells[pin]]]
                 if i.has_output and i.assertion_edge is not None
             }
             closures: Set[Fraction] = set()

@@ -152,7 +152,8 @@ def _trace_path(
         math.isfinite(at_rise) and math.isfinite(at_fall)
     ):
         return None
-    delays = model.delays.max_delays
+    delays = model.delays
+    arc_delays = (delays.max_rise, delays.max_fall)  # 0 rise, 1 fall
     arrivals = (rise, fall)  # indexed by transition: 0 rise, 1 fall
     transition = 0 if at_rise >= at_fall else 1
     steps: List[PathStep] = []
@@ -160,7 +161,7 @@ def _trace_path(
         target = arrivals[transition][net]
         if target is None or not math.isfinite(target):
             break
-        for in_net, _, sense, key in drivers.get(net, ()):
+        for in_net, _, sense, arc in drivers.get(net, ()):
             in_rise = rise[in_net]
             if in_rise is None:
                 continue
@@ -174,11 +175,10 @@ def _trace_path(
             else:  # the worse input transition drives both
                 at_input = in_fall if in_fall > in_rise else in_rise
                 in_transition = 0 if in_rise >= in_fall else 1
-            delay = delays[key]
-            value = at_input + (delay.rise if transition == 0 else delay.fall)
+            value = at_input + arc_delays[transition][arc]
             if abs(value - target) > _TRACE_TOLERANCE:
                 continue
-            cell_name, in_pin, out_pin = key
+            cell_name, in_pin, out_pin = delays.arc_key(arc)
             steps.append(
                 PathStep(
                     cell_name=cell_name,

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.clusters import Cluster
 from repro.core.model import AnalysisModel, CapturePort, LaunchPort
-from repro.delay.estimator import ArcKey
 from repro.netlist.kinds import Unateness
 from repro.rftime import RiseFall
 
@@ -110,19 +109,21 @@ class ClusterDetail:
 
 @dataclass(frozen=True)
 class ArcTable:
-    """One cluster's combinational arcs over numbered nets.
+    """One cluster's combinational arcs over its numbered nets.
 
-    ``nets[i]`` names net *i*.  ``arcs`` holds one ``(input net, output
-    net, sense, key)`` tuple per arc, in the cluster's topological
-    order; the sense is 0 positive, 1 negative or 2 non-unate, and the
-    :data:`~repro.delay.estimator.ArcKey` indexes
-    :attr:`~repro.delay.estimator.DelayMap.max_delays`.  ``launches``
-    and ``captures`` pair each boundary port with its net's number.
+    ``nets[i]`` names net *i*, the cluster's *i*-th net
+    (:attr:`Cluster.net_ids <repro.core.clusters.Cluster.net_ids>`).
+    ``arcs`` holds one ``(input net, output net, sense, arc)`` tuple per
+    arc, in the cluster's topological order; the sense is 0 positive, 1
+    negative or 2 non-unate, and the arc number indexes the delay map's
+    flat delay lists (:attr:`~repro.delay.estimator.DelayMap.max_rise`
+    and the like).  ``launches`` and ``captures`` pair each boundary port
+    with its net's number.
     """
 
     name: str
     nets: Tuple[str, ...]
-    arcs: Tuple[Tuple[int, int, int, ArcKey], ...]
+    arcs: Tuple[Tuple[int, int, int, int], ...]
     launches: Tuple[Tuple[LaunchPort, int], ...]
     captures: Tuple[Tuple[CapturePort, int], ...]
     num_passes: int
@@ -227,64 +228,78 @@ class SlackEngine:
 
     def __init__(self, model: AnalysisModel) -> None:
         self._model = model
-        #: Cluster name -> its :class:`ArcTable`, in cluster order.
-        self.tables: Dict[str, ArcTable] = {}
-        #: Cluster name -> its passes that take slacks.
-        self._passes: Dict[str, Tuple[_Pass, ...]] = {}
         # (plan, edge, pass) -> axis position of an assertion or closure
         # edge; plans are keyed by id, all of them being alive in
         # model.plans.  Clusters share a few plans and instances a few
         # edges, so each Fraction is computed once.
         self._assertion_at: Dict[Tuple[int, Fraction, int], float] = {}
         self._closure_at: Dict[Tuple[int, Fraction, int], float] = {}
-        delays = model.delays
-        senses = delays.senses
-        positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
-        for cluster in model.clusters:
-            index: Dict[str, int] = {}
-            arcs = []
-            for cell in cluster.cells:
-                for key in delays.arc_keys(cell):
-                    __, in_pin, out_pin = key
-                    in_net = cell.terminal(in_pin).net
-                    out_net = cell.terminal(out_pin).net
-                    if in_net is None or out_net is None:
-                        continue
-                    sense = senses[key]
-                    arcs.append(
-                        (
-                            index.setdefault(in_net.name, len(index)),
-                            index.setdefault(out_net.name, len(index)),
-                            0 if sense is positive else
-                            1 if sense is negative else 2,
-                            key,
-                        )
-                    )
-            launches = tuple(
-                (port, index.setdefault(port.net_name, len(index)))
-                for port in model.launch_ports[cluster.name]
-            )
-            captures = tuple(
-                (port, index.setdefault(port.net_name, len(index)))
-                for port in model.capture_ports[cluster.name]
-            )
-            table = self.tables[cluster.name] = ArcTable(
-                cluster.name,
-                tuple(index),
-                tuple(arcs),
-                launches,
-                captures,
-                model.plans[cluster.name].num_passes,
-            )
-            self._passes[cluster.name] = self._slack_passes(table)
+        self._build_tables()
         # Every call starts from +inf at each boundary terminal, in
         # instance order.
         instances = model.all_instances()
         self._capture_names = tuple(i.name for i in instances if i.has_input)
         self._launch_names = tuple(i.name for i in instances if i.has_output)
         # The delay map the memos were filled from.
-        self._filled_from = delays
+        self._filled_from = model.delays
         self._calls = 0
+
+    def _build_tables(self) -> None:
+        """Number each cluster's nets and flatten its arcs, numbered as
+        in ``model.delays``, into an :class:`ArcTable`."""
+        model = self._model
+        network = model.network
+        delays = model.delays
+        arc_pins, senses = delays.arc_pins, delays.arc_senses
+        names, layouts = network.cell_names, network.cell_layouts
+        cell_pins, pin_nets = network.cell_pins, network.pin_nets
+        net_ids = network.net_ids
+        positive, negative = Unateness.POSITIVE, Unateness.NEGATIVE
+        #: Cluster name -> its :class:`ArcTable`, in cluster order.
+        self.tables: Dict[str, ArcTable] = {}
+        #: Cluster name -> its passes that take slacks.
+        self._passes: Dict[str, Tuple[_Pass, ...]] = {}
+        # local[n]: the number of net n within the cluster at hand; every
+        # net an arc or a port of a cluster touches is one of its nets.
+        local = [0] * len(network.net_names)
+        for cluster in model.clusters:
+            for number, net in enumerate(cluster.net_ids):
+                local[net] = number
+            arcs = []
+            for cell in cluster.cell_ids:
+                index = layouts[cell].index
+                first = cell_pins[cell]
+                for arc in delays.arc_numbers(names[cell]):
+                    in_pin, out_pin = arc_pins[arc]
+                    in_net = pin_nets[first + index[in_pin]]
+                    out_net = pin_nets[first + index[out_pin]]
+                    if in_net < 0 or out_net < 0:
+                        continue
+                    sense = senses[arc]
+                    arcs.append(
+                        (
+                            local[in_net],
+                            local[out_net],
+                            0 if sense is positive else
+                            1 if sense is negative else 2,
+                            arc,
+                        )
+                    )
+            table = self.tables[cluster.name] = ArcTable(
+                cluster.name,
+                tuple([network.net_names[net] for net in cluster.net_ids]),
+                tuple(arcs),
+                tuple(
+                    (port, local[net_ids[port.net_name]])
+                    for port in model.launch_ports[cluster.name]
+                ),
+                tuple(
+                    (port, local[net_ids[port.net_name]])
+                    for port in model.capture_ports[cluster.name]
+                ),
+                model.plans[cluster.name].num_passes,
+            )
+            self._passes[cluster.name] = self._slack_passes(table)
 
     def _slack_passes(self, table: ArcTable) -> Tuple[_Pass, ...]:
         """``table``'s passes that take slacks, with the axis positions
@@ -455,25 +470,43 @@ class SlackEngine:
         return slacks
 
     def _forget_changed_clusters(self) -> None:
-        """Drop the memos of every cluster with an arc whose delay in
-        ``model.delays`` is not the very object it was when the memos
-        were filled.
+        """Drop the memos of every cluster with an arc whose maximum
+        delay in ``model.delays`` is not, bit for bit, the one the memos
+        were filled from: one scan of the tables' arcs.
 
-        :meth:`DelayMap.with_scaled_cell` and
-        :meth:`DelayMap.with_arc_override` copy every other arc's
-        delay object, so one identity scan finds the changed clusters
-        without a cell-to-cluster map.  The old map is held until the
-        scan, so no object of it can be freed and its id reused.
+        A map with other arcs (not derived from the same estimate)
+        renumbers them: the tables are rebuilt and every memo goes.
         """
-        new = self._model.delays.max_delays
-        old = self._filled_from.max_delays
+        new = self._model.delays
+        old = self._filled_from
+        self._filled_from = new
+        if not new.numbering.same_arcs(old.numbering):
+            self._build_tables()
+            if self._calls > 1:
+                for steps in self._passes.values():
+                    for step in steps:
+                        step.forward, step.backward = {}, {}
+            return
+        new_rise, new_fall = new.max_rise, new.max_fall
+        old_rise, old_fall = old.max_rise, old.max_fall
+        copysign = math.copysign
         for table in self.tables.values():
             for arc in table.arcs:
-                key = arc[3]
-                if new[key] is not old[key]:
-                    self._forget(table.name)
-                    break
-        self._filled_from = self._model.delays
+                arc = arc[3]
+                for before, after in (
+                    (old_rise[arc], new_rise[arc]),
+                    (old_fall[arc], new_fall[arc]),
+                ):
+                    # Equal floats differ only as 0.0 and -0.0.
+                    if before != after or (
+                        before == 0.0
+                        and copysign(1.0, before) != copysign(1.0, after)
+                    ):
+                        break
+                else:
+                    continue
+                self._forget(table.name)
+                break
 
     # ------------------------------------------------------------------
     # full detail (reports, Algorithm 2 outputs)
@@ -570,23 +603,23 @@ class SlackEngine:
                     rise[net] = t
                 if t > fall[net]:
                     fall[net] = t
-        delays = self._model.delays.max_delays
-        for in_net, out_net, sense, key in table.arcs:
+        delays = self._model.delays
+        rise_delay, fall_delay = delays.max_rise, delays.max_fall
+        for in_net, out_net, sense, arc in table.arcs:
             in_rise = rise[in_net]
             if in_rise is None:
                 continue
             in_fall = fall[in_net]
-            delay = delays[key]
             if sense == 0:  # positive unate
-                out_rise = in_rise + delay.rise
-                out_fall = in_fall + delay.fall
+                out_rise = in_rise + rise_delay[arc]
+                out_fall = in_fall + fall_delay[arc]
             elif sense == 1:  # negative unate: output rise from input fall
-                out_rise = in_fall + delay.rise
-                out_fall = in_rise + delay.fall
+                out_rise = in_fall + rise_delay[arc]
+                out_fall = in_rise + fall_delay[arc]
             else:  # non-unate: worst input transition drives both
                 worst = in_rise if in_rise >= in_fall else in_fall
-                out_rise = worst + delay.rise
-                out_fall = worst + delay.fall
+                out_rise = worst + rise_delay[arc]
+                out_fall = worst + fall_delay[arc]
             existing = rise[out_net]
             if existing is None:
                 rise[out_net] = out_rise
@@ -619,14 +652,14 @@ class SlackEngine:
                     fall[net] = closure
         if not reached:
             return rise, fall, reached
-        delays = self._model.delays.max_delays
-        for in_net, out_net, sense, key in reversed(table.arcs):
+        delays = self._model.delays
+        rise_delay, fall_delay = delays.max_rise, delays.max_fall
+        for in_net, out_net, sense, arc in reversed(table.arcs):
             out_rise = rise[out_net]
             if out_rise is None:
                 continue
-            delay = delays[key]
-            out_rise -= delay.rise
-            out_fall = fall[out_net] - delay.fall
+            out_rise -= rise_delay[arc]
+            out_fall = fall[out_net] - fall_delay[arc]
             if sense == 0:
                 in_rise, in_fall = out_rise, out_fall
             elif sense == 1:  # adjoint of the forward swap

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro import obs
 from repro.core.model import AnalysisModel
 from repro.core.slack import PortSlacks
+from repro.netlist.kinds import CellRole
 from repro.obs.hist import bucket_counts, equal_width_edges
 
 
@@ -99,10 +100,11 @@ def timing_statistics(
         name: trace.clock
         for name, trace in model.validation.control_traces.items()
     }
-    for cell in model.network.primary_outputs:
-        clock = cell.attrs.get("clock")
+    network = model.network
+    for cell in network.cell_ids_with_role(CellRole.PRIMARY_OUTPUT):
+        clock = network.cell_attrs[cell].get("clock")
         if clock is not None:
-            clock_of_cell[cell.name] = clock
+            clock_of_cell[network.cell_names[cell]] = clock
 
     per_clock: Dict[str, List[float]] = {}
     all_values: List[float] = []

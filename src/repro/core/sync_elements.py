@@ -41,13 +41,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clocks.edges import Pulse
 from repro.clocks.schedule import ClockSchedule
 from repro.delay.estimator import SyncTiming
 from repro.netlist.cell import Cell
-from repro.netlist.kinds import SyncStyle, Unateness
+from repro.netlist.kinds import CellRole, CellSpecLike, SyncStyle, Unateness
 
 
 class InstanceKind(enum.Enum):
@@ -318,16 +318,38 @@ def expand_synchroniser(
     control_arrival: float,
     control_arrival_min: float,
 ) -> Tuple[GenericInstance, ...]:
-    """All generic instances of one synchroniser cell.
+    """All generic instances of one synchroniser cell
+    (:func:`synchroniser_instances` of its name and spec)."""
+    return synchroniser_instances(
+        cell.name, cell.spec, schedule, clock, sense, timing,
+        control_arrival, control_arrival_min,
+    )
+
+
+def synchroniser_instances(
+    name: str,
+    spec: CellSpecLike,
+    schedule: ClockSchedule,
+    clock: str,
+    sense: Unateness,
+    timing: SyncTiming,
+    control_arrival: float,
+    control_arrival_min: float,
+) -> Tuple[GenericInstance, ...]:
+    """All generic instances of the synchroniser cell ``name``.
 
     One instance per pulse of the controlling clock within the overall
     period; the instance's ideal assertion/closure times follow the element
     style (transparent: leading/trailing edge of the *effective* window;
     edge-triggered: both at the trailing edge).
     """
-    style = cell.sync_style
+    style = spec.sync_style
     if style is None:
-        raise ValueError(f"{cell.name!r} is not a synchroniser")
+        raise ValueError(f"{name!r} is not a synchroniser")
+    (data_in,) = spec.inputs
+    (data_out,) = spec.outputs
+    terminal_in = f"{name}/{data_in}"
+    terminal_out = f"{name}/{data_out}"
     windows = effective_windows(schedule, clock, sense)
     clock_period = schedule.waveform(clock).period
     instances: List[GenericInstance] = []
@@ -342,8 +364,8 @@ def expand_synchroniser(
             closure = window.trailing
         instances.append(
             GenericInstance(
-                name=f"{cell.name}@{index}",
-                cell_name=cell.name,
+                name=f"{name}@{index}",
+                cell_name=name,
                 kind=kind,
                 assertion_edge=assertion,
                 closure_edge=closure,
@@ -356,8 +378,8 @@ def expand_synchroniser(
                 hold=timing.hold,
                 control_arrival=control_arrival,
                 control_arrival_min=control_arrival_min,
-                terminal_in=cell.data_input.full_name,
-                terminal_out=cell.data_output.full_name,
+                terminal_in=terminal_in,
+                terminal_out=terminal_out,
             )
         )
     return tuple(instances)
@@ -365,45 +387,51 @@ def expand_synchroniser(
 
 def pad_instance(cell: Cell, schedule: ClockSchedule) -> GenericInstance:
     """The fixed instance modelling a primary input or output pad."""
-    from repro.netlist.kinds import CellRole
+    return pad_instance_of(cell.name, cell.role, cell.attrs, schedule)
 
-    clock = cell.attrs.get("clock")
+
+def pad_instance_of(
+    name: str, role: CellRole, attrs: Dict[str, Any], schedule: ClockSchedule
+) -> GenericInstance:
+    """The fixed instance modelling the pad cell ``name`` with ``role``
+    and attributes ``attrs``."""
+    clock = attrs.get("clock")
     if clock is None:
-        raise ValueError(f"pad {cell.name!r} has no 'clock' attribute")
+        raise ValueError(f"pad {name!r} has no 'clock' attribute")
     pulses = schedule.pulses(clock)
-    pulse_index = int(cell.attrs.get("pulse_index", 0))
+    pulse_index = int(attrs.get("pulse_index", 0))
     if not 0 <= pulse_index < len(pulses):
         raise ValueError(
-            f"pad {cell.name!r}: pulse_index {pulse_index} out of range "
+            f"pad {name!r}: pulse_index {pulse_index} out of range "
             f"(clock {clock!r} has {len(pulses)} pulses)"
         )
     pulse: Pulse = pulses[pulse_index]
-    edge_kind = cell.attrs.get("edge", "trailing")
+    edge_kind = attrs.get("edge", "trailing")
     edge_time = (
         pulse.leading.time if edge_kind == "leading" else pulse.trailing.time
     )
-    offset = float(cell.attrs.get("offset", 0.0))
+    offset = float(attrs.get("offset", 0.0))
     clock_period = schedule.waveform(clock).period
-    if cell.role is CellRole.PRIMARY_INPUT:
+    if role is CellRole.PRIMARY_INPUT:
         return GenericInstance(
-            name=f"{cell.name}@pad",
-            cell_name=cell.name,
+            name=f"{name}@pad",
+            cell_name=name,
             kind=InstanceKind.FIXED_SOURCE,
             assertion_edge=edge_time,
             closure_edge=None,
             clock_period=clock_period,
             fixed_offset=offset,
-            terminal_out=cell.terminal("Z").full_name,
+            terminal_out=f"{name}/Z",
         )
-    if cell.role is CellRole.PRIMARY_OUTPUT:
+    if role is CellRole.PRIMARY_OUTPUT:
         return GenericInstance(
-            name=f"{cell.name}@pad",
-            cell_name=cell.name,
+            name=f"{name}@pad",
+            cell_name=name,
             kind=InstanceKind.FIXED_SINK,
             assertion_edge=None,
             closure_edge=edge_time,
             clock_period=clock_period,
             fixed_offset=offset,
-            terminal_in=cell.terminal("A").full_name,
+            terminal_in=f"{name}/A",
         )
-    raise ValueError(f"{cell.name!r} is not a pad cell")
+    raise ValueError(f"{name!r} is not a pad cell")

@@ -38,19 +38,26 @@ def module_pin_delays(
     for index, net_name in enumerate(definition.input_ports.values()):
         rows.setdefault(net_name, {})[index] = [0.0, 0.0, 0.0, 0.0]
 
+    inner = definition.inner
+    pin_nets, net_names = inner.pin_nets, inner.net_names
+    arc_pins, senses = inner_delays.arc_pins, inner_delays.arc_senses
+    max_rise, max_fall = inner_delays.max_rise, inner_delays.max_fall
+    min_rise, min_fall = inner_delays.min_rise, inner_delays.min_fall
     for cell in definition.order:
-        for in_pin, out_pin in inner_delays.arcs_of(cell):
-            in_net = cell.terminal(in_pin).net
-            out_net = cell.terminal(out_pin).net
-            if in_net is None or out_net is None:
+        cell_id = inner.cell_ids[cell.name]
+        first = inner.cell_pins[cell_id]
+        index = inner.cell_layouts[cell_id].index
+        for arc in inner_delays.arc_numbers(cell.name):
+            in_pin, out_pin = arc_pins[arc]
+            in_net = pin_nets[first + index[in_pin]]
+            out_net = pin_nets[first + index[out_pin]]
+            if in_net < 0 or out_net < 0:
                 continue
-            at_input = rows.get(in_net.name)
+            at_input = rows.get(net_names[in_net])
             if at_input is None:
                 continue
-            unateness = inner_delays.arc_unateness(cell, in_pin, out_pin)
-            dmax = inner_delays.arc_delay(cell, in_pin, out_pin)
-            dmin = inner_delays.arc_delay_min(cell, in_pin, out_pin)
-            at_output = rows.setdefault(out_net.name, {})
+            unateness = senses[arc]
+            at_output = rows.setdefault(net_names[out_net], {})
             for port, (max_r, max_f, min_r, min_f) in at_input.items():
                 # RiseFall.through_arc for the maximum, back_through_arc
                 # for the minimum, then plus the arc delay.
@@ -59,10 +66,10 @@ def module_pin_delays(
                 elif unateness is not Unateness.POSITIVE:
                     max_r = max_f = max_f if max_f > max_r else max_r
                     min_r = min_f = min_f if min_f < min_r else min_r
-                max_r += dmax.rise
-                max_f += dmax.fall
-                min_r += dmin.rise
-                min_f += dmin.fall
+                max_r += max_rise[arc]
+                max_f += max_fall[arc]
+                min_r += min_rise[arc]
+                min_f += min_fall[arc]
                 # Folding each candidate straight into the net's row gives
                 # the same bits as max_over / min_over of the cell's
                 # candidates followed by max_with / min_with against the

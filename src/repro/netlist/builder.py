@@ -70,9 +70,10 @@ class NetworkBuilder:
         **pins: str,
     ) -> Cell:
         """Add a cell with an explicit spec object and connect its pins."""
-        cell = self._network.add_cell(Cell(name, spec, attrs))
+        network = self._network
+        cell = network.add_cell(Cell(name, spec, attrs))
         for pin, net_name in pins.items():
-            self._network.connect(net_name, cell.terminal(pin))
+            network.connect_pin(network.pin_id(cell._id, pin), net_name)
         return cell
 
     def gate(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.netlist.terminals import Terminal
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.netlist.network import Network
 
 
 class Net:
@@ -14,23 +17,58 @@ class Net:
     clocked tristate element; :mod:`repro.netlist.validate` enforces that.
     For generality the net therefore keeps a driver *list*; :attr:`driver`
     returns the single driver and raises on tristate buses.
+
+    A net is a view of one net of its network's numbered form: drivers
+    and sinks are listed fresh, in pin order, on every access.  A net
+    built here, or removed from its network, has neither.
     """
 
-    __slots__ = ("name", "drivers", "sinks")
+    __slots__ = ("name", "_network", "_id")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.drivers: List[Terminal] = []
-        self.sinks: List[Terminal] = []
+        self._network: Optional["Network"] = None
+        self._id = -1
+
+    @classmethod
+    def _view(cls, network: "Network", net_id: int) -> "Net":
+        """The view of net ``net_id`` of ``network`` (which caches it)."""
+        net = cls.__new__(cls)
+        net.name = network.net_names[net_id]
+        net._network = network
+        net._id = net_id
+        return net
+
+    def _terminals(self, sinks: bool) -> List[Terminal]:
+        network = self._network
+        if network is None:
+            return []
+        fans = network.fanout_index()
+        if sinks:
+            starts, pins = fans.sink_starts, fans.sinks
+        else:
+            starts, pins = fans.driver_starts, fans.drivers
+        terminal = network.terminal_view
+        net = self._id
+        return [terminal(pin) for pin in pins[starts[net]:starts[net + 1]]]
+
+    @property
+    def drivers(self) -> List[Terminal]:
+        return self._terminals(sinks=False)
+
+    @property
+    def sinks(self) -> List[Terminal]:
+        return self._terminals(sinks=True)
 
     @property
     def driver(self) -> Terminal:
-        if len(self.drivers) != 1:
+        drivers = self.drivers
+        if len(drivers) != 1:
             raise ValueError(
-                f"net {self.name!r} has {len(self.drivers)} drivers; "
+                f"net {self.name!r} has {len(drivers)} drivers; "
                 "use .drivers for tristate buses"
             )
-        return self.drivers[0]
+        return drivers[0]
 
     @property
     def terminals(self) -> Tuple[Terminal, ...]:
@@ -40,27 +78,9 @@ class Net:
     def fanout(self) -> int:
         return len(self.sinks)
 
-    def attach(self, terminal: Terminal) -> None:
-        """Connect ``terminal`` to this net (used by Network.connect)."""
-        if terminal.net is not None and terminal.net is not self:
-            raise ValueError(
-                f"terminal {terminal.full_name} is already on net "
-                f"{terminal.net.name!r}"
-            )
-        if terminal.is_driver:
-            if terminal not in self.drivers:
-                self.drivers.append(terminal)
-        else:
-            if terminal not in self.sinks:
-                self.sinks.append(terminal)
-        terminal.net = self
-
     def __repr__(self) -> str:
-        return f"Net({self.name!r}, drivers={len(self.drivers)}, sinks={len(self.sinks)})"
+        return (
+            f"Net({self.name!r}, drivers={len(self.drivers)}, "
+            f"sinks={len(self.sinks)})"
+        )
 
-
-def driver_or_none(net: Optional[Net]) -> Optional[Terminal]:
-    """The unique driver of ``net``, or ``None`` when unconnected/undriven."""
-    if net is None or not net.drivers:
-        return None
-    return net.drivers[0]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole, SyncStyle, Unateness
 from repro.netlist.network import CombinationalCycleError, Network
-from repro.netlist.terminals import Terminal, TerminalKind
+from repro.netlist.terminals import TerminalKind
 
 
 class ValidationError(ValueError):
@@ -63,9 +63,9 @@ class ValidationReport:
     errors: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     control_traces: Dict[str, ControlTrace] = field(default_factory=dict)
-    #: ``network.comb_topological_cells()``, kept for cluster extraction;
+    #: ``network.comb_topological_ids()``, kept for cluster extraction;
     #: empty when the combinational logic has a cycle.
-    comb_order: Tuple[Cell, ...] = field(default=(), init=False, repr=False)
+    comb_ids: Tuple[int, ...] = field(default=(), init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -76,13 +76,13 @@ class ValidationReport:
             raise ValidationError("; ".join(self.errors))
 
 
-def _arc_unateness(cell: Cell, in_pin: str, out_pin: str) -> Unateness:
-    """Unateness of the ``in_pin -> out_pin`` arc of ``cell``.
+def _arc_unateness(spec, in_pin: str, out_pin: str) -> Unateness:
+    """Unateness of the ``in_pin -> out_pin`` arc of ``spec``.
 
     Falls back to NON_UNATE when the spec does not expose arcs (e.g.
     hierarchical modules), which makes control paths through it invalid.
     """
-    arcs = getattr(cell.spec, "arcs", None)
+    arcs = getattr(spec, "arcs", None)
     if arcs is None:
         return Unateness.NON_UNATE
     arc = arcs.get((in_pin, out_pin))
@@ -91,17 +91,39 @@ def _arc_unateness(cell: Cell, in_pin: str, out_pin: str) -> Unateness:
     return arc.unateness
 
 
-def trace_control(network: Network, sync_cell: Cell) -> ControlTrace:
+def trace_control(network: Optional[Network], sync_cell: Cell) -> ControlTrace:
     """Trace the control pin of ``sync_cell`` back to its clock source.
 
-    Raises :class:`ValidationError` when the control signal is not a
-    monotonic combinational function of exactly one clock.
+    ``network`` is the cell's network (``None``: the one the cell is
+    in).  Raises :class:`ValidationError` when the control signal is not
+    a monotonic combinational function of exactly one clock.
     """
     control = sync_cell.control_terminal
     if control is None:
         raise ValidationError(
             f"synchroniser {sync_cell.name!r} has no control terminal"
         )
+    network = sync_cell._network
+    if network is None:
+        raise ValidationError(
+            f"control path of {sync_cell.name!r} reaches undriven "
+            f"terminal {control.full_name}"
+        )
+    return _trace_control(network, sync_cell._id)
+
+
+def _trace_control(network: Network, sync_cell: int) -> ControlTrace:
+    """:func:`trace_control` of cell ``sync_cell``, over pin ids."""
+    names, specs, attrs = (
+        network.cell_names, network.cell_specs, network.cell_attrs
+    )
+    cell_pins, pin_cells, pin_nets = (
+        network.cell_pins, network.pin_cells, network.pin_nets
+    )
+    fans = network.fanout_index()
+    driver_starts, drivers = fans.driver_starts, fans.drivers
+    name = names[sync_cell]
+    control = network.pin_id(sync_cell, specs[sync_cell].control)
 
     clocks: Set[str] = set()
     senses: Set[Unateness] = set()
@@ -109,64 +131,69 @@ def trace_control(network: Network, sync_cell: Cell) -> ControlTrace:
     enable_sources: Set[str] = set()
 
     # Depth-first walk against the direction of data flow.  Each stack
-    # entry carries the accumulated sense from the visited terminal up to
-    # the control pin.
-    stack: List[Tuple[Terminal, Unateness]] = [(control, Unateness.POSITIVE)]
-    visited: Set[Tuple[str, Unateness]] = set()
+    # entry carries the accumulated sense from the visited pin up to the
+    # control pin.
+    stack: List[Tuple[int, Unateness]] = [(control, Unateness.POSITIVE)]
+    visited: Set[Tuple[int, Unateness]] = set()
     while stack:
-        terminal, sense = stack.pop()
-        key = (terminal.full_name, sense)
+        pin, sense = stack.pop()
+        key = (pin, sense)
         if key in visited:
             continue
         visited.add(key)
-        net = terminal.net
-        if net is None or not net.drivers:
+        net = pin_nets[pin]
+        if net < 0 or driver_starts[net] == driver_starts[net + 1]:
             raise ValidationError(
-                f"control path of {sync_cell.name!r} reaches undriven "
-                f"terminal {terminal.full_name}"
+                f"control path of {name!r} reaches undriven "
+                f"terminal {network.pin_full_name(pin)}"
             )
-        for driver in net.drivers:
-            cell = driver.cell
-            if cell.role is CellRole.CLOCK_SOURCE:
-                clocks.add(cell.attrs.get("clock", cell.name))
+        for driver in drivers[driver_starts[net]:driver_starts[net + 1]]:
+            cell = pin_cells[driver]
+            spec = specs[cell]
+            role = spec.role
+            if role is CellRole.CLOCK_SOURCE:
+                clocks.add(attrs[cell].get("clock", names[cell]))
                 senses.add(sense)
-            elif cell.is_combinational:
-                comb_cells.add(cell.name)
-                for in_terminal in cell.input_terminals:
-                    arc_sense = _arc_unateness(cell, in_terminal.pin, driver.pin)
+            elif role is CellRole.COMBINATIONAL:
+                comb_cells.add(names[cell])
+                layout = network.cell_layouts[cell]
+                first = cell_pins[cell]
+                out_pin = layout.pins[driver - first]
+                for in_pin in spec.inputs:
+                    arc_sense = _arc_unateness(spec, in_pin, out_pin)
                     if arc_sense is Unateness.NON_UNATE:
                         raise ValidationError(
-                            f"control path of {sync_cell.name!r} crosses "
-                            f"non-unate arc {in_terminal.pin}->{driver.pin} "
-                            f"of cell {cell.name!r}"
+                            f"control path of {name!r} crosses "
+                            f"non-unate arc {in_pin}->{out_pin} "
+                            f"of cell {names[cell]!r}"
                         )
                     combined = (
                         sense
                         if arc_sense is Unateness.POSITIVE
                         else _invert(sense)
                     )
-                    stack.append((in_terminal, combined))
+                    stack.append((first + layout.index[in_pin], combined))
             elif (
-                cell.is_synchroniser
-                or cell.role is CellRole.PRIMARY_INPUT
+                role is CellRole.SYNCHRONISER
+                or role is CellRole.PRIMARY_INPUT
             ):
                 # An enable path: gating data entering the control cone.
-                enable_sources.add(driver.full_name)
+                enable_sources.add(network.pin_full_name(driver))
             else:
                 raise ValidationError(
-                    f"control path of {sync_cell.name!r} reaches "
-                    f"{cell.role.value} cell {cell.name!r}; control inputs "
+                    f"control path of {name!r} reaches "
+                    f"{role.value} cell {names[cell]!r}; control inputs "
                     "must be combinational functions of a clock"
                 )
 
     if len(clocks) != 1:
         raise ValidationError(
-            f"control input of {sync_cell.name!r} depends on clocks "
+            f"control input of {name!r} depends on clocks "
             f"{sorted(clocks)}; exactly one is required"
         )
     if len(senses) != 1:
         raise ValidationError(
-            f"control input of {sync_cell.name!r} is not a monotonic "
+            f"control input of {name!r} is not a monotonic "
             "function of its clock (both senses reachable)"
         )
     return ControlTrace(
@@ -204,64 +231,81 @@ def validate_network(
 
 
 def _check_net_drivers(network: Network, report: ValidationReport) -> None:
-    for net in network.nets:
-        if not net.drivers:
-            if net.sinks:
-                report.errors.append(f"net {net.name!r} has sinks but no driver")
+    fans = network.fanout_index()
+    driver_starts, drivers = fans.driver_starts, fans.drivers
+    sink_starts = fans.sink_starts
+    pin_cells, specs = network.pin_cells, network.cell_specs
+    for name, net in network.net_ids.items():
+        first, last = driver_starts[net], driver_starts[net + 1]
+        if first == last:
+            if sink_starts[net] != sink_starts[net + 1]:
+                report.errors.append(f"net {name!r} has sinks but no driver")
             continue
-        if len(net.drivers) > 1:
+        if last - first > 1:
             non_tristate = [
-                d.cell.name
-                for d in net.drivers
-                if d.cell.sync_style is not SyncStyle.TRISTATE
+                network.cell_names[pin_cells[d]]
+                for d in drivers[first:last]
+                if specs[pin_cells[d]].sync_style is not SyncStyle.TRISTATE
             ]
             if non_tristate:
                 report.errors.append(
-                    f"net {net.name!r} has multiple drivers and not all are "
+                    f"net {name!r} has multiple drivers and not all are "
                     f"tristate elements: {sorted(non_tristate)}"
                 )
 
 
 def _check_connectivity(network: Network, report: ValidationReport) -> None:
     output = TerminalKind.OUTPUT
-    for cell in network.cells:
-        for terminal in cell.terminals():
-            net = terminal.net
-            if terminal.kind is output:
-                if net is None:
+    driver_starts = network.fanout_index().driver_starts
+    pin_nets, pin_kinds = network.pin_nets, network.pin_kinds
+    cell_pins = network.cell_pins
+    for cell in network.cell_ids.values():
+        for pin in range(cell_pins[cell], cell_pins[cell + 1]):
+            net = pin_nets[pin]
+            if pin_kinds[pin] is output:
+                if net < 0:
                     report.warnings.append(
-                        f"output terminal {terminal.full_name} is unconnected"
+                        f"output terminal {network.pin_full_name(pin)} is "
+                        "unconnected"
                     )
-            elif net is None or not net.drivers:
+            elif net < 0 or driver_starts[net] == driver_starts[net + 1]:
                 report.errors.append(
-                    f"input terminal {terminal.full_name} is floating"
+                    f"input terminal {network.pin_full_name(pin)} is floating"
                 )
 
 
 def _check_acyclic(network: Network, report: ValidationReport) -> None:
     try:
-        report.comb_order = network.comb_topological_cells()
+        report.comb_ids = tuple(network.comb_topological_ids())
     except CombinationalCycleError as exc:
         report.errors.append(str(exc))
 
 
 def _check_synchronisers(network: Network, report: ValidationReport) -> None:
-    for cell in network.synchronisers:
-        if len(cell.spec.inputs) != 1 or len(cell.spec.outputs) != 1:
+    specs = network.cell_specs
+    for cell in network.cell_ids_with_role(CellRole.SYNCHRONISER):
+        spec = specs[cell]
+        name = network.cell_names[cell]
+        if len(spec.inputs) != 1 or len(spec.outputs) != 1:
             report.errors.append(
-                f"synchroniser {cell.name!r} must have exactly one data "
+                f"synchroniser {name!r} must have exactly one data "
                 "input and one data output"
             )
             continue
+        if spec.control is None:
+            report.errors.append(
+                f"synchroniser {name!r} has no control terminal"
+            )
+            continue
         try:
-            trace = trace_control(network, cell)
+            trace = _trace_control(network, cell)
         except ValidationError as exc:
             report.errors.append(str(exc))
             continue
-        report.control_traces[cell.name] = trace
+        report.control_traces[name] = trace
         if trace.enable_sources:
             report.warnings.append(
-                f"synchroniser {cell.name!r} has enable paths from "
+                f"synchroniser {name!r} has enable paths from "
                 f"{list(trace.enable_sources)}; check them with "
                 "repro.core.enable_paths.check_enable_paths"
             )
@@ -274,20 +318,24 @@ def _check_clock_references(
 ) -> None:
     if clock_names is None:
         return
-    for cell in network.clock_sources:
-        clock = cell.attrs.get("clock", cell.name)
+    names, attrs = network.cell_names, network.cell_attrs
+    for cell in network.cell_ids_with_role(CellRole.CLOCK_SOURCE):
+        clock = attrs[cell].get("clock", names[cell])
         if clock not in clock_names:
             report.errors.append(
-                f"clock source {cell.name!r} refers to unknown clock {clock!r}"
+                f"clock source {names[cell]!r} refers to unknown clock "
+                f"{clock!r}"
             )
-    for cell in network.primary_inputs + network.primary_outputs:
-        clock = cell.attrs.get("clock")
+    for cell in network.cell_ids_with_role(
+        CellRole.PRIMARY_INPUT
+    ) + network.cell_ids_with_role(CellRole.PRIMARY_OUTPUT):
+        clock = attrs[cell].get("clock")
         if clock is not None and clock not in clock_names:
             report.errors.append(
-                f"pad {cell.name!r} refers to unknown clock {clock!r}"
+                f"pad {names[cell]!r} refers to unknown clock {clock!r}"
             )
-        edge = cell.attrs.get("edge", "trailing")
+        edge = attrs[cell].get("edge", "trailing")
         if edge not in ("leading", "trailing"):
             report.errors.append(
-                f"pad {cell.name!r} has invalid edge kind {edge!r}"
+                f"pad {names[cell]!r} has invalid edge kind {edge!r}"
             )

@@ -27,6 +27,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from contextlib import contextmanager
@@ -164,6 +165,14 @@ class Recorder:
         #: in one step (atomic under the GIL, at worst one span stale).
         self._span_stacks: Dict[int, List[Tuple[str, str]]] = {}
         self._next_index = 0
+        #: Collections seen by the gc hook and not yet folded into the
+        #: spans and counters: (generation, start, duration, collected,
+        #: thread id, depth).  The hook only appends here; see
+        #: :func:`_gc_callback`.
+        self._gc_pending: List[Tuple[int, float, float, int, int, int]] = []
+        #: perf_counter at the start of the collection in progress
+        #: (collections never overlap).
+        self._gc_started = 0.0
         #: Optional hook ``(name, duration_s, thread_id)`` called when a
         #: depth-0 span completes (the flight recorder subscribes here
         #: to keep a ring of recent root spans).  Must not raise; called
@@ -203,26 +212,79 @@ class Recorder:
             except Exception:  # noqa: BLE001 -- hook must not break spans
                 pass
         with self._lock:
-            stats = self.span_stats.get(name)
-            if stats is None:
-                stats = self.span_stats[name] = SpanStats()
-            stats.observe(duration)
-            if len(self.spans) >= self.max_spans:
-                self.dropped_spans += 1
-                return
-            index = self._next_index
-            self._next_index += 1
-            self.spans.append(
-                SpanRecord(
-                    name=name,
-                    category=category,
-                    start=start - self.epoch,
-                    duration=duration,
-                    depth=depth,
-                    thread_id=tid,
-                    index=index,
-                    args=tuple(sorted(args.items())) if args else None,
-                )
+            if self._gc_pending:
+                self._fold_gc()
+            self._record_span(
+                name,
+                category,
+                start,
+                duration,
+                depth,
+                tid,
+                tuple(sorted(args.items())) if args else None,
+            )
+
+    def _record_span(
+        self,
+        name: str,
+        category: str,
+        start: float,
+        duration: float,
+        depth: int,
+        tid: int,
+        args: Optional[Tuple[Tuple[str, object], ...]],
+    ) -> None:
+        """Add one completed span; the caller holds the lock."""
+        stats = self.span_stats.get(name)
+        if stats is None:
+            stats = self.span_stats[name] = SpanStats()
+        stats.observe(duration)
+        if len(self.spans) >= self.max_spans:
+            self.dropped_spans += 1
+            return
+        index = self._next_index
+        self._next_index += 1
+        self.spans.append(
+            SpanRecord(
+                name=name,
+                category=category,
+                start=start - self.epoch,
+                duration=duration,
+                depth=depth,
+                thread_id=tid,
+                index=index,
+                args=args,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # garbage collections
+    # ------------------------------------------------------------------
+    def fold_gc(self) -> None:
+        """Fold the collections the gc hook buffered into the spans and
+        counters (done at every span exit and when recording ends)."""
+        with self._lock:
+            self._fold_gc()
+
+    def _fold_gc(self) -> None:
+        """:meth:`fold_gc`; the caller holds the lock.  A collection that
+        starts meanwhile appends to the fresh buffer."""
+        batch, self._gc_pending = self._gc_pending, []
+        counters = self.counters
+        for generation, start, duration, collected, tid, depth in batch:
+            counters["gc.collections"] = counters.get("gc.collections", 0.0) + 1
+            counters["gc.collected"] = (
+                counters.get("gc.collected", 0.0) + collected
+            )
+            counters["gc.seconds"] = counters.get("gc.seconds", 0.0) + duration
+            self._record_span(
+                _GC_SPANS[generation],
+                "gc",
+                start,
+                duration,
+                depth,
+                tid,
+                (("collected", collected),),
             )
 
     # ------------------------------------------------------------------
@@ -389,6 +451,39 @@ _bindings = threading.local()
 #: bound to None" (a thread may opt *out* of an ambient recorder).
 _UNBOUND = object()
 
+#: Span name of a collection of each generation.
+_GC_SPANS = ("gc.gen0", "gc.gen1", "gc.gen2")
+
+
+def _gc_callback(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook installed while a process-wide recorder
+    is: buffers each collection in the recorder active on the thread
+    that collects (:func:`active`), nested under the span the
+    collection interrupted.
+
+    It takes no lock.  A collection can start while this very thread
+    holds ``Recorder._lock`` (inside :meth:`Recorder.counter` or a span
+    exit), and taking the lock again would deadlock; the buffer is
+    folded in by the recorder instead (:meth:`Recorder.fold_gc`).
+    """
+    rec = active()
+    if rec is None:
+        return
+    if phase == "start":
+        rec._gc_started = time.perf_counter()
+        return
+    tid = threading.get_ident()
+    rec._gc_pending.append(
+        (
+            info["generation"],
+            rec._gc_started,
+            time.perf_counter() - rec._gc_started,
+            info["collected"],
+            tid,
+            rec._depths.get(tid, 0),
+        )
+    )
+
 
 def active() -> Optional[Recorder]:
     """The recorder this thread records into, or ``None`` when disabled.
@@ -407,11 +502,22 @@ def active() -> Optional[Recorder]:
 def set_recorder(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Install (or, with ``None``, remove) the process-wide recorder.
 
-    Returns the previously installed recorder.
+    While one is installed, a ``gc.callbacks`` hook records every
+    garbage collection in the collecting thread's active recorder: a
+    ``gc.gen0`` / ``gc.gen1`` / ``gc.gen2`` span and the
+    ``gc.collections``, ``gc.collected`` and ``gc.seconds`` counters.  Returns the previously installed recorder,
+    with its buffered collections folded in.
     """
     global _recorder
     previous = _recorder
     _recorder = recorder
+    if recorder is None:
+        if _gc_callback in gc.callbacks:
+            gc.callbacks.remove(_gc_callback)
+    elif _gc_callback not in gc.callbacks:
+        gc.callbacks.append(_gc_callback)
+    if previous is not None and previous is not recorder:
+        previous.fold_gc()
     return previous
 
 

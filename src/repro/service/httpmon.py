@@ -166,7 +166,18 @@ class TelemetrySidecar:
                         owner.on_request(path)
                     except Exception:  # noqa: BLE001 -- hook must not 500
                         pass
-                length = int(self.headers.get("Content-Length") or 0)
+                declared = self.headers.get("Content-Length", "0").strip()
+                if not (declared.isascii() and declared.isdigit()):
+                    # The body's end is unknown: answer, then hang up.
+                    self.close_connection = True
+                    self._reply(
+                        400,
+                        "text/plain",
+                        b"Content-Length is not a non-negative integer\n",
+                        {"Connection": "close"},
+                    )
+                    return
+                length = int(declared)
                 if length > MAX_BODY_BYTES:
                     self._reply(
                         413, "text/plain", b"request body too large\n", {}

@@ -95,6 +95,72 @@ MALFORMED_CLOCKS = [
 ]
 
 
+def _first_cell(doc, spec):
+    return next(cell for cell in doc["cells"] if cell["spec"] == spec)
+
+
+def _unknown_pin(doc):
+    _first_cell(doc, "CLOCK")["pins"]["Q7"] = "phi1"
+    return doc
+
+
+def _unknown_spec(doc):
+    _first_cell(doc, "INV")["spec"] = "NAND9"
+    return doc
+
+
+def _without(key):
+    def corrupt(doc):
+        del _first_cell(doc, "INV")[key]
+        return doc
+
+    return corrupt
+
+
+def _net_name_not_a_string(doc):
+    _first_cell(doc, "INV")["pins"]["A"] = 42
+    return doc
+
+
+def _modules_not_an_object(doc):
+    doc["modules"] = 42
+    return doc
+
+
+#: Malformed netlist files: ``(corrupt, message)`` where ``corrupt``
+#: maps the :func:`network_to_dict` document of a design with a
+#: ``CLOCK`` generator and ``INV`` gates to the document written to disk,
+#: and ``message`` is part of the one-line error naming the cell and
+#: the key or pin.
+MALFORMED_NETLISTS = [
+    pytest.param(
+        _unknown_pin,
+        "cell 'clkgen_phi1' (CLOCK) has no pin 'Q7'",
+        id="unknown-pin",
+    ),
+    pytest.param(_unknown_spec, "unknown spec 'NAND9'", id="unknown-spec"),
+    pytest.param(
+        _without("name"), ": missing key 'name'", id="missing-name"
+    ),
+    pytest.param(
+        _without("spec"), ": missing key 'spec'", id="missing-spec"
+    ),
+    pytest.param(
+        _without("pins"), ": missing key 'pins'", id="missing-pins"
+    ),
+    pytest.param(
+        _net_name_not_a_string,
+        "pin 'A' names net 42, which is not a string",
+        id="net-name-not-a-string",
+    ),
+    pytest.param(
+        _modules_not_an_object,
+        "netlist 'modules' must be an object",
+        id="modules-not-an-object",
+    ),
+]
+
+
 def analyze(network, schedule, delays=None):
     """Build a model+engine and run Algorithm 1; returns (result, model,
     engine)."""

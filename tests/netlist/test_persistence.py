@@ -9,7 +9,9 @@ from repro.netlist import (
     load_network,
     save_network,
 )
+from repro.generators import latch_pipeline
 from repro.netlist.persistence import network_from_dict, network_to_dict
+from tests.conftest import MALFORMED_NETLISTS
 
 
 def _simple_network(lib):
@@ -90,3 +92,14 @@ class TestRoundTrip:
         slack_a = Hummingbird(original, schedule).analyze().worst_slack
         slack_b = Hummingbird(loaded, schedule).analyze().worst_slack
         assert slack_a == pytest.approx(slack_b)
+
+
+@pytest.mark.parametrize("corrupt, culprit", MALFORMED_NETLISTS)
+def test_malformed_netlists_raise_value_error(lib, corrupt, culprit):
+    network, __ = latch_pipeline(
+        stages=3, stage_lengths=[3, 1, 1], period=12.0
+    )
+    doc = corrupt(network_to_dict(network))
+    with pytest.raises(ValueError) as caught:
+        network_from_dict(doc, lib)
+    assert culprit in str(caught.value)

@@ -1,7 +1,12 @@
 """Tests for the repro.obs instrumentation core."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,18 @@ def _no_leak():
     assert obs.active() is None
     yield
     assert obs.active() is None
+
+
+@pytest.fixture
+def no_collections():
+    """Automatic garbage collections are recorded as ``gc.*`` spans and
+    counters; tests that check exact span and counter sets run without
+    them (:class:`TestGarbageCollections` checks the recording)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 class TestDisabledNoOp:
@@ -65,6 +82,7 @@ class TestDisabledNoOp:
         assert cost < max(base * 60, 0.25)
 
 
+@pytest.mark.usefixtures("no_collections")
 class TestRecording:
     def test_recording_installs_and_restores(self):
         with obs.recording() as rec:
@@ -108,6 +126,7 @@ class TestRecording:
         assert dict(rec.events[0].args) == {"round": 3, "ok": True}
 
 
+@pytest.mark.usefixtures("no_collections")
 class TestSpans:
     def test_span_records_duration(self):
         with obs.recording() as rec:
@@ -204,6 +223,7 @@ class TestPhaseTree:
         assert "no spans" in obs.render_phase_tree(rec)
 
 
+@pytest.mark.usefixtures("no_collections")
 class TestThreadLocalBinding:
     """PR 10: per-thread recorder binding (`obs.bound`) -- the daemon
     traces concurrent requests without a process-wide lock."""
@@ -272,3 +292,103 @@ class TestThreadLocalBinding:
                 with obs.bound(second):
                     assert obs.active() is second
                 assert obs.active() is first
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+class TestGarbageCollections:
+    def test_collection_is_a_span_under_the_open_phase(self):
+        with obs.recording() as rec:
+            with obs.span("phase"):
+                _Cycle()
+                gc.collect()
+        (collection,) = [s for s in rec.spans if s.name == "gc.gen2"]
+        (phase,) = [s for s in rec.spans if s.name == "phase"]
+        assert collection.category == "gc"
+        assert collection.depth == phase.depth + 1
+        assert phase.start <= collection.start
+        assert dict(collection.args)["collected"] >= 1
+        assert rec.counters["gc.collections"] >= 1
+        assert rec.counters["gc.collected"] >= 1
+        assert rec.counters["gc.seconds"] >= collection.duration > 0
+        (root,) = obs.build_phase_tree(rec)
+        assert "gc.gen2" in [child.record.name for child in root.children]
+
+    def test_hook_is_removed_when_recording_ends(self):
+        before = list(gc.callbacks)
+        with obs.recording():
+            assert len(gc.callbacks) == len(before) + 1
+            with obs.recording():
+                gc.collect()
+            assert len(gc.callbacks) == len(before) + 1
+        assert gc.callbacks == before
+
+    def test_counters_and_collections_never_deadlock(self):
+        """Collections land while another thread holds the recorder
+        lock, in counter() and in span exits; the hook must not wait
+        for it, and every collection is folded in exactly once.  The
+        stress runs in a child process, so a deadlock fails the test
+        instead of hanging it."""
+        child = subprocess.run(
+            [sys.executable, "-c", _STRESS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert child.returncode == 0, child.stderr
+        hammered, collections, gc_spans = map(float, child.stdout.split())
+        assert hammered == 3 * 2000
+        assert collections > 0 and gc_spans == collections
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Three threads hammer counters and spans (more threads than cores)
+#: while a fourth litters cyclic garbage; prints the counter, the
+#: collections counted and the gc spans recorded.
+_STRESS = """
+import gc, sys, threading
+from repro import obs
+
+# Collect at every allocation, so that collections also start inside
+# the recorder's locked sections, and switch threads often.
+gc.set_threshold(1)
+sys.setswitchinterval(1e-5)
+
+class Cycle:
+    def __init__(self):
+        self.me = self
+
+done = threading.Event()
+
+def hammer(rec):
+    for _ in range(2000):
+        rec.counter("hammer")
+        with rec.span("tick"):
+            pass
+
+def litter():
+    while not done.is_set():
+        for _ in range(200):
+            Cycle()
+
+with obs.recording() as rec:
+    hammers = [threading.Thread(target=hammer, args=(rec,)) for _ in range(3)]
+    litterer = threading.Thread(target=litter)
+    for thread in hammers + [litterer]:
+        thread.start()
+    for thread in hammers:
+        thread.join()
+    done.set()
+    litterer.join()
+# span_stats count the spans past the max_spans cap too.
+spans = sum(
+    stats.count for name, stats in rec.span_stats.items()
+    if name.startswith("gc.gen")
+)
+print(rec.counters["hammer"], rec.counters["gc.collections"], spans)
+"""

@@ -16,7 +16,7 @@ from repro.netlist.persistence import load_network, save_network
 from repro.report.manifest import manifest_digest, timing_digest
 from repro.service import DaemonClient, ResultCache, TimingDaemon
 
-from tests.conftest import MALFORMED_CLOCKS
+from tests.conftest import MALFORMED_CLOCKS, MALFORMED_NETLISTS
 
 
 @pytest.fixture
@@ -347,6 +347,21 @@ class TestSelfDiagnosis:
         assert server.crash.reports_written == 0
         counters = c.metrics()["metrics"]["counters"]
         assert not counters.get("service.daemon.crash_reports")
+
+    @pytest.mark.parametrize("corrupt, culprit", MALFORMED_NETLISTS)
+    def test_malformed_netlists_are_value_errors(
+        self, diag, tmp_path, design_files, corrupt, culprit
+    ):
+        server, c = diag
+        netlist, clocks = design_files
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(corrupt(json.loads(open(netlist).read()))))
+        response = c.analyze(str(broken), clocks)
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert culprit in response["error"]
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
 
     @pytest.mark.parametrize("corrupt, culprit", MALFORMED_CLOCKS)
     def test_malformed_clocks_is_a_value_error(

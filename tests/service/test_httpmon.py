@@ -4,13 +4,16 @@ Unknown paths answer a JSON 404 listing every route, any method other
 than GET/HEAD answers 405 with ``Allow: GET, HEAD``, HEAD is served
 from GET with the body stripped, ValueError maps to 400 and anything
 else to 500, prefix routes (``/traces/<id>``) dispatch with the operand
-split out, and request bodies above the bound answer 413.
+split out, request bodies above the bound answer 413, and a
+``Content-Length`` that is not a non-negative integer answers 400 and
+closes the connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -158,6 +161,23 @@ class TestTelemetrySidecar:
             assert connection.getresponse().status == 413
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", ""])
+    def test_bad_content_length_is_400_and_closes(self, sidecar, declared):
+        host, port = sidecar.address
+        with socket.create_connection((host, port), timeout=5) as raw:
+            raw.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: sidecar\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            answer = b""
+            while True:  # the sidecar closes the connection after it
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in answer
 
     def test_failing_hook_does_not_fail_the_request(self):
         def hook(path):

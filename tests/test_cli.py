@@ -19,7 +19,7 @@ from repro.generators import generate_sm1h, latch_pipeline
 from repro.netlist.blif import save_blif
 from repro.netlist.persistence import network_to_dict, save_network
 
-from tests.conftest import MALFORMED_CLOCKS, build_ff_stage
+from tests.conftest import MALFORMED_CLOCKS, MALFORMED_NETLISTS, build_ff_stage
 
 
 @pytest.fixture
@@ -557,6 +557,31 @@ class TestInvalidDesignOrClocks:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not proc.stderr.startswith(("'", '"'))
 
+    @pytest.mark.parametrize("corrupt, culprit", MALFORMED_NETLISTS)
+    def test_malformed_netlists_exit_with_message(
+        self, tmp_path, corrupt, culprit
+    ):
+        network, schedule = latch_pipeline(
+            stages=3, stage_lengths=[3, 1, 1], period=12.0
+        )
+        netlist = tmp_path / "design.json"
+        clocks = tmp_path / "clocks.json"
+        netlist.write_text(json.dumps(corrupt(network_to_dict(network))))
+        save_schedule(schedule, clocks)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "analyze", str(netlist),
+                "--clocks", str(clocks),
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert culprit in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("corrupt, culprit", MALFORMED_CLOCKS)
     def test_malformed_clocks_exit_with_message(
         self, tmp_path, corrupt, culprit
@@ -581,3 +606,21 @@ class TestInvalidDesignOrClocks:
         assert "Traceback" not in proc.stderr
         assert culprit in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_traces_list_separates_a_long_op_from_the_design():
+    from repro.cli import render_trace_list
+
+    rows = [
+        {"trace_id": "a" * 32, "op": "analyze", "design": "DES",
+         "status": "ok", "duration_s": 0.25, "sampling": "sampled"},
+        {"trace_id": "b" * 32, "op": "crash-report-write",
+         "design": "violator", "status": "error", "duration_s": 0.5,
+         "sampling": "error"},
+    ]
+    header, *lines = render_trace_list(rows, {"traces": 2}).splitlines()[1:]
+    column = header.index("DESIGN")
+    for line, row in zip(lines, rows):
+        assert line[column:].startswith(row["design"])
+        assert line[column - 1] == " "
+        assert row["op"] in line.split()
