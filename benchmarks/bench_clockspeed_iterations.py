@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.algorithm1 import run_algorithm1
 from repro.core.model import AnalysisModel
-from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
 from repro.generators import latch_pipeline
 
@@ -35,14 +33,12 @@ def pipeline(lib):
 
 
 @pytest.mark.parametrize("period", PERIODS)
-def test_iterations_vs_clock_speed(benchmark, pipeline, period):
+def test_iterations_vs_clock_speed(time_algorithm1, pipeline, period):
     network, base_schedule, delays = pipeline
     schedule = base_schedule.scaled(
         __import__("fractions").Fraction(period, 60)
     )
-    model = AnalysisModel(network, schedule, delays)
-    engine = SlackEngine(model)
-    result = benchmark(lambda: run_algorithm1(model, engine))
+    result = time_algorithm1(AnalysisModel(network, schedule, delays))
     _rows[period] = result
 
 

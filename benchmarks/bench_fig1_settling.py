@@ -13,9 +13,7 @@ import pytest
 
 from repro.baselines import settling_comparison
 from repro.core import Hummingbird
-from repro.core.algorithm1 import run_algorithm1
 from repro.core.model import AnalysisModel
-from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
 from repro.generators import fig1_circuit
 
@@ -28,18 +26,16 @@ def fig1():
     return network, schedule, estimate_delays(network)
 
 
-def test_fig1_minimum_pass_analysis(benchmark, fig1):
+def test_fig1_minimum_pass_analysis(time_algorithm1, fig1):
     network, schedule, delays = fig1
-    model = AnalysisModel(network, schedule, delays)
-    engine = SlackEngine(model)
-    benchmark(lambda: run_algorithm1(model, engine))
+    time_algorithm1(AnalysisModel(network, schedule, delays))
 
 
-def test_fig1_per_edge_analysis(benchmark, fig1):
+def test_fig1_per_edge_analysis(time_algorithm1, fig1):
     network, schedule, delays = fig1
-    model = AnalysisModel(network, schedule, delays, pass_strategy="per_edge")
-    engine = SlackEngine(model)
-    benchmark(lambda: run_algorithm1(model, engine))
+    time_algorithm1(
+        AnalysisModel(network, schedule, delays, pass_strategy="per_edge")
+    )
 
 
 def test_fig1_settling_report(benchmark, fig1):

@@ -11,9 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Hummingbird
-from repro.core.algorithm1 import run_algorithm1
 from repro.core.model import AnalysisModel
-from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
 from repro.generators import random_design
 from repro.generators._util import standard_cell_count
@@ -48,12 +46,10 @@ def test_scaling_preprocess(benchmark, design):
     row["preprocess_s"] = benchmark.stats.stats.mean
 
 
-def test_scaling_analysis(benchmark, design):
+def test_scaling_analysis(benchmark, time_algorithm1, design):
     index, network, schedule = design
     delays = estimate_delays(network)
-    model = AnalysisModel(network, schedule, delays)
-    engine = SlackEngine(model)
-    benchmark(lambda: run_algorithm1(model, engine))
+    time_algorithm1(AnalysisModel(network, schedule, delays))
     _rows.setdefault(index, {})["analysis_s"] = benchmark.stats.stats.mean
 
 

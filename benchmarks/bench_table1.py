@@ -14,9 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Hummingbird
-from repro.core.algorithm1 import run_algorithm1
 from repro.core.model import AnalysisModel
-from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
 from repro.generators import (
     generate_alu,
@@ -58,17 +56,12 @@ def test_table1_preprocessing(benchmark, design):
     row["preprocess_s"] = benchmark.stats.stats.mean
 
 
-def test_table1_analysis(benchmark, design):
-    """Analysis: Algorithm 1 (slow-path identification)."""
+def test_table1_analysis(benchmark, time_algorithm1, design):
+    """Analysis: Algorithm 1 (slow-path identification) on a fresh
+    slack engine each round."""
     name, network, schedule = design
     delays = estimate_delays(network)
-    model = AnalysisModel(network, schedule, delays)
-    engine = SlackEngine(model)
-
-    def analyse():
-        return run_algorithm1(model, engine)
-
-    result = benchmark(analyse)
+    result = time_algorithm1(AnalysisModel(network, schedule, delays))
     row = _rows.setdefault(name, {})
     row["analysis_s"] = benchmark.stats.stats.mean
     row["intended"] = result.intended

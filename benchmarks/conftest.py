@@ -12,6 +12,8 @@ recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 
@@ -28,6 +30,39 @@ def lib():
     from repro.cells import standard_library
 
     return standard_library()
+
+
+@pytest.fixture
+def time_algorithm1(benchmark, pytestconfig):
+    """``time_algorithm1(model)`` benchmarks Algorithm 1 on ``model`` and
+    returns the last round's result.
+
+    Each round runs on a fresh :class:`SlackEngine`, built outside the
+    timed call: an engine memoises its cluster sweeps, so from the third
+    round on a shared engine answers from its memo and the bench would
+    time lookups, not Algorithm 1.  One untimed run sizes the rounds to
+    ``--benchmark-max-time`` (engine builds included), with at least
+    ``--benchmark-min-rounds``.
+    """
+    from repro.core.algorithm1 import run_algorithm1
+    from repro.core.slack import SlackEngine
+
+    def run(model):
+        start = time.perf_counter()
+        run_algorithm1(model, SlackEngine(model))
+        once = time.perf_counter() - start
+        rounds = max(
+            pytestconfig.getoption("benchmark_min_rounds"),
+            int(float(pytestconfig.getoption("benchmark_max_time")) / once),
+        )
+        return benchmark.pedantic(
+            run_algorithm1,
+            setup=lambda: ((model, SlackEngine(model)), {}),
+            rounds=rounds,
+            iterations=1,
+        )
+
+    return run
 
 
 @pytest.fixture

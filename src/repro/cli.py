@@ -30,8 +30,8 @@ clock description, run the analysis, print the report::
 by extension (:func:`repro.netlist.read_netlist`): ``.json``, ``.blif``
 or ``.v`` structural Verilog.
 
-Every subcommand accepts the observability flags (see
-``docs/observability.md``)::
+The analysing subcommands and ``batch`` accept the observability flags
+(see ``docs/observability.md``)::
 
     repro-sta analyze design.json --clocks clocks.json \
         --trace out.trace.json --metrics out.metrics.json --verbose
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -123,11 +124,24 @@ def _profile_arguments(group) -> None:
     )
     group.add_argument(
         "--profile-hz",
-        type=float,
+        type=_sampling_rate,
         default=100.0,
         metavar="HZ",
         help="profiler sampling rate (default: 100)",
     )
+
+
+def _sampling_rate(text: str) -> float:
+    """A ``--profile-hz`` value: a finite number above 0."""
+    try:
+        hz = float(text)
+    except ValueError:
+        hz = math.nan
+    if not 0 < hz < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text!r}"
+        )
+    return hz
 
 
 def _pretty_json(document: object) -> str:
@@ -530,10 +544,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.http_port is not None:
+        routes = ", ".join(path for path, __ in TimingDaemon.HTTP_ROUTES)
         print(
-            f"telemetry http on 127.0.0.1:{args.http_port} "
-            "(GET /healthz, /metrics, /metrics/history, /profile, "
-            "/buildz, /alertz, /crashz, /flightz, /traces)",
+            f"telemetry http on 127.0.0.1:{args.http_port} (GET {routes})",
             file=sys.stderr,
         )
     if daemon.trace_store is not None:
@@ -562,26 +575,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "debug ops ENABLED (fail/sleep fault injection)",
             file=sys.stderr,
         )
-    if args.profile:
-        daemon.start_profiler(hz=args.profile_hz)
-        print(
-            f"profiler sampling at {args.profile_hz:g} Hz "
-            f"(profile written to {args.profile} on shutdown)",
-            file=sys.stderr,
-        )
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:
         daemon.stop()
         print("daemon stopped", file=sys.stderr)
-    if args.profile:
-        from repro import obs
-
-        # serve_forever's cleanup stopped the sampler and kept the doc.
-        doc = daemon.stop_profiler() or daemon._last_profile
-        if doc is not None:
-            path = obs.write_speedscope(doc, args.profile)
-            print(f"profile written to {path}", file=sys.stderr)
     return 0
 
 
@@ -591,27 +589,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise SystemExit(f"request is not valid JSON: {exc}")
     with _daemon_client(args) as client:
-        # ``--profile``: sample the *daemon* while it handles this
-        # request, then export its repro.profile/1 as speedscope.
-        # A profiler someone else already started is left running
-        # (fetch instead of stop).
-        started = False
-        if args.profile:
-            start_resp = client.profile("start", hz=args.profile_hz)
-            started = bool(start_resp.get("started"))
         response = client.request(request)
-        if args.profile:
-            from repro import obs
-
-            action = "stop" if started else "fetch"
-            profile_resp = client.profile(action)
-            doc = profile_resp.get("profile")
-            if isinstance(doc, dict):
-                path = obs.write_speedscope(doc, args.profile)
-                print(
-                    f"daemon profile written to {path}",
-                    file=sys.stderr,
-                )
     print(_pretty_json(response))
     return 0 if response.get("ok") else 1
 
@@ -1044,20 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests at least this slow get their full span tree "
         "attached to the access-log line (default: 1.0)",
     )
-    telemetry.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="run the in-daemon sampling profiler from boot and write "
-        "a speedscope JSON profile to FILE on shutdown (also "
-        "controllable at runtime via the 'profile' op)",
-    )
-    telemetry.add_argument(
-        "--profile-hz",
-        type=float,
-        default=100.0,
-        metavar="HZ",
-        help="profiler sampling rate (default: 100)",
-    )
     tracing = serve.add_argument_group("trace store")
     tracing.add_argument(
         "--trace-dir",
@@ -1135,19 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="print the merged phase tree (client + daemon spans)",
-    )
-    obs_query.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="profile the daemon while it handles this request and "
-        "write its speedscope JSON profile to FILE",
-    )
-    obs_query.add_argument(
-        "--profile-hz",
-        type=float,
-        default=100.0,
-        metavar="HZ",
-        help="daemon profiler sampling rate (default: 100)",
     )
     query.set_defaults(func=cmd_query)
 
@@ -1270,21 +1221,10 @@ def _run_instrumented(args: argparse.Namespace) -> int:
     from repro import obs
 
     # ``batch --profile`` owns its profiler (it must merge the worker
-    # documents before exporting), and ``serve``/``query --profile``
-    # drive the *daemon's* in-process profiler; every other command
-    # samples here.
+    # documents before exporting); every other command samples here.
     profile_path = (
-        getattr(args, "profile", None)
-        if args.command not in ("batch", "serve", "query")
-        else None
+        getattr(args, "profile", None) if args.command != "batch" else None
     )
-    if getattr(args, "profile_hz", None) is not None and args.profile_hz <= 0:
-        print(
-            f"repro-sta: error: --profile-hz must be > 0, "
-            f"got {args.profile_hz:g}",
-            file=sys.stderr,
-        )
-        return 2
     profiler = None
     with obs.recording() as recorder:
         if profile_path:
@@ -1305,7 +1245,7 @@ def _run_instrumented(args: argparse.Namespace) -> int:
             obs.render_profile_table(profile_doc, limit=10),
             file=sys.stderr,
         )
-    # serve/query define --profile without the full obs flag set.
+    # Not every command defines the full obs flag set.
     if getattr(args, "trace", None):
         path = obs.write_chrome_trace(recorder, args.trace)
         print(f"trace written to {path}", file=sys.stderr)

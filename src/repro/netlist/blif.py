@@ -25,7 +25,7 @@ import shlex
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.netlist.builder import SpecSource
+from repro.netlist.builder import SpecSource, add_instances
 from repro.netlist.cell import Cell
 from repro.netlist.hierarchy import ModuleSpec
 from repro.netlist.kinds import CellRole
@@ -177,7 +177,7 @@ def blif_to_network(
                     raise BlifError(f"empty pragma: {raw!r}")
                 kind = tokens[0]
                 if kind == "cell" and len(tokens) >= 2:
-                    if instances:
+                    if instances and tokens[1]:
                         instances[-1]["name"] = tokens[1]
                 elif kind == "clock" and len(tokens) >= 2:
                     net = tokens[1]
@@ -214,7 +214,7 @@ def blif_to_network(
                 {
                     "spec": rest[0],
                     "pins": _parse_bindings(rest[1:]),
-                    "name": None,
+                    "name": f"u{len(instances)}",
                 }
             )
         elif keyword == ".names":
@@ -267,12 +267,7 @@ def blif_to_network(
             network.connect(net_name, cell.terminal(pin))
 
     # Gates and synchronisers.
-    for index, entry in enumerate(instances):
-        spec = library.spec(entry["spec"])
-        name = entry["name"] or f"u{index}"
-        cell = network.add_cell(Cell(name, spec))
-        for pin, net_name in entry["pins"].items():
-            network.connect(net_name, cell.terminal(pin))
+    add_instances(network, library, instances, BlifError)
     return network
 
 

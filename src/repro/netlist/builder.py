@@ -23,7 +23,7 @@ Cell(...)
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Type
 
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellSpecLike
@@ -39,6 +39,31 @@ class SpecSource(Protocol):
     """Anything that can resolve a spec name (e.g. a CellLibrary)."""
 
     def spec(self, name: str) -> CellSpecLike: ...
+
+
+def add_instances(
+    network: Network,
+    library: SpecSource,
+    instances: List[Dict[str, Any]],
+    error: Type[ValueError],
+) -> None:
+    """Add the library cells a netlist reader parsed, one
+    ``{"name", "spec", "pins"}`` entry each (``pins``: pin -> net).  An
+    unknown spec or pin raises ``error`` naming the cell and the spec or
+    pin."""
+    for entry in instances:
+        name, spec_name = entry["name"], entry["spec"]
+        try:
+            spec = library.spec(spec_name)
+        except KeyError:
+            raise error(f"cell {name!r}: unknown spec {spec_name!r}") from None
+        cell = network.add_cell(Cell(name, spec))
+        for pin, net_name in entry["pins"].items():
+            try:
+                terminal = cell.terminal(pin)
+            except KeyError as exc:
+                raise error(exc.args[0]) from None
+            network.connect(net_name, terminal)
 
 
 class NetworkBuilder:

@@ -30,7 +30,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.netlist.builder import SpecSource
+from repro.netlist.builder import SpecSource, add_instances
 from repro.netlist.cell import Cell
 from repro.netlist.hierarchy import ModuleSpec
 from repro.netlist.network import Network
@@ -289,11 +289,7 @@ def verilog_to_network(
             pin = "Z" if kind == "input" else "A"
             network.connect(net_name, cell.terminal(pin))
 
-    for entry in instances:
-        spec = library.spec(entry["spec"])
-        cell = network.add_cell(Cell(entry["name"], spec))
-        for pin, net_name in entry["pins"].items():
-            network.connect(net_name, cell.terminal(pin))
+    add_instances(network, library, instances, VerilogError)
     return network
 
 

@@ -218,17 +218,6 @@ DEFAULT_RULES: Tuple[AlertRule, ...] = (
         description="result-cache hit rate below 50% over the last 2 minutes",
     ),
     AlertRule(
-        name="profiler.dropped_ticks",
-        kind="burn_rate",
-        numerator=("service.daemon.profiler_dropped_ticks",),
-        denominator=("service.daemon.profiler_samples",),
-        threshold=0.25,
-        window_s=60.0,
-        min_denominator=20.0,
-        severity="info",
-        description="profiler dropping >25% of its ticks (sampling overload)",
-    ),
-    AlertRule(
         name="telemetry.no_heartbeat",
         kind="absence",
         metric="service.daemon.uptime_seconds",

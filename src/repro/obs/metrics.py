@@ -93,12 +93,7 @@ WELL_KNOWN_COUNTERS = (
     "service.daemon.slow_requests",
     "service.accesslog.lines",
     "obs.snapshots_merged",
-    # Continuous profiling + metrics history (PR 6;
-    # docs/observability.md).
-    "service.profile.starts",
-    "service.profile.stops",
-    "service.profile.fetches",
-    "service.profile.samples",
+    # Metrics history (docs/observability.md).
     "service.tsdb.reads",
     # Tail-sampled trace store (PR 9; docs/observability.md).
     "service.tracestore.kept",

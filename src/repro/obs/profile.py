@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import sys
 import threading
@@ -159,8 +160,8 @@ class SamplingProfiler:
         max_depth: int = 128,
         threads: Optional[Iterable[int]] = None,
     ) -> None:
-        if hz <= 0:
-            raise ValueError("hz must be > 0")
+        if not 0 < hz < math.inf:
+            raise ValueError(f"hz must be finite and > 0, got {hz!r}")
         self.hz = float(hz)
         self._recorder = recorder
         self.max_stacks = int(max_stacks)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -575,8 +576,10 @@ class BatchEngine:
             raise ValueError("max_workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if profile_hz is not None and profile_hz <= 0:
-            raise ValueError("profile_hz must be > 0")
+        if profile_hz is not None and not 0 < profile_hz < math.inf:
+            raise ValueError(
+                f"profile_hz must be finite and > 0, got {profile_hz!r}"
+            )
         self.profile_hz = profile_hz
         self.cache = cache
         self.max_workers = max_workers

@@ -30,7 +30,6 @@ Requests (see ``docs/service.md`` for the full protocol)::
     {"op": "health"}
     {"op": "metrics"}
     {"op": "history", "last": 60}
-    {"op": "profile", "action": "start", "hz": 100}
     {"op": "buildinfo"}
     {"op": "shutdown"}
 
@@ -95,7 +94,6 @@ from repro.obs.flight import (
     error_document,
 )
 from repro.obs.hist import LATENCY_BUCKETS
-from repro.obs.profile import SamplingProfiler
 from repro.obs.tracestore import TailSampler, TraceStore
 from repro.obs.tsdb import MetricsHistory
 from repro.service.cache import ResultCache
@@ -356,11 +354,6 @@ class TimingDaemon:
         self.debug_ops = bool(debug_ops) or (
             os.environ.get("REPRO_DEBUG_OPS") == "1"
         )
-        #: In-daemon sampling profiler; started/stopped by the
-        #: ``profile`` op (one at a time -- it samples every thread).
-        self._profiler: Optional[SamplingProfiler] = None
-        self._last_profile: Optional[Dict[str, object]] = None
-        self._profiler_lock = threading.Lock()
         self.http_port = http_port
         self._sidecar = None
         if isinstance(access_log, AccessLog):
@@ -501,7 +494,6 @@ class TimingDaemon:
         ("/healthz", "_http_healthz"),
         ("/metrics", "_http_metrics"),
         ("/metrics/history", "_http_history"),
-        ("/profile", "_http_profile"),
         ("/buildz", "_http_buildz"),
         ("/alertz", "_http_alertz"),
         ("/crashz", "_http_crashz"),
@@ -629,16 +621,6 @@ class TimingDaemon:
             self._op_history({"last": _last_param(request.params)})
         )
 
-    def _http_profile(self, request: HttpRequest) -> Tuple[int, str, str]:
-        doc = self._profile_document()
-        if doc is None:
-            raise RuntimeError(
-                "profiler has not run (start it with the 'profile' op "
-                "or repro-sta serve --profile)"
-            )
-        body = json.dumps({"ok": True, "profile": doc})
-        return 200, "application/json", body + "\n"
-
     def _http_buildz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_buildinfo({}))
 
@@ -752,13 +734,6 @@ class TimingDaemon:
             },
         }
 
-    def _profile_document(self) -> Optional[Dict[str, object]]:
-        """The live profiler's snapshot, else the last stopped profile."""
-        with self._profiler_lock:
-            if self._profiler is not None:
-                return self._profiler.result()
-            return self._last_profile
-
     def _sync_gauges(self) -> None:
         """Refresh point-in-time gauges before a metrics export."""
         with self._designs_lock:
@@ -794,18 +769,6 @@ class TimingDaemon:
             self.recorder.gauge(
                 "service.tracestore.bytes",
                 float(store_stats["bytes"]),
-            )
-        with self._profiler_lock:
-            profiler = self._profiler
-        if profiler is not None:
-            # Cumulative, so the profiler.dropped_ticks burn-rate rule
-            # can take window deltas like any counter.
-            self.recorder.gauge(
-                "service.daemon.profiler_samples", profiler.samples
-            )
-            self.recorder.gauge(
-                "service.daemon.profiler_dropped_ticks",
-                profiler.dropped_ticks,
             )
 
     def _start_pool(self) -> None:
@@ -870,10 +833,6 @@ class TimingDaemon:
         if self.watchdog is not None:
             self.watchdog.stop()
         self.crash.uninstall()
-        with self._profiler_lock:
-            profiler, self._profiler = self._profiler, None
-        if profiler is not None:
-            self._last_profile = profiler.stop()
         if self.access_log is not None:
             self.access_log.close()
         # Persist write-behind LRU recency (advisory -- safe to lose).
@@ -1263,69 +1222,6 @@ class TimingDaemon:
             "text": render_prometheus(self.recorder),
             "metrics": metrics_dict(self.recorder),
         }
-
-    def start_profiler(self, hz: float = 100.0) -> bool:
-        """Start the in-daemon sampler (no-op if already running)."""
-        with self._profiler_lock:
-            if self._profiler is not None:
-                return False
-            profiler = SamplingProfiler(hz=hz, recorder=self.recorder)
-            profiler.start()
-            self._profiler = profiler
-        self._counter("service.profile.starts")
-        return True
-
-    def stop_profiler(self) -> Optional[Dict[str, object]]:
-        """Stop the sampler; returns (and remembers) its profile."""
-        with self._profiler_lock:
-            profiler, self._profiler = self._profiler, None
-            if profiler is None:
-                return None
-            doc = profiler.stop()
-            self._last_profile = doc
-        self._counter("service.profile.stops")
-        self._counter("service.profile.samples", doc.get("samples", 0))
-        return doc
-
-    def _op_profile(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Sampling-profiler control: ``action`` start / stop / fetch.
-
-        * ``start`` (optional ``hz``, default 100) begins sampling every
-          daemon thread, attributing to the service recorder's spans;
-          idempotent (``started: false`` when already running).
-        * ``stop`` halts sampling and returns the ``repro.profile/1``
-          document.
-        * ``fetch`` returns the live snapshot without stopping (or the
-          last stopped profile when idle).
-        """
-        action = str(request.get("action", "fetch"))
-        if action == "start":
-            hz = float(request.get("hz", 100.0) or 100.0)
-            started = self.start_profiler(hz=hz)
-            return {"ok": True, "action": action, "started": started}
-        if action == "stop":
-            doc = self.stop_profiler()
-            if doc is None:
-                raise ValueError("profiler is not running")
-            return {"ok": True, "action": action, "profile": doc}
-        if action == "fetch":
-            self._counter("service.profile.fetches")
-            doc = self._profile_document()
-            if doc is None:
-                raise ValueError(
-                    "profiler has not run (send action='start' first)"
-                )
-            with self._profiler_lock:
-                running = self._profiler is not None
-            return {
-                "ok": True,
-                "action": action,
-                "running": running,
-                "profile": doc,
-            }
-        raise ValueError(
-            f"unknown profile action {action!r} (use start, stop or fetch)"
-        )
 
     def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
         """The metrics ring buffer (``last`` trims to the newest N)."""
@@ -1728,9 +1624,6 @@ class DaemonClient:
 
     def metrics(self) -> Dict[str, object]:
         return self.request({"op": "metrics"})
-
-    def profile(self, action: str = "fetch", **kw) -> Dict[str, object]:
-        return self.request({"op": "profile", "action": action, **kw})
 
     def history(self, last: Optional[int] = None) -> Dict[str, object]:
         request: Dict[str, object] = {"op": "history"}

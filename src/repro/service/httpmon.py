@@ -2,8 +2,8 @@
 
 :class:`TelemetrySidecar` is the read-only endpoint behind
 ``repro-sta serve --http-port`` (``GET /healthz``, ``/metrics``,
-``/metrics/history``, ``/profile``, ``/buildz``, ``/alertz``,
-``/crashz``, ``/flightz``, ``/traces``, ``/traces/<id>``).  Every route
+``/metrics/history``, ``/buildz``, ``/alertz``, ``/crashz``,
+``/flightz``, ``/traces``, ``/traces/<id>``).  Every route
 is a read, so the HTTP hygiene rules are few and live in
 :meth:`TelemetrySidecar.dispatch`:
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -14,6 +16,9 @@ from repro.core.model import AnalysisModel
 from repro.core.slack import SlackEngine
 from repro.delay import estimate_delays
 from repro.netlist import NetworkBuilder
+from repro.netlist.blif import network_to_blif
+from repro.netlist.persistence import network_to_dict
+from repro.netlist.verilog import network_to_verilog
 
 
 @pytest.fixture(scope="session")
@@ -127,36 +132,84 @@ def _modules_not_an_object(doc):
     return doc
 
 
-#: Malformed netlist files: ``(corrupt, message)`` where ``corrupt``
-#: maps the :func:`network_to_dict` document of a design with a
-#: ``CLOCK`` generator and ``INV`` gates to the document written to disk,
-#: and ``message`` is part of the one-line error naming the cell and
-#: the key or pin.
+def _json(corrupt):
+    """Write the network's JSON document as ``corrupt`` changes it."""
+
+    def write(network, directory):
+        path = Path(directory) / "design.json"
+        path.write_text(json.dumps(corrupt(network_to_dict(network))))
+        return path
+
+    return write
+
+
+def _text(suffix, serialise, old, new):
+    """Write the network in a text format with the first ``old``
+    replaced by ``new``."""
+
+    def write(network, directory):
+        text = serialise(network)
+        assert old in text, (suffix, old)
+        path = Path(directory) / f"design{suffix}"
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    return write
+
+
+#: Malformed netlist files: ``(corrupt, message)`` where
+#: ``corrupt(network, directory)`` writes a broken copy of a design
+#: with ``CLOCK`` generators and ``INV`` gates, the first of them
+#: ``s0_i0`` (any :func:`latch_pipeline`), into ``directory`` and
+#: returns its path (the suffix picks the reader), and ``message`` is
+#: part of the one-line error naming the cell and the key, spec or pin.
 MALFORMED_NETLISTS = [
     pytest.param(
-        _unknown_pin,
+        _json(_unknown_pin),
         "cell 'clkgen_phi1' (CLOCK) has no pin 'Q7'",
         id="unknown-pin",
     ),
-    pytest.param(_unknown_spec, "unknown spec 'NAND9'", id="unknown-spec"),
     pytest.param(
-        _without("name"), ": missing key 'name'", id="missing-name"
+        _json(_unknown_spec), "unknown spec 'NAND9'", id="unknown-spec"
     ),
     pytest.param(
-        _without("spec"), ": missing key 'spec'", id="missing-spec"
+        _json(_without("name")), ": missing key 'name'", id="missing-name"
     ),
     pytest.param(
-        _without("pins"), ": missing key 'pins'", id="missing-pins"
+        _json(_without("spec")), ": missing key 'spec'", id="missing-spec"
     ),
     pytest.param(
-        _net_name_not_a_string,
+        _json(_without("pins")), ": missing key 'pins'", id="missing-pins"
+    ),
+    pytest.param(
+        _json(_net_name_not_a_string),
         "pin 'A' names net 42, which is not a string",
         id="net-name-not-a-string",
     ),
     pytest.param(
-        _modules_not_an_object,
+        _json(_modules_not_an_object),
         "netlist 'modules' must be an object",
         id="modules-not-an-object",
+    ),
+    pytest.param(
+        _text(".blif", network_to_blif, ".gate INV A=", ".gate INV Q7="),
+        "cell 's0_i0' (INV) has no pin 'Q7'",
+        id="blif-unknown-pin",
+    ),
+    pytest.param(
+        _text(".blif", network_to_blif, ".gate INV ", ".gate NAND9 "),
+        "cell 's0_i0': unknown spec 'NAND9'",
+        id="blif-unknown-spec",
+    ),
+    pytest.param(
+        _text(".v", network_to_verilog, "INV s0_i0 (.A(", "INV s0_i0 (.Q7("),
+        "cell 's0_i0' (INV) has no pin 'Q7'",
+        id="verilog-unknown-pin",
+    ),
+    pytest.param(
+        _text(".v", network_to_verilog, "INV s0_i0 ", "NAND9 s0_i0 "),
+        "cell 's0_i0': unknown spec 'NAND9'",
+        id="verilog-unknown-spec",
     ),
 ]
 

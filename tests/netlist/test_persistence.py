@@ -7,6 +7,7 @@ from repro.netlist import (
     ModuleSpec,
     NetworkBuilder,
     load_network,
+    read_netlist,
     save_network,
 )
 from repro.generators import latch_pipeline
@@ -95,11 +96,10 @@ class TestRoundTrip:
 
 
 @pytest.mark.parametrize("corrupt, culprit", MALFORMED_NETLISTS)
-def test_malformed_netlists_raise_value_error(lib, corrupt, culprit):
+def test_malformed_netlists_raise_value_error(tmp_path, corrupt, culprit):
     network, __ = latch_pipeline(
         stages=3, stage_lengths=[3, 1, 1], period=12.0
     )
-    doc = corrupt(network_to_dict(network))
     with pytest.raises(ValueError) as caught:
-        network_from_dict(doc, lib)
+        read_netlist(corrupt(network, tmp_path))
     assert culprit in str(caught.value)

@@ -146,6 +146,9 @@ class TestSampling:
             SamplingProfiler(hz=0)
         with pytest.raises(ValueError):
             SamplingProfiler(hz=-5)
+        for hz in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SamplingProfiler(hz=hz)
 
     def test_double_start_rejected(self):
         profiler = SamplingProfiler(hz=100)

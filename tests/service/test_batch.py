@@ -405,8 +405,9 @@ class TestBatchProfiling:
         assert set(merged["pids"]) == worker_pids
 
     def test_rejects_bad_profile_hz(self):
-        with pytest.raises(ValueError):
-            BatchEngine(profile_hz=0)
+        for hz in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                BatchEngine(profile_hz=hz)
 
 
 class TestWorkerCrashForensics:

@@ -165,6 +165,27 @@ class TestServeCommand:
         assert done.wait(timeout=10.0)
         assert status["code"] == 0
 
+    def test_serve_lists_its_http_routes(self, tmp_path, capsys):
+        """The start-up message names exactly the sidecar's routes."""
+        sock = str(tmp_path / "serve.sock")
+        client, done, status = _serve(
+            ["--no-cache", "--http-port", "0"], sock
+        )
+        with client:
+            client.shutdown()
+        assert done.wait(timeout=10.0)
+        assert status["code"] == 0
+        line = next(
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("telemetry http on ")
+        )
+        listed = line[line.index("(GET ") + 5 : line.rindex(")")]
+        assert listed.split(", ") == [
+            path for path, __ in TimingDaemon.HTTP_ROUTES
+        ]
+        assert "/profile" not in listed
+
     def test_serve_writes_no_cluster_artifacts(
         self, tmp_path, design_files
     ):
@@ -213,7 +234,7 @@ class TestServeCommand:
     def test_cache_peer_flags_are_gone(self, capsys):
         """Processes share a cache through one --cache-dir and each
         daemon is triaged on its own; there are no peer, cache-server
-        or fleet-collector flags any more."""
+        or fleet-collector flags any more, and no daemon profiler."""
         for argv in (
             ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
             ["batch", "jobs.json", "--peers-file", "peers.txt"],
@@ -229,6 +250,12 @@ class TestServeCommand:
             ["doctor", "--socket", "s.sock", "--peers",
              "http://127.0.0.1:9400"],
             ["doctor", "--socket", "s.sock", "--peers-file", "peers.txt"],
+            ["serve", "--socket", "s.sock", "--profile", "p.json"],
+            ["serve", "--socket", "s.sock", "--profile-hz", "100"],
+            ["query", "--socket", "s.sock", "--profile", "p.json",
+             '{"op": "ping"}'],
+            ["query", "--socket", "s.sock", "--profile-hz", "100",
+             '{"op": "ping"}'],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(argv)

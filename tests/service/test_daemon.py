@@ -40,10 +40,14 @@ class TestProtocol:
         assert response["ok"] and response["pong"]
         assert response["protocol"] == 1
 
-    def test_unknown_op_is_an_error_response(self, client):
-        response = client.request({"op": "frobnicate"})
-        assert response["ok"] is False
-        assert "unknown op" in response["error"]
+    def test_unknown_op_is_an_error_response(self, daemon, client):
+        # "profile" is unknown too: the daemon has no profiler.
+        for op in ("frobnicate", "profile"):
+            response = client.request({"op": op})
+            assert response["ok"] is False
+            assert "unknown op" in response["error"]
+        assert client.crash_report()["crash"] is None
+        assert daemon.crash.reports_written == 0
 
     def test_malformed_json_does_not_kill_the_daemon(self, daemon):
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -354,11 +358,16 @@ class TestSelfDiagnosis:
     ):
         server, c = diag
         netlist, clocks = design_files
-        broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(corrupt(json.loads(open(netlist).read()))))
+        broken = corrupt(load_network(netlist, standard_library()), tmp_path)
         response = c.analyze(str(broken), clocks)
         assert response["ok"] is False
-        assert response["error_type"] == "ValueError"
+        # Every reader raises a ValueError: the JSON reader a plain one,
+        # the BLIF and Verilog readers their own subclass.
+        assert response["error_type"] == {
+            ".json": "ValueError",
+            ".blif": "BlifError",
+            ".v": "VerilogError",
+        }[broken.suffix]
         assert culprit in response["error"]
         assert c.crash_report()["crash"] is None
         assert server.crash.reports_written == 0

@@ -286,8 +286,9 @@ class TestHttpHygiene:
             assert payload["ok"] is False
             assert "/healthz" in payload["routes"]
             assert "/metrics/history" in payload["routes"]
-            assert "/profile" in payload["routes"]
             assert "/buildz" in payload["routes"]
+            # The daemon has no profiler.
+            assert "/profile" not in payload["routes"]
 
     def test_buildz_route(self, daemon_socket):
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
@@ -334,81 +335,8 @@ class TestHttpHygiene:
             assert err.value.code == 400
             assert b"?last must be an integer" in err.value.read()
 
-    def test_profile_route_500_before_first_run(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._request(daemon.http_address, "/profile")
-            assert err.value.code == 500
-
-    def test_profile_route_serves_live_snapshot(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            assert daemon.start_profiler(hz=200)
-            __, __, body = self._request(daemon.http_address, "/profile")
-            daemon.stop_profiler()
-        payload = json.loads(body)
-        assert payload["ok"]
-        doc = payload["profile"]
-        assert doc["schema"] == "repro.profile/1"
-        assert doc["hz"] == 200
-
 
 class TestProfileAndHistoryOps:
-    def test_profile_lifecycle_over_socket(
-        self, daemon_socket, design_files
-    ):
-        netlist, clocks = design_files
-        with TimingDaemon(daemon_socket) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                started = client.profile("start", hz=500)
-                assert started["ok"] and started["started"] is True
-                # Idempotent: a second start reports started=false.
-                again = client.profile("start")
-                assert again["ok"] and again["started"] is False
-                client.analyze(netlist, clocks)
-                fetched = client.profile("fetch")
-                assert fetched["ok"] and fetched["running"] is True
-                assert fetched["profile"]["schema"] == "repro.profile/1"
-                stopped = client.profile("stop")
-                assert stopped["ok"]
-                doc = stopped["profile"]
-                assert doc["schema"] == "repro.profile/1"
-                assert doc["hz"] == 500
-                # After stop, fetch still serves the last document.
-                idle = client.profile("fetch")
-                assert idle["ok"] and idle["running"] is False
-            assert daemon.recorder.counters[
-                "service.profile.starts"
-            ] == 1
-            assert daemon.recorder.counters["service.profile.stops"] == 1
-
-    def test_profile_attributes_daemon_spans(
-        self, daemon_socket, design_files
-    ):
-        netlist, clocks = design_files
-        with TimingDaemon(daemon_socket) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                client.profile("start", hz=997)
-                for __ in range(5):
-                    client.analyze(netlist, clocks)
-                stopped = client.profile("stop")
-        doc = stopped["profile"]
-        spans = {row["span"] for row in doc["stacks"]}
-        # Either the daemon was fast enough to dodge every tick (rare)
-        # or sampled stacks attribute to daemon request spans.
-        if doc["attributed"]:
-            assert any("service.daemon" in span for span in spans), spans
-
-    def test_profile_errors(self, daemon_socket):
-        with TimingDaemon(daemon_socket):
-            with DaemonClient(daemon_socket) as client:
-                stopped = client.profile("stop")
-                assert stopped["ok"] is False
-                assert "not running" in stopped["error"]
-                fetched = client.profile("fetch")
-                assert fetched["ok"] is False
-                unknown = client.profile("bogus")
-                assert unknown["ok"] is False
-
     def test_history_op(self, daemon_socket, design_files):
         netlist, clocks = design_files
         with TimingDaemon(daemon_socket) as daemon:

@@ -97,6 +97,21 @@ class TestAnalyzeCommand:
         assert "min-delay" in out
         assert code == 0
 
+    def test_bad_profile_hz_exits_2(self, workspace, capsys):
+        netlist_json, __, clocks, tmp_path = workspace
+        target = tmp_path / "profile.speedscope.json"
+        for argv in (
+            ["analyze", str(netlist_json), "--clocks", str(clocks)],
+            ["batch", str(tmp_path / "jobs.json")],
+        ):
+            for hz in ("0", "-5", "nan", "inf"):
+                with pytest.raises(SystemExit) as exc_info:
+                    main([*argv, "--profile", str(target), "--profile-hz", hz])
+                assert exc_info.value.code == 2, (argv[0], hz)
+                err = capsys.readouterr().err
+                assert "--profile-hz: must be finite and > 0" in err
+        assert not target.exists()
+
     def test_unknown_extension_rejected(self, workspace):
         __, __, clocks, tmp_path = workspace
         bogus = tmp_path / "design.vhdl"
@@ -564,9 +579,8 @@ class TestInvalidDesignOrClocks:
         network, schedule = latch_pipeline(
             stages=3, stage_lengths=[3, 1, 1], period=12.0
         )
-        netlist = tmp_path / "design.json"
+        netlist = corrupt(network, tmp_path)
         clocks = tmp_path / "clocks.json"
-        netlist.write_text(json.dumps(corrupt(network_to_dict(network))))
         save_schedule(schedule, clocks)
         proc = subprocess.run(
             [
