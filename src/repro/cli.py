@@ -47,7 +47,7 @@ import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.clocks.serialize import load_schedule
 from repro.core.analyzer import Hummingbird
@@ -525,9 +525,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slow_threshold_s=args.slow_threshold,
         alert_rules=args.alert_rules,
         crash_dir=args.crash_dir,
-        trace_dir=args.trace_dir,
-        trace_max_bytes=args.trace_max_bytes,
-        trace_sample=args.trace_sample,
         workers=args.workers,
         stall_timeout_s=(
             args.stall_timeout if args.stall_timeout > 0 else None
@@ -537,25 +534,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # TimingDaemon class leaves them alone by default).
         install_crash_hooks=True,
     )
+    daemon.bind()
     print(
         f"repro-sta daemon listening on {args.socket} "
         f"(pid {__import__('os').getpid()}); "
         'stop with {"op": "shutdown"} or Ctrl-C',
         file=sys.stderr,
     )
-    if args.http_port is not None:
+    if daemon.http_address is not None:
+        host, port = daemon.http_address
         routes = ", ".join(path for path, __ in TimingDaemon.HTTP_ROUTES)
         print(
-            f"telemetry http on 127.0.0.1:{args.http_port} (GET {routes})",
-            file=sys.stderr,
-        )
-    if daemon.trace_store is not None:
-        stats = daemon.trace_store.stats()
-        print(
-            f"trace store: {stats['dir']} "
-            f"({stats['traces']} traces on disk, "
-            f"max {args.trace_max_bytes} bytes, "
-            f"sample {args.trace_sample:g})",
+            f"telemetry http on {host}:{port} (GET {routes})",
             file=sys.stderr,
         )
     if args.access_log:
@@ -675,71 +665,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         print(render_doctor(doc))
     return doctor_exit_code(doc)
-
-
-def cmd_traces(args: argparse.Namespace) -> int:
-    """Browse the daemon's tail-sampled trace store."""
-    with _daemon_client(args) as client:
-        if args.action == "show":
-            if not args.trace_id:
-                raise SystemExit("traces show needs a <trace_id>")
-            response = client.traces("show", trace_id=args.trace_id)
-        elif args.action == "stats":
-            response = client.traces("stats")
-        else:
-            response = client.traces("list", last=args.last)
-    if not response.get("ok"):
-        print(
-            f"traces: {response.get('error', 'op failed')}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json or args.action == "show":
-        # A stored trace is a document, not a table -- emit it whole
-        # (jq-friendly, and the span tree nests arbitrarily deep).
-        print(_pretty_json(response))
-        return 0
-    if args.action == "stats":
-        stats = response.get("stats") or {}
-        print(
-            f"{stats.get('traces', 0)} traces, "
-            f"{stats.get('bytes', 0)}/{stats.get('max_bytes', 0)} bytes "
-            f"in {stats.get('dir', '?')}"
-        )
-        return 0
-    print(
-        render_trace_list(
-            response.get("traces") or [], response.get("stats") or {}
-        )
-    )
-    return 0
-
-
-def render_trace_list(rows: List[Dict], stats: Dict) -> str:
-    """The ``traces list`` table; the OP column fits the longest op."""
-    ops = [str(row.get("op") or "-") for row in rows]
-    op_width = max([8] + [len(op) for op in ops]) + 2
-    lines = [
-        f"{len(rows)} of {stats.get('traces', len(rows))} stored traces "
-        f"({stats.get('bytes', 0)} bytes in {stats.get('dir', '?')})",
-        f"{'TRACE':<34}{'OP':<{op_width}}{'DESIGN':<18}{'STATUS':<8}"
-        f"{'DUR':>9}  KEPT-AS",
-    ]
-    for row, op in zip(rows, ops):
-        duration = row.get("duration_s")
-        duration_text = (
-            f"{float(duration) * 1000.0:8.1f}ms"
-            if isinstance(duration, (int, float))
-            else f"{'-':>9}"
-        )
-        lines.append(
-            f"{str(row.get('trace_id', '?')):<34}"
-            f"{op:<{op_width}}"
-            f"{str(row.get('design') or '-')[:17]:<18}"
-            f"{str(row.get('status', '?')):<8}"
-            f"{duration_text}  {row.get('sampling', '?')}"
-        )
-    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1022,31 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests at least this slow get their full span tree "
         "attached to the access-log line (default: 1.0)",
     )
-    tracing = serve.add_argument_group("trace store")
-    tracing.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        default=None,
-        help="keep tail-sampled repro.tracedoc/1 span trees under DIR "
-        "(errored + p95-slow requests always kept; their ids surface "
-        "as exemplars in /metrics and resolve via 'traces show')",
-    )
-    tracing.add_argument(
-        "--trace-max-bytes",
-        type=int,
-        default=64 * 1024 * 1024,
-        metavar="N",
-        help="size bound on the trace directory; oldest traces are "
-        "evicted first (default: 64MiB)",
-    )
-    tracing.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.05,
-        metavar="RATE",
-        help="probability of keeping an unremarkable (ok, fast) "
-        "request's trace (default: 0.05)",
-    )
     diagnosis = serve.add_argument_group("self-diagnosis")
     diagnosis.add_argument(
         "--alert-rules",
@@ -1175,43 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the raw repro.doctor/1 document",
     )
     doctor.set_defaults(func=cmd_doctor)
-
-    traces = sub.add_parser(
-        "traces",
-        help="browse the daemon's tail-sampled trace store (list / "
-        "show <trace_id> / stats); exemplar trace_ids in /metrics "
-        "resolve here",
-    )
-    traces.add_argument("--socket", required=True, metavar="PATH")
-    traces.add_argument(
-        "action",
-        nargs="?",
-        default="list",
-        choices=("list", "show", "stats"),
-        help="list recent traces (default), show one by id, or "
-        "print store stats",
-    )
-    traces.add_argument(
-        "trace_id",
-        nargs="?",
-        default=None,
-        help="trace id for 'show' (32-hex; from an exemplar in "
-        "/metrics, an access-log line or 'traces list')",
-    )
-    traces.add_argument(
-        "--last",
-        type=int,
-        default=50,
-        metavar="N",
-        help="traces to list (default: 50, newest first)",
-    )
-    traces.add_argument("--timeout", type=float, default=10.0)
-    traces.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the raw op response",
-    )
-    traces.set_defaults(func=cmd_traces)
 
     return parser
 

@@ -9,6 +9,7 @@ representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -27,6 +28,7 @@ def as_time(value: TimeLike) -> Fraction:
     ints, strings (e.g. ``"12.5"``) and Fractions convert exactly; floats are
     snapped to the nearest fraction with denominator at most ``10**9`` so
     that e.g. ``0.1`` means one tenth rather than its binary approximation.
+    A float that is not finite (``inf``, ``nan``) raises :class:`ValueError`.
 
     >>> as_time(0.1) == Fraction(1, 10)
     True
@@ -38,6 +40,8 @@ def as_time(value: TimeLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"time must be finite, got {value!r}")
         return Fraction(value).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
     if isinstance(value, str):
         return Fraction(value)

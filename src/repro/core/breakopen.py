@@ -25,10 +25,13 @@ guaranteed to handle every pair converging on that output.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro import obs
 
@@ -111,6 +114,11 @@ def minimum_breaks(
     at the later edge).  Exhaustive search over subsets of growing size up
     to ``exhaustive_limit`` ("very seldom is it necessary to remove more
     than two arcs"); beyond that, a greedy set cover finishes the job.
+
+    The search runs on integers: every time is scaled by one common
+    denominator (which keeps :meth:`RequirementArc.handled_by` exact),
+    and each candidate's handled arcs are an int bitmask, so a
+    combination is an OR of masks.
     """
     rec = obs.active()
     candidates = sorted(set(candidate_breaks))
@@ -125,18 +133,11 @@ def minimum_breaks(
             rec.counter("breakopen.passes_selected", 1)
         return (candidates[0],)
 
-    valid: Dict[Fraction, FrozenSet[int]] = {
-        b: frozenset(
-            i
-            for i, arc in enumerate(unique_arcs)
-            if arc.handled_by(b, period)
-        )
-        for b in candidates
-    }
-    everything = frozenset(range(len(unique_arcs)))
-    uncoverable = everything - frozenset().union(*valid.values())
+    masks = _handled_masks(period, candidates, unique_arcs)
+    everything = (1 << len(unique_arcs)) - 1
+    uncoverable = everything & ~functools.reduce(operator.or_, masks)
     if uncoverable:
-        bad = unique_arcs[next(iter(uncoverable))]
+        bad = unique_arcs[(uncoverable & -uncoverable).bit_length() - 1]
         raise PassSelectionError(
             f"requirement arc {bad.assertion}->{bad.closure} is handled by "
             "no break point"
@@ -144,38 +145,75 @@ def minimum_breaks(
 
     combos_tried = 0
     for size in range(1, min(exhaustive_limit, len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, size):
+        for combo in itertools.combinations(range(len(candidates)), size):
             combos_tried += 1
-            covered = frozenset().union(*(valid[b] for b in combo))
+            covered = 0
+            for position in combo:
+                covered |= masks[position]
             if covered == everything:
                 if rec is not None:
                     rec.counter("breakopen.combos_tried", combos_tried)
-                    rec.counter("breakopen.passes_selected", len(combo))
-                return tuple(combo)
+                    rec.counter("breakopen.passes_selected", size)
+                return tuple(candidates[position] for position in combo)
 
-    chosen = _greedy_cover(candidates, valid, everything)
+    chosen = _greedy_cover(masks, everything)
     if rec is not None:
         rec.counter("breakopen.combos_tried", combos_tried)
         rec.counter("breakopen.greedy_fallbacks")
         rec.counter("breakopen.passes_selected", len(chosen))
-    return chosen
+    return tuple(candidates[position] for position in chosen)
 
 
-def _greedy_cover(
+def _handled_masks(
+    period: Fraction,
     candidates: Sequence[Fraction],
-    valid: Dict[Fraction, FrozenSet[int]],
-    everything: FrozenSet[int],
-) -> Tuple[Fraction, ...]:
-    chosen: List[Fraction] = []
-    remaining = set(everything)
+    arcs: Sequence[RequirementArc],
+) -> List[int]:
+    """Per candidate position, the bitmask of the ``arcs`` it handles.
+
+    :meth:`RequirementArc.handled_by` on integers: every time is scaled
+    by one common denominator, which preserves ``mod`` and ``<=``.
+    """
+    ends = [(arc.assertion, arc.closure) for arc in arcs]
+    scale = math.lcm(
+        *(t.denominator for t in itertools.chain([period], candidates, *ends))
+    )
+    whole = int(period * scale)
+    limits = []  # per arc: its closure and T - D, scaled
+    for assertion, closure in ends:
+        at = int(closure * scale)
+        constraint = (at - int(assertion * scale)) % whole or whole
+        limits.append((at, whole - constraint))
+    masks = []
+    for candidate in candidates:
+        start = int(candidate * scale)
+        mask = 0
+        for bit, (at, limit) in enumerate(limits):
+            if (start - at) % whole <= limit:
+                mask |= 1 << bit
+        masks.append(mask)
+    return masks
+
+
+def _greedy_cover(masks: Sequence[int], everything: int) -> List[int]:
+    """Greedy set cover: positions into ``masks``, in ascending order.
+
+    ``bin(x).count("1")`` is the popcount (``int.bit_count`` needs
+    Python 3.10; the package supports 3.9).
+    """
+    chosen: List[int] = []
+    remaining = everything
     while remaining:
-        best = max(candidates, key=lambda b: len(valid[b] & remaining))
-        gain = valid[best] & remaining
+        best = max(
+            range(len(masks)),
+            key=lambda k: bin(masks[k] & remaining).count("1"),
+        )
+        gain = masks[best] & remaining
         if not gain:  # pragma: no cover - guarded by uncoverable check
             raise PassSelectionError("greedy cover stalled")
         chosen.append(best)
-        remaining -= gain
-    return tuple(sorted(chosen))
+        remaining &= ~gain
+    return sorted(chosen)
 
 
 def plan_for_cluster(

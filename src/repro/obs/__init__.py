@@ -16,10 +16,7 @@ pipeline.
   the metrics history (``repro.alerts/1``),
 * :mod:`repro.obs.flight` -- flight recorder ring, structured error /
   crash reports and the stall watchdog (``repro.flight/1``,
-  ``repro.error/1``, ``repro.crash/1``),
-* :mod:`repro.obs.tracestore` -- tail-sampled on-disk trace ring
-  (``repro.tracedoc/1``) whose kept ids surface as exemplars in the
-  Prometheus latency histograms.
+  ``repro.error/1``, ``repro.crash/1``).
 
 Recording is **disabled by default**: every instrumentation site in the
 analysis pipeline degrades to a single global read (see
@@ -107,11 +104,6 @@ from repro.obs.flight import (
     exception_frames,
     thread_stacks,
 )
-from repro.obs.tracestore import (
-    TRACE_DOC_SCHEMA,
-    TailSampler,
-    TraceStore,
-)
 
 __all__ = [
     "Recorder",
@@ -174,7 +166,4 @@ __all__ = [
     "error_document",
     "exception_frames",
     "thread_stacks",
-    "TRACE_DOC_SCHEMA",
-    "TailSampler",
-    "TraceStore",
 ]

@@ -172,7 +172,6 @@ class HistogramStats:
         "total",
         "minimum",
         "maximum",
-        "exemplars",
     )
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
@@ -186,24 +185,15 @@ class HistogramStats:
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        #: OpenMetrics-style exemplars: bucket index -> the most recent
-        #: labelled observation in that bucket, e.g.
-        #: ``{"trace_id": ..., "value": 0.41, "ts": 1700000000.0}``.
-        self.exemplars: Dict[int, Dict[str, object]] = {}
 
-    def observe(
-        self, value: float, exemplar: Optional[Dict[str, object]] = None
-    ) -> None:
-        index = bisect_left(self.bounds, value)
-        self.counts[index] += 1
+    def observe(self, value: float) -> None:
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        if exemplar:
-            self.exemplars[index] = dict(exemplar, value=value)
 
     @property
     def mean(self) -> float:
@@ -243,9 +233,6 @@ class HistogramStats:
         if other.count:
             self.minimum = min(self.minimum, other.minimum)
             self.maximum = max(self.maximum, other.maximum)
-        if other.bounds == self.bounds:
-            for index, exemplar in other.exemplars.items():
-                self.exemplars[index] = dict(exemplar)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "HistogramStats":
@@ -260,12 +247,6 @@ class HistogramStats:
         if stats.count:
             stats.minimum = float(data.get("min", 0.0))
             stats.maximum = float(data.get("max", 0.0))
-        for key, exemplar in (data.get("exemplars") or {}).items():
-            if isinstance(exemplar, dict):
-                try:
-                    stats.exemplars[int(key)] = dict(exemplar)
-                except (TypeError, ValueError):
-                    continue
         return stats
 
     def cumulative(self) -> List[Tuple[str, int]]:
@@ -280,7 +261,7 @@ class HistogramStats:
         return rows
 
     def to_dict(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {
+        return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
             "count": self.count,
@@ -289,9 +270,3 @@ class HistogramStats:
             "max": self.maximum if self.count else 0.0,
             "mean": self.mean,
         }
-        if self.exemplars:
-            doc["exemplars"] = {
-                str(index): dict(exemplar)
-                for index, exemplar in self.exemplars.items()
-            }
-        return doc

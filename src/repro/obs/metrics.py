@@ -95,13 +95,6 @@ WELL_KNOWN_COUNTERS = (
     "obs.snapshots_merged",
     # Metrics history (docs/observability.md).
     "service.tsdb.reads",
-    # Tail-sampled trace store (PR 9; docs/observability.md).
-    "service.tracestore.kept",
-    "service.tracestore.kept_error",
-    "service.tracestore.kept_slow",
-    "service.tracestore.dropped",
-    "service.tracestore.evicted",
-    "service.tracestore.write_errors",
 )
 
 
@@ -175,19 +168,8 @@ def render_prometheus(recorder: Recorder, prefix: str = "repro") -> str:
     for name, hist in sorted(recorder.histograms.items()):
         metric = f"{prefix}_{_sanitise(name)}"
         lines.append(f"# TYPE {metric} histogram")
-        for index, (le, cumulative) in enumerate(hist.cumulative()):
-            line = f'{metric}_bucket{{le="{le}"}} {cumulative}'
-            exemplar = hist.exemplars.get(index)
-            if exemplar and exemplar.get("trace_id"):
-                # OpenMetrics exemplar suffix: the trace behind a recent
-                # observation in this bucket (retrievable via
-                # ``repro-sta traces show <trace_id>``).
-                line += (
-                    f' # {{trace_id="{exemplar["trace_id"]}"}}'
-                    f' {float(exemplar.get("value", 0.0)):g}'
-                    f' {float(exemplar.get("ts", 0.0)):.3f}'
-                )
-            lines.append(line)
+        for le, cumulative in hist.cumulative():
+            lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
         lines.append(f"{metric}_sum {hist.total:g}")
         lines.append(f"{metric}_count {hist.count}")
     return "\n".join(lines) + "\n"

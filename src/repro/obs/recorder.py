@@ -311,23 +311,18 @@ class Recorder:
         name: str,
         value: float,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        exemplar: Optional[Dict[str, object]] = None,
     ) -> None:
         """Observe ``value`` in the fixed-bucket histogram ``name``.
 
         ``buckets`` (sorted upper bounds, Prometheus ``le`` semantics)
         is only consulted on the first observation of a name; later
         observations reuse the histogram's existing bounds.
-        ``exemplar`` (e.g. ``{"trace_id": ..., "ts": ...}``) labels the
-        bucket this observation lands in -- the metrics exposition
-        renders it OpenMetrics-style so an operator can jump from a fat
-        latency bucket to a retrievable trace.
         """
         with self._lock:
             stats = self.histograms.get(name)
             if stats is None:
                 stats = self.histograms[name] = HistogramStats(buckets)
-            stats.observe(value, exemplar=exemplar)
+            stats.observe(value)
 
     def event(self, name: str, **args: object) -> None:
         """Record an instant event (a point on the trace timeline)."""
@@ -614,10 +609,9 @@ def histogram(
     name: str,
     value: float,
     buckets: Sequence[float] = DEFAULT_BUCKETS,
-    exemplar: Optional[Dict[str, object]] = None,
 ) -> None:
     """Observe into a histogram on the active recorder (no-op when
     disabled)."""
     rec = active()
     if rec is not None:
-        rec.histogram(name, value, buckets, exemplar=exemplar)
+        rec.histogram(name, value, buckets)

@@ -40,14 +40,18 @@ request never takes the daemon down.
 **Service telemetry** (PR 4; see ``docs/observability.md``): the daemon
 keeps an always-on, low-overhead *service recorder* feeding the
 ``health``/``metrics`` ops and the optional localhost HTTP sidecar
-(``--http-port``: ``GET /healthz``, ``GET /metrics``).  A request that
-carries a ``repro.trace/1`` context (any :class:`DaemonClient` call made
-while the client records) is handled under a per-request recorder whose
-snapshot ships back in the response and merges into the client trace --
-one Chrome trace across both processes.  With ``--access-log`` every
-request appends one ``repro.accesslog/1`` JSON line (op, design, warm
-vs rebuild, queue-wait vs handle time, status, duration); requests
-slower than the threshold attach their full span tree.
+(``--http-port``; the exact paths of :attr:`TimingDaemon.HTTP_ROUTES`:
+``/healthz``, ``/metrics``, ``/metrics/history``, ``/buildz``,
+``/alertz``, ``/crashz``, ``/flightz``).  A request that carries a
+``repro.trace/1`` context (any :class:`DaemonClient` call made while
+the client records, e.g. ``query --trace``) is handled under a
+per-request recorder whose snapshot ships back in the response and
+merges into the client trace -- one Chrome trace across both
+processes.  With ``--access-log`` every request appends one
+``repro.accesslog/1`` JSON line (op, design, warm vs rebuild,
+queue-wait vs handle time, status, duration, trace id); failed
+requests and requests slower than the threshold attach their full
+span tree when they were traced.
 
 **Self-diagnosis** (PR 7): an :class:`repro.obs.alerts.AlertEngine`
 evaluates declarative rules against the metrics history on every
@@ -94,7 +98,6 @@ from repro.obs.flight import (
     error_document,
 )
 from repro.obs.hist import LATENCY_BUCKETS
-from repro.obs.tracestore import TailSampler, TraceStore
 from repro.obs.tsdb import MetricsHistory
 from repro.service.cache import ResultCache
 from repro.service.digest import (
@@ -117,18 +120,25 @@ PROTOCOL_VERSION = 1
 _EXPECTED_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
-def _last_param(
-    params: Dict[str, str], default: Optional[int] = None
-) -> Optional[int]:
-    """The ``?last=N`` query parameter (a non-integer answers 400)."""
-    if "last" not in params:
-        return default
+def _last_count(value: object, name: str = "last") -> Optional[int]:
+    """A ``last`` trim count: ``None`` (keep all) or an integer.
+
+    Anything else -- ``"x"``, a list, JSON ``1e999`` (``inf``) -- is a
+    bad request and raises :class:`ValueError`, never a crash report.
+    """
+    if value is None:
+        return None
     try:
-        return int(params["last"])
-    except ValueError:
+        return int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
-            f"?last must be an integer, got {params['last']!r}"
+            f"{name} must be an integer, got {value!r}"
         ) from None
+
+
+def _last_param(params: Dict[str, str]) -> Optional[int]:
+    """The ``?last=N`` query parameter (a non-integer answers 400)."""
+    return _last_count(params.get("last"), "?last")
 
 
 class AnalysisSnapshot:
@@ -282,9 +292,6 @@ class TimingDaemon:
         stall_timeout_s: Optional[float] = 30.0,
         debug_ops: bool = False,
         install_crash_hooks: bool = False,
-        trace_dir: Union[None, str, "os.PathLike[str]"] = None,
-        trace_max_bytes: int = 64 * 1024 * 1024,
-        trace_sample: float = 0.05,
         workers: int = 8,
     ) -> None:
         if int(workers) < 1:
@@ -294,21 +301,6 @@ class TimingDaemon:
             )
         self.socket_path = str(socket_path)
         self.cache = cache
-        #: Tail-sampled on-disk trace ring (``serve --trace-dir``);
-        #: every request mints a trace id, the sampler keeps errored,
-        #: p95-slow and a deterministic fraction of the rest, and the
-        #: kept ids surface as exemplars on the ``/metrics`` latency
-        #: histogram (see docs/observability.md, "Trace store and
-        #: exemplars").
-        self.trace_store: Optional[TraceStore] = (
-            TraceStore(
-                trace_dir,
-                max_bytes=trace_max_bytes,
-                sampler=TailSampler(sample_rate=trace_sample),
-            )
-            if trace_dir is not None
-            else None
-        )
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
@@ -392,16 +384,9 @@ class TimingDaemon:
         self.recorder.gauge(name, value)
         obs.gauge(name, value)
 
-    def _histogram(
-        self,
-        name: str,
-        value: float,
-        exemplar: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.recorder.histogram(
-            name, value, LATENCY_BUCKETS, exemplar=exemplar
-        )
-        obs.histogram(name, value, LATENCY_BUCKETS, exemplar=exemplar)
+    def _histogram(self, name: str, value: float) -> None:
+        self.recorder.histogram(name, value, LATENCY_BUCKETS)
+        obs.histogram(name, value, LATENCY_BUCKETS)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -487,9 +472,9 @@ class TimingDaemon:
         return server
 
     #: Declarative sidecar route table: path -> bound-method name.
-    #: ``_start_sidecar`` builds the live dict from this plus the
-    #: ``/traces/<id>`` prefix route, and the sidecar's JSON 404 lists
-    #: exactly those -- adding a route is one line here.
+    #: ``_start_sidecar`` builds the live dict from exactly this, and
+    #: the sidecar's JSON 404 lists it -- adding a route is one line
+    #: here.
     HTTP_ROUTES: Tuple[Tuple[str, str], ...] = (
         ("/healthz", "_http_healthz"),
         ("/metrics", "_http_metrics"),
@@ -498,18 +483,16 @@ class TimingDaemon:
         ("/alertz", "_http_alertz"),
         ("/crashz", "_http_crashz"),
         ("/flightz", "_http_flightz"),
-        ("/traces", "_http_traces"),
     )
 
     def _start_sidecar(self) -> None:
         if self.http_port is None or self._sidecar is not None:
             return
-        routes = {
-            path: getattr(self, attr) for path, attr in self.HTTP_ROUTES
-        }
-        routes["/traces/<id>"] = self._http_trace_show
         self._sidecar = TelemetrySidecar(
-            routes=routes,
+            routes={
+                path: getattr(self, attr)
+                for path, attr in self.HTTP_ROUTES
+            },
             port=self.http_port,
             on_request=lambda path: self._counter(
                 "service.daemon.http_requests"
@@ -635,55 +618,6 @@ class TimingDaemon:
             self._op_flight({"last": _last_param(request.params)})
         )
 
-    def _http_traces(self, request: HttpRequest) -> Tuple[int, str, str]:
-        if self.trace_store is None:
-            raise RuntimeError(
-                "trace store disabled (start with --trace-dir)"
-            )
-        body = json.dumps(
-            {
-                "ok": True,
-                "traces": self.trace_store.list(
-                    last=_last_param(request.params, default=50)
-                ),
-                "stats": self.trace_store.stats(),
-            }
-        )
-        return 200, "application/json", body + "\n"
-
-    def _http_trace_show(self, request: HttpRequest) -> Tuple[int, str, str]:
-        """``GET /traces/<id>``: the trace id is the route operand."""
-        if self.trace_store is None:
-            return (
-                500,
-                "application/json",
-                json.dumps(
-                    {
-                        "ok": False,
-                        "error": (
-                            "trace store disabled (start with --trace-dir)"
-                        ),
-                    }
-                )
-                + "\n",
-            )
-        trace_id = request.operand.strip()
-        document = self.trace_store.get(trace_id)
-        if document is None:
-            return (
-                404,
-                "application/json",
-                json.dumps(
-                    {
-                        "ok": False,
-                        "error": f"no stored trace {trace_id!r}",
-                    }
-                )
-                + "\n",
-            )
-        body = json.dumps({"ok": True, "trace": document})
-        return 200, "application/json", body + "\n"
-
     def _buildinfo(self) -> Dict[str, object]:
         """Build/runtime identity served by ``GET /buildz``."""
         import sys
@@ -716,21 +650,6 @@ class TimingDaemon:
                 ),
                 "debug_ops": self.debug_ops,
                 "workers": self.workers,
-                "trace_dir": (
-                    str(self.trace_store.root)
-                    if self.trace_store is not None
-                    else None
-                ),
-                "trace_max_bytes": (
-                    self.trace_store.max_bytes
-                    if self.trace_store is not None
-                    else None
-                ),
-                "trace_sample": (
-                    self.trace_store.sampler.sample_rate
-                    if self.trace_store is not None
-                    else None
-                ),
             },
         }
 
@@ -760,16 +679,6 @@ class TimingDaemon:
         self.recorder.gauge(
             "service.alerts.firing", self.alerts.firing_count()
         )
-        if self.trace_store is not None:
-            store_stats = self.trace_store.stats()
-            self.recorder.gauge(
-                "service.tracestore.traces",
-                float(store_stats["traces"]),
-            )
-            self.recorder.gauge(
-                "service.tracestore.bytes",
-                float(store_stats["bytes"]),
-            )
 
     def _start_pool(self) -> None:
         if self._pool is None:
@@ -780,8 +689,11 @@ class TimingDaemon:
                 thread_name_prefix="repro-daemon",
             )
 
-    def start(self) -> None:
-        """Serve in a background thread (returns once listening)."""
+    def bind(self) -> None:
+        """Listen on the socket and the HTTP port and start the helper
+        threads; :meth:`serve_forever` then serves.  ``repro-sta
+        serve`` binds first so its start-up message names the port the
+        sidecar actually bound (``--http-port 0`` picks one)."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
         self._server = self._make_server()
@@ -789,6 +701,10 @@ class TimingDaemon:
         self._start_sidecar()
         self._start_history()
         self._start_self_diagnosis()
+
+    def start(self) -> None:
+        """Serve in a background thread (returns once listening)."""
+        self.bind()
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -797,14 +713,12 @@ class TimingDaemon:
         self._thread.start()
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`stop`/shutdown op."""
-        if self._server is not None:
+        """Serve on the calling thread until :meth:`stop`/shutdown op,
+        binding first unless :meth:`bind` already has."""
+        if self._thread is not None:
             raise RuntimeError("daemon already started")
-        self._server = self._make_server()
-        self._start_pool()
-        self._start_sidecar()
-        self._start_history()
-        self._start_self_diagnosis()
+        if self._server is None:
+            self.bind()
         try:
             self._server.serve_forever(poll_interval=0.05)
         finally:
@@ -971,35 +885,7 @@ class TimingDaemon:
                 snapshot_doc = live.snapshot(req_rec)
             except Exception:  # noqa: BLE001 -- forensics only
                 snapshot_doc = None
-        # Tail sampling: every request gets a trace id (the client's
-        # when traced, freshly minted otherwise); the store keeps the
-        # errored/slow/sampled ones, and only *kept* ids become
-        # exemplars on the latency histogram -- an exemplar in
-        # ``/metrics`` is always retrievable via ``traces show``.
-        exemplar: Optional[Dict[str, object]] = None
-        if self.trace_store is not None:
-            trace_id = (
-                req_rec.trace_id if req_rec is not None
-                else live.new_trace_id()
-            )
-            kept = self.trace_store.offer(
-                trace_id,
-                status=status,
-                duration_s=duration,
-                op=op or None,
-                design=getattr(local, "design", None),
-                error=(
-                    {"error": error, "error_type": error_type}
-                    if error is not None
-                    else None
-                ),
-                snapshot=snapshot_doc,
-            )
-            if kept is not None:
-                exemplar = {"trace_id": trace_id, "ts": time.time()}
-        self._histogram(
-            "service.daemon.request_seconds", duration, exemplar=exemplar
-        )
+        self._histogram("service.daemon.request_seconds", duration)
         self._histogram("service.daemon.handle_seconds", handle_s)
         if duration >= self.slow_threshold_s:
             self._counter("service.daemon.slow_requests")
@@ -1225,8 +1111,7 @@ class TimingDaemon:
 
     def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
         """The metrics ring buffer (``last`` trims to the newest N)."""
-        last = request.get("last")
-        last = int(last) if last is not None else None
+        last = _last_count(request.get("last"))
         self._counter("service.tsdb.reads")
         return {"ok": True, **self.history.to_dict(last=last)}
 
@@ -1446,39 +1331,8 @@ class TimingDaemon:
 
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
-        last = request.get("last")
-        last = int(last) if last is not None else None
+        last = _last_count(request.get("last"))
         return {"ok": True, **self.flight.to_dict(last=last)}
-
-    def _op_traces(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The tail-sampled trace store: ``action`` list (default),
-        show (with ``trace_id``) or stats."""
-        if self.trace_store is None:
-            raise ValueError(
-                "trace store is disabled on this daemon "
-                "(start it with --trace-dir)"
-            )
-        action = str(request.get("action", "list"))
-        if action == "list":
-            last = int(request.get("last", 50) or 0)
-            return {
-                "ok": True,
-                "traces": self.trace_store.list(last=last),
-                "stats": self.trace_store.stats(),
-            }
-        if action == "show":
-            trace_id = str(request.get("trace_id", ""))
-            if not trace_id:
-                raise ValueError("show needs a 'trace_id'")
-            document = self.trace_store.get(trace_id)
-            if document is None:
-                raise ValueError(f"no stored trace {trace_id!r}")
-            return {"ok": True, "trace": document}
-        if action == "stats":
-            return {"ok": True, "stats": self.trace_store.stats()}
-        raise ValueError(
-            f"unknown traces action {action!r} (use list, show or stats)"
-        )
 
     def _op_crash_report(self, request: Dict[str, object]) -> Dict[str, object]:
         """The latest ``repro.crash/1`` report (``crash: null`` if none).
@@ -1642,9 +1496,6 @@ class DaemonClient:
         if last is not None:
             request["last"] = last
         return self.request(request)
-
-    def traces(self, action: str = "list", **kw) -> Dict[str, object]:
-        return self.request({"op": "traces", "action": action, **kw})
 
     def crash_report(self) -> Dict[str, object]:
         return self.request({"op": "crash-report"})

@@ -3,18 +3,16 @@
 :class:`TelemetrySidecar` is the read-only endpoint behind
 ``repro-sta serve --http-port`` (``GET /healthz``, ``/metrics``,
 ``/metrics/history``, ``/buildz``, ``/alertz``, ``/crashz``,
-``/flightz``, ``/traces``, ``/traces/<id>``).  Every route
-is a read, so the HTTP hygiene rules are few and live in
-:meth:`TelemetrySidecar.dispatch`:
+``/flightz``).  Every route is a read of one exact path, so the HTTP
+hygiene rules are few and live in :meth:`TelemetrySidecar.dispatch`:
 
-* unknown paths answer a JSON 404 listing every route,
+* a path is found by one dict lookup; any other path (a path below
+  a route included) answers a JSON 404 listing every route,
 * any method other than ``GET``/``HEAD`` answers 405 with
   ``Allow: GET, HEAD``,
 * ``HEAD`` is answered from ``GET`` with the body stripped,
 * a route raising :class:`ValueError` answers 400 (bad client input),
-  anything else 500,
-* a pattern ending in ``/<name>`` is a prefix route: ``/traces/<id>``
-  matches ``/traces/abc123`` with ``request.operand == "abc123"``.
+  anything else 500.
 
 The server binds **127.0.0.1 only** (telemetry is not an external API).
 Everything is standard library (``http.server``); requests never block
@@ -44,9 +42,6 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class HttpRequest:
     """One dispatched request as seen by a route."""
 
-    #: For ``/prefix/<operand>`` routes: the path tail after the
-    #: prefix (``""`` for exact routes).
-    operand: str
     #: Last value of each query-string key.
     params: Dict[str, str]
 
@@ -67,8 +62,7 @@ class TelemetrySidecar:
     Parameters
     ----------
     routes:
-        Mapping of pattern -> :data:`Route`.  A pattern is an exact
-        path, or ends in ``/<name>`` for a prefix route.
+        Mapping of exact path -> :data:`Route`.
     port:
         TCP port on 127.0.0.1 (``0`` picks an ephemeral port; read the
         bound address back from :attr:`address`).
@@ -98,24 +92,12 @@ class TelemetrySidecar:
         host, port = self._server.server_address[:2]
         return str(host), int(port)
 
-    def _resolve(self, path: str) -> Optional[Tuple[str, Route]]:
-        """``(operand, route)`` serving ``path``, or ``None``."""
-        route = self.routes.get(path)
-        if route is not None:
-            return "", route
-        for pattern, route in self.routes.items():
-            if pattern.endswith(">") and "<" in pattern:
-                prefix = pattern[: pattern.rindex("<")]
-                if path.startswith(prefix) and len(path) > len(prefix):
-                    return path[len(prefix):], route
-        return None
-
     def dispatch(
         self, method: str, path: str, params: Dict[str, str]
     ) -> _Response:
         """Route one request; returns ``(status, ctype, body, headers)``."""
-        resolved = self._resolve(path)
-        if resolved is None:
+        route = self.routes.get(path)
+        if route is None:
             doc = {
                 "ok": False,
                 "error": f"unknown path {path!r}",
@@ -134,11 +116,8 @@ class TelemetrySidecar:
                 _json_bytes(doc),
                 {"Allow": ", ".join(_ALLOWED)},
             )
-        operand, route = resolved
         try:
-            status, content_type, body = route(
-                HttpRequest(operand=operand, params=params)
-            )
+            status, content_type, body = route(HttpRequest(params=params))
         except ValueError as exc:  # bad client input, e.g. ?last=x
             return 400, "text/plain", f"{exc}\n".encode(), {}
         except Exception as exc:  # noqa: BLE001 -- report, don't die

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import urllib.request
 
 import pytest
 
@@ -172,19 +173,31 @@ class TestServeCommand:
             ["--no-cache", "--http-port", "0"], sock
         )
         with client:
+            # A ping is answered only once serving has begun, after the
+            # start-up message.
+            assert client.ping()["pong"]
+            line = next(
+                line
+                for line in capsys.readouterr().err.splitlines()
+                if line.startswith("telemetry http on ")
+            )
+            # ``--http-port 0`` prints the port the sidecar bound.
+            address = line[len("telemetry http on ") : line.index(" (GET ")]
+            host, port = address.split(":")
+            assert int(port) > 0
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/healthz", timeout=5
+            ) as response:
+                assert response.status == 200
             client.shutdown()
         assert done.wait(timeout=10.0)
         assert status["code"] == 0
-        line = next(
-            line
-            for line in capsys.readouterr().err.splitlines()
-            if line.startswith("telemetry http on ")
-        )
         listed = line[line.index("(GET ") + 5 : line.rindex(")")]
         assert listed.split(", ") == [
             path for path, __ in TimingDaemon.HTTP_ROUTES
         ]
         assert "/profile" not in listed
+        assert "/traces" not in listed
 
     def test_serve_writes_no_cluster_artifacts(
         self, tmp_path, design_files
@@ -234,7 +247,8 @@ class TestServeCommand:
     def test_cache_peer_flags_are_gone(self, capsys):
         """Processes share a cache through one --cache-dir and each
         daemon is triaged on its own; there are no peer, cache-server
-        or fleet-collector flags any more, and no daemon profiler."""
+        or fleet-collector flags any more, no daemon profiler and no
+        trace store."""
         for argv in (
             ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
             ["batch", "jobs.json", "--peers-file", "peers.txt"],
@@ -256,12 +270,15 @@ class TestServeCommand:
              '{"op": "ping"}'],
             ["query", "--socket", "s.sock", "--profile-hz", "100",
              '{"op": "ping"}'],
+            ["serve", "--socket", "s.sock", "--trace-dir", "D"],
+            ["serve", "--socket", "s.sock", "--trace-max-bytes", "1"],
+            ["serve", "--socket", "s.sock", "--trace-sample", "1.0"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(argv)
             assert exc_info.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-        for command in ("collect", "fleet"):
+        for command in ("collect", "fleet", "traces"):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args([command])
             assert exc_info.value.code == 2, command

@@ -8,6 +8,7 @@ import socket
 import pytest
 
 from repro.cells import standard_library
+from repro.cli import main
 from repro.clocks.serialize import load_schedule
 from repro.core.analyzer import Hummingbird
 from repro.delay.estimator import estimate_delays
@@ -41,8 +42,9 @@ class TestProtocol:
         assert response["protocol"] == 1
 
     def test_unknown_op_is_an_error_response(self, daemon, client):
-        # "profile" is unknown too: the daemon has no profiler.
-        for op in ("frobnicate", "profile"):
+        # "profile" and "traces" are unknown too: the daemon has no
+        # profiler and no trace store.
+        for op in ("frobnicate", "profile", "traces"):
             response = client.request({"op": op})
             assert response["ok"] is False
             assert "unknown op" in response["error"]
@@ -388,6 +390,38 @@ class TestSelfDiagnosis:
         assert culprit in response["error"]
         assert c.crash_report()["crash"] is None
         assert server.crash.reports_written == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"op": "history", "last": 1e999',
+            '"op": "flight", "last": 1e999',
+            '"op": "mutate", "action": "scale_clocks", "factor": 1e999',
+            '"op": "mutate", "action": "set_pulse_width", "clock": "phi1", '
+            '"width": 1e999',
+        ],
+    )
+    def test_non_finite_number_is_a_value_error(
+        self, diag, design_files, fields
+    ):
+        """JSON ``1e999`` parses to ``inf``: a bad request, not a crash."""
+        server, c = diag
+        netlist, clocks = design_files
+        line = (
+            f'{{{fields}, "netlist": {json.dumps(netlist)}, '
+            f'"clocks": {json.dumps(clocks)}}}\n'
+        )
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30.0)
+            raw.connect(server.socket_path)
+            raw.sendall(line.encode("utf-8"))
+            response = json.loads(raw.makefile("rb").readline())
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert "inf" in response["error"]
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
+        assert main(["doctor", "--socket", server.socket_path]) == 0
 
     def test_failed_request_logs_spans_regardless_of_threshold(
         self, tmp_path

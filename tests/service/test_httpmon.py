@@ -3,10 +3,10 @@
 Unknown paths answer a JSON 404 listing every route, any method other
 than GET/HEAD answers 405 with ``Allow: GET, HEAD``, HEAD is served
 from GET with the body stripped, ValueError maps to 400 and anything
-else to 500, prefix routes (``/traces/<id>``) dispatch with the operand
-split out, request bodies above the bound answer 413, and a
-``Content-Length`` that is not a non-negative integer answers 400 and
-closes the connection.
+else to 500, every route is one exact path (a path below it is 404), a
+repeated query key keeps its last value, request bodies above the bound
+answer 413, and a ``Content-Length`` that is not a non-negative integer
+answers 400 and closes the connection.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ def _boom(request: HttpRequest):
 
 
 def _echo(request: HttpRequest):
-    doc = {"operand": request.operand, "params": request.params}
-    return 200, "application/json", json.dumps(doc)
+    return 200, "application/json", json.dumps({"params": request.params})
 
 
 @pytest.fixture
@@ -46,7 +45,7 @@ def sidecar():
         "/healthz": _ok,
         "/bad": _bad_input,
         "/boom": _boom,
-        "/traces/<id>": _echo,
+        "/echo": _echo,
     }
     with TelemetrySidecar(routes, on_request=seen.append) as server:
         server.seen = seen
@@ -78,7 +77,7 @@ class TestRouteTable:
         assert status == 404
         doc = json.loads(body)
         assert doc["ok"] is False
-        assert doc["routes"] == ["/bad", "/boom", "/healthz", "/traces/<id>"]
+        assert doc["routes"] == ["/bad", "/boom", "/echo", "/healthz"]
 
     def test_unknown_path_404_regardless_of_method(self, sidecar):
         status, *_ = _request(sidecar, "/nope", method="PUT", data=b"x")
@@ -94,19 +93,16 @@ class TestRouteTable:
             assert json.loads(body)["allow"] == ["GET", "HEAD"]
 
     def test_head_falls_back_to_get_handler(self, sidecar):
-        status, *_ = _request(sidecar, "/traces/abc", method="HEAD")
+        status, *_ = _request(sidecar, "/echo", method="HEAD")
         assert status == 200
 
-    def test_prefix_route_operand(self, sidecar):
-        status, __, body = _request(sidecar, "/traces/abc123?last=2&last=3")
+    def test_query_parameter_keeps_last_value(self, sidecar):
+        status, __, body = _request(sidecar, "/echo?last=2&last=3")
         assert status == 200
-        assert json.loads(body) == {
-            "operand": "abc123",
-            "params": {"last": "3"},
-        }
+        assert json.loads(body) == {"params": {"last": "3"}}
 
-    def test_prefix_route_requires_operand(self, sidecar):
-        status, *_ = _request(sidecar, "/traces/")
+    def test_path_below_a_route_is_404(self, sidecar):
+        status, *_ = _request(sidecar, "/healthz/x")
         assert status == 404
 
     def test_value_error_maps_to_400(self, sidecar):
@@ -147,7 +143,7 @@ class TestTelemetrySidecar:
         assert status == 404
         doc = json.loads(body)
         assert "/healthz" in doc["routes"]
-        assert "/traces/<id>" in doc["routes"]
+        assert "/echo" in doc["routes"]
 
     def test_oversized_body_is_413(self, sidecar):
         host, port = sidecar.address

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import urllib.error
 import urllib.request
 
@@ -287,8 +286,9 @@ class TestHttpHygiene:
             assert "/healthz" in payload["routes"]
             assert "/metrics/history" in payload["routes"]
             assert "/buildz" in payload["routes"]
-            # The daemon has no profiler.
+            # The daemon has no profiler and no trace store.
             assert "/profile" not in payload["routes"]
+            assert "/traces" not in payload["routes"]
 
     def test_buildz_route(self, daemon_socket):
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
@@ -469,10 +469,7 @@ class TestSelfDiagnosisRoutes:
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._get(daemon.http_address, "/nope")
             payload = json.loads(err.value.read())
-        expected = sorted(
-            [path for path, __ in TimingDaemon.HTTP_ROUTES]
-            + ["/traces/<id>"]  # the trace-show handler route (PR 9)
-        )
+        expected = sorted(path for path, __ in TimingDaemon.HTTP_ROUTES)
         assert sorted(payload["routes"]) == expected
         for path in ("/alertz", "/crashz", "/flightz"):
             assert path in payload["routes"]
@@ -482,63 +479,3 @@ class TestSelfDiagnosisRoutes:
         for path, attr in TimingDaemon.HTTP_ROUTES:
             assert path.startswith("/")
             assert callable(getattr(TimingDaemon, attr))
-
-
-class TestTraceStoreExemplars:
-    """PR 9: a ``/metrics`` exemplar resolves to a stored trace."""
-
-    def _get(self, base, path):
-        with urllib.request.urlopen(f"{base}{path}", timeout=5) as response:
-            return response.status, response.read().decode("utf-8")
-
-    def test_exemplar_resolves_to_stored_trace(
-        self, daemon_socket, design_files, tmp_path
-    ):
-        netlist, clocks = design_files
-        with TimingDaemon(
-            daemon_socket,
-            http_port=0,
-            trace_dir=tmp_path / "traces",
-            trace_sample=1.0,
-        ) as daemon:
-            host, port = daemon.http_address
-            base = f"http://{host}:{port}"
-            with DaemonClient(daemon_socket) as client:
-                assert client.analyze(netlist, clocks)["ok"]
-                bad = client.request({"op": "analyze"})  # errored
-                assert not bad["ok"]
-
-            # /metrics carries an exemplar trace id; the trace store
-            # serves that exact trace back over /traces/<id>.
-            status, text = self._get(base, "/metrics")
-            ids = set(
-                re.findall(r'# \{trace_id="([0-9a-f]{32})"\}', text)
-            )
-            assert ids, "no exemplars in /metrics"
-            trace_id = sorted(ids)[0]
-            status, body = self._get(base, f"/traces/{trace_id}")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["ok"] is True
-            assert doc["trace"]["trace_id"] == trace_id
-            assert doc["trace"]["schema"] == "repro.tracedoc/1"
-
-            # The errored request was tail-kept and is listed.
-            status, body = self._get(base, "/traces")
-            listing = json.loads(body)
-            assert listing["ok"] is True
-            assert any(
-                row["status"] == "error" for row in listing["traces"]
-            )
-
-            # Unknown ids are a JSON 404, not a crash.
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(base, "/traces/" + "0" * 32)
-            assert err.value.code == 404
-            assert json.loads(err.value.read())["ok"] is False
-
-            # Same data over the socket protocol.
-            with DaemonClient(daemon_socket) as client:
-                shown = client.traces(action="show", trace_id=trace_id)
-                assert shown["ok"]
-                assert shown["trace"]["trace_id"] == trace_id

@@ -620,21 +620,3 @@ class TestInvalidDesignOrClocks:
         assert "Traceback" not in proc.stderr
         assert culprit in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
-
-
-def test_traces_list_separates_a_long_op_from_the_design():
-    from repro.cli import render_trace_list
-
-    rows = [
-        {"trace_id": "a" * 32, "op": "analyze", "design": "DES",
-         "status": "ok", "duration_s": 0.25, "sampling": "sampled"},
-        {"trace_id": "b" * 32, "op": "crash-report-write",
-         "design": "violator", "status": "error", "duration_s": 0.5,
-         "sampling": "error"},
-    ]
-    header, *lines = render_trace_list(rows, {"traces": 2}).splitlines()[1:]
-    column = header.index("DESIGN")
-    for line, row in zip(lines, rows):
-        assert line[column:].startswith(row["design"])
-        assert line[column - 1] == " "
-        assert row["op"] in line.split()
