@@ -20,10 +20,6 @@ clock description, run the analysis, print the report::
     repro-sta query --socket /tmp/repro.sock '{"op": "ping"}'
     repro-sta query --socket /tmp/repro.sock --trace merged.trace.json \
         '{"op": "analyze", "netlist": "p.json", "clocks": "c.json"}'
-    repro-sta top --socket /tmp/repro.sock
-    repro-sta top --socket /tmp/repro.sock --once --json
-    repro-sta alerts --socket /tmp/repro.sock
-    repro-sta alerts --socket /tmp/repro.sock --ack daemon.error_burn
     repro-sta doctor --socket /tmp/repro.sock
 
 (Equivalently ``python -m repro.cli ...``.)  Netlist format is selected
@@ -144,6 +140,19 @@ def _sampling_rate(text: str) -> float:
     return hz
 
 
+def _count(text: str) -> int:
+    """A ``--limit`` value: a whole number, 0 or more."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 0, got {text!r}"
+        )
+    return count
+
+
 def _pretty_json(document: object) -> str:
     """Indented, key-sorted JSON: every document the CLI prints."""
     return json.dumps(
@@ -164,40 +173,6 @@ def _daemon_client(args: argparse.Namespace):
         raise SystemExit(
             f"cannot reach daemon at {args.socket}: {exc}"
         ) from exc
-
-
-def _redraw(args: argparse.Namespace, frame) -> int:
-    """Print ``frame()`` every ``--interval`` seconds: once with
-    ``--once``, N times with ``--iterations N``, else redrawn in place
-    until Ctrl-C.  ``frame`` returns a JSON document under ``--json``
-    (printed as one line), the rendered text otherwise, or ``None`` to
-    skip a refresh."""
-    import time
-
-    iterations = 1 if args.once else args.iterations
-    rendered = 0
-    try:
-        while iterations is None or rendered < iterations:
-            shown = frame()
-            if shown is None:
-                time.sleep(args.interval)
-                continue
-            if args.json:
-                print(
-                    json.dumps(shown, sort_keys=True, separators=(",", ":"))
-                )
-                sys.stdout.flush()
-            elif args.once or args.iterations is not None:
-                print(shown)
-            else:  # live mode: clear + home, redraw in place
-                sys.stdout.write("\x1b[H\x1b[2J" + shown + "\n")
-                sys.stdout.flush()
-            rendered += 1
-            if iterations is None or rendered < iterations:
-                time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -523,7 +498,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         http_port=args.http_port,
         access_log=access_log,
         slow_threshold_s=args.slow_threshold,
-        alert_rules=args.alert_rules,
         crash_dir=args.crash_dir,
         workers=args.workers,
         stall_timeout_s=(
@@ -550,12 +524,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.access_log:
         print(f"access log: {args.access_log}", file=sys.stderr)
-    if daemon.alerts is not None:
-        print(
-            f"alert engine: {len(daemon.alerts.rules)} rules"
-            + (f" (from {args.alert_rules})" if args.alert_rules else ""),
-            file=sys.stderr,
-        )
     if daemon.crash.crash_dir is not None:
         print(
             f"crash reports: {daemon.crash.crash_dir}", file=sys.stderr
@@ -584,73 +552,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if response.get("ok") else 1
 
 
-def cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.top import fetch_frame, json_frame, render_top
-
-    previous = None
-
-    def frame():
-        nonlocal previous
-        try:
-            with _daemon_client(args) as client:
-                current = fetch_frame(client)
-        except SystemExit as exc:
-            if args.once:
-                raise
-            # Live mode keeps polling until the daemon is back.
-            print(
-                f"waiting for daemon at {args.socket} ({exc.__cause__})",
-                file=sys.stderr,
-            )
-            return None
-        shown = (
-            json_frame(current, previous)
-            if args.json
-            else render_top(current, previous)
-        )
-        previous = current
-        return shown
-
-    return _redraw(args, frame)
-
-
-def cmd_alerts(args: argparse.Namespace) -> int:
-    with _daemon_client(args) as client:
-        if args.ack:
-            response = client.alerts("ack", name=args.ack)
-        else:
-            response = client.alerts()
-    if not response.get("ok"):
-        print(
-            f"alerts: {response.get('error', 'op failed')}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        print(_pretty_json(response))
-        return 0
-    if args.ack:
-        print(f"acknowledged {args.ack}")
-        return 0
-    rows = [r for r in response.get("alerts") or [] if isinstance(r, dict)]
-    print(
-        f"{response.get('rules', len(rows))} rules, "
-        f"{response.get('firing', 0)} firing "
-        f"({response.get('evaluations', 0)} evaluations)"
-    )
-    print(f"{'STATE':<9}{'SEV':<9}{'NAME':<28}MESSAGE")
-    for row in rows:
-        state = str(row.get("state", "?"))
-        if row.get("acked"):
-            state += "*"
-        message = str(row.get("message") or row.get("description") or "")
-        print(
-            f"{state:<9}{str(row.get('severity', '?')):<9}"
-            f"{str(row.get('name', '?')):<28}{message}"[:100]
-        )
-    return 0
-
-
 def cmd_doctor(args: argparse.Namespace) -> int:
     from repro.service.doctor import (
         doctor_exit_code,
@@ -676,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run Algorithm 1, report slow paths")
     _common_arguments(analyze)
-    analyze.add_argument("--limit", type=int, default=20)
+    analyze.add_argument("--limit", type=_count, default=20)
     analyze.add_argument(
         "--min-delay",
         action="store_true",
@@ -899,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="Unix-domain socket path to listen on",
     )
-    serve.add_argument("--limit", type=int, default=50)
+    serve.add_argument("--limit", type=_count, default=50)
     serve.add_argument(
         "--workers",
         type=int,
@@ -949,12 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diagnosis = serve.add_argument_group("self-diagnosis")
     diagnosis.add_argument(
-        "--alert-rules",
-        metavar="FILE",
-        help="TOML or JSON repro.alertrules/1 file; extends/overrides "
-        "the built-in rules (see docs/observability.md)",
-    )
-    diagnosis.add_argument(
         "--crash-dir",
         default="crashes",
         metavar="DIR",
@@ -966,8 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="fire daemon.stalled when a request is in flight longer "
-        "than this; 0 disables the watchdog (default: 30)",
+        help="count a request as stalled (health 'stalled', doctor "
+        "exit 1) while it is in flight longer than this; 0 disables "
+        "the watchdog (default: 30)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1002,63 +898,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.set_defaults(func=cmd_query)
 
-    top = sub.add_parser(
-        "top",
-        help="live dashboard for a running daemon (req/s, latency "
-        "quantiles, cache hit rate, per-design table)",
-    )
-    top.add_argument("--socket", required=True, metavar="PATH")
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll/redraw period (default: 2.0)",
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="render N frames then exit (default: run until Ctrl-C)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame to stdout and exit (no redraw)",
-    )
-    top.add_argument("--timeout", type=float, default=10.0)
-    top.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one machine-readable repro.topframe/1 JSON document "
-        "per refresh instead of the rendered dashboard",
-    )
-    top.set_defaults(func=cmd_top)
-
-    alerts = sub.add_parser(
-        "alerts",
-        help="list or acknowledge the daemon's alert-engine rows",
-    )
-    alerts.add_argument("--socket", required=True, metavar="PATH")
-    alerts.add_argument(
-        "--ack",
-        metavar="NAME",
-        help="acknowledge a firing alert instead of listing",
-    )
-    alerts.add_argument("--timeout", type=float, default=10.0)
-    alerts.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the raw repro.alerts/1 document",
-    )
-    alerts.set_defaults(func=cmd_alerts)
-
     doctor = sub.add_parser(
         "doctor",
-        help="one-shot daemon triage: firing alerts, latest crash "
-        "report, flight-recorder tail (exit 0 healthy / 1 alerts "
-        "firing / 2 crash report present)",
+        help="one-shot daemon triage: stalled requests, latest crash "
+        "report, flight-recorder tail (exit 0 healthy / 1 request "
+        "stalled / 2 crash report present)",
     )
     doctor.add_argument("--socket", required=True, metavar="PATH")
     doctor.add_argument(

@@ -127,8 +127,18 @@ class ClockWaveform:
         )
 
     def with_width(self, width: TimeLike) -> "ClockWaveform":
-        """A copy with the same leading edge but a new pulse width."""
+        """A copy with the same leading edge but a new pulse width.
+
+        The width must lie in ``(0, period)``: the constructor would
+        wrap a negative one round the period (``-1`` would become
+        ``period - 1``) instead of rejecting it.
+        """
         width_t = as_time(width)
+        if not 0 < width_t < self.period:
+            raise ValueError(
+                f"clock {self.name!r}: pulse width {width_t} outside "
+                f"(0, {self.period})"
+            )
         return ClockWaveform(
             self.name, self.period, self.leading, self.leading + width_t
         )

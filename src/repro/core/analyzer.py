@@ -180,6 +180,22 @@ class TimingResult:
         )
 
 
+def check_slow_path_limit(limit: object) -> Optional[int]:
+    """``limit`` when it is ``None`` (every slow path) or a non-negative
+    ``int`` that is not a ``bool``; anything else raises
+    :class:`ValueError` naming the field.  A negative count would slice
+    from the end of the violation list, and ``True`` would count as 1.
+    """
+    if limit is None or (
+        isinstance(limit, int) and not isinstance(limit, bool) and limit >= 0
+    ):
+        return limit
+    raise ValueError(
+        "slow_path_limit must be null or a non-negative integer, "
+        f"got {limit!r}"
+    )
+
+
 def build_timing_result(
     analyzer,
     run: Callable[[], Algorithm1Result],
@@ -195,8 +211,10 @@ def build_timing_result(
     :meth:`repro.core.incremental.IncrementalAnalyzer.timing_result`.
     ``analyzer`` is either of them: it provides ``model``, ``engine``
     and the ``preprocess_seconds`` / ``preprocess_cpu_seconds`` of its
-    model build, and becomes the result's back-reference.
+    model build, and becomes the result's back-reference.  A bad
+    ``slow_path_limit`` raises before ``run()`` starts.
     """
+    check_slow_path_limit(slow_path_limit)
     started = time.perf_counter()
     started_cpu = time.process_time()
     outcome = run()

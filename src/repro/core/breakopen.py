@@ -118,7 +118,10 @@ def minimum_breaks(
     The search runs on integers: every time is scaled by one common
     denominator (which keeps :meth:`RequirementArc.handled_by` exact),
     and each candidate's handled arcs are an int bitmask, so a
-    combination is an OR of masks.
+    combination is an OR of masks.  It starts at the size
+    :func:`_disjoint_lower_bound` proves necessary, so no size that
+    cannot cover is walked (the first cover found is unchanged), and a
+    bound above ``exhaustive_limit`` goes straight to the greedy cover.
     """
     rec = obs.active()
     candidates = sorted(set(candidate_breaks))
@@ -144,7 +147,8 @@ def minimum_breaks(
         )
 
     combos_tried = 0
-    for size in range(1, min(exhaustive_limit, len(candidates)) + 1):
+    smallest = _disjoint_lower_bound(masks, len(unique_arcs))
+    for size in range(smallest, min(exhaustive_limit, len(candidates)) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             combos_tried += 1
             covered = 0
@@ -193,6 +197,29 @@ def _handled_masks(
                 mask |= 1 << bit
         masks.append(mask)
     return masks
+
+
+def _disjoint_lower_bound(masks: Sequence[int], arc_count: int) -> int:
+    """At least how many breaks every cover of the arcs needs.
+
+    Arcs whose sets of handling candidates are pairwise disjoint each
+    need a break of their own.  They are picked greedily, fewest
+    handlers first; the number picked is the bound (at least 1 when
+    every arc has a handler).
+    """
+    handlers = [0] * arc_count  # per arc: bitmask of candidate positions
+    for position, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            handlers[low.bit_length() - 1] |= 1 << position
+            mask ^= low
+    taken = 0
+    bound = 0
+    for handled_by in sorted(handlers, key=lambda h: bin(h).count("1")):
+        if not handled_by & taken:
+            taken |= handled_by
+            bound += 1
+    return bound
 
 
 def _greedy_cover(masks: Sequence[int], everything: int) -> List[int]:

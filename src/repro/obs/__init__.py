@@ -10,10 +10,6 @@ pipeline.
   (``repro-sta ... --verbose``) and the profiler self-time table,
 * :mod:`repro.obs.profile` -- span-attributed sampling profiler with
   collapsed-stack / speedscope exporters (``repro.profile/1``),
-* :mod:`repro.obs.tsdb` -- ring-buffer metrics history served by the
-  daemon (``repro.metrics.history/1``),
-* :mod:`repro.obs.alerts` -- declarative alert rules evaluated against
-  the metrics history (``repro.alerts/1``),
 * :mod:`repro.obs.flight` -- flight recorder ring, structured error /
   crash reports and the stall watchdog (``repro.flight/1``,
   ``repro.error/1``, ``repro.crash/1``).
@@ -85,14 +81,6 @@ from repro.obs.summary import (
     render_phase_tree,
     render_profile_table,
 )
-from repro.obs.tsdb import HISTORY_SCHEMA, MetricsHistory, resolve_metric
-from repro.obs.alerts import (
-    ALERTS_SCHEMA,
-    AlertEngine,
-    AlertRule,
-    DEFAULT_RULES,
-    load_rules,
-)
 from repro.obs.flight import (
     CRASH_SCHEMA,
     ERROR_SCHEMA,
@@ -149,14 +137,6 @@ __all__ = [
     "write_speedscope",
     "profile_table",
     "render_profile_table",
-    "HISTORY_SCHEMA",
-    "MetricsHistory",
-    "resolve_metric",
-    "ALERTS_SCHEMA",
-    "AlertEngine",
-    "AlertRule",
-    "DEFAULT_RULES",
-    "load_rules",
     "ERROR_SCHEMA",
     "FLIGHT_SCHEMA",
     "CRASH_SCHEMA",

@@ -1,10 +1,9 @@
 """Flight recorder, crash forensics and stall watchdog.
 
-``repro-sta top`` shows the *present*; :mod:`repro.obs.tsdb` keeps a
-numeric *past*; but when a daemon request blows up (or never returns)
-the numbers alone cannot answer "what was the process doing just
-before?".  This module closes that gap with three cooperating pieces,
-all standard library:
+``/metrics`` shows the daemon's counters; when a daemon request blows
+up (or never returns) the numbers alone cannot answer "what was the
+process doing just before?".  This module closes that gap with three
+cooperating pieces, all standard library:
 
 * :class:`FlightRecorder` -- a bounded, always-on ring of recent
   request summaries, completed root spans, log lines and exception
@@ -15,22 +14,22 @@ all standard library:
   :func:`exception_frames` turns an exception's traceback into
   structured ``{file, line, function, code}`` frames (instead of a bare
   ``str(exc)``), :func:`thread_stacks` walks every live thread with the
-  same frame labels as the PR-6 sampling profiler, and
-  :class:`CrashHandler` assembles both plus the flight ring, active
-  alerts and buildinfo into a crash report written to a ``crashes/``
-  directory.  ``install()`` chains ``sys.excepthook`` /
-  ``threading.excepthook``, enables :mod:`faulthandler` into the crash
-  directory for fatal signals, and registers an ``atexit`` sweep that
-  removes empty faulthandler logs.
+  same frame labels as the sampling profiler, and
+  :class:`CrashHandler` assembles both plus the flight ring and
+  buildinfo into a crash report written to a ``crashes/`` directory.
+  ``install()`` chains ``sys.excepthook`` / ``threading.excepthook``,
+  enables :mod:`faulthandler` into the crash directory for fatal
+  signals, and registers an ``atexit`` sweep that removes empty
+  faulthandler logs.
 * :class:`StallWatchdog` -- a daemon thread watching an in-flight
   request registry; a request older than ``deadline_s`` emits a stall
   event (with the stuck thread's stack) exactly once, and clears when
-  the request finally finishes.
+  the request finally finishes.  :meth:`StallWatchdog.stalled_count`
+  is what ``health`` reports and ``repro-sta doctor`` exits 1 on.
 
 Nothing here imports the service layer; the daemon wires the
-callbacks (``on_stall`` fires the ``daemon.stalled`` alert, crash
-reports embed ``repro.alerts/1``) so the pieces stay testable in
-isolation.
+callbacks (``on_stall``/``on_clear`` write ``stall`` events into the
+flight ring) so the pieces stay testable in isolation.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ __all__ = [
 ERROR_SCHEMA = "repro.error/1"
 #: Schema of an exported flight-recorder ring.
 FLIGHT_SCHEMA = "repro.flight/1"
-#: Schema of a crash report (error + threads + flight + alerts).
+#: Schema of a crash report (error + threads + flight + buildinfo).
 CRASH_SCHEMA = "repro.crash/1"
 
 #: Event kinds a flight ring may hold (free-form kinds also allowed).
@@ -321,9 +320,6 @@ class CrashHandler:
     flight:
         Optional :class:`FlightRecorder` whose ring is embedded in
         every report.
-    alerts:
-        Optional zero-arg callable returning the active-alert list to
-        embed (the daemon passes ``lambda: engine.active()``).
     buildinfo:
         Optional zero-arg callable returning the buildinfo dict.
     keep:
@@ -334,13 +330,11 @@ class CrashHandler:
         self,
         crash_dir: Optional[Union[str, Path]] = None,
         flight: Optional[FlightRecorder] = None,
-        alerts: Optional[Callable[[], List[Dict[str, object]]]] = None,
         buildinfo: Optional[Callable[[], Dict[str, object]]] = None,
         keep: int = 20,
     ) -> None:
         self.crash_dir = Path(crash_dir) if crash_dir is not None else None
         self.flight = flight
-        self.alerts = alerts
         self.buildinfo = buildinfo
         self.keep = max(1, int(keep))
         self.reports_written = 0
@@ -381,10 +375,6 @@ class CrashHandler:
             )
         except Exception:  # pragma: no cover -- forensics must not raise
             report["flight"] = None
-        try:
-            report["alerts"] = self.alerts() if self.alerts is not None else []
-        except Exception:  # pragma: no cover
-            report["alerts"] = []
         try:
             report["buildinfo"] = (
                 self.buildinfo() if self.buildinfo is not None else None
@@ -569,10 +559,9 @@ class StallWatchdog:
     a ``finally``; a background thread scans the registry every
     ``interval_s`` and, for any entry older than ``deadline_s``, calls
     ``on_stall(info)`` exactly once with the entry (including the stuck
-    thread's stack).  When a stalled entry finally finishes --
-    or :meth:`scan` notices it is gone -- ``on_clear(info)`` runs, and
-    once *no* stalled entries remain ``on_all_clear()`` runs (the
-    daemon resolves the ``daemon.stalled`` alert there).
+    thread's stack).  When a stalled entry finally finishes,
+    ``on_clear(info)`` runs; :meth:`stalled_count` counts the stalled
+    entries still in flight.
 
     ``scan(now)`` is public so tests (and the daemon's own diagnostics)
     can run a deterministic sweep without waiting out the interval.
@@ -584,7 +573,6 @@ class StallWatchdog:
         interval_s: Optional[float] = None,
         on_stall: Optional[Callable[[Dict[str, object]], None]] = None,
         on_clear: Optional[Callable[[Dict[str, object]], None]] = None,
-        on_all_clear: Optional[Callable[[], None]] = None,
     ) -> None:
         if deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
@@ -596,7 +584,6 @@ class StallWatchdog:
         )
         self.on_stall = on_stall
         self.on_clear = on_clear
-        self.on_all_clear = on_all_clear
         self._lock = threading.Lock()
         self._inflight: Dict[int, Dict[str, object]] = {}
         self._next_token = 0
@@ -636,16 +623,11 @@ class StallWatchdog:
         """Work finished; fires ``on_clear`` if this entry had stalled."""
         with self._lock:
             entry = self._inflight.pop(token, None)
-            stalled_left = any(
-                e.get("stalled") for e in self._inflight.values()
-            )
         if entry is not None and entry.get("stalled"):
             entry["waited_s"] = round(
                 time.perf_counter() - entry["started_perf"], 6
             )
             self._emit(self.on_clear, entry)
-            if not stalled_left:
-                self._emit_all_clear()
 
     def inflight(self) -> List[Dict[str, object]]:
         """A snapshot of in-flight entries (oldest first)."""
@@ -697,14 +679,6 @@ class StallWatchdog:
         try:
             hook(info)
         except Exception:  # pragma: no cover -- hooks must not kill us
-            pass
-
-    def _emit_all_clear(self) -> None:
-        if self.on_all_clear is None:
-            return
-        try:
-            self.on_all_clear()
-        except Exception:  # pragma: no cover
             pass
 
     # ------------------------------------------------------------------

@@ -93,8 +93,6 @@ WELL_KNOWN_COUNTERS = (
     "service.daemon.slow_requests",
     "service.accesslog.lines",
     "obs.snapshots_merged",
-    # Metrics history (docs/observability.md).
-    "service.tsdb.reads",
 )
 
 

@@ -24,11 +24,9 @@ engine for repeated and concurrent timing queries:
 * :mod:`repro.service.httpmon` -- :class:`TelemetrySidecar`, the
   localhost HTTP server behind ``repro-sta serve --http-port``
   exposing ``/healthz``, ``/metrics`` and the other read-only routes,
-* :mod:`repro.service.top` -- frame fetch + pure renderer for the
-  ``repro-sta top`` live daemon dashboard,
 * :mod:`repro.service.doctor` -- one-shot triage (``repro-sta
-  doctor``): firing alerts, latest crash report and the flight-recorder
-  tail, with a CI-friendly exit code.
+  doctor``): stalled requests, latest crash report and the
+  flight-recorder tail, with a CI-friendly exit code.
 
 See ``docs/service.md`` for the cache key scheme, batch semantics,
 the daemon protocol and the monitoring walkthrough.
@@ -59,7 +57,6 @@ from repro.service.doctor import (
     render_doctor,
 )
 from repro.service.httpmon import TelemetrySidecar
-from repro.service.top import fetch_frame, render_top
 
 __all__ = [
     "BatchEngine",
@@ -75,8 +72,6 @@ __all__ = [
     "ResultCache",
     "TelemetrySidecar",
     "TimingDaemon",
-    "fetch_frame",
-    "render_top",
     "doctor_exit_code",
     "fetch_doctor",
     "render_doctor",

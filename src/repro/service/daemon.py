@@ -29,7 +29,6 @@ Requests (see ``docs/service.md`` for the full protocol)::
     {"op": "stats"}
     {"op": "health"}
     {"op": "metrics"}
-    {"op": "history", "last": 60}
     {"op": "buildinfo"}
     {"op": "shutdown"}
 
@@ -37,33 +36,31 @@ Responses always carry ``"ok"``; errors come back as
 ``{"ok": false, "error": ..., "error_type": ...}`` -- a malformed
 request never takes the daemon down.
 
-**Service telemetry** (PR 4; see ``docs/observability.md``): the daemon
+**Service telemetry** (see ``docs/observability.md``): the daemon
 keeps an always-on, low-overhead *service recorder* feeding the
 ``health``/``metrics`` ops and the optional localhost HTTP sidecar
 (``--http-port``; the exact paths of :attr:`TimingDaemon.HTTP_ROUTES`:
-``/healthz``, ``/metrics``, ``/metrics/history``, ``/buildz``,
-``/alertz``, ``/crashz``, ``/flightz``).  A request that carries a
-``repro.trace/1`` context (any :class:`DaemonClient` call made while
-the client records, e.g. ``query --trace``) is handled under a
-per-request recorder whose snapshot ships back in the response and
-merges into the client trace -- one Chrome trace across both
-processes.  With ``--access-log`` every request appends one
-``repro.accesslog/1`` JSON line (op, design, warm vs rebuild,
-queue-wait vs handle time, status, duration, trace id); failed
-requests and requests slower than the threshold attach their full
-span tree when they were traced.
+``/healthz``, ``/metrics``, ``/buildz``, ``/crashz``, ``/flightz``).
+A request that carries a ``repro.trace/1`` context (any
+:class:`DaemonClient` call made while the client records, e.g. ``query
+--trace``) is handled under a per-request recorder whose snapshot ships
+back in the response and merges into the client trace -- one Chrome
+trace across both processes.  With ``--access-log`` every request
+appends one ``repro.accesslog/1`` JSON line (op, design, warm vs
+rebuild, queue-wait vs handle time, status, duration, trace id);
+failed requests and requests slower than the threshold attach their
+full span tree when they were traced.
 
-**Self-diagnosis** (PR 7): an :class:`repro.obs.alerts.AlertEngine`
-evaluates declarative rules against the metrics history on every
-snapshot (``alerts`` op, ``GET /alertz``); an always-on
+**Self-diagnosis**: an always-on
 :class:`repro.obs.flight.FlightRecorder` keeps a ring of recent
 requests, root spans and errors (``flight`` op, ``GET /flightz``); a
 :class:`repro.obs.flight.StallWatchdog` flags requests in flight past
-``stall_timeout_s`` (firing the ``daemon.stalled`` alert with the stuck
-thread's stack); and a :class:`repro.obs.flight.CrashHandler` dumps
-``repro.crash/1`` reports -- structured frames, all-thread stacks, the
-flight ring, active alerts, buildinfo -- for unexpected handler
-exceptions (``crash-report`` op, ``GET /crashz``, ``repro-sta doctor``).
+``stall_timeout_s`` (a ``stall`` flight event with the stuck thread's
+stack, and ``stalled`` in ``health``); and a
+:class:`repro.obs.flight.CrashHandler` dumps ``repro.crash/1`` reports
+-- structured frames, all-thread stacks, the flight ring, buildinfo --
+for unexpected handler exceptions (``crash-report`` op, ``GET
+/crashz``).  ``repro-sta doctor`` reads all three.
 
 **Concurrency** (PR 10; see docs/service.md "Concurrency model"):
 request dispatch runs on a bounded thread pool (``--workers``) with
@@ -85,12 +82,12 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import obs
+from repro.core.analyzer import check_slow_path_limit
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
-from repro.obs.alerts import AlertEngine, AlertRule, load_rules
 from repro.obs.flight import (
     CrashHandler,
     FlightRecorder,
@@ -98,7 +95,6 @@ from repro.obs.flight import (
     error_document,
 )
 from repro.obs.hist import LATENCY_BUCKETS
-from repro.obs.tsdb import MetricsHistory
 from repro.service.cache import ResultCache
 from repro.service.digest import (
     analysis_config,
@@ -249,17 +245,13 @@ class TimingDaemon:
         Requests at least this slow log their full span tree (traced
         requests only -- the span detail comes from the per-request
         recorder).
-    alert_rules:
-        ``None`` for the built-in :data:`repro.obs.alerts.DEFAULT_RULES`,
-        a path to a TOML/JSON rule file (extends/overrides the
-        defaults), or an explicit rule sequence.
     crash_dir:
         Directory ``repro.crash/1`` reports are written to (``None``
         keeps the last report in memory only).
     stall_timeout_s:
-        Requests in flight longer than this fire the ``daemon.stalled``
-        alert with the stuck thread's stack (``None`` disables the
-        watchdog).
+        Requests in flight longer than this count as stalled: a
+        ``stall`` flight event with the stuck thread's stack, and
+        ``stalled`` in ``health`` (``None`` disables the watchdog).
     debug_ops:
         Enable the fault-injection ops ``fail`` and ``sleep`` (CI's
         self-diagnosis smoke uses them; also enabled by the
@@ -285,9 +277,6 @@ class TimingDaemon:
         http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
-        alert_rules: Union[
-            None, str, "os.PathLike[str]", Sequence[AlertRule]
-        ] = None,
         crash_dir: Union[None, str, "os.PathLike[str]"] = None,
         stall_timeout_s: Optional[float] = 30.0,
         debug_ops: bool = False,
@@ -301,7 +290,7 @@ class TimingDaemon:
             )
         self.socket_path = str(socket_path)
         self.cache = cache
-        self.slow_path_limit = slow_path_limit
+        self.slow_path_limit = check_slow_path_limit(slow_path_limit)
         self.started_at = time.time()
         self.requests = 0
         self.errors = 0
@@ -309,26 +298,13 @@ class TimingDaemon:
         self.last_error: Optional[Dict[str, object]] = None
         #: Always-on service recorder.
         self.recorder = obs.Recorder(max_spans=10_000, max_events=2_000)
-        #: Always-on metrics ring buffer: 720 points, one every 5 s.
-        self.history = MetricsHistory()
         #: Always-on flight ring of recent requests/spans/errors.
         self.flight = FlightRecorder()
         self.flight.subscribe_spans(self.recorder)
-        #: Declarative alerting over the metrics history.
-        if alert_rules is None:
-            rules: Optional[Iterable[AlertRule]] = None
-        elif isinstance(alert_rules, (str, os.PathLike)):
-            rules = load_rules(alert_rules)
-        else:
-            rules = tuple(alert_rules)
-        self.alerts = AlertEngine(
-            rules, on_transition=self._on_alert_transition
-        )
         #: Crash forensics: builds/persists ``repro.crash/1`` reports.
         self.crash = CrashHandler(
             crash_dir=crash_dir,
             flight=self.flight,
-            alerts=self.alerts.active,
             buildinfo=self._buildinfo,
         )
         self._install_crash_hooks = bool(install_crash_hooks)
@@ -338,7 +314,6 @@ class TimingDaemon:
                 deadline_s=stall_timeout_s,
                 on_stall=self._on_stall,
                 on_clear=self._on_stall_clear,
-                on_all_clear=self._on_all_stalls_clear,
             )
             if stall_timeout_s is not None
             else None
@@ -478,9 +453,7 @@ class TimingDaemon:
     HTTP_ROUTES: Tuple[Tuple[str, str], ...] = (
         ("/healthz", "_http_healthz"),
         ("/metrics", "_http_metrics"),
-        ("/metrics/history", "_http_history"),
         ("/buildz", "_http_buildz"),
-        ("/alertz", "_http_alertz"),
         ("/crashz", "_http_crashz"),
         ("/flightz", "_http_flightz"),
     )
@@ -500,17 +473,6 @@ class TimingDaemon:
         )
         self._sidecar.start()
 
-    def _start_history(self) -> None:
-        if not self.history.running:
-            # Gauges sync just before each snapshot (so every point
-            # carries them) and the alert engine evaluates just after
-            # (so alerting shares the history cadence).
-            self.history.start(
-                self.recorder,
-                before_point=self._sync_gauges,
-                on_point=self._evaluate_alerts,
-            )
-
     def _start_self_diagnosis(self) -> None:
         if self.watchdog is not None and not self.watchdog.running:
             self.watchdog.start()
@@ -522,45 +484,19 @@ class TimingDaemon:
             socket=self.socket_path,
         )
 
-    def _evaluate_alerts(self, point: Dict[str, object]) -> None:
-        self.alerts.evaluate(self.history)
-
     # ------------------------------------------------------------------
-    # self-diagnosis hooks (alert transitions, stalls)
+    # self-diagnosis hooks (stalls)
     # ------------------------------------------------------------------
-    def _on_alert_transition(
-        self, rule, old: str, new: str, row: Dict[str, object]
-    ) -> None:
-        self._counter("service.alerts.transitions")
-        if new == "firing":
-            self._counter("service.alerts.fired")
-        self.flight.record(
-            "log",
-            message=f"alert {rule.name}: {old} -> {new}",
-            alert=rule.name,
-            state=new,
-            severity=rule.severity,
-        )
-
     def _on_stall(self, info: Dict[str, object]) -> None:
-        waited = float(info.get("waited_s") or 0.0)
         self._counter("service.daemon.stalls")
         self.flight.record(
             "stall",
             op=info.get("op"),
             design=info.get("design"),
             status="stalled",
-            waited_s=round(waited, 3),
+            waited_s=round(float(info.get("waited_s") or 0.0), 3),
             thread_id=info.get("thread_id"),
             stack=info.get("stack"),
-        )
-        self.alerts.fire(
-            "daemon.stalled",
-            message=(
-                f"op {info.get('op') or '?'} in flight {waited:.1f}s "
-                f"(deadline {self.watchdog.deadline_s:g}s)"
-            ),
-            value=round(waited, 3),
         )
 
     def _on_stall_clear(self, info: Dict[str, object]) -> None:
@@ -571,9 +507,6 @@ class TimingDaemon:
             status="resolved",
             waited_s=round(float(info.get("waited_s") or 0.0), 3),
         )
-
-    def _on_all_stalls_clear(self) -> None:
-        self.alerts.clear("daemon.stalled")
 
     @property
     def http_address(self) -> Optional[Tuple[str, int]]:
@@ -599,16 +532,8 @@ class TimingDaemon:
             render_prometheus(self.recorder),
         )
 
-    def _http_history(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(
-            self._op_history({"last": _last_param(request.params)})
-        )
-
     def _http_buildz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_buildinfo({}))
-
-    def _http_alertz(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(self._op_alerts({}))
 
     def _http_crashz(self, request: HttpRequest) -> Tuple[int, str, str]:
         return self._http_json(self._op_crash_report({}))
@@ -636,9 +561,6 @@ class TimingDaemon:
                 "access_log": self.access_log is not None,
                 "slow_path_limit": self.slow_path_limit,
                 "slow_threshold_s": self.slow_threshold_s,
-                "history_interval_s": self.history.interval_s,
-                "history_capacity": self.history.capacity,
-                "alert_rules": len(self.alerts.rules),
                 "flight_capacity": self.flight.capacity,
                 "crash_dir": (
                     str(self.crash.crash_dir)
@@ -666,19 +588,12 @@ class TimingDaemon:
             "service.daemon.uptime_seconds",
             time.time() - self.started_at,
         )
-        self.recorder.gauge("service.tsdb.points", len(self.history))
-        self.recorder.gauge(
-            "service.tsdb.snapshots", self.history.snapshots
-        )
         if self.watchdog is not None:
             self.recorder.gauge(
                 "service.daemon.stalled", self.watchdog.stalled_count()
             )
         self.recorder.gauge("service.flight.events", len(self.flight))
         self.recorder.gauge("service.flight.dropped", self.flight.dropped)
-        self.recorder.gauge(
-            "service.alerts.firing", self.alerts.firing_count()
-        )
 
     def _start_pool(self) -> None:
         if self._pool is None:
@@ -699,7 +614,6 @@ class TimingDaemon:
         self._server = self._make_server()
         self._start_pool()
         self._start_sidecar()
-        self._start_history()
         self._start_self_diagnosis()
 
     def start(self) -> None:
@@ -743,7 +657,6 @@ class TimingDaemon:
         sidecar, self._sidecar = self._sidecar, None
         if sidecar is not None:
             sidecar.stop()
-        self.history.stop()
         if self.watchdog is not None:
             self.watchdog.stop()
         self.crash.uninstall()
@@ -1064,9 +977,14 @@ class TimingDaemon:
 
         One source of truth -- ``uptime_s`` and friends cannot drift
         between the three ops (they used to be hand-rolled per op).
+        ``stalled`` counts requests in flight past the watchdog's
+        deadline; ``repro-sta doctor`` exits 1 while it is above 0.
         """
         with self._designs_lock:
             designs_loaded = len(self._designs)
+        stalled = (
+            self.watchdog.stalled_count() if self.watchdog is not None else 0
+        )
         with self._state_lock:
             return {
                 "protocol": PROTOCOL_VERSION,
@@ -1076,6 +994,7 @@ class TimingDaemon:
                 "errors": self.errors,
                 "in_flight": self.in_flight,
                 "designs_loaded": designs_loaded,
+                "stalled": stalled,
                 "last_error": self.last_error,
             }
 
@@ -1108,12 +1027,6 @@ class TimingDaemon:
             "text": render_prometheus(self.recorder),
             "metrics": metrics_dict(self.recorder),
         }
-
-    def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The metrics ring buffer (``last`` trims to the newest N)."""
-        last = _last_count(request.get("last"))
-        self._counter("service.tsdb.reads")
-        return {"ok": True, **self.history.to_dict(last=last)}
 
     def _op_buildinfo(self, request: Dict[str, object]) -> Dict[str, object]:
         """The same identity document ``GET /buildz`` serves."""
@@ -1160,7 +1073,11 @@ class TimingDaemon:
     def _op_analyze(self, request: Dict[str, object]) -> Dict[str, object]:
         state = self._design(request)
         arrival = time.perf_counter()
-        limit = request.get("slow_path_limit", self.slow_path_limit)
+        # Checked before the snapshot lookup: ``True`` would find the
+        # answer published for a limit of 1.
+        limit = check_slow_path_limit(
+            request.get("slow_path_limit", self.slow_path_limit)
+        )
         tolerance = float(request.get("tolerance", 0.0) or 0.0)
         key = (limit, tolerance, request.get("label"))
         # Lock-free read path.  The epoch is bumped under the design
@@ -1217,6 +1134,10 @@ class TimingDaemon:
         self, state: _DesignState, action: str, request: Dict[str, object]
     ) -> Callable[[], None]:
         """Validate a mutate request; return the step that applies it."""
+        # The inline analysis reads it after the edit is applied.
+        check_slow_path_limit(
+            request.get("slow_path_limit", self.slow_path_limit)
+        )
         if action == "scale_cell":
             from repro.delay.estimator import check_scale_factor
 
@@ -1307,28 +1228,6 @@ class TimingDaemon:
             dropped = self._designs.pop((netlist, clocks), None)
         return {"ok": True, "dropped": dropped is not None}
 
-    def _op_alerts(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Alert state: ``action`` list (default) or ack.
-
-        * ``list`` returns the full ``repro.alerts/1`` document;
-        * ``ack`` (with ``name``) acknowledges a firing alert so
-          dashboards can demote its banner without resolving it.
-        """
-        action = str(request.get("action", "list"))
-        if action == "list":
-            return {"ok": True, **self.alerts.to_dict()}
-        if action == "ack":
-            name = str(request.get("name", ""))
-            if not name:
-                raise ValueError("ack needs an alert 'name'")
-            if not self.alerts.ack(name):
-                raise ValueError(f"alert {name!r} is not firing")
-            self._counter("service.alerts.acked")
-            return {"ok": True, "action": action, "name": name, "acked": True}
-        raise ValueError(
-            f"unknown alerts action {action!r} (use list or ack)"
-        )
-
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
         last = _last_count(request.get("last"))
@@ -1368,8 +1267,8 @@ class TimingDaemon:
 
     def _op_sleep(self, request: Dict[str, object]) -> Dict[str, object]:
         """Deliberately hold the handler in flight (exercises the stall
-        watchdog: ``daemon.stalled`` fires once ``seconds`` exceeds the
-        deadline)."""
+        watchdog: the request counts as stalled once ``seconds`` exceeds
+        the deadline)."""
         self._require_debug_ops()
         seconds = min(60.0, float(request.get("seconds", 1.0) or 0.0))
         time.sleep(max(0.0, seconds))
@@ -1479,17 +1378,8 @@ class DaemonClient:
     def metrics(self) -> Dict[str, object]:
         return self.request({"op": "metrics"})
 
-    def history(self, last: Optional[int] = None) -> Dict[str, object]:
-        request: Dict[str, object] = {"op": "history"}
-        if last is not None:
-            request["last"] = last
-        return self.request(request)
-
     def buildinfo(self) -> Dict[str, object]:
         return self.request({"op": "buildinfo"})
-
-    def alerts(self, action: str = "list", **kw) -> Dict[str, object]:
-        return self.request({"op": "alerts", "action": action, **kw})
 
     def flight(self, last: Optional[int] = None) -> Dict[str, object]:
         request: Dict[str, object] = {"op": "flight"}

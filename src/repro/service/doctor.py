@@ -1,32 +1,32 @@
 """``repro-sta doctor`` -- one-shot triage of a running timing daemon.
 
-Same fetch/render split as :mod:`repro.service.top` so the interesting
-part is testable without a socket:
+Split in fetch and render so the interesting part is testable without
+a socket:
 
 * :func:`fetch_doctor` -- one poll over the Unix socket bundling the
-  ``health``, ``buildinfo``, ``alerts``, ``flight`` and
-  ``crash-report`` ops into a *doctor document* (``repro.doctor/1``),
+  ``health``, ``buildinfo``, ``flight`` and ``crash-report`` ops into a
+  *doctor document* (``repro.doctor/1``),
 * :func:`render_doctor` -- a **pure** renderer: document in, triage
   text out,
 * :func:`doctor_exit_code` -- the CI contract: ``0`` healthy, ``1``
-  when alerts are firing, ``2`` when the daemon has a crash report on
+  when the stall watchdog has a request in flight past its deadline
+  (``health.stalled``), ``2`` when the daemon has a crash report on
   disk (crash wins when both apply).
 
 The point is a single command an operator (or the CI smoke job) runs
 against a misbehaving daemon to answer "what is wrong *right now*":
-firing alerts with their messages, the most recent crash postmortem
-(error frames plus where it is persisted), and the tail of the flight
-recorder for the seconds leading up to the incident.
+stalled requests, the most recent crash postmortem (error frames plus
+where it is persisted), and the tail of the flight recorder for the
+seconds leading up to the incident.
 
-Every sub-document degrades independently -- a daemon without an alert
-engine answers ``ok=False`` for ``alerts`` and the renderer says so
-instead of crashing, same contract as ``repro-sta top``.
+Every sub-document degrades independently -- an ``ok=False`` answer is
+kept and the renderer says so instead of crashing.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = [
     "DOCTOR_SCHEMA",
@@ -55,7 +55,6 @@ def fetch_doctor(
         "ts": time.time(),
         "health": client.health(),
         "buildinfo": client.buildinfo(),
-        "alerts": client.alerts(),
         "flight": client.flight(last=flight_last),
         "crash": client.crash_report(),
     }
@@ -66,20 +65,15 @@ def doctor_exit_code(doc: Dict[str, object]) -> int:
     crash = doc.get("crash") or {}
     if crash.get("ok") and crash.get("crash"):
         return 2
-    if _firing(doc):
+    if _stalled(doc):
         return 1
     return 0
 
 
-def _firing(doc: Dict[str, object]) -> List[Dict[str, object]]:
-    alerts = doc.get("alerts") or {}
-    if not alerts.get("ok"):
-        return []
-    return [
-        row
-        for row in alerts.get("alerts") or []
-        if isinstance(row, dict) and row.get("state") == "firing"
-    ]
+def _stalled(doc: Dict[str, object]) -> int:
+    """Requests the stall watchdog counts as stalled right now (0 when
+    ``health`` failed or the daemon runs no watchdog)."""
+    return int((doc.get("health") or {}).get("stalled") or 0)
 
 
 def _fmt_age(now: float, ts: object) -> str:
@@ -97,7 +91,7 @@ def _fmt_age(now: float, ts: object) -> str:
 def _verdict_line(code: int) -> str:
     return {
         0: "verdict: HEALTHY (exit 0)",
-        1: "verdict: DEGRADED -- alerts firing (exit 1)",
+        1: "verdict: DEGRADED -- request stalled (exit 1)",
         2: "verdict: CRASHED -- postmortem on disk (exit 2)",
     }[code]
 
@@ -196,28 +190,11 @@ def render_doctor(
         f"{int(health.get('errors', 0))} errors, "
         f"{int(health.get('in_flight', 0))} in flight"
     )
-
-    alerts_doc = doc.get("alerts") or {}
-    if not alerts_doc.get("ok"):
-        lines.append("alerts   : (no alert engine on this daemon)")
-    else:
-        rows = [
-            row
-            for row in alerts_doc.get("alerts") or []
-            if isinstance(row, dict)
-        ]
-        active = [r for r in rows if r.get("state") in ("firing", "pending")]
-        lines.append(
-            f"alerts   : {len(active)} active of {len(rows)} rules"
-        )
-        for row in active:
-            ack = " [acked]" if row.get("acked") else ""
-            lines.append(
-                f"  {row.get('state'):>8}  [{row.get('severity', '?')}] "
-                f"{row.get('name')}{ack}: "
-                f"{row.get('message') or row.get('description') or ''}"[:100]
-            )
-
+    deadline = (build.get("config") or {}).get("stall_timeout_s")
+    lines.append(
+        f"stalls   : {_stalled(doc)} stalled "
+        + (f"(deadline {deadline}s)" if deadline else "(no watchdog)")
+    )
     lines.extend(_crash_lines(doc, now))
     lines.append(rule)
     lines.extend(_flight_lines(doc, now))

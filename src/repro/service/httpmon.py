@@ -2,8 +2,8 @@
 
 :class:`TelemetrySidecar` is the read-only endpoint behind
 ``repro-sta serve --http-port`` (``GET /healthz``, ``/metrics``,
-``/metrics/history``, ``/buildz``, ``/alertz``, ``/crashz``,
-``/flightz``).  Every route is a read of one exact path, so the HTTP
+``/buildz``, ``/crashz``, ``/flightz``).  Every route is a read of one
+exact path, so the HTTP
 hygiene rules are few and live in :meth:`TelemetrySidecar.dispatch`:
 
 * a path is found by one dict lookup; any other path (a path below

@@ -86,6 +86,12 @@ class TestClockWaveform:
         assert w.leading == 10
         assert w.trailing == 30
 
+    @pytest.mark.parametrize("width", [-1, -5, -11.5, 0, 12, 13])
+    def test_with_width_outside_the_period_is_rejected(self, width):
+        """A negative width is not wrapped round the period."""
+        with pytest.raises(ValueError, match="'phi1'"):
+            ClockWaveform("phi1", 12, 0, 5).with_width(width)
+
     def test_exact_decimal_arithmetic(self):
         w = ClockWaveform("phi", 0.3, 0.1, 0.2)
         assert w.width == Fraction(1, 10)

@@ -34,6 +34,16 @@ class TestAnalyze:
         assert result.slow_paths
         assert "slow path" in result.report()
 
+    @pytest.mark.parametrize("limit", [-1, True, 2.5, "3"], ids=repr)
+    def test_bad_slow_path_limit_is_rejected(self, lib, limit):
+        """A negative limit would slice from the end of the violations."""
+        network, schedule = build_ff_stage(lib, chain=2, period=2.0)
+        hb = Hummingbird(network, schedule)
+        with pytest.raises(ValueError, match="slow_path_limit"):
+            hb.analyze(slow_path_limit=limit)
+        assert len(hb.analyze(slow_path_limit=0).slow_paths) == 0
+        assert hb.analyze(slow_path_limit=None).slow_paths
+
     def test_explicit_delay_map_respected(self, lib):
         network, schedule = build_ff_stage(lib, chain=2, period=10)
         delays = estimate_delays(network).with_scaled_cell("inv0", 10.0)

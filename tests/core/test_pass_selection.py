@@ -126,3 +126,25 @@ def test_many_clock_edges_do_not_stall_pre_processing():
     assert elapsed < 5.0, f"pre-processing took {elapsed:.1f} s"
     assert analyzer.analyze() is not None
 
+
+
+def test_five_breaks_among_hundreds_of_edges_skip_the_walk():
+    """Five coincident-edge arcs (``assertion == closure``, so each is
+    handled only by a break at its own edge) among 356 candidate edges:
+    no four breaks can cover them, so the search goes straight to the
+    greedy cover instead of walking every combination of four.  The
+    reference at the default limit would walk them all (about 660M)
+    before that same greedy cover, so its limit-0 answer is its
+    answer."""
+    period = Fraction(2136)
+    candidates = [Fraction(t) for t in range(0, 2136, 6)]
+    edges = [Fraction(t) for t in (0, 426, 852, 1278, 1704)]
+    arcs = [RequirementArc(edge, edge) for edge in edges]
+    started = time.perf_counter()
+    chosen = minimum_breaks(period, candidates, arcs)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"pass selection took {elapsed:.2f} s"
+    assert chosen == tuple(edges)
+    assert chosen == reference_minimum_breaks(
+        period, candidates, arcs, exhaustive_limit=0
+    )

@@ -247,8 +247,8 @@ class TestServeCommand:
     def test_cache_peer_flags_are_gone(self, capsys):
         """Processes share a cache through one --cache-dir and each
         daemon is triaged on its own; there are no peer, cache-server
-        or fleet-collector flags any more, no daemon profiler and no
-        trace store."""
+        or fleet-collector flags any more, no daemon profiler, no
+        trace store and no alert engine."""
         for argv in (
             ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
             ["batch", "jobs.json", "--peers-file", "peers.txt"],
@@ -273,12 +273,13 @@ class TestServeCommand:
             ["serve", "--socket", "s.sock", "--trace-dir", "D"],
             ["serve", "--socket", "s.sock", "--trace-max-bytes", "1"],
             ["serve", "--socket", "s.sock", "--trace-sample", "1.0"],
+            ["serve", "--socket", "s.sock", "--alert-rules", "F"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(argv)
             assert exc_info.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-        for command in ("collect", "fleet", "traces"):
+        for command in ("collect", "fleet", "traces", "top", "alerts"):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args([command])
             assert exc_info.value.code == 2, command

@@ -42,9 +42,10 @@ class TestProtocol:
         assert response["protocol"] == 1
 
     def test_unknown_op_is_an_error_response(self, daemon, client):
-        # "profile" and "traces" are unknown too: the daemon has no
-        # profiler and no trace store.
-        for op in ("frobnicate", "profile", "traces"):
+        # "profile", "traces", "history" and "alerts" are unknown too:
+        # the daemon has no profiler, trace store, metrics history or
+        # alert engine.
+        for op in ("frobnicate", "profile", "traces", "history", "alerts"):
             response = client.request({"op": op})
             assert response["ok"] is False
             assert "unknown op" in response["error"]
@@ -245,6 +246,34 @@ class TestServing:
         assert design["warm"] is True
         assert stats["cache"] is not None
 
+    @pytest.mark.parametrize(
+        "limit", [-1, -3, True, "x", 2.5, float("inf")], ids=repr
+    )
+    def test_bad_slow_path_limit_is_a_value_error(
+        self, daemon, client, design_files, limit
+    ):
+        """A negative, boolean or non-integer limit is a bad request: it
+        is not sliced from the end of the violations, answered from the
+        snapshot published for a limit of 1, or cached."""
+        netlist, clocks = design_files
+        assert client.analyze(netlist, clocks, slow_path_limit=1)["ok"]
+        cached = len(daemon.cache)
+        for response in (
+            client.analyze(netlist, clocks, slow_path_limit=limit),
+            client.mutate(
+                netlist, clocks, "scale_clocks", factor=1.0,
+                slow_path_limit=limit,
+            ),
+        ):
+            assert response["ok"] is False
+            assert response["error_type"] == "ValueError"
+            assert "slow_path_limit" in response["error"]
+        assert len(daemon.cache) == cached
+        design = next(iter(client.stats()["designs"].values()))
+        assert design["mutations"] == 0
+        assert client.crash_report()["crash"] is None
+        assert daemon.crash.reports_written == 0
+
     def test_mutate_unknown_action(self, client, design_files):
         netlist, clocks = design_files
         response = client.mutate(netlist, clocks, "teleport")
@@ -264,7 +293,7 @@ class TestServing:
 
 
 class TestSelfDiagnosis:
-    """PR 7: alert engine, flight recorder, crash reports, watchdog."""
+    """Flight recorder, crash reports, stall watchdog."""
 
     @pytest.fixture
     def diag(self, tmp_path):
@@ -277,34 +306,6 @@ class TestSelfDiagnosis:
         ) as server:
             with DaemonClient(sock, timeout=30.0) as c:
                 yield server, c
-
-    # -- alerts op -----------------------------------------------------
-    def test_alerts_list(self, diag):
-        server, c = diag
-        doc = c.alerts()
-        assert doc["ok"]
-        assert doc["schema"] == "repro.alerts/1"
-        assert doc["rules"] == len(server.alerts.rules)
-        names = {row["name"] for row in doc["alerts"]}
-        assert "daemon.stalled" in names
-
-    def test_alerts_ack_requires_firing(self, diag):
-        server, c = diag
-        response = c.alerts("ack", name="daemon.stalled")
-        assert response["ok"] is False
-        assert "not firing" in response["error"]
-        server.alerts.fire("daemon.stalled", message="test")
-        response = c.alerts("ack", name="daemon.stalled")
-        assert response["ok"] and response["acked"]
-        row = [
-            r for r in c.alerts()["alerts"] if r["name"] == "daemon.stalled"
-        ][0]
-        assert row["acked"] is True
-
-    def test_alerts_bad_action(self, diag):
-        __, c = diag
-        response = c.alerts("explode")
-        assert response["ok"] is False and "unknown" in response["error"]
 
     # -- structured errors (satellite 1) -------------------------------
     def test_error_response_carries_frames(self, diag):
@@ -391,10 +392,24 @@ class TestSelfDiagnosis:
         assert c.crash_report()["crash"] is None
         assert server.crash.reports_written == 0
 
+    def test_negative_pulse_width_is_a_value_error(self, diag, design_files):
+        """A negative width is not wrapped round the period."""
+        server, c = diag
+        netlist, clocks = design_files
+        response = c.mutate(
+            netlist, clocks, "set_pulse_width", clock="phi1", width=-1
+        )
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert "'phi1'" in response["error"]
+        design = next(iter(c.stats()["designs"].values()))
+        assert design["mutations"] == 0
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
+
     @pytest.mark.parametrize(
         "fields",
         [
-            '"op": "history", "last": 1e999',
             '"op": "flight", "last": 1e999',
             '"op": "mutate", "action": "scale_clocks", "factor": 1e999',
             '"op": "mutate", "action": "set_pulse_width", "clock": "phi1", '
@@ -530,46 +545,30 @@ class TestSelfDiagnosis:
         thread = threading.Thread(target=slow_request)
         thread.start()
         try:
-            # The watchdog (deadline 0.2 s) must fire while the sleep
-            # op is still in flight.
+            # The watchdog (deadline 0.2 s) must count the sleep op as
+            # stalled while it is still in flight.
             deadline = time.time() + 10.0
-            fired = None
-            while time.time() < deadline:
-                rows = [
-                    r
-                    for r in c.alerts()["alerts"]
-                    if r["name"] == "daemon.stalled"
-                ]
-                if rows and rows[0]["state"] == "firing":
-                    fired = rows[0]
+            stalled = 0
+            while time.time() < deadline and not done.is_set():
+                stalled = c.health()["stalled"]
+                if stalled:
                     break
                 time.sleep(0.02)
-            assert fired is not None, "daemon.stalled never fired"
-            assert "sleep" in fired["message"]
+            assert stalled == 1, "the sleep op was never counted stalled"
         finally:
             thread.join(timeout=30.0)
         assert done.is_set()
-        # After the request finishes the alert resolves.
-        deadline = time.time() + 10.0
-        resolved = None
-        while time.time() < deadline:
-            rows = [
-                r
-                for r in c.alerts()["alerts"]
-                if r["name"] == "daemon.stalled"
-            ]
-            if rows and rows[0]["state"] == "resolved":
-                resolved = rows[0]
-                break
-            time.sleep(0.02)
-        assert resolved is not None, "daemon.stalled never resolved"
-        stalls = c.flight()["events"]
-        stall_events = [e for e in stalls if e["kind"] == "stall"]
-        statuses = {e["status"] for e in stall_events}
-        assert {"stalled", "resolved"} <= statuses
-        stuck = [e for e in stall_events if e["status"] == "stalled"][0]
-        assert stuck["op"] == "sleep"
-        assert stuck["stack"]  # the stuck thread's frames
+        # Once the request finishes nothing is stalled any more.
+        assert c.health()["stalled"] == 0
+        stall_events = [
+            e for e in c.flight()["events"] if e["kind"] == "stall"
+        ]
+        assert [e["status"] for e in stall_events] == [
+            "stalled",
+            "resolved",
+        ]
+        assert {e["op"] for e in stall_events} == {"sleep"}
+        assert stall_events[0]["stack"]  # the stuck thread's frames
 
     def test_watchdog_disabled_with_none_timeout(self, tmp_path):
         sock = str(tmp_path / "nowd.sock")
@@ -582,7 +581,8 @@ class TestSelfDiagnosis:
     def test_buildinfo_reports_diagnosis_config(self, diag):
         server, c = diag
         config = c.buildinfo()["config"]
-        assert config["alert_rules"] == len(server.alerts.rules)
+        for gone in ("alert_rules", "history_interval_s", "history_capacity"):
+            assert gone not in config
         assert config["flight_capacity"] == server.flight.capacity
         assert config["crash_dir"].endswith("crashes")
         assert config["stall_timeout_s"] == 0.2
@@ -595,6 +595,10 @@ class TestSelfDiagnosis:
         gauges = metrics["gauges"]
         assert "service.daemon.stalled" in gauges
         assert gauges["service.flight.events"] >= 1
-        assert "service.alerts.firing" in gauges
+        assert not [
+            name
+            for name in gauges
+            if name.startswith(("service.alerts.", "service.tsdb."))
+        ]
         counters = metrics["counters"]
         assert counters["service.daemon.crash_reports"] == 1

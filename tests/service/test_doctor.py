@@ -28,9 +28,14 @@ def _doc(**overrides):
             "requests": 10,
             "errors": 1,
             "in_flight": 0,
+            "stalled": 0,
         },
-        "buildinfo": {"ok": True, "version": "1.2.3", "protocol": 1},
-        "alerts": {"ok": True, "alerts": [], "rules": 0, "firing": 0},
+        "buildinfo": {
+            "ok": True,
+            "version": "1.2.3",
+            "protocol": 1,
+            "config": {"stall_timeout_s": 30.0},
+        },
         "flight": {"ok": True, "events": [], "total": 0, "dropped": 0},
         "crash": {"ok": True, "crash": None, "path": None},
     }
@@ -38,17 +43,11 @@ def _doc(**overrides):
     return doc
 
 
-def _firing_row(**extra):
-    row = {
-        "name": "daemon.stalled",
-        "kind": "event",
-        "severity": "critical",
-        "state": "firing",
-        "message": "request stuck",
-        "acked": False,
-    }
-    row.update(extra)
-    return row
+def _health(**extra):
+    """The healthy ``health`` sub-document with ``extra`` fields set."""
+    health = dict(_doc()["health"])
+    health.update(extra)
+    return health
 
 
 def _crash_doc():
@@ -82,32 +81,24 @@ class TestExitCode:
         assert doctor_exit_code(_doc()) == 0
 
     def test_firing_alert_is_one(self):
-        doc = _doc(
-            alerts={"ok": True, "alerts": [_firing_row()], "firing": 1}
-        )
-        assert doctor_exit_code(doc) == 1
+        """A request in flight past the stall deadline exits 1."""
+        assert doctor_exit_code(_doc(health=_health(stalled=1))) == 1
+        assert doctor_exit_code(_doc(health=_health(stalled=3))) == 1
 
     def test_pending_alert_stays_zero(self):
-        doc = _doc(
-            alerts={
-                "ok": True,
-                "alerts": [_firing_row(state="pending")],
-                "firing": 0,
-            }
-        )
+        """Requests in flight short of the stall deadline exit 0."""
+        doc = _doc(health=_health(in_flight=2, stalled=0))
         assert doctor_exit_code(doc) == 0
 
     def test_crash_is_two_and_wins_over_alerts(self):
-        doc = _doc(
-            crash=_crash_doc(),
-            alerts={"ok": True, "alerts": [_firing_row()], "firing": 1},
-        )
+        """A crash report wins over a stalled request."""
+        doc = _doc(crash=_crash_doc(), health=_health(stalled=1))
         assert doctor_exit_code(doc) == 2
 
     def test_degraded_subdocs_do_not_trip_the_verdict(self):
         doc = _doc(
             crash={"ok": False, "error": "unknown op"},
-            alerts={"ok": False, "error": "no engine"},
+            health={"ok": False, "error": "timed out"},
         )
         assert doctor_exit_code(doc) == 0
 
@@ -119,21 +110,16 @@ class TestRenderDoctor:
         assert "daemon pid 4242" in text
         assert "version 1.2.3" in text
         assert "requests : 10 total, 1 errors, 0 in flight" in text
-        assert "alerts   : 0 active of 0 rules" in text
+        assert "stalls   : 0 stalled (deadline 30.0s)" in text
         assert "crash    : none recorded" in text
 
     def test_firing_alert_render(self):
-        doc = _doc(
-            alerts={
-                "ok": True,
-                "alerts": [_firing_row(acked=True)],
-                "firing": 1,
-            }
-        )
+        """A stalled request: the degraded verdict and its count."""
+        doc = _doc(health=_health(in_flight=1, stalled=1))
         text = render_doctor(doc)
-        assert "verdict: DEGRADED -- alerts firing (exit 1)" in text
-        assert "1 active of 1 rules" in text
-        assert "[critical] daemon.stalled [acked]: request stuck" in text
+        assert "verdict: DEGRADED -- request stalled (exit 1)" in text
+        assert "requests : 10 total, 1 errors, 1 in flight" in text
+        assert "stalls   : 1 stalled (deadline 30.0s)" in text
 
     def test_crash_render_shows_site_and_report(self):
         text = render_doctor(_doc(crash=_crash_doc()))
@@ -144,12 +130,12 @@ class TestRenderDoctor:
 
     def test_degraded_subdocs_render_explanations(self):
         doc = _doc(
-            alerts={"ok": False, "error": "x"},
+            buildinfo={"ok": False, "error": "x"},
             flight={"ok": False, "error": "x"},
             crash={"ok": False, "error": "x"},
         )
         text = render_doctor(doc)
-        assert "(no alert engine on this daemon)" in text
+        assert "stalls   : 0 stalled (no watchdog)" in text
         assert "(disabled on this daemon)" in text
         assert "(daemon too old for the crash-report op)" in text
 
@@ -205,9 +191,6 @@ class TestFetchDoctor:
         def buildinfo(self):
             return {"ok": True, "version": "x"}
 
-        def alerts(self):
-            return {"ok": True, "alerts": []}
-
         def flight(self, last=None):
             self.flight_last = last
             return {"ok": True, "events": []}
@@ -222,7 +205,10 @@ class TestFetchDoctor:
         assert doc["ts"] > 0
         assert doc["health"]["pid"] == 1
         assert doc["buildinfo"]["version"] == "x"
-        assert doc["alerts"]["ok"] and doc["flight"]["ok"]
+        assert doc["flight"]["ok"]
+        assert set(doc) == {
+            "schema", "ts", "health", "buildinfo", "flight", "crash"
+        }
         assert doc["crash"]["crash"] is None
         assert stub.flight_last == 7
 
@@ -276,32 +262,48 @@ class TestDoctorAgainstLiveDaemon:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["flight"]["events"]) <= 2
 
-    def test_cli_alerts_table_and_ack(self, diag, capsys):
-        server, __ = diag
-        sock = server.socket_path
-        assert main(["alerts", "--socket", sock]) == 0
-        out = capsys.readouterr().out
-        assert "STATE" in out and "daemon.stalled" in out
-        # Ack requires a firing alert; exercise the failure path first.
-        assert main(
-            ["alerts", "--socket", sock, "--ack", "daemon.stalled"]
-        ) == 1
-        server.alerts.fire("daemon.stalled", message="test")
-        assert main(
-            ["alerts", "--socket", sock, "--ack", "daemon.stalled"]
-        ) == 0
-        assert "acknowledged daemon.stalled" in capsys.readouterr().out
-        assert main(["alerts", "--socket", sock, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        row = [
-            r for r in payload["alerts"]
-            if r["name"] == "daemon.stalled"
-        ][0]
-        assert row["acked"] is True
-
     def test_cli_unreachable_daemon_raises_systemexit(self, tmp_path):
         gone = str(tmp_path / "gone.sock")
         with pytest.raises(SystemExit, match="cannot reach daemon"):
             main(["doctor", "--socket", gone])
-        with pytest.raises(SystemExit, match="cannot reach daemon"):
-            main(["alerts", "--socket", gone])
+
+
+class TestDoctorAgainstStalledDaemon:
+    def test_cli_doctor_exits_one_while_a_request_stalls(
+        self, tmp_path, capsys
+    ):
+        import threading
+        import time
+
+        sock = str(tmp_path / "stall.sock")
+        with TimingDaemon(
+            sock,
+            crash_dir=tmp_path / "crashes",
+            debug_ops=True,
+            stall_timeout_s=0.2,
+        ) as server:
+            done = threading.Event()
+
+            def slow_request():
+                with DaemonClient(sock, timeout=30.0) as other:
+                    other.request({"op": "sleep", "seconds": 1.5})
+                done.set()
+
+            thread = threading.Thread(target=slow_request)
+            thread.start()
+            try:
+                deadline = time.time() + 10.0
+                while (
+                    server.watchdog.stalled_count() == 0
+                    and time.time() < deadline
+                ):
+                    time.sleep(0.02)
+                assert not done.is_set(), "the sleep ended before a stall"
+                assert main(["doctor", "--socket", sock]) == 1
+                out = capsys.readouterr().out
+                assert "verdict: DEGRADED -- request stalled (exit 1)" in out
+                assert "stalls   : 1 stalled" in out
+            finally:
+                thread.join(timeout=30.0)
+            assert done.is_set()
+            assert main(["doctor", "--socket", sock]) == 0

@@ -189,6 +189,7 @@ class TestHealthAndMetricsOps:
             assert doc["requests"] >= 1
             assert doc["designs_loaded"] == 1
             assert "in_flight" in doc and "errors" in doc
+            assert doc["stalled"] == 0
         assert stats["designs"]
         for design in stats["designs"].values():
             assert "in_flight" in design
@@ -284,11 +285,11 @@ class TestHttpHygiene:
             payload = json.loads(err.value.read())
             assert payload["ok"] is False
             assert "/healthz" in payload["routes"]
-            assert "/metrics/history" in payload["routes"]
             assert "/buildz" in payload["routes"]
-            # The daemon has no profiler and no trace store.
-            assert "/profile" not in payload["routes"]
-            assert "/traces" not in payload["routes"]
+            # The daemon has no profiler, trace store, metrics history
+            # or alert engine.
+            for gone in ("/profile", "/traces", "/metrics/history", "/alertz"):
+                assert gone not in payload["routes"]
 
     def test_buildz_route(self, daemon_socket):
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
@@ -301,68 +302,14 @@ class TestHttpHygiene:
         assert build["ok"] and build["version"]
         assert build["pid"] == os.getpid()
 
-    def test_metrics_history_route(self, daemon_socket, design_files):
-        netlist, clocks = design_files
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                client.analyze(netlist, clocks)
-            __, __, body = self._request(
-                daemon.http_address, "/metrics/history"
-            )
-        history = json.loads(body)
-        assert history["ok"]
-        assert history["schema"] == "repro.metrics.history/1"
-        # The boot point is recorded immediately at daemon start.
-        assert history["points"]
-
-    def test_metrics_history_last_param_trims(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            daemon.history.record(daemon.recorder)
-            daemon.history.record(daemon.recorder)
-            __, __, body = self._request(
-                daemon.http_address, "/metrics/history?last=1"
-            )
-        history = json.loads(body)
-        assert len(history["points"]) == 1
-        assert history["snapshots"] >= 3
-
-    def test_metrics_history_bad_last_is_400(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._request(
-                    daemon.http_address, "/metrics/history?last=x"
-                )
-            assert err.value.code == 400
-            assert b"?last must be an integer" in err.value.read()
-
 
 class TestProfileAndHistoryOps:
-    def test_history_op(self, daemon_socket, design_files):
-        netlist, clocks = design_files
-        with TimingDaemon(daemon_socket) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                client.analyze(netlist, clocks)
-                history = client.history()
-                assert history["ok"]
-                assert history["schema"] == "repro.metrics.history/1"
-                assert history["points"]  # boot point at least
-                trimmed = client.history(last=1)
-                assert len(trimmed["points"]) == 1
-            assert daemon.recorder.counters["service.tsdb.reads"] == 2
-
     def test_buildinfo_op(self, daemon_socket):
         with TimingDaemon(daemon_socket) as daemon:
             with DaemonClient(daemon_socket) as client:
                 build = client.buildinfo()
         assert build["ok"] and build["pid"] == os.getpid()
         assert build["config"]["socket"] == daemon_socket
-
-    def test_tsdb_gauges_in_health_metrics(self, daemon_socket):
-        with TimingDaemon(daemon_socket) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                metrics = client.metrics()["metrics"]
-        assert metrics["gauges"]["service.tsdb.points"] >= 1
-        assert metrics["gauges"]["service.tsdb.snapshots"] >= 1
 
 
 class TestDaemonAccessLog:
@@ -408,7 +355,7 @@ class TestDaemonAccessLog:
 
 
 class TestSelfDiagnosisRoutes:
-    """PR 7: /alertz, /crashz, /flightz plus the shared route table."""
+    """/crashz, /flightz plus the shared route table."""
 
     def _get(self, address, path):
         host, port = address
@@ -416,17 +363,6 @@ class TestSelfDiagnosisRoutes:
             f"http://{host}:{port}{path}", timeout=5
         ) as response:
             return response.status, response.read().decode("utf-8")
-
-    def test_alertz_route(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            daemon.alerts.fire("daemon.stalled", message="unit test")
-            status, body = self._get(daemon.http_address, "/alertz")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["schema"] == "repro.alerts/1"
-        assert doc["firing"] == 1
-        firing = [r for r in doc["alerts"] if r["state"] == "firing"]
-        assert firing[0]["name"] == "daemon.stalled"
 
     def test_crashz_route_healthy_and_after_crash(
         self, daemon_socket, tmp_path
@@ -471,8 +407,10 @@ class TestSelfDiagnosisRoutes:
             payload = json.loads(err.value.read())
         expected = sorted(path for path, __ in TimingDaemon.HTTP_ROUTES)
         assert sorted(payload["routes"]) == expected
-        for path in ("/alertz", "/crashz", "/flightz"):
+        for path in ("/crashz", "/flightz"):
             assert path in payload["routes"]
+        for gone in ("/alertz", "/metrics/history"):
+            assert gone not in payload["routes"]
 
     def test_route_table_handlers_exist(self):
         """Every route in the table resolves to a real bound method."""

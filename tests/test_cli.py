@@ -112,6 +112,21 @@ class TestAnalyzeCommand:
                 assert "--profile-hz: must be finite and > 0" in err
         assert not target.exists()
 
+    def test_bad_limit_exits_2(self, workspace, capsys):
+        """A negative slow-path count would slice from the end."""
+        netlist_json, __, clocks, tmp_path = workspace
+        for argv in (
+            ["analyze", str(netlist_json), "--clocks", str(clocks)],
+            ["serve", "--socket", str(tmp_path / "s.sock")],
+        ):
+            for limit in ("-1", "2.5", "x"):
+                with pytest.raises(SystemExit) as exc_info:
+                    main([*argv, "--limit", limit])
+                assert exc_info.value.code == 2, (argv[0], limit)
+                err = capsys.readouterr().err
+                assert "--limit: must be a whole number >= 0" in err
+        assert not (tmp_path / "s.sock").exists()
+
     def test_unknown_extension_rejected(self, workspace):
         __, __, clocks, tmp_path = workspace
         bogus = tmp_path / "design.vhdl"
