@@ -31,15 +31,12 @@ The analysing subcommands and ``batch`` accept the observability flags
 
     repro-sta analyze design.json --clocks clocks.json \
         --trace out.trace.json --metrics out.metrics.json --verbose
-    repro-sta analyze design.json --clocks clocks.json \
-        --profile profile.speedscope.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -107,37 +104,6 @@ def _common_arguments(parser: argparse.ArgumentParser, with_netlist=True):
         action="store_true",
         help="print a phase-tree timing summary to stderr",
     )
-    _profile_arguments(obs_group)
-
-
-def _profile_arguments(group) -> None:
-    group.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="sample the run with the span-attributed profiler and "
-        "write a speedscope JSON profile to FILE "
-        "(open at https://www.speedscope.app)",
-    )
-    group.add_argument(
-        "--profile-hz",
-        type=_sampling_rate,
-        default=100.0,
-        metavar="HZ",
-        help="profiler sampling rate (default: 100)",
-    )
-
-
-def _sampling_rate(text: str) -> float:
-    """A ``--profile-hz`` value: a finite number above 0."""
-    try:
-        hz = float(text)
-    except ValueError:
-        hz = math.nan
-    if not 0 < hz < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and > 0, got {text!r}"
-        )
-    return hz
 
 
 def _count(text: str) -> int:
@@ -410,7 +376,6 @@ def _make_cluster_cache(args: argparse.Namespace):
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.report import write_manifest
     from repro.service import BatchEngine, load_jobs
 
@@ -426,40 +391,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         retries=args.retries,
         serial=args.serial,
         access_log=args.access_log,
-        profile_hz=args.profile_hz if args.profile else None,
     )
-    # ``--profile``: sample the parent alongside the per-job worker
-    # profilers, then export one merged speedscope (one tab per pid).
-    parent_profiler = None
-    if args.profile:
-        parent_profiler = obs.SamplingProfiler(
-            hz=args.profile_hz, recorder=obs.active()
-        )
-        parent_profiler.start()
     try:
         report = engine.run(jobs)
     finally:
-        parent_doc = (
-            parent_profiler.stop() if parent_profiler is not None else None
-        )
         if engine.access_log is not None:
             engine.access_log.close()
     print(report.render_text())
-    if args.profile:
-        merged = report.merged_profile(parent_doc)
-        if merged is not None:
-            path = obs.write_speedscope(merged, args.profile)
-            pids = merged.get("pids") or [merged.get("pid")]
-            print(
-                f"profile written to {path} ({len(pids)} process(es))",
-                file=sys.stderr,
-            )
-            print(
-                obs.render_profile_table(merged, limit=10),
-                file=sys.stderr,
-            )
-        else:  # pragma: no cover -- profiler produced nothing
-            print("no profile samples collected", file=sys.stderr)
     if args.manifest_dir:
         for outcome in report.outcomes:
             if outcome.manifest:
@@ -609,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     constraints.add_argument(
         "--net", action="append", help="net to report (repeatable)"
     )
-    constraints.add_argument("--limit", type=int, default=40)
+    constraints.add_argument("--limit", type=_count, default=40)
     constraints.set_defaults(func=cmd_constraints)
 
     maxfreq = sub.add_parser(
@@ -656,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--limit",
-        type=int,
+        type=_count,
         default=3,
         help="how many worst endpoints to explain when no --endpoint "
         "is given",
@@ -677,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the repro.diff/1 JSON document instead of text",
     )
-    diff.add_argument("--limit", type=int, default=20)
+    diff.add_argument("--limit", type=_count, default=20)
     diff.set_defaults(func=cmd_diff)
 
     simulate = sub.add_parser(
@@ -783,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_batch.add_argument(
         "--verbose", action="store_true", help="print the phase tree"
     )
-    _profile_arguments(obs_batch)
     batch.set_defaults(func=cmd_batch)
 
     # No abbreviations: a flag parses only under its full name, so a
@@ -927,31 +864,9 @@ def _run_instrumented(args: argparse.Namespace) -> int:
     """Run the subcommand under a recorder and export as requested."""
     from repro import obs
 
-    # ``batch --profile`` owns its profiler (it must merge the worker
-    # documents before exporting); every other command samples here.
-    profile_path = (
-        getattr(args, "profile", None) if args.command != "batch" else None
-    )
-    profiler = None
     with obs.recording() as recorder:
-        if profile_path:
-            profiler = obs.SamplingProfiler(
-                hz=args.profile_hz, recorder=recorder
-            )
-            profiler.start()
-        try:
-            with obs.span(f"cli.{args.command}", category="cli"):
-                status = args.func(args)
-        finally:
-            if profiler is not None:
-                profile_doc = profiler.stop()
-    if profiler is not None:
-        path = obs.write_speedscope(profile_doc, profile_path)
-        print(f"profile written to {path}", file=sys.stderr)
-        print(
-            obs.render_profile_table(profile_doc, limit=10),
-            file=sys.stderr,
-        )
+        with obs.span(f"cli.{args.command}", category="cli"):
+            status = args.func(args)
     # Not every command defines the full obs flag set.
     if getattr(args, "trace", None):
         path = obs.write_chrome_trace(recorder, args.trace)
@@ -969,7 +884,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (
         getattr(args, "trace", None)
         or getattr(args, "metrics", None)
-        or getattr(args, "profile", None)
         or getattr(args, "verbose", False)
     ):
         return _run_instrumented(args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -196,6 +197,24 @@ def check_slow_path_limit(limit: object) -> Optional[int]:
     )
 
 
+def check_tolerance(tolerance: object) -> float:
+    """``tolerance`` as a ``float``: ``None`` means the default 0.0, and
+    a finite ``int`` or ``float`` that is not a ``bool`` passes; anything
+    else raises :class:`ValueError` naming the field.  Slow paths are the
+    ones with ``slack <= tolerance``, so a NaN or ``-inf`` tolerance
+    would drop every one of them, and ``True`` would count as 1.0.
+    """
+    if tolerance is None:
+        return 0.0
+    if (
+        isinstance(tolerance, (int, float))
+        and not isinstance(tolerance, bool)
+        and abs(tolerance) <= sys.float_info.max  # False for NaN
+    ):
+        return float(tolerance)
+    raise ValueError(f"tolerance must be a finite number, got {tolerance!r}")
+
+
 def build_timing_result(
     analyzer,
     run: Callable[[], Algorithm1Result],
@@ -212,9 +231,10 @@ def build_timing_result(
     ``analyzer`` is either of them: it provides ``model``, ``engine``
     and the ``preprocess_seconds`` / ``preprocess_cpu_seconds`` of its
     model build, and becomes the result's back-reference.  A bad
-    ``slow_path_limit`` raises before ``run()`` starts.
+    ``slow_path_limit`` or ``tolerance`` raises before ``run()`` starts.
     """
     check_slow_path_limit(slow_path_limit)
+    tolerance = check_tolerance(tolerance)
     started = time.perf_counter()
     started_cpu = time.process_time()
     outcome = run()

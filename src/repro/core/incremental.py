@@ -59,11 +59,6 @@ class IncrementalAnalyzer:
         self.rebuilds = 0
         #: Cheap delay swaps performed (data-path changes).
         self.swaps = 0
-        #: Mutation epoch: bumped by every delay change.  Snapshot
-        #: layers (the daemon's copy-on-write read path) compare epochs
-        #: to decide whether a cached result still describes this
-        #: engine -- defense in depth under their own epoch tracking.
-        self.epoch = 0
         self._build()
 
     def _build(self) -> None:
@@ -94,9 +89,7 @@ class IncrementalAnalyzer:
         ``factor`` (``ValueError``) is rejected before anything changes.
         """
         self.network.cell(cell_name)
-        delays = self._delays.with_scaled_cell(cell_name, factor)
-        self.epoch += 1
-        self._delays = delays
+        self._delays = self._delays.with_scaled_cell(cell_name, factor)
         if cell_name in self._control_cells:
             # Control-path delays shape O_ac; rebuild the instances.
             self.rebuilds += 1
@@ -121,7 +114,6 @@ class IncrementalAnalyzer:
 
     def set_delays(self, delays: DelayMap) -> None:
         """Replace the whole delay map (conservatively rebuilds)."""
-        self.epoch += 1
         self._delays = delays
         self.rebuilds += 1
         obs.counter("incremental.rebuilds")

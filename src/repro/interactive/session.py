@@ -36,25 +36,13 @@ class SessionStep:
 
 
 class WhatIfSession:
-    """Interactive exploration of clocking and delay changes.
-
-    With ``use_incremental=True`` the session keeps a
-    :class:`repro.core.incremental.IncrementalAnalyzer` warm across
-    delay edits: ``scale_cell_delay`` becomes a cheap delay swap (or a
-    tracked rebuild inside control cones) and :meth:`analyze`
-    warm-starts Algorithm 1 from the previous fixed point instead of
-    rebuilding the whole model -- the same serving path the
-    :class:`repro.service.daemon.TimingDaemon` uses for
-    mutate-and-requery traffic.  Clock edits and :meth:`undo` still
-    rebuild (clock shapes are baked into the instance windows).
-    """
+    """Interactive exploration of clocking and delay changes."""
 
     def __init__(
         self,
         network: Network,
         schedule: ClockSchedule,
         delays: Optional[DelayMap] = None,
-        use_incremental: bool = False,
     ) -> None:
         self.network = network
         self._schedule = schedule
@@ -62,8 +50,6 @@ class WhatIfSession:
         self._history: List[SessionStep] = []
         self._analyzer: Optional[Hummingbird] = None
         self._baseline_manifest: Optional[Dict[str, object]] = None
-        self.use_incremental = use_incremental
-        self._incremental = None  # lazy IncrementalAnalyzer
 
     # ------------------------------------------------------------------
     # state
@@ -80,13 +66,11 @@ class WhatIfSession:
     def history(self) -> Tuple[SessionStep, ...]:
         return tuple(self._history)
 
-    def _push(self, description: str, keep_incremental: bool = False) -> None:
+    def _push(self, description: str) -> None:
         self._history.append(
             SessionStep(description, self._schedule, self._delays)
         )
         self._analyzer = None
-        if not keep_incremental:
-            self._incremental = None
 
     def undo(self) -> str:
         """Back out the most recent change; returns its description."""
@@ -96,9 +80,6 @@ class WhatIfSession:
         self._schedule = step.schedule
         self._delays = step.delays
         self._analyzer = None
-        # Conservative: the restored delay map may differ arbitrarily
-        # from the incremental engine's, so rebuild on next analyze.
-        self._incremental = None
         return step.description
 
     # ------------------------------------------------------------------
@@ -125,29 +106,14 @@ class WhatIfSession:
     def scale_cell_delay(self, cell_name: str, factor: float) -> None:
         """Scale all arcs of one cell (what-if for a re-sized module)."""
         self.network.cell(cell_name)  # raise early on unknown cells
-        self._push(
-            f"scale_cell_delay({cell_name!r}, {factor})",
-            keep_incremental=self.use_incremental,
-        )
+        self._push(f"scale_cell_delay({cell_name!r}, {factor})")
         self._delays = self._delays.with_scaled_cell(cell_name, factor)
-        if self._incremental is not None:
-            # Cheap path: swap the delay under the warm model (the
-            # engine rebuilds itself for control-cone cells).
-            self._incremental.scale_cell(cell_name, factor)
 
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
     def analyze(self) -> TimingResult:
         """(Re)analyse the design under the current state."""
-        if self.use_incremental:
-            if self._incremental is None:
-                from repro.core.incremental import IncrementalAnalyzer
-
-                self._incremental = IncrementalAnalyzer(
-                    self.network, self._schedule, delays=self._delays
-                )
-            return self._incremental.timing_result(warm=True)
         if self._analyzer is None:
             self._analyzer = Hummingbird(
                 self.network, self._schedule, delays=self._delays

@@ -7,9 +7,7 @@ pipeline.
   trace-event JSON export,
 * :mod:`repro.obs.metrics` -- flat metrics JSON and Prometheus text,
 * :mod:`repro.obs.summary` -- human-readable phase trees
-  (``repro-sta ... --verbose``) and the profiler self-time table,
-* :mod:`repro.obs.profile` -- span-attributed sampling profiler with
-  collapsed-stack / speedscope exporters (``repro.profile/1``),
+  (``repro-sta ... --verbose``),
 * :mod:`repro.obs.flight` -- flight recorder ring, structured error /
   crash reports and the stall watchdog (``repro.flight/1``,
   ``repro.error/1``, ``repro.crash/1``).
@@ -46,15 +44,6 @@ from repro.obs.hist import (
     HistogramStats,
     bucket_counts,
     equal_width_edges,
-    quantile_from_counts,
-)
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    SamplingProfiler,
-    merge_profiles,
-    to_collapsed,
-    to_speedscope,
-    write_speedscope,
 )
 from repro.obs.recorder import (
     NULL_SPAN,
@@ -75,12 +64,7 @@ from repro.obs.recorder import (
     set_recorder,
     span,
 )
-from repro.obs.summary import (
-    build_phase_tree,
-    profile_table,
-    render_phase_tree,
-    render_profile_table,
-)
+from repro.obs.summary import build_phase_tree, render_phase_tree
 from repro.obs.flight import (
     CRASH_SCHEMA,
     ERROR_SCHEMA,
@@ -105,7 +89,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "bucket_counts",
     "equal_width_edges",
-    "quantile_from_counts",
     "live",
     "AccessLog",
     "ACCESS_LOG_SCHEMA",
@@ -129,14 +112,6 @@ __all__ = [
     "WELL_KNOWN_COUNTERS",
     "build_phase_tree",
     "render_phase_tree",
-    "PROFILE_SCHEMA",
-    "SamplingProfiler",
-    "merge_profiles",
-    "to_collapsed",
-    "to_speedscope",
-    "write_speedscope",
-    "profile_table",
-    "render_profile_table",
     "ERROR_SCHEMA",
     "FLIGHT_SCHEMA",
     "CRASH_SCHEMA",

@@ -13,8 +13,8 @@ cooperating pieces, all standard library:
 * ``repro.error/1`` / ``repro.crash/1`` builders --
   :func:`exception_frames` turns an exception's traceback into
   structured ``{file, line, function, code}`` frames (instead of a bare
-  ``str(exc)``), :func:`thread_stacks` walks every live thread with the
-  same frame labels as the sampling profiler, and
+  ``str(exc)``), :func:`thread_stacks` walks every live thread into
+  ``func (pkg/module.py:lineno)`` frame labels, and
   :class:`CrashHandler` assembles both plus the flight ring and
   buildinfo into a crash report written to a ``crashes/`` directory.
   ``install()`` chains ``sys.excepthook`` / ``threading.excepthook``,
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import faulthandler
+import gc
 import json
 import os
 import sys
@@ -45,8 +46,6 @@ import traceback
 from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
-
-from repro.obs.profile import _frame_label, current_frames
 
 __all__ = [
     "ERROR_SCHEMA",
@@ -80,9 +79,10 @@ def exception_frames(
     """Structured traceback frames, outermost first.
 
     Each frame is ``{"file", "line", "function", "code"}`` with the
-    same short two-component file paths as the profiler's labels, so a
-    crash report and a flamegraph agree on names.  ``limit`` keeps the
-    innermost frames when the traceback is deeper.
+    same short two-component file paths as :func:`thread_stacks`'
+    labels, so the raising frame and the thread stacks of one crash
+    report agree on names.  ``limit`` keeps the innermost frames when
+    the traceback is deeper.
     """
     frames: List[Dict[str, object]] = []
     try:
@@ -115,14 +115,49 @@ def error_document(
     }
 
 
+# ----------------------------------------------------------------------
+# thread stacks
+# ----------------------------------------------------------------------
+def _frame_label(frame) -> str:
+    """``func (pkg/module.py:lineno)`` -- short, stable, greppable."""
+    code = frame.f_code
+    filename = code.co_filename
+    parts = filename.replace("\\", "/").rsplit("/", 2)
+    short = "/".join(parts[-2:]) if len(parts) > 1 else filename
+    return f"{code.co_name} ({short}:{frame.f_lineno})"
+
+
+#: Serialises :func:`current_frames`, so one caller cannot re-enable the
+#: collector while another is still inside ``sys._current_frames()``.
+_FRAMES_LOCK = threading.Lock()
+
+
+def current_frames() -> Dict[int, object]:
+    """``sys._current_frames()`` with the garbage collector paused.
+
+    CPython 3.11 can run a collection inside that call while it holds
+    the interpreter's thread-list lock.  Collecting a ``threading.local``
+    (the daemon keeps several) takes the same lock again, and the
+    process deadlocks.
+    """
+    with _FRAMES_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sys._current_frames()
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def thread_stacks(
     max_depth: int = 64,
     exclude: Iterable[int] = (),
 ) -> List[Dict[str, object]]:
-    """Every live thread's stack via the profiler's frame walker.
+    """Every live thread's stack via :func:`current_frames`.
 
     Returns one row per thread -- ``{"thread_id", "name", "daemon",
-    "frames"}`` with frames root-first in the profiler's
+    "frames"}`` with frames root-first in the
     ``func (pkg/module.py:lineno)`` label format -- so a crash report
     shows *all* threads, not just the one that raised.
     """
@@ -143,7 +178,7 @@ def thread_stacks(
             stack.append(_frame_label(cursor))
             cursor = cursor.f_back
             depth += 1
-        stack.reverse()  # root-first, same order as collapsed stacks
+        stack.reverse()  # root-first
         thread = names.get(tid)
         rows.append(
             {

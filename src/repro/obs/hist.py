@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -26,7 +26,6 @@ __all__ = [
     "HistogramStats",
     "equal_width_edges",
     "bucket_counts",
-    "quantile_from_counts",
 ]
 
 #: Default upper bounds for recorder histograms (slack-flavoured:
@@ -73,51 +72,6 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     30.0,
     60.0,
 )
-
-
-def quantile_from_counts(
-    bounds: Sequence[float],
-    counts: Sequence[int],
-    q: float,
-    overflow: Optional[float] = None,
-) -> float:
-    """Estimate the ``q``-quantile from fixed-bucket counts.
-
-    ``bounds`` are sorted upper bounds; ``counts`` are the per-bucket
-    (non-cumulative) counts with one extra trailing ``+Inf`` overflow
-    bucket, exactly the shape :meth:`HistogramStats.to_dict` exports.
-    Linear interpolation inside the winning bucket (Prometheus
-    ``histogram_quantile`` semantics).
-
-    Edge cases always yield a **finite** value:
-
-    * an empty histogram (all counts zero, or no bounds) returns
-      ``0.0``;
-    * a quantile landing in the ``+Inf`` overflow bucket clamps to
-      ``overflow`` when given (pass the histogram's observed maximum
-      for the tightest finite answer), else to the last finite bound.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    total = sum(counts)
-    if total == 0 or not bounds:
-        return 0.0
-    clamp = float(bounds[-1])
-    if overflow is not None and math.isfinite(overflow):
-        clamp = max(clamp, float(overflow))
-    rank = q * total
-    running = 0.0
-    for index, count in enumerate(counts):
-        previous = running
-        running += count
-        if running >= rank and count:
-            if index >= len(bounds):  # +Inf overflow bucket
-                return clamp
-            upper = float(bounds[index])
-            lower = float(bounds[index - 1]) if index else min(0.0, upper)
-            fraction = (rank - previous) / count
-            return lower + (upper - lower) * fraction
-    return clamp
 
 
 def equal_width_edges(
@@ -198,18 +152,6 @@ class HistogramStats:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (see :func:`quantile_from_counts`).
-
-        The observed maximum clamps quantiles that land in the ``+Inf``
-        overflow bucket, so the estimate stays finite even when every
-        sample exceeded the last bound.
-        """
-        overflow = self.maximum if self.count else None
-        return quantile_from_counts(
-            self.bounds, self.counts, q, overflow=overflow
-        )
 
     def merge(self, other: "HistogramStats") -> None:
         """Fold ``other``'s observations into this histogram.

@@ -158,12 +158,6 @@ class Recorder:
         self.dropped_events = 0
         self._lock = threading.Lock()
         self._depths: Dict[int, int] = {}
-        #: Per-thread stack of *open* spans ``(name, category)``.  Only
-        #: the owning thread mutates its list (append on enter, pop on
-        #: exit); the sampling profiler reads it from another thread, so
-        #: entries are immutable tuples and readers copy the whole list
-        #: in one step (atomic under the GIL, at worst one span stale).
-        self._span_stacks: Dict[int, List[Tuple[str, str]]] = {}
         self._next_index = 0
         #: Collections seen by the gc hook and not yet folded into the
         #: spans and counters: (generation, start, duration, collected,
@@ -182,14 +176,10 @@ class Recorder:
     # ------------------------------------------------------------------
     # span lifecycle (called by Span)
     # ------------------------------------------------------------------
-    def _enter_span(self, name: str, category: str) -> Tuple[int, int]:
+    def _enter_span(self) -> Tuple[int, int]:
         tid = threading.get_ident()
         depth = self._depths.get(tid, 0)
         self._depths[tid] = depth + 1
-        stack = self._span_stacks.get(tid)
-        if stack is None:
-            stack = self._span_stacks[tid] = []
-        stack.append((name, category))
         return tid, depth
 
     def _exit_span(
@@ -203,9 +193,6 @@ class Recorder:
         args: Optional[Dict[str, object]],
     ) -> None:
         self._depths[tid] = depth
-        stack = self._span_stacks.get(tid)
-        if stack:
-            stack.pop()
         if depth == 0 and self.on_root_span is not None:
             try:
                 self.on_root_span(name, duration, tid)
@@ -340,36 +327,6 @@ class Recorder:
             )
 
     # ------------------------------------------------------------------
-    # profiler hooks (read from the sampling-profiler thread)
-    # ------------------------------------------------------------------
-    def active_span_stack(
-        self, thread_id: int
-    ) -> Tuple[Tuple[str, str], ...]:
-        """The open ``(name, category)`` spans of ``thread_id``,
-        outermost first.
-
-        Safe to call from any thread without taking the recorder lock:
-        the per-thread list is only appended/popped by its owner, and
-        the single-step copy is atomic under the GIL -- a concurrent
-        enter/exit makes the result at most one span out of date, never
-        torn.  Returns ``()`` for threads with no open span.
-        """
-        stack = self._span_stacks.get(thread_id)
-        if not stack:
-            return ()
-        return tuple(stack)
-
-    def active_span(self, thread_id: int) -> Optional[Tuple[str, str]]:
-        """The innermost open span of ``thread_id`` (or ``None``)."""
-        stack = self._span_stacks.get(thread_id)
-        if not stack:
-            return None
-        try:
-            return stack[-1]
-        except IndexError:  # popped between the check and the read
-            return None
-
-    # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
     def span(self, name: str, category: str = "repro", **args: object) -> "Span":
@@ -398,9 +355,7 @@ class Span:
         self.args = args
 
     def __enter__(self) -> "Span":
-        self._tid, self._depth = self._recorder._enter_span(
-            self.name, self.category
-        )
+        self._tid, self._depth = self._recorder._enter_span()
         self._start = time.perf_counter()
         return self
 

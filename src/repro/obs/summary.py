@@ -4,16 +4,12 @@ Reconstructs span nesting from the completion records (children complete
 before their parents, and carry their nesting depth) and renders an
 indented tree with durations, self-times and call counts, followed by
 the counter table.  This is what ``repro-sta ... --verbose`` prints.
-
-Also renders the sampling profiler's phase x function self-time table
-(:func:`profile_table` / :func:`render_profile_table`), the text
-companion to the flamegraph exporters in :mod:`repro.obs.profile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs.recorder import Recorder, SpanRecord
 
@@ -113,71 +109,3 @@ def render_phase_tree(
             lines.append(f"  {name:<44} {recorder.gauges[name]:g}")
     return "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# phase x function self-time table (profiler companion)
-# ----------------------------------------------------------------------
-def profile_table(
-    doc: Dict[str, object], limit: int = 20
-) -> List[Dict[str, object]]:
-    """Top self-time rows of a ``repro.profile/1`` document.
-
-    *Self time* in sampling terms: a function owns the samples in which
-    it is the **leaf** frame.  Rows key on (innermost span, leaf
-    function), aggregate across processes, and report the share against
-    the document's total stack samples.
-    """
-    totals: Dict[Tuple[str, str], int] = {}
-    grand = 0
-    for row in doc.get("stacks") or ():
-        if not isinstance(row, dict):
-            continue
-        frames = row.get("frames") or ()
-        count = int(row.get("count") or 0)
-        if not frames or not count:
-            continue
-        span_path = str(row.get("span", "(no span)"))
-        phase = span_path.rsplit(";", 1)[-1]
-        leaf = str(frames[-1])
-        totals[(phase, leaf)] = totals.get((phase, leaf), 0) + count
-        grand += count
-    rows = [
-        {
-            "phase": phase,
-            "function": leaf,
-            "samples": count,
-            "share": round(count / grand, 4) if grand else 0.0,
-        }
-        for (phase, leaf), count in sorted(
-            totals.items(), key=lambda item: (-item[1], item[0])
-        )
-    ]
-    return rows[:limit] if limit else rows
-
-
-def render_profile_table(doc: Dict[str, object], limit: int = 20) -> str:
-    """The phase x function self-time table as aligned text."""
-    rows = profile_table(doc, limit=limit)
-    samples = int(doc.get("samples") or 0)
-    attributed = int(doc.get("attributed") or 0)
-    header = (
-        f"profile: {samples} samples @ {doc.get('hz', '?')} Hz over "
-        f"{float(doc.get('duration_s') or 0.0):.3f}s | attributed "
-        f"{attributed}/{samples}"
-        + (f" ({attributed / samples:.0%})" if samples else "")
-    )
-    lines = [header]
-    title = (
-        f"{'phase':<30} {'self function':<44} {'samples':>8} {'share':>6}"
-    )
-    lines.append(title)
-    lines.append("-" * len(title))
-    for row in rows:
-        lines.append(
-            f"{str(row['phase'])[:30]:<30} "
-            f"{str(row['function'])[:44]:<44} "
-            f"{row['samples']:>8} {row['share']:>6.1%}"
-        )
-    if not rows:
-        lines.append("(no samples)")
-    return "\n".join(lines)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
+from repro.core.analyzer import check_tolerance
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
 from repro.obs.hist import LATENCY_BUCKETS
@@ -247,9 +247,6 @@ class JobOutcome:
     #: cluster cache is disabled or the job was a full-triple hit):
     #: ``{"clusters": n, "hits": h, "recomputed": r, "hit_rate": f}``.
     cluster_cache: Optional[Dict[str, object]] = None
-    #: Worker-side ``repro.profile/1`` document (``None`` unless the
-    #: engine ran with ``profile_hz`` and the job actually computed).
-    profile: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:
@@ -338,24 +335,6 @@ class BatchReport:
         if self.violations:
             return 1
         return 0
-
-    def merged_profile(
-        self, *extra: Optional[Dict[str, object]]
-    ) -> Optional[Dict[str, object]]:
-        """One ``repro.profile/1`` document across every profiled worker.
-
-        ``extra`` documents (e.g. a parent-process profile captured
-        around :meth:`BatchEngine.run`) merge in too, so the exported
-        speedscope spans the whole batch -- parent and workers side by
-        side, one tab per pid.  Returns ``None`` when nothing profiled.
-        """
-        from repro.obs.profile import merge_profiles
-
-        docs = [o.profile for o in self.outcomes if o.profile]
-        docs.extend(d for d in extra if d)
-        if not docs:
-            return None
-        return merge_profiles(docs)
 
     def to_dict(self) -> Dict[str, object]:
         """The ``repro.batchstats/1`` document (CI artifact)."""
@@ -468,6 +447,10 @@ def load_jobs(path: Union[str, Path]) -> List[BatchJob]:
                 raise ValueError(
                     f"{path}: job {name!r} missing {field_name!r}"
                 )
+        try:
+            tolerance = check_tolerance(entry.get("tolerance"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: job {name!r}: {exc}") from None
         jobs.append(
             BatchJob(
                 name=name,
@@ -475,7 +458,7 @@ def load_jobs(path: Union[str, Path]) -> List[BatchJob]:
                 clocks=str(base / entry["clocks"]),
                 default_clock=entry.get("default_clock"),
                 slow_path_limit=entry.get("slow_path_limit", 50),
-                tolerance=float(entry.get("tolerance", 0.0)),
+                tolerance=tolerance,
             )
         )
     if not jobs:
@@ -553,12 +536,6 @@ class BatchEngine:
         open their own handle on the same directory (atomic writes +
         advisory index make concurrent access safe), so only the root
         path travels in the job spec.
-    profile_hz:
-        When set, every computed job runs under a worker-side
-        :class:`repro.obs.profile.SamplingProfiler` at this rate; the
-        per-job ``repro.profile/1`` documents come back on the
-        :class:`JobOutcome` rows and merge via
-        :meth:`BatchReport.merged_profile`.
     """
 
     def __init__(
@@ -570,17 +547,11 @@ class BatchEngine:
         serial: bool = False,
         access_log: Union[AccessLog, str, Path, None] = None,
         cluster_cache: Union[ClusterCache, str, Path, None] = None,
-        profile_hz: Optional[float] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if profile_hz is not None and not 0 < profile_hz < math.inf:
-            raise ValueError(
-                f"profile_hz must be finite and > 0, got {profile_hz!r}"
-            )
-        self.profile_hz = profile_hz
         self.cache = cache
         self.max_workers = max_workers
         self.job_timeout = job_timeout
@@ -789,8 +760,6 @@ class BatchEngine:
         """
         spec = plan.job.spec()
         spec["submitted_wall"] = time.time()
-        if self.profile_hz is not None:
-            spec["profile"] = {"hz": self.profile_hz}
         if self.cluster_cache is not None:
             spec["cluster_cache"] = {
                 "root": str(self.cluster_cache.root),
@@ -1019,7 +988,6 @@ class BatchEngine:
         # into this recorder -- no extra mirroring here or the
         # `batch --metrics` dump would double-count.
         cluster_info = document.get("cluster_cache")
-        profile_doc = document.get("profile")
         outcomes[plan.job.name] = JobOutcome(
             job=plan.job,
             status="computed",
@@ -1037,9 +1005,6 @@ class BatchEngine:
                 dict(cluster_info)
                 if isinstance(cluster_info, dict)
                 else None
-            ),
-            profile=(
-                profile_doc if isinstance(profile_doc, dict) else None
             ),
         )
         if self.cache is not None and isinstance(payload, dict):

@@ -85,7 +85,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.analyzer import check_slow_path_limit
+from repro.core.analyzer import check_slow_path_limit, check_tolerance
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
 from repro.obs.flight import (
@@ -906,7 +906,7 @@ class TimingDaemon:
         )
 
         limit = request.get("slow_path_limit", self.slow_path_limit)
-        tolerance = float(request.get("tolerance", 0.0) or 0.0)
+        tolerance = check_tolerance(request.get("tolerance"))
         engine = "incremental-warm" if state.warm else "cold"
         self._local.engine = engine
         if engine == "incremental-warm":
@@ -1074,11 +1074,11 @@ class TimingDaemon:
         state = self._design(request)
         arrival = time.perf_counter()
         # Checked before the snapshot lookup: ``True`` would find the
-        # answer published for a limit of 1.
+        # answer published for a limit of 1 (or a tolerance of 1.0).
         limit = check_slow_path_limit(
             request.get("slow_path_limit", self.slow_path_limit)
         )
-        tolerance = float(request.get("tolerance", 0.0) or 0.0)
+        tolerance = check_tolerance(request.get("tolerance"))
         key = (limit, tolerance, request.get("label"))
         # Lock-free read path.  The epoch is bumped under the design
         # lock *before* a mutation touches the engine, so a reader
@@ -1134,10 +1134,11 @@ class TimingDaemon:
         self, state: _DesignState, action: str, request: Dict[str, object]
     ) -> Callable[[], None]:
         """Validate a mutate request; return the step that applies it."""
-        # The inline analysis reads it after the edit is applied.
+        # The inline analysis reads them after the edit is applied.
         check_slow_path_limit(
             request.get("slow_path_limit", self.slow_path_limit)
         )
+        check_tolerance(request.get("tolerance"))
         if action == "scale_cell":
             from repro.delay.estimator import check_scale_factor
 

@@ -21,9 +21,6 @@ Job spec (plain dict)::
       # handle on this one directory:
       "cluster_cache": {"root": ".repro-cache/clusters",
                         "max_entries": 4096},
-      # per-job sampling profiler (optional; ships a repro.profile/1
-      # document back under "profile" for the parent to merge):
-      "profile": {"hz": 100},
       # fault-injection hooks (tests/CI only):
       "inject_crash_file": null,   # if this file exists: unlink + _exit
       "inject_sleep_s": null,      # sleep before analysing (timeouts)
@@ -132,7 +129,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
     """Analyse one job spec; returns the result document."""
     from repro import obs
     from repro.clocks.serialize import load_schedule
-    from repro.core.analyzer import Hummingbird
+    from repro.core.analyzer import Hummingbird, check_tolerance
     from repro.netlist import read_netlist
     from repro.obs import live
     from repro.service.digest import (
@@ -149,25 +146,11 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
     queue_wait_s = None
     if isinstance(submitted_wall, (int, float)):
         queue_wait_s = max(0.0, time.time() - float(submitted_wall))
-    profile_spec = spec.get("profile")
-    profiler = None
-    profile_doc = None
     try:
         _maybe_inject_faults(spec)
         with obs.recording(
             live.child_recorder(ctx) if traced else None
         ) as recorder:
-            # Per-job sampling profiler (``{"profile": {"hz": 100}}``):
-            # the document ships back next to the trace snapshot so the
-            # parent can merge a cross-process speedscope profile.
-            if isinstance(profile_spec, dict):
-                from repro.obs.profile import SamplingProfiler
-
-                profiler = SamplingProfiler(
-                    hz=float(profile_spec.get("hz", 100.0) or 100.0),
-                    recorder=recorder,
-                )
-                profiler.start()
             with obs.span(
                 "service.worker.job",
                 category="service",
@@ -178,7 +161,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                 )
                 schedule = load_schedule(str(spec["clocks"]))
                 slow_path_limit = spec.get("slow_path_limit", 50)
-                tolerance = float(spec.get("tolerance", 0.0) or 0.0)
+                tolerance = check_tolerance(spec.get("tolerance"))
                 config = analysis_config(
                     slow_path_limit=slow_path_limit, tolerance=tolerance
                 )
@@ -241,8 +224,6 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                     "partition": list(clock_domains(network)),
                     "weight": len(network.combinational_cells),
                 }
-            if profiler is not None:
-                profile_doc = profiler.stop()
         document: Dict[str, object] = {
             "ok": True,
             "payload": result.payload(),
@@ -260,14 +241,10 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
             document["cluster_cache"] = cluster_info
         if traced:
             document["trace"] = live.snapshot(recorder)
-        if profile_doc is not None:
-            document["profile"] = profile_doc
         if queue_wait_s is not None:
             document["queue_wait_s"] = round(queue_wait_s, 6)
         return document
     except Exception as exc:  # noqa: BLE001 -- reported, not raised
-        if profiler is not None and profiler.running:
-            profiler.stop()
         from repro.obs.flight import CrashHandler, error_document
 
         # Ship a full worker postmortem -- structured frames plus

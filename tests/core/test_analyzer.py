@@ -1,5 +1,7 @@
 """Unit tests for the Hummingbird facade."""
 
+import math
+
 import pytest
 
 from repro.clocks import ClockSchedule
@@ -43,6 +45,18 @@ class TestAnalyze:
             hb.analyze(slow_path_limit=limit)
         assert len(hb.analyze(slow_path_limit=0).slow_paths) == 0
         assert hb.analyze(slow_path_limit=None).slow_paths
+
+    @pytest.mark.parametrize(
+        "tolerance", [math.nan, -math.inf, math.inf, True, "0"], ids=repr
+    )
+    def test_bad_tolerance_is_rejected(self, lib, tolerance):
+        """A NaN or -inf tolerance would keep no slow path at all."""
+        network, schedule = build_ff_stage(lib, chain=2, period=2.0)
+        hb = Hummingbird(network, schedule)
+        with pytest.raises(ValueError, match="tolerance"):
+            hb.analyze(tolerance=tolerance)
+        assert hb.analyze(tolerance=None).slow_paths
+        assert hb.analyze(tolerance=0).slow_paths
 
     def test_explicit_delay_map_respected(self, lib):
         network, schedule = build_ff_stage(lib, chain=2, period=10)

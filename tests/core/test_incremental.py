@@ -194,7 +194,7 @@ class TestMutateMatchesFromScratch:
         with pytest.raises(error):
             inc.scale_cell(cell, factor)
         assert inc.delays is delays and inc.model.delays is delays
-        assert (inc.epoch, inc.swaps, inc.rebuilds) == (0, 0, 0)
+        assert (inc.swaps, inc.rebuilds) == (0, 0)
         after = inc.timing_result().payload()
         assert after["endpoint_slacks"] == before["endpoint_slacks"]
 

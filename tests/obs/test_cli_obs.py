@@ -152,80 +152,3 @@ class TestOtherSubcommandsAcceptFlags:
         out = capsys.readouterr().out
         assert ".json, .blif or .v" in out
         assert "--trace" in out and "--metrics" in out
-
-
-class TestCliProfiling:
-    """PR-6: ``--profile FILE`` on the CLI entry points."""
-
-    def test_analyze_profile_writes_speedscope(
-        self, pipeline_workspace, capsys
-    ):
-        __, netlist, clocks, tmp_path = pipeline_workspace
-        target = tmp_path / "analyze.speedscope.json"
-        code = main(
-            [
-                "analyze",
-                str(netlist),
-                "--clocks",
-                str(clocks),
-                "--profile",
-                str(target),
-                "--profile-hz",
-                "500",
-            ]
-        )
-        assert code in (0, 1)  # timing violations still exit 1
-        assert target.exists()
-        scope = json.loads(target.read_text())
-        assert scope["$schema"].endswith("file-format-schema.json")
-        assert scope["profiles"]
-        err = capsys.readouterr().err
-        assert "profile written to" in err
-        assert obs.active() is None  # recorder restored
-
-    def test_batch_profile_merges_workers(
-        self, pipeline_workspace, tmp_path, capsys
-    ):
-        __, netlist, clocks, __ = pipeline_workspace
-        jobs_file = tmp_path / "jobs.json"
-        jobs_file.write_text(
-            json.dumps(
-                {
-                    "schema": "repro.batch/1",
-                    "jobs": [
-                        {
-                            "name": "a",
-                            "netlist": str(netlist),
-                            "clocks": str(clocks),
-                        }
-                    ],
-                }
-            )
-        )
-        target = tmp_path / "batch.speedscope.json"
-        code = main(
-            [
-                "batch",
-                str(jobs_file),
-                "--serial",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--profile",
-                str(target),
-                "--profile-hz",
-                "500",
-            ]
-        )
-        assert code in (0, 1)
-        assert target.exists()
-        scope = json.loads(target.read_text())
-        assert scope["profiles"]
-        err = capsys.readouterr().err
-        assert "profile written to" in err
-        assert "process(es)" in err
-
-    def test_profile_off_by_default(self, pipeline_workspace):
-        __, netlist, clocks, tmp_path = pipeline_workspace
-        main(["analyze", str(netlist), "--clocks", str(clocks)])
-        leftovers = list(tmp_path.glob("*.speedscope.json"))
-        assert leftovers == []

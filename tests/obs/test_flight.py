@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.obs.flight import (
     CRASH_SCHEMA,
@@ -78,12 +82,50 @@ class TestErrorDocuments:
             "test_thread_stacks_include_current_thread" in f
             for f in mine[0]["frames"]
         )
-        # Frames are root-first profiler labels: "func (pkg/mod.py:N)".
+        # Frames are root-first frame labels: "func (pkg/mod.py:N)".
         assert all("(" in f and ")" in f for f in mine[0]["frames"])
 
     def test_thread_stacks_exclude(self):
         rows = thread_stacks(exclude=[threading.get_ident()])
         assert all(r["thread_id"] != threading.get_ident() for r in rows)
+
+    def test_frame_walk_survives_a_collection_of_thread_locals(self):
+        """A collection that frees a ``threading.local`` and lands inside
+        the frame walk must not deadlock the process.  Each step makes
+        such garbage and sets the threshold so the collection triggers
+        k allocations later, one of which is inside the walk."""
+        code = (
+            "import gc, threading\n"
+            "from repro.obs.flight import current_frames\n"
+            "class Holder:\n"
+            "    pass\n"
+            "def probe():\n"
+            "    return current_frames()\n"
+            "def garbage():\n"
+            "    for __ in range(10):\n"
+            "        h = Holder()\n"
+            "        h.loc = threading.local()\n"
+            "        h.loc.x = 1\n"
+            "        h.me = h\n"
+            "for k in range(8):\n"
+            "    gc.collect()\n"
+            "    gc.disable()\n"
+            "    garbage()\n"
+            "    gc.set_threshold(gc.get_count()[0] + k)\n"
+            "    gc.enable()\n"
+            "    probe()\n"
+            "    gc.set_threshold(700)\n"
+            "print('ok')\n"
+        )
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src_dir},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout.strip() == "ok", result.stderr
 
 
 class TestFlightRecorder:

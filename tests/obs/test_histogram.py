@@ -11,7 +11,6 @@ from repro.obs.hist import (
     HistogramStats,
     bucket_counts,
     equal_width_edges,
-    quantile_from_counts,
 )
 
 
@@ -65,41 +64,6 @@ class TestHistogramStats:
         assert payload["count"] == 0
         assert payload["min"] == 0.0  # not inf when empty
         json.dumps(payload)
-
-
-class TestQuantileEdgeCases:
-    """PR-6 regression: quantiles stay finite on degenerate shapes."""
-
-    def test_all_overflow_clamps_to_observed_maximum(self):
-        # Every sample past the last bound used to put the quantile in
-        # the +Inf bucket and return a non-finite answer.
-        hist = HistogramStats(bounds=(0.1, 1.0))
-        for value in (5.0, 7.0, 9.0):
-            hist.observe(value)
-        for q in (0.0, 0.5, 0.95, 1.0):
-            value = hist.quantile(q)
-            assert math.isfinite(value), q
-        assert hist.quantile(0.5) == 9.0  # clamped at observed max
-        assert hist.quantile(0.95) == 9.0
-
-    def test_all_overflow_without_maximum_clamps_to_last_bound(self):
-        value = quantile_from_counts((0.1, 1.0), (0, 0, 4), 0.95)
-        assert value == 1.0
-
-    def test_empty_histogram_quantile_is_zero(self):
-        hist = HistogramStats(bounds=(0.1, 1.0))
-        assert hist.quantile(0.5) == 0.0
-        assert hist.quantile(0.95) == 0.0
-
-    def test_empty_counts_and_empty_bounds(self):
-        assert quantile_from_counts((0.1,), (0, 0), 0.5) == 0.0
-        # No bounds at all used to IndexError on bounds[-1].
-        assert quantile_from_counts((), (), 0.5) == 0.0
-        assert quantile_from_counts((), (3,), 0.5) == 0.0
-
-    def test_q_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            quantile_from_counts((1.0,), (1, 0), 1.5)
 
 
 class TestSharedBucketing:

@@ -14,11 +14,7 @@ from repro.obs.accesslog import (
     AccessLog,
     span_tree_from_snapshot,
 )
-from repro.obs.hist import (
-    LATENCY_BUCKETS,
-    HistogramStats,
-    quantile_from_counts,
-)
+from repro.obs.hist import LATENCY_BUCKETS, HistogramStats
 
 
 class TestTraceContext:
@@ -146,15 +142,6 @@ class TestSnapshotRoundTrip:
 
 
 class TestHistogramQuantiles:
-    def test_quantile_from_counts_interpolates(self):
-        bounds = [1.0, 2.0, 4.0]
-        counts = [0, 10, 0, 0]  # all mass in (1, 2]
-        assert quantile_from_counts(bounds, counts, 0.5) == pytest.approx(1.5)
-        assert quantile_from_counts(bounds, counts, 1.0) == pytest.approx(2.0)
-
-    def test_quantile_empty_is_zero(self):
-        assert quantile_from_counts([1.0], [0, 0], 0.5) == 0.0
-
     def test_histogram_merge_same_bounds(self):
         a = HistogramStats([1.0, 2.0])
         b = HistogramStats([1.0, 2.0])

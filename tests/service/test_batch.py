@@ -82,6 +82,24 @@ class TestJobSetFile:
         with pytest.raises(ValueError, match="empty"):
             load_jobs(empty)
 
+    def test_rejects_bad_tolerance(self, tmp_path):
+        # NaN or -inf would keep no slow path; true would count as 1.0.
+        jobs_file = tmp_path / "jobs.json"
+        for tolerance in (float("nan"), float("-inf"), True, "x", 1e999):
+            jobs_file.write_text(
+                json.dumps(
+                    {
+                        "schema": "repro.batch/1",
+                        "jobs": [
+                            {"name": "a", "netlist": "x", "clocks": "y",
+                             "tolerance": tolerance},
+                        ],
+                    }
+                )
+            )
+            with pytest.raises(ValueError, match="job 'a'.*tolerance"):
+                load_jobs(jobs_file)
+
 
 class TestPlanning:
     def test_plan_carries_partition_and_key(self, job):
@@ -318,96 +336,6 @@ class TestFaultTolerance:
         assert row["status"] == "computed"
         assert row["manifest_digest"]
         assert "batch: 1 job(s)" in report.render_text()
-
-
-class TestBatchProfiling:
-    """PR-6: per-job worker profiling and the merged profile."""
-
-    def test_serial_jobs_carry_profiles(self, tmp_path, design_files):
-        netlist, clocks = design_files
-        engine = BatchEngine(serial=True, profile_hz=500)
-        report = engine.run([BatchJob("a", netlist, clocks)])
-        (outcome,) = report.outcomes
-        assert outcome.status == "computed"
-        assert outcome.profile is not None
-        assert outcome.profile["schema"] == "repro.profile/1"
-        assert outcome.profile["hz"] == 500
-        merged = report.merged_profile()
-        assert merged is not None
-        assert merged["schema"] == "repro.profile/1"
-
-    def test_no_profiling_by_default(self, design_files):
-        netlist, clocks = design_files
-        report = BatchEngine(serial=True).run(
-            [BatchJob("a", netlist, clocks)]
-        )
-        assert report.outcomes[0].profile is None
-        assert report.merged_profile() is None
-
-    def test_cached_jobs_have_no_profile(self, tmp_path, design_files):
-        netlist, clocks = design_files
-        cache = ResultCache(tmp_path / "cache")
-        engine = BatchEngine(cache=cache, serial=True, profile_hz=500)
-        jobs = [BatchJob("a", netlist, clocks)]
-        engine.run(jobs)
-        warm = engine.run(jobs)
-        assert warm.outcomes[0].status == "cached"
-        assert warm.outcomes[0].profile is None
-        assert warm.merged_profile() is None
-
-    def test_merged_profile_includes_extra_parent_doc(
-        self, design_files
-    ):
-        netlist, clocks = design_files
-        from repro.obs.profile import PROFILE_SCHEMA
-
-        parent = {
-            "schema": PROFILE_SCHEMA,
-            "pid": 999999,
-            "hz": 500.0,
-            "started_wall": None,
-            "duration_s": 0.1,
-            "samples": 2,
-            "attributed": 2,
-            "idle": 0,
-            "dropped_ticks": 0,
-            "stacks": [
-                {"span": "cli.batch", "frames": ["run"], "count": 2}
-            ],
-        }
-        engine = BatchEngine(serial=True, profile_hz=500)
-        report = engine.run([BatchJob("a", netlist, clocks)])
-        merged = report.merged_profile(parent)
-        assert 999999 in merged["pids"]
-        assert merged["samples"] >= 2
-        # None/empty extras are ignored.
-        assert report.merged_profile(None) is not None
-
-    def test_pool_workers_ship_profiles_across_pids(
-        self, design_files
-    ):
-        import os
-
-        netlist, clocks = design_files
-        engine = BatchEngine(max_workers=2, profile_hz=500)
-        report = engine.run(
-            [
-                BatchJob("a", netlist, clocks),
-                BatchJob("b", netlist, clocks, slow_path_limit=5),
-            ]
-        )
-        assert report.failed == 0
-        profiles = [o.profile for o in report.outcomes if o.profile]
-        assert len(profiles) == 2
-        worker_pids = {doc["pid"] for doc in profiles}
-        assert os.getpid() not in worker_pids
-        merged = report.merged_profile()
-        assert set(merged["pids"]) == worker_pids
-
-    def test_rejects_bad_profile_hz(self):
-        for hz in (0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                BatchEngine(profile_hz=hz)
 
 
 class TestWorkerCrashForensics:

@@ -247,7 +247,7 @@ class TestServeCommand:
     def test_cache_peer_flags_are_gone(self, capsys):
         """Processes share a cache through one --cache-dir and each
         daemon is triaged on its own; there are no peer, cache-server
-        or fleet-collector flags any more, no daemon profiler, no
+        or fleet-collector flags any more, no sampling profiler, no
         trace store and no alert engine."""
         for argv in (
             ["batch", "jobs.json", "--peers", "http://127.0.0.1:9400"],
@@ -270,6 +270,12 @@ class TestServeCommand:
              '{"op": "ping"}'],
             ["query", "--socket", "s.sock", "--profile-hz", "100",
              '{"op": "ping"}'],
+            ["analyze", "d.json", "--clocks", "c.json", "--profile",
+             "p.json"],
+            ["analyze", "d.json", "--clocks", "c.json", "--profile-hz",
+             "100"],
+            ["batch", "jobs.json", "--profile", "p.json"],
+            ["batch", "jobs.json", "--profile-hz", "100"],
             ["serve", "--socket", "s.sock", "--trace-dir", "D"],
             ["serve", "--socket", "s.sock", "--trace-max-bytes", "1"],
             ["serve", "--socket", "s.sock", "--trace-sample", "1.0"],

@@ -408,6 +408,34 @@ class TestSelfDiagnosis:
         assert server.crash.reports_written == 0
 
     @pytest.mark.parametrize(
+        "tolerance", ["nan", "-inf", True, "x", 1e999], ids=repr
+    )
+    def test_bad_tolerance_is_a_value_error(
+        self, daemon, client, design_files, tolerance
+    ):
+        """A NaN or -inf tolerance would keep no slow path and ``true``
+        would count as 1.0: each is a bad request, on analyze and on
+        mutate, that is neither cached nor applied."""
+        netlist, clocks = design_files
+        assert client.analyze(netlist, clocks)["ok"]
+        cached = len(daemon.cache)
+        for response in (
+            client.analyze(netlist, clocks, tolerance=tolerance),
+            client.mutate(
+                netlist, clocks, "scale_clocks", factor=1.0,
+                tolerance=tolerance,
+            ),
+        ):
+            assert response["ok"] is False
+            assert response["error_type"] == "ValueError"
+            assert "tolerance" in response["error"]
+        assert len(daemon.cache) == cached
+        design = next(iter(client.stats()["designs"].values()))
+        assert (design["mutations"], design["epoch"]) == (0, 0)
+        assert client.crash_report()["crash"] is None
+        assert daemon.crash.reports_written == 0
+
+    @pytest.mark.parametrize(
         "fields",
         [
             '"op": "flight", "last": 1e999',

@@ -97,26 +97,14 @@ class TestAnalyzeCommand:
         assert "min-delay" in out
         assert code == 0
 
-    def test_bad_profile_hz_exits_2(self, workspace, capsys):
-        netlist_json, __, clocks, tmp_path = workspace
-        target = tmp_path / "profile.speedscope.json"
-        for argv in (
-            ["analyze", str(netlist_json), "--clocks", str(clocks)],
-            ["batch", str(tmp_path / "jobs.json")],
-        ):
-            for hz in ("0", "-5", "nan", "inf"):
-                with pytest.raises(SystemExit) as exc_info:
-                    main([*argv, "--profile", str(target), "--profile-hz", hz])
-                assert exc_info.value.code == 2, (argv[0], hz)
-                err = capsys.readouterr().err
-                assert "--profile-hz: must be finite and > 0" in err
-        assert not target.exists()
-
     def test_bad_limit_exits_2(self, workspace, capsys):
         """A negative slow-path count would slice from the end."""
         netlist_json, __, clocks, tmp_path = workspace
         for argv in (
             ["analyze", str(netlist_json), "--clocks", str(clocks)],
+            ["report", str(netlist_json), "--clocks", str(clocks)],
+            ["constraints", str(netlist_json), "--clocks", str(clocks)],
+            ["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")],
             ["serve", "--socket", str(tmp_path / "s.sock")],
         ):
             for limit in ("-1", "2.5", "x"):
