@@ -28,7 +28,8 @@ def as_time(value: TimeLike) -> Fraction:
     ints, strings (e.g. ``"12.5"``) and Fractions convert exactly; floats are
     snapped to the nearest fraction with denominator at most ``10**9`` so
     that e.g. ``0.1`` means one tenth rather than its binary approximation.
-    A float that is not finite (``inf``, ``nan``) raises :class:`ValueError`.
+    A float that is not finite (``inf``, ``nan``) and a string with a
+    zero denominator (``"1/0"``) raise :class:`ValueError`.
 
     >>> as_time(0.1) == Fraction(1, 10)
     True
@@ -44,7 +45,12 @@ def as_time(value: TimeLike) -> Fraction:
             raise ValueError(f"time must be finite, got {value!r}")
         return Fraction(value).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"time has a zero denominator, got {value!r}"
+            ) from None
     raise TypeError(f"cannot interpret {value!r} as a time")
 
 

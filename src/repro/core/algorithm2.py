@@ -161,7 +161,7 @@ def run_algorithm2(
     backward_cycles = 0
     with obs.span("alg2.iteration1.snatch_backward", category="alg2"):
         while True:
-            slacks = engine.port_slacks()
+            slacks = engine.port_slacks(launch=False)
             moved = sweep(
                 instances,
                 slacks.capture,
@@ -183,7 +183,7 @@ def run_algorithm2(
     forward_cycles = 0
     with obs.span("alg2.iteration2.snatch_forward", category="alg2"):
         while True:
-            slacks = engine.port_slacks()
+            slacks = engine.port_slacks(capture=False)
             moved = sweep(
                 instances,
                 slacks.launch,

@@ -25,7 +25,9 @@ only the memos of the clusters whose arc delays changed: the scaled
 cell's.  Re-seeded windows walk Algorithm 1 through much the same
 offsets as the previous run did, so most cluster evaluations of a
 re-run are recalled rather than swept, and the answer is bit-identical
-to a from-scratch run.
+to a from-scratch run.  Each transfer step also evaluates only the
+slack direction it reads, so a step that does sweep runs one of a
+cluster's two sweeps, not both.
 """
 
 from __future__ import annotations

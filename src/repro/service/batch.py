@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.analyzer import check_tolerance
+from repro.core.analyzer import check_slow_path_limit, check_tolerance
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
 from repro.obs.hist import LATENCY_BUCKETS
@@ -449,6 +449,7 @@ def load_jobs(path: Union[str, Path]) -> List[BatchJob]:
                 )
         try:
             tolerance = check_tolerance(entry.get("tolerance"))
+            limit = check_slow_path_limit(entry.get("slow_path_limit", 50))
         except ValueError as exc:
             raise ValueError(f"{path}: job {name!r}: {exc}") from None
         jobs.append(
@@ -457,7 +458,7 @@ def load_jobs(path: Union[str, Path]) -> List[BatchJob]:
                 netlist=str(base / entry["netlist"]),
                 clocks=str(base / entry["clocks"]),
                 default_clock=entry.get("default_clock"),
-                slow_path_limit=entry.get("slow_path_limit", 50),
+                slow_path_limit=limit,
                 tolerance=tolerance,
             )
         )

@@ -25,6 +25,11 @@ class TestAsTime:
         with pytest.raises(TypeError):
             as_time([1])
 
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="zero denominator.*/0"):
+            as_time(value)
+
 
 class TestClockWaveform:
     def test_basic_construction(self):

@@ -100,6 +100,26 @@ class TestJobSetFile:
             with pytest.raises(ValueError, match="job 'a'.*tolerance"):
                 load_jobs(jobs_file)
 
+    def test_rejects_bad_slow_path_limit(self, tmp_path):
+        # A worker would fail the job on each of three attempts.
+        jobs_file = tmp_path / "jobs.json"
+        for limit in (-1, True, 1.5, "x"):
+            jobs_file.write_text(
+                json.dumps(
+                    {
+                        "schema": "repro.batch/1",
+                        "jobs": [
+                            {"name": "a", "netlist": "x", "clocks": "y",
+                             "slow_path_limit": limit},
+                        ],
+                    }
+                )
+            )
+            with pytest.raises(
+                ValueError, match="job 'a'.*slow_path_limit"
+            ):
+                load_jobs(jobs_file)
+
 
 class TestPlanning:
     def test_plan_carries_partition_and_key(self, job):

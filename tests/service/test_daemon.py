@@ -408,6 +408,28 @@ class TestSelfDiagnosis:
         assert server.crash.reports_written == 0
 
     @pytest.mark.parametrize(
+        "action, fields",
+        [
+            ("scale_clocks", {"factor": "1/0"}),
+            ("set_pulse_width", {"clock": "phi1", "width": "1/0"}),
+        ],
+    )
+    def test_zero_denominator_clock_mutate_is_a_value_error(
+        self, diag, design_files, action, fields
+    ):
+        """A time of ``"1/0"`` is a bad request, not a crash."""
+        server, c = diag
+        netlist, clocks = design_files
+        response = c.mutate(netlist, clocks, action, **fields)
+        assert response["ok"] is False
+        assert response["error_type"] == "ValueError"
+        assert "'1/0'" in response["error"]
+        design = next(iter(c.stats()["designs"].values()))
+        assert design["mutations"] == 0
+        assert c.crash_report()["crash"] is None
+        assert server.crash.reports_written == 0
+
+    @pytest.mark.parametrize(
         "tolerance", ["nan", "-inf", True, "x", 1e999], ids=repr
     )
     def test_bad_tolerance_is_a_value_error(
