@@ -10,6 +10,7 @@ representation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -21,6 +22,14 @@ TimeLike = Union[int, float, str, Fraction]
 #: far finer than any of them while keeping Fractions small.
 _FLOAT_DENOMINATOR_LIMIT = 10**9
 
+#: Largest decimal exponent a time string may carry.  ``Fraction(str)``
+#: builds ``10**exponent`` in full, so ``"1e10000000"`` (or ``1e-...``,
+#: as a denominator) would take seconds; no float (whose exponents stop
+#: near 308 and -324) or clock time comes near this bound.
+_MAX_DECIMAL_EXPONENT = 400
+
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)")
+
 
 def as_time(value: TimeLike) -> Fraction:
     """Convert ``value`` to an exact time.
@@ -28,8 +37,9 @@ def as_time(value: TimeLike) -> Fraction:
     ints, strings (e.g. ``"12.5"``) and Fractions convert exactly; floats are
     snapped to the nearest fraction with denominator at most ``10**9`` so
     that e.g. ``0.1`` means one tenth rather than its binary approximation.
-    A float that is not finite (``inf``, ``nan``) and a string with a
-    zero denominator (``"1/0"``) raise :class:`ValueError`.
+    A float that is not finite (``inf``, ``nan``), a string with a
+    zero denominator (``"1/0"``) and a string whose decimal exponent
+    lies outside +-400 (``"1e10000000"``) raise :class:`ValueError`.
 
     >>> as_time(0.1) == Fraction(1, 10)
     True
@@ -45,6 +55,14 @@ def as_time(value: TimeLike) -> Fraction:
             raise ValueError(f"time must be finite, got {value!r}")
         return Fraction(value).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 3 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    "time exponent is outside "
+                    f"+-{_MAX_DECIMAL_EXPONENT}, got {value!r:.60}"
+                )
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -25,10 +25,9 @@ guaranteed to handle every pair converging on that output.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -118,36 +117,47 @@ def minimum_breaks(
     The search runs on integers: every time is scaled by one common
     denominator (which keeps :meth:`RequirementArc.handled_by` exact),
     and each candidate's handled arcs are an int bitmask, so a
-    combination is an OR of masks.  It starts at the size
-    :func:`_disjoint_lower_bound` proves necessary, so no size that
-    cannot cover is walked (the first cover found is unchanged), and a
-    bound above ``exhaustive_limit`` goes straight to the greedy cover.
+    combination is an OR of masks.  An arc's handlers are one cyclic
+    run of the sorted candidates (:func:`_handler_runs`), so the masks
+    and the bound cost a sweep, not a candidate-by-arc product.  The
+    search starts at the size :func:`_disjoint_lower_bound` proves
+    necessary, so no size that cannot cover is walked (the first cover
+    found is unchanged), and a bound above ``exhaustive_limit`` goes
+    straight to the greedy cover.
     """
     rec = obs.active()
-    candidates = sorted(set(candidate_breaks))
-    if not candidates:
+    unique_breaks = set(candidate_breaks)
+    if not unique_breaks:
         raise ValueError("need at least one candidate break point")
-    unique_arcs = sorted(set(arcs), key=lambda a: (a.assertion, a.closure))
+    unique_arcs = set(arcs)
+    scaled = _scaler(period, unique_breaks, unique_arcs)
+    whole = scaled(period)
+    by_start = {scaled(b): b for b in unique_breaks}
+    starts = sorted(by_start)
+    candidates = [by_start[start] for start in starts]
+    by_ends = {(scaled(a.assertion), scaled(a.closure)): a for a in unique_arcs}
+    ends = sorted(by_ends)
     if rec is not None:
         rec.counter("breakopen.searches")
-        rec.counter("breakopen.requirement_arcs", len(unique_arcs))
-    if not unique_arcs:
+        rec.counter("breakopen.requirement_arcs", len(ends))
+    if not ends:
         if rec is not None:
             rec.counter("breakopen.passes_selected", 1)
         return (candidates[0],)
 
-    masks = _handled_masks(period, candidates, unique_arcs)
-    everything = (1 << len(unique_arcs)) - 1
-    uncoverable = everything & ~functools.reduce(operator.or_, masks)
-    if uncoverable:
-        bad = unique_arcs[(uncoverable & -uncoverable).bit_length() - 1]
-        raise PassSelectionError(
-            f"requirement arc {bad.assertion}->{bad.closure} is handled by "
-            "no break point"
-        )
+    order, runs = _handler_runs(whole, starts, ends)
+    for pair, (first, stop) in zip(ends, runs):
+        if first == stop:
+            bad = by_ends[pair]
+            raise PassSelectionError(
+                f"requirement arc {bad.assertion}->{bad.closure} is "
+                "handled by no break point"
+            )
+    masks = _handled_masks(order, runs)
+    everything = (1 << len(ends)) - 1
 
     combos_tried = 0
-    smallest = _disjoint_lower_bound(masks, len(unique_arcs))
+    smallest = _disjoint_lower_bound(runs, len(starts))
     for size in range(smallest, min(exhaustive_limit, len(candidates)) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             combos_tried += 1
@@ -168,54 +178,89 @@ def minimum_breaks(
     return tuple(candidates[position] for position in chosen)
 
 
-def _handled_masks(
-    period: Fraction,
-    candidates: Sequence[Fraction],
-    arcs: Sequence[RequirementArc],
-) -> List[int]:
-    """Per candidate position, the bitmask of the ``arcs`` it handles.
-
-    :meth:`RequirementArc.handled_by` on integers: every time is scaled
-    by one common denominator, which preserves ``mod`` and ``<=``.
-    """
-    ends = [(arc.assertion, arc.closure) for arc in arcs]
-    scale = math.lcm(
-        *(t.denominator for t in itertools.chain([period], candidates, *ends))
+def _scaler(period, breaks, arcs):
+    """Times to integers over one common denominator, which preserves
+    ``mod``, ``<=`` and order, so :meth:`RequirementArc.handled_by`
+    and every sort run on ints."""
+    times = itertools.chain(
+        [period], breaks, *((a.assertion, a.closure) for a in arcs)
     )
-    whole = int(period * scale)
-    limits = []  # per arc: its closure and T - D, scaled
+    scale = math.lcm(*{t.denominator for t in times})
+    return lambda t: t.numerator * (scale // t.denominator)
+
+
+def _handler_runs(
+    whole: int, starts: Sequence[int], ends: Sequence[Tuple[int, int]]
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Which candidates handle each arc, as one cyclic run.
+
+    A break ``s`` handles the arc ending at ``at`` with constraint
+    ``D`` iff ``(s - at) mod T <= T - D``: ``s`` lies on the arc of the
+    cycle from ``at`` to ``at + T - D``.  With the candidates sorted by
+    their residue mod ``T`` (``order`` lists candidate positions in
+    that order), those are the ring positions ``first .. stop - 1``,
+    taken mod ``len(starts)``; ``first == stop`` when none handles it.
+    """
+    order = sorted(range(len(starts)), key=lambda k: starts[k] % whole)
+    ring = [starts[k] % whole for k in order]
+    count = len(ring)
+    runs = []
     for assertion, closure in ends:
-        at = int(closure * scale)
-        constraint = (at - int(assertion * scale)) % whole or whole
-        limits.append((at, whole - constraint))
-    masks = []
-    for candidate in candidates:
-        start = int(candidate * scale)
-        mask = 0
-        for bit, (at, limit) in enumerate(limits):
-            if (start - at) % whole <= limit:
-                mask |= 1 << bit
-        masks.append(mask)
+        at = closure % whole
+        last = at + whole - ((closure - assertion) % whole or whole)
+        first = bisect.bisect_left(ring, at)
+        if last < whole:
+            stop = bisect.bisect_right(ring, last)
+        else:
+            stop = bisect.bisect_right(ring, last - whole) + count
+        runs.append((first, stop))
+    return order, runs
+
+
+def _handled_masks(
+    order: Sequence[int], runs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Per candidate position, the bitmask of the arcs it handles.
+
+    One sweep round the ring: each arc's bit toggles on where its run
+    enters and off where it leaves (a run past the end of the ring
+    starts on).
+    """
+    count = len(order)
+    toggles = [0] * (count + 1)
+    current = 0
+    for bit, (first, stop) in enumerate(runs):
+        flag = 1 << bit
+        if stop > count:
+            current ^= flag
+            stop -= count
+        toggles[first] ^= flag
+        toggles[stop] ^= flag
+    masks = [0] * count
+    for position, toggle in zip(order, toggles):
+        current ^= toggle
+        masks[position] = current
     return masks
 
 
-def _disjoint_lower_bound(masks: Sequence[int], arc_count: int) -> int:
+def _disjoint_lower_bound(
+    runs: Sequence[Tuple[int, int]], count: int
+) -> int:
     """At least how many breaks every cover of the arcs needs.
 
     Arcs whose sets of handling candidates are pairwise disjoint each
     need a break of their own.  They are picked greedily, fewest
     handlers first; the number picked is the bound (at least 1 when
-    every arc has a handler).
+    every arc has a handler).  Each set is a range mask of ring
+    positions (:func:`_handler_runs`); numbering the candidates round
+    the ring changes neither a set's size nor which sets meet.
     """
-    handlers = [0] * arc_count  # per arc: bitmask of candidate positions
-    for position, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            handlers[low.bit_length() - 1] |= 1 << position
-            mask ^= low
+    ring = (1 << count) - 1
     taken = 0
     bound = 0
-    for handled_by in sorted(handlers, key=lambda h: bin(h).count("1")):
+    for first, stop in sorted(runs, key=lambda run: run[1] - run[0]):
+        span = ((1 << (stop - first)) - 1) << first
+        handled_by = (span | span >> count) & ring
         if not handled_by & taken:
             taken |= handled_by
             bound += 1

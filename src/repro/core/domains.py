@@ -15,27 +15,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from repro.core.model import AnalysisModel
-from repro.netlist.network import Network
-
-
-def clock_domains(network: Network) -> Tuple[str, ...]:
-    """The clock names referenced by the design's synchronisers/pads.
-
-    A cheap structural fingerprint (no :class:`AnalysisModel` needed):
-    the sorted set of ``clock`` attributes on synchronising elements and
-    clocked pads.  The batch scheduler uses it to group jobs that share
-    a clocking structure onto the same worker wave (see
-    :mod:`repro.service.batch`); the full per-pair crossing report
-    below still requires a built model.
-    """
-    names = set()
-    for source in network.clock_sources:
-        names.add(str(source.attrs.get("clock", source.name)))
-    for cell in network.cells:
-        clock = cell.attrs.get("clock")
-        if clock:
-            names.add(str(clock))
-    return tuple(sorted(names))
 
 
 @dataclass(frozen=True)

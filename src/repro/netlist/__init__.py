@@ -17,7 +17,7 @@ library cell specs) connected by *nets*, with
 
 and :func:`read_netlist` (:func:`parse_netlist` for bytes read
 already), which picks the reader (JSON, BLIF or structural Verilog)
-from a design file's suffix.
+from a design file's suffix (:func:`netlist_format`).
 """
 
 import json
@@ -51,7 +51,7 @@ def read_netlist(
     """Read a ``.json``, ``.blif`` or ``.v`` design against the standard
     library; ``default_clock`` is the reference clock for BLIF/Verilog
     pads without pragmas."""
-    _format(path)  # an unknown suffix fails before the file is read
+    netlist_format(path)  # an unknown suffix fails before the file is read
     return parse_netlist(Path(path).read_bytes(), path, default_clock)
 
 
@@ -65,7 +65,7 @@ def parse_netlist(
     """
     from repro.cells import standard_library
 
-    suffix = _format(path)
+    suffix = netlist_format(path)
     library = standard_library()
     if suffix == ".json":
         return network_from_dict(json.loads(data), library)
@@ -74,7 +74,9 @@ def parse_netlist(
     return verilog_to_network(data.decode(), library, default_clock)
 
 
-def _format(path: Union[str, Path]) -> str:
+def netlist_format(path: Union[str, Path]) -> str:
+    """The suffix of ``path`` that picks its reader (``.json``,
+    ``.blif`` or ``.v``); any other raises :class:`ValueError`."""
     suffix = Path(path).suffix.lower()
     if suffix not in (".json", ".blif", ".v"):
         raise ValueError(
@@ -100,6 +102,7 @@ __all__ = [
     "load_blif",
     "load_network",
     "load_verilog",
+    "netlist_format",
     "parse_netlist",
     "read_netlist",
     "save_blif",

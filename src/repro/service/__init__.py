@@ -4,19 +4,19 @@ The paper's program was a one-shot batch tool (read the design, run
 Algorithm 1, print the report).  This package turns it into a serving
 engine for repeated and concurrent timing queries:
 
-* :mod:`repro.service.digest` -- canonical content digests of the three
-  analysis inputs (network, clock schedule, configuration) that form
-  the content-addressed cache key,
+* :mod:`repro.service.digest` -- the content-addressed cache key: the
+  SHA-256 of the netlist and clocks bytes that were parsed, plus the
+  default clock and the analysis configuration,
 * :mod:`repro.service.cache` -- :class:`ResultCache`, an on-disk LRU
   store of ``repro.result/1`` payloads + ``repro.manifest/1`` records
   with atomic writes and integrity-checked loads (corrupt entries are
   evicted, never crash); processes -- and hosts mounting the same
   directory -- share warm results through one cache directory,
 * :mod:`repro.service.batch` / :mod:`repro.service.workers` --
-  :class:`BatchEngine`, a clock-domain-aware scheduler that fans
-  cache-miss jobs out over a ``ProcessPoolExecutor`` with per-job
-  timeout, bounded retry and graceful degradation to in-process serial
-  execution,
+  :class:`BatchEngine`, a scheduler that hashes each job's files, answers
+  hits from the cache and fans the misses out, largest netlist first,
+  over a ``ProcessPoolExecutor`` with per-job timeout, bounded retry
+  and graceful degradation to in-process serial execution,
 * :mod:`repro.service.daemon` -- :class:`TimingDaemon` /
   :class:`DaemonClient`, a long-lived engine behind a JSON-lines Unix
   socket that keeps parsed networks warm and answers
@@ -37,7 +37,6 @@ from repro.service.batch import (
     BatchJob,
     BatchReport,
     JobOutcome,
-    SourceMap,
     load_jobs,
 )
 from repro.service.cache import CacheStats, ResultCache
@@ -48,8 +47,6 @@ from repro.service.digest import (
     cache_key,
     cluster_digest,
     config_digest,
-    network_digest,
-    schedule_digest,
 )
 from repro.service.doctor import (
     doctor_exit_code,
@@ -65,7 +62,6 @@ __all__ = [
     "CacheStats",
     "ClusterCache",
     "ClusterWarmup",
-    "SourceMap",
     "cluster_digest",
     "DaemonClient",
     "JobOutcome",
@@ -79,6 +75,4 @@ __all__ = [
     "cache_key",
     "config_digest",
     "load_jobs",
-    "network_digest",
-    "schedule_digest",
 ]

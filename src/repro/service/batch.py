@@ -3,35 +3,28 @@
 The engine runs a *job set* -- (netlist, clocks, config) triples --
 through four phases:
 
-1. **Plan** -- each job is digested.  On a *warm* run the parent
-   parses nothing: a :class:`SourceMap` persisted next to the result
-   cache maps the SHA-256 of the job's **raw source bytes** + config
-   (:func:`repro.service.digest.source_digest`) to the content address
-   and structural fingerprint observed the last time this exact source
-   ran, so planning is pure file I/O + hashing.  Unknown sources fall
-   back to the parse path: the design is parsed once in the parent,
-   its content digests computed (:mod:`repro.service.digest`) and a
-   cheap structural fingerprint extracted -- the clock-domain set
-   (:func:`repro.core.domains.clock_domains`) and the combinational
-   cell count, i.e. the total size of its clusters; workers report the
-   fingerprint back so the map learns it for next time.  Jobs are
-   grouped by clock-domain *partition* and ordered
-   largest-design-first inside each partition (LPT), so heavy jobs
-   start early and jobs that share clocking structure land on the same
-   worker wave.
+1. **Plan** -- each job's two files are read and hashed, nothing
+   more: the content address is :func:`repro.service.digest.cache_key`
+   of the bytes, the default clock and the config.  A job whose file
+   cannot be read, or whose netlist suffix names no reader, fails here
+   and never reaches a worker; the suffix check parses nothing.
 2. **Cache probe** -- each job's content address is looked up in the
    :class:`repro.service.cache.ResultCache`; hits are answered without
    touching a worker (zero Algorithm 1 iterations).
 3. **Fan-out** -- misses are submitted to a ``ProcessPoolExecutor``
-   (:func:`repro.service.workers.run_job`) with a per-job timeout and a
-   bounded retry budget.  A dead worker (``BrokenProcessPool``) poisons
+   (:func:`repro.service.workers.run_job`), largest netlist file first
+   so stragglers start early, with a per-job timeout and a bounded
+   retry budget.  A dead worker (``BrokenProcessPool``) poisons
    the whole pool, possibly before every job is queued, so the engine
    collects what finished, rebuilds the pool and resubmits the
    survivors and the unsent.  Jobs that exhaust their retries
    degrade gracefully to in-process serial execution -- the batch always
    completes.
 4. **Store** -- computed results (payload + manifest) are written back
-   to the cache and, optionally, to a manifest directory.
+   to the cache under the planned key and, optionally, to a manifest
+   directory.  The worker reports the key of the bytes it parsed; a
+   file replaced between plan and parse gives a different key, and that
+   result is not stored (``service.cache.key_races``).
 
 Everything is observable: ``service.batch.*`` counters, a
 ``service.batch.queue_depth`` gauge and a ``service.batch.job_seconds``
@@ -41,6 +34,7 @@ histogram (see ``docs/observability.md``).
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,20 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.analyzer import check_slow_path_limit, check_tolerance
+from repro.netlist import netlist_format
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
 from repro.service.cluster_cache import ClusterCache
-from repro.service.digest import (
-    analysis_config,
-    cache_key,
-    canonical_json,
-    config_digest,
-    network_digest,
-    schedule_digest,
-    source_digest,
-)
+from repro.service.digest import analysis_config, cache_key
 from repro.service.workers import job_spec, run_job
 
 try:  # BrokenProcessPool moved in 3.7; guard for exotic builds.
@@ -73,124 +60,15 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "BATCH_SCHEMA",
-    "SOURCES_SCHEMA",
     "BatchEngine",
     "BatchJob",
     "BatchReport",
     "JobOutcome",
-    "SourceMap",
     "load_jobs",
 ]
 
 #: Schema identifier of a batch job-set file.
 BATCH_SCHEMA = "repro.batch/1"
-
-#: Schema identifier of the persisted source-digest planning map.
-SOURCES_SCHEMA = "repro.cache-sources/1"
-
-
-class SourceMap:
-    """``source_digest -> planning facts``: the warm-plan fast path.
-
-    :meth:`BatchEngine.plan` used to parse every design in the parent
-    just to digest it -- on a warm run, where every job is answered
-    from the cache, that parse was the whole batch cost.  This map
-    (persisted as ``sources.json`` next to the result cache) remembers,
-    per *raw-source* digest, the content address and structural
-    fingerprint (clock-domain partition, LPT weight) observed the last
-    time those exact bytes were planned.  A map hit plans a job with
-    zero parsing; a miss -- new source bytes, edited file, evicted map
-    entry -- falls back to the parse path, so the map can degrade but
-    never lie: the source digest covers the netlist bytes, the clock
-    bytes and the analysis config, exactly the inputs the parse-derived
-    key is a function of.
-
-    Entries are bounded (insertion-ordered, oldest dropped) and the
-    file is advisory: a corrupt or missing map is treated as empty.
-    """
-
-    def __init__(
-        self, path: Union[str, Path], max_entries: int = 4096
-    ) -> None:
-        self.path = Path(path)
-        self.max_entries = max_entries
-        self._entries: Optional[Dict[str, Dict[str, object]]] = None
-        self._dirty = False
-
-    def _load(self) -> Dict[str, Dict[str, object]]:
-        if self._entries is None:
-            entries: Dict[str, Dict[str, object]] = {}
-            try:
-                data = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError):
-                data = None
-            if (
-                isinstance(data, dict)
-                and data.get("schema") == SOURCES_SCHEMA
-                and isinstance(data.get("sources"), dict)
-            ):
-                for source, row in data["sources"].items():
-                    if (
-                        isinstance(row, dict)
-                        and isinstance(row.get("key"), str)
-                        and isinstance(row.get("partition"), list)
-                    ):
-                        entries[str(source)] = {
-                            "key": row["key"],
-                            "partition": [
-                                str(d) for d in row["partition"]
-                            ],
-                            "weight": int(row.get("weight") or 0),
-                        }
-            self._entries = entries
-        return self._entries
-
-    def get(self, source: str) -> Optional[Dict[str, object]]:
-        return self._load().get(source)
-
-    def record(
-        self,
-        source: str,
-        key: str,
-        partition: Sequence[str],
-        weight: int,
-    ) -> None:
-        entries = self._load()
-        existing = entries.pop(source, None)
-        if (
-            not weight
-            and existing is not None
-            and existing.get("key") == key
-        ):
-            # Don't let a weightless probe-hit record (hits are never
-            # weighed) clobber a real weight learned from a worker.
-            weight = int(existing.get("weight") or 0)
-        entries[source] = {
-            "key": key,
-            "partition": [str(d) for d in partition],
-            "weight": int(weight),
-        }
-        while len(entries) > self.max_entries:
-            entries.pop(next(iter(entries)))
-        self._dirty = True
-
-    def flush(self) -> None:
-        """Persist (atomic rename); advisory, so failures are silent."""
-        if not self._dirty or self._entries is None:
-            return
-        doc = {"schema": SOURCES_SCHEMA, "sources": self._entries}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(".json.tmp")
-            tmp.write_text(canonical_json(doc))
-            tmp.replace(self.path)
-            self._dirty = False
-        except OSError:
-            pass
-
-    def __len__(self) -> int:
-        return len(self._load())
-
 
 @dataclass(frozen=True)
 class BatchJob:
@@ -226,7 +104,6 @@ class JobOutcome:
     #: ``"cached"`` | ``"computed"`` | ``"failed"``
     status: str
     key: Optional[str] = None
-    partition: Optional[Tuple[str, ...]] = None
     payload: Optional[Dict[str, object]] = None
     manifest: Optional[Dict[str, object]] = None
     attempts: int = 0
@@ -359,7 +236,6 @@ class BatchReport:
                     "name": o.job.name,
                     "status": o.status,
                     "key": o.key,
-                    "partition": list(o.partition or ()),
                     "attempts": o.attempts,
                     "seconds": round(o.seconds, 6),
                     "serial_fallback": o.serial_fallback,
@@ -472,40 +348,13 @@ class _Plan:
     """Parent-side planning facts for one job."""
 
     job: BatchJob
+    #: Content address of the bytes the planner read.
     key: str
-    partition: Tuple[str, ...]
-    #: Combinational cell count -- the LPT weight.
-    weight: int
+    #: Netlist file size in bytes: misses run largest first.
+    size: int
     #: Planning-time failure (unreadable file, unknown format); the job
     #: is reported as failed without ever reaching a worker.
     error: Optional[str] = None
-    #: Parsed network, held only until the job is weighed or answered
-    #: from the cache (dropped immediately after -- see
-    #: :meth:`BatchEngine.run`).
-    network: Optional[object] = field(default=None, repr=False)
-    #: Raw-source digest of this job (``None`` when the engine runs
-    #: without a cache and therefore without a :class:`SourceMap`).
-    source: Optional[str] = None
-    #: Weight remembered by the source map (fast-path plans only);
-    #: :meth:`weigh` falls back to it when there is no held network.
-    cached_weight: Optional[int] = None
-
-    def weigh(self) -> None:
-        """Compute the LPT weight from the held network, then drop it.
-
-        The weight is the combinational cell count, which is also the
-        total size of the design's clusters (every combinational cell
-        lies in exactly one).  Counting needs no graph walk, so a design
-        that fails validation (a combinational loop, say) is weighed
-        like any other and fails in its worker, not here.  A fast-path
-        plan (no parsed network) falls back to the weight the source
-        map remembered.
-        """
-        if self.network is not None:
-            self.weight = len(self.network.combinational_cells)
-            self.network = None
-        elif not self.weight and self.cached_weight:
-            self.weight = self.cached_weight
 
 
 class BatchEngine:
@@ -568,117 +417,44 @@ class BatchEngine:
             self.cluster_cache: Optional[ClusterCache] = cluster_cache
         else:
             self.cluster_cache = ClusterCache(cluster_cache)
-        # The warm-plan fast path persists next to the result cache;
-        # no cache, no map (and plan() always takes the parse path).
-        root = getattr(cache, "root", None)
-        self._sources: Optional[SourceMap] = (
-            SourceMap(Path(root) / "sources.json")
-            if root is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def plan(
-        self, jobs: Sequence[BatchJob], weigh: bool = True
-    ) -> List[_Plan]:
-        """Digest + fingerprint every job, then order the queue.
+    def plan(self, jobs: Sequence[BatchJob]) -> List[_Plan]:
+        """Read and hash each job's two files, in job-set order.
 
-        Jobs are grouped by clock-domain partition and sorted
-        largest-first within a partition (longest-processing-time
-        heuristic), so stragglers start early.  With ``weigh=False``
-        the cluster weight is left for :meth:`_Plan.weigh` -- the
-        warm-run fast path, where cache hits never need it.
-
-        When the engine has a cache (and therefore a
-        :class:`SourceMap`), jobs whose raw-source digest the map
-        already knows are planned **without parsing anything** -- the
-        planner output (key, partition, queue order) is identical to
-        what the parse path would produce, because the map only ever
-        stores what the parse path (or a worker) actually observed for
-        those exact bytes.
+        Planning parses nothing: the netlist suffix is checked, both
+        files are read once and the key is :func:`cache_key` of their
+        bytes.  A job that fails here never reaches a worker.
         """
-        from repro.core.domains import clock_domains
-
         plans: List[_Plan] = []
         with obs.span("service.batch.plan", category="service"):
             for job in jobs:
-                fast = self._plan_from_source(job, weigh)
-                if fast is not None:
-                    plans.append(fast)
-                    continue
                 try:
-                    network, schedule = _load_design(job)
-                except (OSError, ValueError, KeyError) as exc:
+                    netlist_format(job.netlist)
+                    netlist = Path(job.netlist).read_bytes()
+                    clocks = Path(job.clocks).read_bytes()
+                except (OSError, ValueError) as exc:
                     obs.counter("service.batch.failures")
                     obs.event(
                         "service.batch.plan_error",
                         job=job.name,
                         error=str(exc),
                     )
-                    plans.append(_Plan(job, "", (), 0, error=str(exc)))
+                    plans.append(_Plan(job, "", 0, error=str(exc)))
                     continue
-                obs.counter("service.batch.plan_parsed")
-                config = analysis_config(
-                    slow_path_limit=job.slow_path_limit,
-                    tolerance=job.tolerance,
-                )
                 key = cache_key(
-                    network_digest(network),
-                    schedule_digest(schedule),
-                    config_digest(config),
+                    hashlib.sha256(netlist).hexdigest(),
+                    hashlib.sha256(clocks).hexdigest(),
+                    job.default_clock,
+                    analysis_config(
+                        slow_path_limit=job.slow_path_limit,
+                        tolerance=job.tolerance,
+                    ),
                 )
-                partition = clock_domains(network)
-                plan = _Plan(job, key, partition, 0, network=network)
-                plan.source = self._source_of(job)
-                if weigh:
-                    plan.weigh()
-                plans.append(plan)
-        plans.sort(key=lambda p: (p.partition, -p.weight, p.job.name))
+                plans.append(_Plan(job, key, len(netlist)))
         return plans
-
-    @staticmethod
-    def _source_of(job: BatchJob) -> Optional[str]:
-        """Raw-bytes digest of one job's inputs (``None`` on I/O error)."""
-        try:
-            netlist_bytes = Path(job.netlist).read_bytes()
-            clocks_bytes = Path(job.clocks).read_bytes()
-        except OSError:
-            return None
-        return source_digest(
-            netlist_bytes,
-            clocks_bytes,
-            job.default_clock,
-            analysis_config(
-                slow_path_limit=job.slow_path_limit,
-                tolerance=job.tolerance,
-            ),
-        )
-
-    def _plan_from_source(
-        self, job: BatchJob, weigh: bool
-    ) -> Optional[_Plan]:
-        """Plan one job from the source map, or ``None`` to parse."""
-        if self._sources is None:
-            return None
-        source = self._source_of(job)
-        if source is None:
-            return None  # let the parse path report the I/O error
-        entry = self._sources.get(source)
-        if entry is None:
-            return None
-        obs.counter("service.batch.plan_fast")
-        weight = int(entry.get("weight") or 0)
-        plan = _Plan(
-            job,
-            str(entry["key"]),
-            tuple(entry["partition"]),  # type: ignore[arg-type]
-            weight if weigh else 0,
-        )
-        plan.source = source
-        plan.cached_weight = weight
-        return plan
 
     # ------------------------------------------------------------------
     # execution
@@ -687,7 +463,7 @@ class BatchEngine:
         """Run the whole job set; always returns a complete report."""
         started = time.perf_counter()
         with obs.span("service.batch.run", category="service"):
-            plans = self.plan(jobs, weigh=False)
+            plans = self.plan(jobs)
             outcomes: Dict[str, JobOutcome] = {}
             misses: List[_Plan] = []
             for plan in plans:
@@ -697,7 +473,6 @@ class BatchEngine:
                         job=plan.job,
                         status="failed",
                         key=None,
-                        partition=plan.partition,
                         error=plan.error,
                     )
                     continue
@@ -707,26 +482,17 @@ class BatchEngine:
                     else None
                 )
                 if hit is not None:
-                    plan.network = None  # hits never need the weight
-                    self._record_source(plan, plan.weight)
                     outcomes[plan.job.name] = JobOutcome(
                         job=plan.job,
                         status="cached",
                         key=plan.key,
-                        partition=plan.partition,
                         payload=hit.get("payload"),  # type: ignore[arg-type]
                         manifest=hit.get("manifest"),  # type: ignore[arg-type]
                     )
                 else:
                     misses.append(plan)
             if misses:
-                # Weigh only the jobs that actually run, then re-apply
-                # the LPT order within each partition.
-                for plan in misses:
-                    plan.weigh()
-                misses.sort(
-                    key=lambda p: (p.partition, -p.weight, p.job.name)
-                )
+                misses.sort(key=lambda p: (-p.size, p.job.name))
                 self._execute(misses, outcomes)
         report = BatchReport(
             outcomes=[outcomes[plan.job.name] for plan in plans],
@@ -745,8 +511,6 @@ class BatchEngine:
             self.cache.flush()
         if self.cluster_cache is not None:
             self.cluster_cache.flush()
-        if self._sources is not None:
-            self._sources.flush()
         self._log_outcomes(report)
         return report
 
@@ -951,7 +715,6 @@ class BatchEngine:
                 job=plan.job,
                 status="failed",
                 key=plan.key,
-                partition=plan.partition,
                 attempts=attempts[plan.job.name],
                 seconds=seconds,
                 serial_fallback=fallback,
@@ -993,7 +756,6 @@ class BatchEngine:
             job=plan.job,
             status="computed",
             key=plan.key,
-            partition=plan.partition,
             payload=payload,  # type: ignore[arg-type]
             manifest=manifest,  # type: ignore[arg-type]
             attempts=attempts,
@@ -1009,41 +771,14 @@ class BatchEngine:
             ),
         )
         if self.cache is not None and isinstance(payload, dict):
-            # Sanity: the worker's own digests must agree with the
-            # parent's plan (same code, same inputs); if they don't,
-            # something raced the input files -- skip the store.
-            worker_key = (document.get("digests") or {}).get("key")
-            if worker_key in (None, plan.key):
+            # The worker keys the bytes it parsed: a file replaced
+            # since planning gives another key, and that result is not
+            # what the planned key names.
+            if document.get("key") == plan.key:
                 self.cache.put(
                     plan.key,
                     payload,
                     manifest if isinstance(manifest, dict) else None,
                 )
-                fingerprint = document.get("fingerprint")
-                weight = plan.weight
-                if isinstance(fingerprint, dict):
-                    reported = fingerprint.get("weight")
-                    if isinstance(reported, int) and reported > 0:
-                        weight = reported
-                self._record_source(plan, weight)
             else:
                 obs.counter("service.cache.key_races")
-
-    def _record_source(self, plan: _Plan, weight: int) -> None:
-        """Teach the source map this plan's facts (raced files skip)."""
-        if self._sources is None or plan.source is None:
-            return
-        self._sources.record(
-            plan.source, plan.key, plan.partition, int(weight or 0)
-        )
-
-
-def _load_design(job: BatchJob):
-    """Parse one job's design + schedule in the parent (plan phase)."""
-    from repro.clocks.serialize import load_schedule
-    from repro.netlist import read_netlist
-
-    return (
-        read_netlist(job.netlist, job.default_clock),
-        load_schedule(job.clocks),
-    )

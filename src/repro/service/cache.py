@@ -1,8 +1,8 @@
 """Content-addressed on-disk result cache.
 
 Entries are keyed by :func:`repro.service.digest.cache_key` -- a SHA-256
-over the (network digest, clock-schedule digest, config digest) triple
--- and live under ``<root>/objects/<key[:2]>/<key>.json``.  Each entry
+over the hashes of the netlist and clocks bytes that were parsed, the
+default clock and the analysis config -- and live under ``<root>/objects/<key[:2]>/<key>.json``.  Each entry
 is one JSON document::
 
     {

@@ -74,6 +74,7 @@ thread-locally, so they no longer serialise daemon-wide.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -96,13 +97,7 @@ from repro.obs.flight import (
 )
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
-from repro.service.digest import (
-    analysis_config,
-    cache_key,
-    config_digest,
-    network_digest,
-    schedule_digest,
-)
+from repro.service.digest import analysis_config, cache_key
 from repro.service.httpmon import HttpRequest, TelemetrySidecar
 
 __all__ = ["DaemonClient", "TimingDaemon", "PROTOCOL_VERSION"]
@@ -174,13 +169,17 @@ class _DesignState:
 
         self.netlist = netlist
         self.clocks = clocks
+        self.default_clock = default_clock
         netlist_bytes = Path(netlist).read_bytes()
         self.network = parse_netlist(netlist_bytes, netlist, default_clock)
         clocks_bytes = Path(clocks).read_bytes()
         self.schedule = schedule_from_dict(json.loads(clocks_bytes))
-        #: The manifest's ``input_digest``: the bytes parsed here, not
+        #: The manifest's ``input_digest`` and the two hashes
+        #: :meth:`content_key` keys by: the bytes parsed here, not
         #: whatever the files hold by the time a request is answered.
         self.input_digest = digest_inputs(netlist_bytes, clocks_bytes)
+        self.netlist_sha256 = hashlib.sha256(netlist_bytes).hexdigest()
+        self.clocks_sha256 = hashlib.sha256(clocks_bytes).hexdigest()
         self.analyzer = IncrementalAnalyzer(self.network, self.schedule)
         self.lock = threading.Lock()
         self.mutations = 0
@@ -212,13 +211,14 @@ class _DesignState:
         return self.served
 
     def content_key(self, slow_path_limit, tolerance) -> str:
-        config = analysis_config(
-            slow_path_limit=slow_path_limit, tolerance=tolerance
-        )
+        """The result cache key of the bytes loaded (unmutated only)."""
         return cache_key(
-            network_digest(self.network),
-            schedule_digest(self.schedule),
-            config_digest(config),
+            self.netlist_sha256,
+            self.clocks_sha256,
+            self.default_clock,
+            analysis_config(
+                slow_path_limit=slow_path_limit, tolerance=tolerance
+            ),
         )
 
 
@@ -921,8 +921,7 @@ class TimingDaemon:
             label=request.get("label"), digest=state.input_digest
         )
         if self.cache is not None and state.mutations == 0:
-            # Hash the network only when the result is cacheable: a
-            # mutated design's key would be computed and thrown away.
+            # A mutated design is no longer what its bytes' key names.
             key = state.content_key(limit, tolerance)
             if key not in self.cache:
                 self.cache.put(key, result.payload(), manifest)

@@ -1,20 +1,26 @@
 """Content digests of the analysis inputs.
 
-A timing result is a pure function of three inputs: the *network*, the
-*clock schedule* and the *analysis configuration* (latch model, pass
-strategy, delay-model knobs, slow-path extraction limits).  Each input
-gets its own SHA-256 over a canonical JSON serialisation -- ``sort_keys``
-plus compact separators -- so the digests are
+A timing result is a pure function of the netlist file, the clock
+schedule file, the default clock BLIF/Verilog pads fall back to and
+the *analysis configuration* (latch model, pass strategy, delay-model
+knobs, slow-path extraction limits).  :func:`cache_key` is the one
+content address of a result in :class:`repro.service.cache.
+ResultCache`: SHA-256 over a canonical JSON document -- ``sort_keys``
+plus compact separators -- holding the SHA-256 of each file's bytes on
+its own, the default clock, the configuration and
+:data:`PAYLOAD_SCHEMA_VERSION`, so the key is
 
+* **the bytes that were parsed**: the batch planner, the batch worker
+  and the daemon hash the bytes they read, so no input is ever
+  re-serialised to be keyed;
 * **byte-stable across process restarts** (no ``id()``/hash-seed
-  dependence, no floating timestamps), and
-* **insensitive to dict ordering** (two configs with the same items in
-  different insertion order digest identically).
+  dependence, no floating timestamps);
+* **insensitive to dict ordering** of the configuration.
 
-:func:`cache_key` combines the three into the content address used by
-:class:`repro.service.cache.ResultCache`.  The key also folds in
-:data:`PAYLOAD_SCHEMA_VERSION` so a change to the cached payload format
-invalidates every old entry instead of mis-reading it.
+A reformatted or converted netlist is a different key, even when it
+describes the same design.  The payload schema version is folded in so
+a change to the cached payload format invalidates every old entry
+instead of mis-reading it.
 """
 
 from __future__ import annotations
@@ -32,9 +38,6 @@ __all__ = [
     "canonical_json",
     "cluster_digest",
     "config_digest",
-    "network_digest",
-    "schedule_digest",
-    "source_digest",
 ]
 
 #: Version of the cached-result payload format; bumping it invalidates
@@ -44,33 +47,6 @@ PAYLOAD_SCHEMA_VERSION = 1
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def network_digest(network) -> str:
-    """SHA-256 of the canonical serialisation of ``network``.
-
-    Uses :func:`repro.netlist.persistence.network_to_dict`, so the
-    digest is a function of the design *content* (cells, pins, nets,
-    attrs, module definitions) -- not of the bytes of whatever file it
-    was parsed from.  Reformatting a netlist JSON file or converting
-    between ``.json``/``.blif``/``.v`` representations of the same
-    design does not change the digest.
-    """
-    from repro.netlist.persistence import network_to_dict
-
-    return _sha256(canonical_json(network_to_dict(network)))
-
-
-def schedule_digest(schedule) -> str:
-    """SHA-256 of the canonical serialisation of a clock schedule.
-
-    Times serialise as exact fraction strings (see
-    :mod:`repro.clocks.serialize`), so equal schedules digest equally
-    regardless of how their Fractions were constructed.
-    """
-    from repro.clocks.serialize import schedule_to_dict
-
-    return _sha256(canonical_json(schedule_to_dict(schedule)))
 
 
 def config_digest(config: Mapping[str, object]) -> str:
@@ -261,48 +237,26 @@ def cluster_digest(cluster, schedule, delays, config_sha: str) -> str:
     return _sha256(canonical_json(doc))
 
 
-def source_digest(
-    netlist_bytes: bytes,
-    clocks_bytes: Optional[bytes],
+def cache_key(
+    netlist_sha256: str,
+    clocks_sha256: str,
     default_clock: Optional[str],
     config: Mapping[str, object],
 ) -> str:
-    """The content address of one job's *raw source files* + config.
+    """The content address of one analysis: the SHA-256 of the netlist
+    file's bytes and of the clocks file's bytes, the default clock and
+    the analysis ``config`` (:func:`analysis_config`).
 
-    Unlike :func:`network_digest`, which requires a parsed network,
-    this digests the netlist/clock file **bytes** directly -- cheap
-    enough for a batch planner to compute for hundreds of jobs without
-    parsing any of them.  It is *stricter* than the semantic digest
-    (reformatting a netlist file changes it even though the design is
-    unchanged), so it is only ever used as an index into previously
-    observed ``(source_digest -> cache_key)`` pairs, never as a cache
-    key itself: a source-digest change merely falls back to the parse
-    path, it can never alias two different designs.
+    Each file is hashed on its own, so moving a byte from the end of
+    the netlist to the start of the clocks file moves the key.
     """
-    doc = {
-        "netlist_sha256": hashlib.sha256(netlist_bytes).hexdigest(),
-        "clocks_sha256": (
-            hashlib.sha256(clocks_bytes).hexdigest()
-            if clocks_bytes is not None
-            else None
-        ),
-        "default_clock": default_clock,
-        "config": dict(config),
-        "payload_schema": PAYLOAD_SCHEMA_VERSION,
-    }
-    return _sha256(canonical_json(doc))
-
-
-def cache_key(
-    network_sha: str, schedule_sha: str, config_sha: str
-) -> str:
-    """The content address of one (network, clocks, config) triple."""
     return _sha256(
         canonical_json(
             {
-                "network": network_sha,
-                "schedule": schedule_sha,
-                "config": config_sha,
+                "netlist_sha256": netlist_sha256,
+                "clocks_sha256": clocks_sha256,
+                "default_clock": default_clock,
+                "config": dict(config),
                 "payload_schema": PAYLOAD_SCHEMA_VERSION,
             }
         )

@@ -33,8 +33,7 @@ Result document (``ok=True``)::
       "ok": true,
       "payload": {... repro.result/1 ...},
       "manifest": {... repro.manifest/1 ...},
-      "digests": {"network": ..., "schedule": ..., "config": ...,
-                  "key": ...},
+      "key": "...",     # repro.service.digest.cache_key of the bytes
       "worker_pid": 4242,
       "counters": {"alg1.iterations_total": 12, ...},
       # when the spec carried a repro.trace/1 context ("trace" key):
@@ -42,6 +41,12 @@ Result document (``ok=True``)::
       # when the spec carried "submitted_wall" (parent submit time):
       "queue_wait_s": 0.0123
     }
+
+The worker reads each input file once: it parses those bytes, hashes
+the same bytes into the manifest's ``input_digest`` and into ``key``,
+so a file replaced mid-job cannot give the answer a digest of bytes
+nobody analysed.  The parent stores the result only when ``key`` is
+the key it planned.
 
 A spec carrying a ``"trace"`` context (see :mod:`repro.obs.live`) makes
 the worker record into a trace-joined recorder and ship its snapshot
@@ -59,8 +64,11 @@ dying -- surface as ``BrokenProcessPool`` on the parent side instead.)
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
+from pathlib import Path
 from typing import Dict, Optional
 
 __all__ = ["run_job", "job_spec"]
@@ -128,16 +136,15 @@ def _maybe_inject_faults(spec: Dict[str, object]) -> None:
 def run_job(spec: Dict[str, object]) -> Dict[str, object]:
     """Analyse one job spec; returns the result document."""
     from repro import obs
-    from repro.clocks.serialize import load_schedule
+    from repro.clocks.serialize import schedule_from_dict
     from repro.core.analyzer import Hummingbird, check_tolerance
-    from repro.netlist import read_netlist
+    from repro.netlist import parse_netlist
     from repro.obs import live
+    from repro.report.manifest import digest_inputs
     from repro.service.digest import (
         analysis_config,
         cache_key,
         config_digest,
-        network_digest,
-        schedule_digest,
     )
 
     ctx = spec.get("trace")
@@ -156,10 +163,14 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                 category="service",
                 job=str(spec.get("name", "")),
             ):
-                network = read_netlist(
-                    str(spec["netlist"]), spec.get("default_clock")
+                netlist_path = str(spec["netlist"])
+                netlist_bytes = Path(netlist_path).read_bytes()
+                clocks_bytes = Path(str(spec["clocks"])).read_bytes()
+                default_clock = spec.get("default_clock")
+                network = parse_netlist(
+                    netlist_bytes, netlist_path, default_clock
                 )
-                schedule = load_schedule(str(spec["clocks"]))
+                schedule = schedule_from_dict(json.loads(clocks_bytes))
                 slow_path_limit = spec.get("slow_path_limit", 50)
                 tolerance = check_tolerance(spec.get("tolerance"))
                 config = analysis_config(
@@ -202,34 +213,20 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                     slow_path_limit=slow_path_limit, tolerance=tolerance
                 )
                 manifest = result.manifest(
-                    netlist_path=str(spec["netlist"]),
-                    clocks_path=str(spec["clocks"]),
                     label=str(spec.get("name", network.name)),
+                    digest=digest_inputs(netlist_bytes, clocks_bytes),
                 )
-                digests = {
-                    "network": network_digest(network),
-                    "schedule": schedule_digest(schedule),
-                    "config": config_digest(config),
-                }
-                digests["key"] = cache_key(
-                    digests["network"], digests["schedule"], digests["config"]
+                key = cache_key(
+                    hashlib.sha256(netlist_bytes).hexdigest(),
+                    hashlib.sha256(clocks_bytes).hexdigest(),
+                    default_clock,
+                    config,
                 )
-                # Structural fingerprint the parent's SourceMap learns,
-                # so the next plan of these exact source bytes parses
-                # nothing.  The weight is _Plan.weigh's: the
-                # combinational cell count.
-                from repro.core.domains import clock_domains
-
-                fingerprint = {
-                    "partition": list(clock_domains(network)),
-                    "weight": len(network.combinational_cells),
-                }
         document: Dict[str, object] = {
             "ok": True,
             "payload": result.payload(),
             "manifest": manifest,
-            "digests": digests,
-            "fingerprint": fingerprint,
+            "key": key,
             "worker_pid": os.getpid(),
             "counters": {
                 name: recorder.counters[name]

@@ -1,5 +1,6 @@
 """Unit tests for ClockWaveform."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,22 @@ class TestAsTime:
     def test_zero_denominator_is_a_value_error(self, value):
         with pytest.raises(ValueError, match="zero denominator.*/0"):
             as_time(value)
+
+    @pytest.mark.parametrize(
+        "value", ["1e1000000", "1e10000000", "1e-10000000"]
+    )
+    def test_huge_exponent_is_a_value_error(self, value):
+        """``Fraction`` would build ``10**exponent`` first: seconds for
+        ``1e10000000``, as numerator or denominator."""
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exponent.*'{value}'"):
+            as_time(value)
+        assert time.perf_counter() - started < 0.1
+
+    def test_exponents_up_to_400_are_times(self):
+        assert as_time("1e400") == 10**400
+        assert as_time("2.5E-0400") == Fraction(25, 10**401)
+        assert as_time("1e1_0") == 10**10
 
 
 class TestClockWaveform:

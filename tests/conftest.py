@@ -75,6 +75,11 @@ def _null_period(doc):
     return doc
 
 
+def _huge_exponent_edge(doc):
+    doc["clocks"][0]["leading"] = "1e10000000"
+    return doc
+
+
 #: Malformed clocks files: ``(corrupt, message)`` where ``corrupt``
 #: maps a two-clock :func:`schedule_to_dict` document to the document
 #: written to disk, and ``message`` is part of the one-line error.
@@ -96,6 +101,11 @@ MALFORMED_CLOCKS = [
         _null_period,
         "clock 'phi1': 'period' is not a time (None)",
         id="null-period",
+    ),
+    pytest.param(
+        _huge_exponent_edge,
+        "clock 'phi1': 'leading' is not a time ('1e10000000')",
+        id="huge-exponent-edge",
     ),
 ]
 

@@ -17,6 +17,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from repro.clocks.waveform import ClockWaveform
 from repro.core.analyzer import Hummingbird
 from repro.core.breakopen import (
@@ -126,6 +128,28 @@ def test_many_clock_edges_do_not_stall_pre_processing():
     assert elapsed < 5.0, f"pre-processing took {elapsed:.1f} s"
     assert analyzer.analyze() is not None
 
+
+@pytest.mark.parametrize("ratio", [1000, 10000])
+def test_large_period_ratios_do_not_stall_pre_processing(ratio):
+    """``phi1``'s period scaled by ``ratio``, its edges kept: 2,002 and
+    20,002 candidate breaks.  Each arc's handlers are one cyclic run of
+    the sorted candidates, so masks and bound cost no candidate-by-arc
+    product."""
+    network, schedule = latch_pipeline(
+        stages=3, stage_lengths=[8, 3, 2], period=12.0
+    )
+    phi1 = schedule.waveform("phi1")
+    schedule = schedule.replace(
+        ClockWaveform(
+            "phi1", phi1.period * ratio, phi1.leading, phi1.trailing
+        )
+    )
+    started = time.perf_counter()
+    analyzer = Hummingbird(network, schedule)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"pre-processing took {elapsed:.1f} s"
+    assert len(schedule.edge_times()) == 2 * ratio + 2
+    assert analyzer.analyze() is not None
 
 
 def test_five_breaks_among_hundreds_of_edges_skip_the_walk():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.cells import standard_library
+from repro.clocks.serialize import save_schedule
+from repro.generators import latch_pipeline
 from repro.netlist.persistence import load_network, save_network
 from repro.service import (
     BatchEngine,
@@ -122,13 +125,12 @@ class TestJobSetFile:
 
 
 class TestPlanning:
-    def test_plan_carries_partition_and_key(self, job):
+    def test_plan_carries_key_and_size(self, job):
         engine = BatchEngine(serial=True)
         plans = engine.plan([job])
         assert len(plans) == 1
-        assert plans[0].partition == ("phi1", "phi2")
         assert len(plans[0].key) == 64
-        assert plans[0].weight > 0
+        assert plans[0].size == len(Path(job.netlist).read_bytes())
 
     def test_equal_content_means_equal_key(self, design_files):
         netlist, clocks = design_files
@@ -404,115 +406,210 @@ class TestWorkerCrashForensics:
         assert report.to_dict()["outcomes"][0]["crash"] is None
 
 
-class TestSourceMapPlanning:
-    """The warm-plan fast path: raw-bytes digests, zero parent parses."""
+class TestBytePlanning:
+    """Planning reads and hashes each job's files, and parses nothing."""
 
-    def _engine(self, tmp_path):
-        return BatchEngine(
-            cache=ResultCache(tmp_path / "cache", max_entries=32),
-            serial=True,
+    @pytest.fixture
+    def no_parsing(self, monkeypatch):
+        """Make every netlist and clocks parse fail while active."""
+        import repro.clocks.serialize as clocks_serialize
+        import repro.netlist as netlist_pkg
+
+        def explode(*args, **kwargs):
+            raise AssertionError("planning must not parse a design")
+
+        def install():
+            monkeypatch.setattr(netlist_pkg, "parse_netlist", explode)
+            monkeypatch.setattr(
+                clocks_serialize, "schedule_from_dict", explode
+            )
+
+        return install
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_planning_parses_nothing(self, tmp_path, job, no_parsing, warm):
+        engine = BatchEngine(
+            cache=ResultCache(tmp_path / "cache"), serial=True
         )
+        if warm:
+            assert engine.run([job]).computed == 1
+        no_parsing()
+        (plan,) = engine.plan([job])
+        assert plan.error is None
+        assert len(plan.key) == 64
+        if warm:
+            report = engine.run([job])
+            assert (report.cached, report.failed) == (1, 0)
 
-    def test_warm_plan_parses_nothing(self, tmp_path, job, monkeypatch):
-        """After one run, planning the same bytes never parses."""
-        import repro.service.batch as batch_mod
-
-        engine = self._engine(tmp_path)
-        report = engine.run([job])
-        assert report.computed == 1
-
-        warm = self._engine(tmp_path)  # fresh engine, same cache dir
-
-        def explode(j):
-            raise AssertionError("warm plan must not parse designs")
-
-        monkeypatch.setattr(batch_mod, "_load_design", explode)
-        plans = warm.plan([job], weigh=False)
-        assert plans[0].error is None
-        report2 = warm.run([job])
-        assert report2.cached == 1
-        assert report2.failed == 0
-
-    def test_planner_output_identical_cold_vs_warm(self, tmp_path, job):
-        engine = self._engine(tmp_path)
-        cold = engine.plan([job], weigh=False)
-        engine.run([job])
-        warm_engine = self._engine(tmp_path)
-        warm = warm_engine.plan([job], weigh=False)
-        assert [(p.key, p.partition, p.weight) for p in warm] == [
-            (p.key, p.partition, p.weight) for p in cold
-        ]
-
-    def test_worker_fingerprint_teaches_the_map(self, tmp_path, job):
-        from repro.service.batch import SourceMap
-
-        engine = self._engine(tmp_path)
-        engine.run([job])
-        sources = SourceMap(tmp_path / "cache" / "sources.json")
-        assert len(sources) == 1
-        (entry,) = [sources.get(s) for s in sources._load()]
-        assert entry["partition"] == ["phi1", "phi2"]
-        assert entry["weight"] > 0
-
-    def test_map_weight_drives_lpt_on_cache_miss(self, tmp_path, job):
-        """A fast-path plan weighs from the map when the result cache
-        missed (e.g. evicted) -- no parse needed for LPT either."""
-        engine = self._engine(tmp_path)
-        engine.run([job])
-        warm = self._engine(tmp_path)
-        plans = warm.plan([job], weigh=True)
-        assert plans[0].weight > 0
-        assert plans[0].network is None  # no parse held
-
-    def test_edited_source_falls_back_to_parse(self, tmp_path, job):
-        from pathlib import Path
-
-        engine = self._engine(tmp_path)
-        engine.run([job])
-        # Touch the netlist bytes (whitespace only -- same design).
+    def test_whitespace_edit_is_a_miss(self, tmp_path, job):
+        """The key is the bytes: a reformatted file is a new key, even
+        though it describes the same design."""
+        engine = BatchEngine(
+            cache=ResultCache(tmp_path / "cache"), serial=True
+        )
+        first = engine.run([job])
         netlist = Path(job.netlist)
         netlist.write_text(netlist.read_text() + "\n")
-        warm = self._engine(tmp_path)
-        plans = warm.plan([job], weigh=False)
-        # Parse path: semantic digest unchanged, so still a cache hit.
-        assert plans[0].error is None
-        report = warm.run([job])
-        assert report.cached == 1
+        again = engine.run([job])
+        assert (again.computed, again.cached) == (1, 0)
+        assert again.outcomes[0].key != first.outcomes[0].key
+        assert again.outcomes[0].payload["endpoint_slacks"] == (
+            first.outcomes[0].payload["endpoint_slacks"]
+        )
 
-    def test_no_cache_means_no_map(self, tmp_path, job):
-        engine = BatchEngine(cache=None, serial=True)
-        assert engine._sources is None
-        plans = engine.plan([job])
-        assert plans[0].partition == ("phi1", "phi2")
+    def test_unreadable_and_unknown_inputs_fail_before_any_worker(
+        self, tmp_path, design_files, monkeypatch
+    ):
+        import repro.service.batch as batch_mod
 
-    def test_corrupt_map_is_empty(self, tmp_path):
-        from repro.service.batch import SourceMap
+        netlist, clocks = design_files
+        unknown = tmp_path / "design.edif"
+        unknown.write_bytes(Path(netlist).read_bytes())
 
-        path = tmp_path / "sources.json"
-        path.write_text("{not json")
-        sources = SourceMap(path)
-        assert len(sources) == 0
-        sources.record("s1", "k1", ("phi1",), 4)
-        sources.flush()
-        reloaded = SourceMap(path)
-        assert reloaded.get("s1")["weight"] == 4
+        def no_worker(spec):
+            raise AssertionError("a plan-time failure reached a worker")
 
-    def test_record_keeps_learned_weight(self, tmp_path):
-        from repro.service.batch import SourceMap
+        monkeypatch.setattr(batch_mod, "run_job", no_worker)
+        report = BatchEngine(serial=True).run(
+            [
+                BatchJob("no_netlist", str(tmp_path / "gone.json"), clocks),
+                BatchJob("no_clocks", netlist, str(tmp_path / "gone.json")),
+                BatchJob("unknown", str(unknown), clocks),
+            ]
+        )
+        assert report.failed == 3
+        errors = {o.job.name: o.error for o in report.outcomes}
+        assert "No such file" in errors["no_netlist"]
+        assert "No such file" in errors["no_clocks"]
+        assert "unknown netlist format '.edif'" in errors["unknown"]
 
-        sources = SourceMap(tmp_path / "sources.json")
-        sources.record("s1", "k1", ("phi1",), 7)
-        sources.record("s1", "k1", ("phi1",), 0)  # weightless probe hit
-        assert sources.get("s1")["weight"] == 7
-        sources.record("s1", "k2", ("phi1",), 0)  # new key: reset
-        assert sources.get("s1")["weight"] == 0
+    def test_outcomes_in_job_order_misses_largest_first(
+        self, tmp_path, monkeypatch
+    ):
+        """Misses are dispatched largest netlist file first, ties by
+        name; the report lists outcomes in job-set order."""
+        import repro.service.batch as batch_mod
 
-    def test_map_is_bounded(self, tmp_path):
-        from repro.service.batch import SourceMap
+        sizes = {"small": 1, "big": 3, "mid_b": 2, "mid_a": 2}
+        jobs = []
+        for name, stages in sizes.items():
+            network, schedule = latch_pipeline(
+                stages=2, stage_lengths=[stages, 1], period=12.0
+            )
+            netlist = tmp_path / f"{name}.json"
+            clocks = tmp_path / f"{name}.clocks.json"
+            save_network(network, netlist)
+            save_schedule(schedule, clocks)
+            jobs.append(BatchJob(name, str(netlist), str(clocks)))
+        assert len(Path(jobs[2].netlist).read_bytes()) == len(
+            Path(jobs[3].netlist).read_bytes()
+        )
+        dispatched = []
+        run_job = batch_mod.run_job
 
-        sources = SourceMap(tmp_path / "sources.json", max_entries=3)
-        for i in range(5):
-            sources.record(f"s{i}", f"k{i}", ("phi1",), 1)
-        assert len(sources) == 3
-        assert sources.get("s0") is None
-        assert sources.get("s4") is not None
+        def recording(spec):
+            dispatched.append(spec["name"])
+            return run_job(spec)
+
+        monkeypatch.setattr(batch_mod, "run_job", recording)
+        report = BatchEngine(serial=True).run(jobs)
+        assert dispatched == ["big", "mid_a", "mid_b", "small"]
+        assert [o.job.name for o in report.outcomes] == list(sizes)
+
+
+class TestOneContentKey:
+    """Planner, worker and daemon key a result by the bytes parsed."""
+
+    def test_manifest_digests_the_bytes_the_job_parsed(
+        self, tmp_path, job, monkeypatch
+    ):
+        """A netlist overwritten while its job is analysed: the
+        manifest names the bytes the worker parsed, and the result is
+        stored under the planned key, which names the same bytes."""
+        from repro.core.analyzer import Hummingbird
+        from repro.report.manifest import digest_inputs
+
+        netlist = Path(job.netlist)
+        parsed = digest_inputs(
+            netlist.read_bytes(), Path(job.clocks).read_bytes()
+        )
+        other, __ = latch_pipeline(
+            stages=3, stage_lengths=[2, 1, 1], period=12.0
+        )
+        analyze = Hummingbird.analyze
+
+        def overwrite_then_analyze(self, *args, **kwargs):
+            save_network(other, netlist)
+            return analyze(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hummingbird, "analyze", overwrite_then_analyze)
+        cache = ResultCache(tmp_path / "cache")
+        report = BatchEngine(cache=cache, serial=True).run([job])
+        (outcome,) = report.outcomes
+        assert outcome.status == "computed"
+        assert outcome.manifest["input_digest"] == parsed
+        assert cache.get(outcome.key)["manifest"]["input_digest"] == parsed
+
+    def test_file_replaced_after_planning_is_not_stored(
+        self, tmp_path, job, monkeypatch
+    ):
+        import repro.service.batch as batch_mod
+        from repro.core.analyzer import Hummingbird
+
+        other, schedule = latch_pipeline(
+            stages=3, stage_lengths=[2, 1, 1], period=12.0
+        )
+        run_job = batch_mod.run_job
+
+        def replace_then_run(spec):
+            save_network(other, spec["netlist"])
+            return run_job(spec)
+
+        monkeypatch.setattr(batch_mod, "run_job", replace_then_run)
+        cache = ResultCache(tmp_path / "cache")
+        engine = BatchEngine(cache=cache, serial=True)
+        (plan,) = engine.plan([job])
+        with obs.recording() as recorder:
+            report = engine.run([job])
+        (outcome,) = report.outcomes
+        assert outcome.status == "computed"
+        expected = Hummingbird(other, schedule).analyze().payload()
+        assert outcome.payload["endpoint_slacks"] == (
+            expected["endpoint_slacks"]
+        )
+        assert plan.key not in cache
+        assert len(cache) == 0
+        assert recorder.counters.get("service.cache.key_races") == 1
+
+    def test_daemon_results_answer_a_batch(self, tmp_path, job):
+        """A daemon given the cache directory writes its unmutated
+        result under the key a batch of the same files plans.  The
+        default clock is part of that key on both sides."""
+        from dataclasses import replace
+
+        from repro.service import DaemonClient, TimingDaemon
+
+        sock = str(tmp_path / "daemon.sock")
+        with TimingDaemon(
+            sock, cache=ResultCache(tmp_path / "cache")
+        ), DaemonClient(sock, timeout=30.0) as client:
+            answer = client.analyze(
+                job.netlist, job.clocks, default_clock="phi1"
+            )
+        assert answer["ok"]
+        jobs = [job] + [
+            replace(job, name=clock, default_clock=clock)
+            for clock in ("phi1", "phi2")
+        ]
+        engine = BatchEngine(
+            cache=ResultCache(tmp_path / "cache"), serial=True
+        )
+        report = engine.run(jobs)
+        statuses = {o.job.name: o.status for o in report.outcomes}
+        assert statuses == {
+            "pipeline": "computed", "phi1": "cached", "phi2": "computed"
+        }
+        assert report.outcomes[1].payload["endpoint_slacks"] == (
+            answer["payload"]["endpoint_slacks"]
+        )
+        assert engine.run(jobs).cached == 3

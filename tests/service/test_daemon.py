@@ -156,21 +156,12 @@ class TestServing:
         )
 
     def test_mutate_does_not_hash_the_network(
-        self, tmp_path, design_files, monkeypatch
+        self, tmp_path, design_files
     ):
-        """Only an unmutated result is cached, so only it pays for the
-        network digest: one analyze plus five mutates digest once."""
-        import repro.service.daemon as daemon_module
-
+        """The key is the bytes hashed at load, and only an unmutated
+        result is cached: one analyze plus five mutates store one
+        entry and answer as an uncached daemon does."""
         netlist, clocks = design_files
-        calls = []
-        digest = daemon_module.network_digest
-
-        def counting(network):
-            calls.append(network.name)
-            return digest(network)
-
-        monkeypatch.setattr(daemon_module, "network_digest", counting)
 
         def session(sock, cache):
             with TimingDaemon(sock, cache=cache), DaemonClient(
@@ -187,7 +178,6 @@ class TestServing:
 
         cache = ResultCache(tmp_path / "digest-cache")
         cached = session(str(tmp_path / "cached.sock"), cache)
-        assert len(calls) == 1
         assert len(cache) == 1
         assert cached == session(str(tmp_path / "plain.sock"), None)
 

@@ -1,26 +1,27 @@
 """Digest stability: the content-addressing contract.
 
-The cache key must be a pure function of the analysis *content*:
-byte-stable across process restarts (no hash randomisation leaking in)
-and insensitive to dict insertion order.
+The cache key must be a pure function of the bytes that were parsed
+and the configuration: byte-stable across process restarts (no hash
+randomisation leaking in) and insensitive to dict insertion order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.clocks.schedule import ClockSchedule
+from repro.clocks.serialize import save_schedule
 from repro.generators import fig1_circuit, fig1_schedule, latch_pipeline
+from repro.netlist.persistence import network_to_dict, save_network
+from repro.report.manifest import canonical_json, digest_inputs
 from repro.service.digest import (
     PAYLOAD_SCHEMA_VERSION,
     analysis_config,
     cache_key,
     config_digest,
-    network_digest,
-    schedule_digest,
 )
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -46,47 +47,79 @@ class TestConfigDigest:
         assert config_digest(a) == config_digest(b)
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _key(netlist=b"netlist", clocks=b"clocks", default_clock=None,
+         config=None):
+    return cache_key(
+        _sha(netlist),
+        _sha(clocks),
+        default_clock,
+        analysis_config() if config is None else config,
+    )
+
+
 class TestNetworkAndScheduleDigests:
-    def test_equal_for_equal_content(self):
-        net_a, sched_a = fig1_circuit()
-        net_b, sched_b = fig1_circuit()
-        assert network_digest(net_a) == network_digest(net_b)
-        assert schedule_digest(sched_a) == schedule_digest(sched_b)
-        assert schedule_digest(fig1_schedule()) == schedule_digest(sched_a)
+    """The key hashes the netlist and clocks bytes that were parsed,
+    each file on its own, plus the default clock and the config."""
+
+    def test_equal_for_equal_content(self, tmp_path):
+        for name in ("a", "b"):
+            save_network(fig1_circuit()[0], tmp_path / f"{name}.json")
+            save_schedule(fig1_schedule(), tmp_path / f"{name}.clocks")
+        a, b = (
+            _key(
+                (tmp_path / f"{name}.json").read_bytes(),
+                (tmp_path / f"{name}.clocks").read_bytes(),
+            )
+            for name in ("a", "b")
+        )
+        assert a == b
 
     def test_differs_for_different_designs(self):
-        net_a, __ = fig1_circuit()
-        net_b, __ = latch_pipeline(stages=2)
-        assert network_digest(net_a) != network_digest(net_b)
+        fig1 = canonical_json(network_to_dict(fig1_circuit()[0]))
+        pipeline = canonical_json(network_to_dict(latch_pipeline(stages=2)[0]))
+        assert _key(fig1.encode()) != _key(pipeline.encode())
 
-    def test_schedule_digest_sees_clock_changes(self):
-        base = ClockSchedule.two_phase(100)
-        scaled = base.scaled(2)
-        assert schedule_digest(base) != schedule_digest(scaled)
+    def test_each_input_moves_the_key(self):
+        base = _key()
+        moved = [
+            _key(netlist=b"netlist "),
+            _key(clocks=b"clocks "),
+            _key(default_clock="phi1"),
+            _key(config=analysis_config(slow_path_limit=3)),
+            _key(config=analysis_config(tolerance=0.5)),
+        ]
+        assert base == _key()
+        assert base not in moved
+        assert len(set(moved)) == len(moved)
+
+    def test_a_byte_moved_across_the_file_boundary_moves_the_key(self):
+        """Each file is hashed on its own.  The manifest's
+        ``input_digest`` concatenates the two, so it cannot be a key."""
+        assert digest_inputs(b"ab", b"c") == digest_inputs(b"a", b"bc")
+        assert _key(b"ab", b"c") != _key(b"a", b"bc")
 
     def test_digest_is_hex_sha256(self):
-        digest = network_digest(fig1_circuit()[0])
-        assert len(digest) == 64
-        int(digest, 16)  # raises on non-hex
+        key = _key()
+        assert len(key) == 64
+        int(key, 16)  # raises on non-hex
 
 
 class TestProcessRestartStability:
     """The key must survive a fresh interpreter (fresh hash seed)."""
 
     SCRIPT = """
-import json, sys
-from repro.generators import fig1_circuit, fig1_schedule
-from repro.service.digest import (
-    analysis_config, cache_key, config_digest, network_digest,
-    schedule_digest,
-)
-network, __ = fig1_circuit()
-schedule = fig1_schedule()
+import hashlib, json
+from repro.service.digest import analysis_config, cache_key, config_digest
 config = analysis_config(slow_path_limit=7, tolerance=0.25)
-n, s, c = (network_digest(network), schedule_digest(schedule),
-           config_digest(config))
-print(json.dumps({"network": n, "schedule": s, "config": c,
-                  "key": cache_key(n, s, c)}))
+print(json.dumps({
+    "config": config_digest(config),
+    "key": cache_key(hashlib.sha256(b"netlist").hexdigest(),
+                     hashlib.sha256(b"clocks").hexdigest(), "phi1", config),
+}))
 """
 
     def _run_subprocess(self, hash_seed: str) -> dict:
@@ -104,27 +137,24 @@ print(json.dumps({"network": n, "schedule": s, "config": c,
         return json.loads(proc.stdout)
 
     def test_byte_stable_across_restarts_and_hash_seeds(self):
-        network, __ = fig1_circuit()
-        schedule = fig1_schedule()
         config = analysis_config(slow_path_limit=7, tolerance=0.25)
         here = {
-            "network": network_digest(network),
-            "schedule": schedule_digest(schedule),
             "config": config_digest(config),
+            "key": _key(default_clock="phi1", config=config),
         }
-        here["key"] = cache_key(
-            here["network"], here["schedule"], here["config"]
-        )
         for seed in ("0", "12345"):
             there = self._run_subprocess(seed)
             assert there == here, f"digest drift with hash seed {seed}"
 
 
 class TestCacheKey:
-    def test_folds_in_payload_schema_version(self):
-        # Reaching into the preimage: the key must change when any
-        # component changes, including the payload schema version.
-        key_a = cache_key("n" * 64, "s" * 64, "c" * 64)
-        key_b = cache_key("n" * 64, "s" * 64, "d" * 64)
-        assert key_a != key_b
+    def test_folds_in_payload_schema_version(self, monkeypatch):
+        import repro.service.digest as digest_module
+
+        key_a = _key()
+        monkeypatch.setattr(
+            digest_module, "PAYLOAD_SCHEMA_VERSION",
+            PAYLOAD_SCHEMA_VERSION + 1,
+        )
+        assert _key() != key_a
         assert PAYLOAD_SCHEMA_VERSION >= 1
