@@ -182,6 +182,7 @@ class TestAccessLog:
         assert lines[1]["error"] == "boom"
         assert log.lines_written == 2
 
+    @pytest.mark.usefixtures("no_collections")
     def test_slow_requests_attach_span_tree(self, tmp_path):
         child = live.child_recorder(None)
         with obs.recording(child):

@@ -21,18 +21,6 @@ def _no_leak():
     assert obs.active() is None
 
 
-@pytest.fixture
-def no_collections():
-    """Automatic garbage collections are recorded as ``gc.*`` spans and
-    counters; tests that check exact span and counter sets run without
-    them (:class:`TestGarbageCollections` checks the recording)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    yield
-    if enabled:
-        gc.enable()
-
-
 class TestDisabledNoOp:
     def test_disabled_by_default(self):
         assert obs.active() is None
