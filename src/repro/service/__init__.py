@@ -47,6 +47,7 @@ from repro.service.digest import (
     cache_key,
     cluster_digest,
     config_digest,
+    key_inputs,
 )
 from repro.service.doctor import (
     doctor_exit_code,
@@ -74,5 +75,6 @@ __all__ = [
     "analysis_config",
     "cache_key",
     "config_digest",
+    "key_inputs",
     "load_jobs",
 ]

@@ -14,12 +14,13 @@ through four phases:
 3. **Fan-out** -- misses are submitted to a ``ProcessPoolExecutor``
    (:func:`repro.service.workers.run_job`), largest netlist file first
    so stragglers start early, with a per-job timeout and a bounded
-   retry budget.  A dead worker (``BrokenProcessPool``) poisons
-   the whole pool, possibly before every job is queued, so the engine
-   collects what finished, rebuilds the pool and resubmits the
-   survivors and the unsent.  Jobs that exhaust their retries
-   degrade gracefully to in-process serial execution -- the batch always
-   completes.
+   retry budget.  A job whose own input is bad (the worker reports a
+   ``ValueError`` as final) fails at once; a retry would fail the same
+   way.  A dead worker (``BrokenProcessPool``) poisons the whole pool,
+   possibly before every job is queued, so the engine collects what
+   finished, rebuilds the pool and resubmits the survivors and the
+   unsent.  Jobs that exhaust their retries degrade gracefully to
+   in-process serial execution -- the batch always completes.
 4. **Store** -- computed results (payload + manifest) are written back
    to the cache under the planned key and, optionally, to a manifest
    directory.  The worker reports the key of the bytes it parsed; a
@@ -34,7 +35,6 @@ histogram (see ``docs/observability.md``).
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +50,7 @@ from repro.obs.accesslog import AccessLog
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
 from repro.service.cluster_cache import ClusterCache
-from repro.service.digest import analysis_config, cache_key
+from repro.service.digest import analysis_config, cache_key, key_inputs
 from repro.service.workers import job_spec, run_job
 
 try:  # BrokenProcessPool moved in 3.7; guard for exotic builds.
@@ -83,6 +83,13 @@ class BatchJob:
     #: Fault-injection hooks, forwarded verbatim to the worker spec
     #: (tests/CI only; see :mod:`repro.service.workers`).
     inject: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Planner, worker and daemon key the config the analyzer reads
+        # (``tolerance=0`` is ``0.0``); a bad value raises here.
+        limit = check_slow_path_limit(self.slow_path_limit)
+        object.__setattr__(self, "slow_path_limit", limit)
+        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
 
     def spec(self) -> Dict[str, object]:
         return job_spec(
@@ -324,20 +331,17 @@ def load_jobs(path: Union[str, Path]) -> List[BatchJob]:
                     f"{path}: job {name!r} missing {field_name!r}"
                 )
         try:
-            tolerance = check_tolerance(entry.get("tolerance"))
-            limit = check_slow_path_limit(entry.get("slow_path_limit", 50))
-        except ValueError as exc:
-            raise ValueError(f"{path}: job {name!r}: {exc}") from None
-        jobs.append(
-            BatchJob(
+            job = BatchJob(
                 name=name,
                 netlist=str(base / entry["netlist"]),
                 clocks=str(base / entry["clocks"]),
                 default_clock=entry.get("default_clock"),
-                slow_path_limit=limit,
-                tolerance=tolerance,
+                slow_path_limit=entry.get("slow_path_limit", 50),
+                tolerance=entry.get("tolerance"),
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: job {name!r}: {exc}") from None
+        jobs.append(job)
     if not jobs:
         raise ValueError(f"{path}: empty job set")
     return jobs
@@ -372,6 +376,8 @@ class BatchEngine:
     retries:
         How many times a crashed/timed-out/failed job is re-dispatched
         to a worker before degrading to in-process serial execution.
+        A failure the worker reports as final (a bad input) is not
+        retried.
     serial:
         Force in-process execution (no worker pool at all).
     access_log:
@@ -445,9 +451,9 @@ class BatchEngine:
                     plans.append(_Plan(job, "", 0, error=str(exc)))
                     continue
                 key = cache_key(
-                    hashlib.sha256(netlist).hexdigest(),
-                    hashlib.sha256(clocks).hexdigest(),
-                    job.default_clock,
+                    *key_inputs(
+                        job.netlist, netlist, clocks, job.default_clock
+                    ),
                     analysis_config(
                         slow_path_limit=job.slow_path_limit,
                         tolerance=job.tolerance,
@@ -597,38 +603,26 @@ class BatchEngine:
                         break
                     futures[future] = (plan, submitted)
                 for future, (plan, submitted) in futures.items():
-                    name = plan.job.name
+                    # A worker that gave no document failed for a
+                    # reason a retry may not meet again.
                     try:
-                        document = future.result(
-                            timeout=self.job_timeout
-                        )
+                        document = future.result(timeout=self.job_timeout)
                     except concurrent.futures.TimeoutError:
                         obs.counter("service.batch.timeouts")
                         broken = True  # hung worker: rebuild the pool
-                        self._reschedule(
-                            plan, attempts, retry, fallback, "timeout"
-                        )
-                        continue
+                        document = {"error": "timeout"}
                     except BrokenProcessPool:
                         obs.counter("service.batch.worker_crashes")
                         broken = True
-                        self._reschedule(
-                            plan, attempts, retry, fallback,
-                            "worker crashed",
-                        )
-                        continue
+                        document = {"error": "worker crashed"}
                     except Exception as exc:  # pragma: no cover
-                        self._reschedule(
-                            plan, attempts, retry, fallback, str(exc)
-                        )
-                        continue
-                    seconds = time.perf_counter() - submitted
-                    if document.get("ok"):
-                        self._record_success(
+                        document = {"error": str(exc)}
+                    if document.get("ok") or document.get("final"):
+                        self._record(
                             plan,
                             document,
-                            attempts[name],
-                            seconds,
+                            attempts[plan.job.name],
+                            time.perf_counter() - submitted,
                             outcomes,
                         )
                     else:
@@ -699,30 +693,16 @@ class BatchEngine:
         started = time.perf_counter()
         document = run_job(self._spec(plan))
         seconds = time.perf_counter() - started
-        if document.get("ok"):
-            self._record_success(
-                plan,
-                document,
-                attempts[plan.job.name],
-                seconds,
-                outcomes,
-                serial=fallback,
-            )
-        else:
-            obs.counter("service.batch.failures")
-            crash = document.get("crash")
-            outcomes[plan.job.name] = JobOutcome(
-                job=plan.job,
-                status="failed",
-                key=plan.key,
-                attempts=attempts[plan.job.name],
-                seconds=seconds,
-                serial_fallback=fallback,
-                error=document.get("error"),  # type: ignore[arg-type]
-                crash=crash if isinstance(crash, dict) else None,
-            )
+        self._record(
+            plan,
+            document,
+            attempts[plan.job.name],
+            seconds,
+            outcomes,
+            serial=fallback,
+        )
 
-    def _record_success(
+    def _record(
         self,
         plan: _Plan,
         document: Dict[str, object],
@@ -731,6 +711,21 @@ class BatchEngine:
         outcomes: Dict[str, JobOutcome],
         serial: bool = False,
     ) -> None:
+        """Make a worker's result document the job's outcome."""
+        if not document.get("ok"):
+            obs.counter("service.batch.failures")
+            crash = document.get("crash")
+            outcomes[plan.job.name] = JobOutcome(
+                job=plan.job,
+                status="failed",
+                key=plan.key,
+                attempts=attempts,
+                seconds=seconds,
+                serial_fallback=serial,
+                error=document.get("error"),  # type: ignore[arg-type]
+                crash=crash if isinstance(crash, dict) else None,
+            )
+            return
         obs.histogram("service.batch.job_seconds", seconds)
         live.merge_snapshot(obs.active(), document.get("trace"))
         queue_wait = document.get("queue_wait_s")

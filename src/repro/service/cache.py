@@ -2,8 +2,9 @@
 
 Entries are keyed by :func:`repro.service.digest.cache_key` -- a SHA-256
 over the hashes of the netlist and clocks bytes that were parsed, the
-default clock and the analysis config -- and live under ``<root>/objects/<key[:2]>/<key>.json``.  Each entry
-is one JSON document::
+default clock and the analysis config -- and live under
+``<root>/objects/<key[:2]>/<key>.json``.  Each entry is one JSON
+document::
 
     {
       "schema": "repro.cache/1",

@@ -74,7 +74,6 @@ thread-locally, so they no longer serialise daemon-wide.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import socket
@@ -97,7 +96,7 @@ from repro.obs.flight import (
 )
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
-from repro.service.digest import analysis_config, cache_key
+from repro.service.digest import analysis_config, cache_key, key_inputs
 from repro.service.httpmon import HttpRequest, TelemetrySidecar
 
 __all__ = ["DaemonClient", "TimingDaemon", "PROTOCOL_VERSION"]
@@ -169,17 +168,17 @@ class _DesignState:
 
         self.netlist = netlist
         self.clocks = clocks
-        self.default_clock = default_clock
         netlist_bytes = Path(netlist).read_bytes()
         self.network = parse_netlist(netlist_bytes, netlist, default_clock)
         clocks_bytes = Path(clocks).read_bytes()
         self.schedule = schedule_from_dict(json.loads(clocks_bytes))
-        #: The manifest's ``input_digest`` and the two hashes
-        #: :meth:`content_key` keys by: the bytes parsed here, not
-        #: whatever the files hold by the time a request is answered.
+        #: The manifest's ``input_digest`` and :meth:`content_key`'s
+        #: :func:`key_inputs`, of the bytes parsed here, not whatever
+        #: the files hold by the time a request is answered.
         self.input_digest = digest_inputs(netlist_bytes, clocks_bytes)
-        self.netlist_sha256 = hashlib.sha256(netlist_bytes).hexdigest()
-        self.clocks_sha256 = hashlib.sha256(clocks_bytes).hexdigest()
+        self.sources = key_inputs(
+            netlist, netlist_bytes, clocks_bytes, default_clock
+        )
         self.analyzer = IncrementalAnalyzer(self.network, self.schedule)
         self.lock = threading.Lock()
         self.mutations = 0
@@ -213,9 +212,7 @@ class _DesignState:
     def content_key(self, slow_path_limit, tolerance) -> str:
         """The result cache key of the bytes loaded (unmutated only)."""
         return cache_key(
-            self.netlist_sha256,
-            self.clocks_sha256,
-            self.default_clock,
+            *self.sources,
             analysis_config(
                 slow_path_limit=slow_path_limit, tolerance=tolerance
             ),

@@ -11,8 +11,8 @@ its own, the default clock, the configuration and
 :data:`PAYLOAD_SCHEMA_VERSION`, so the key is
 
 * **the bytes that were parsed**: the batch planner, the batch worker
-  and the daemon hash the bytes they read, so no input is ever
-  re-serialised to be keyed;
+  and the daemon pass the bytes they read to :func:`key_inputs`, so no
+  input is ever re-serialised to be keyed;
 * **byte-stable across process restarts** (no ``id()``/hash-seed
   dependence, no floating timestamps);
 * **insensitive to dict ordering** of the configuration.
@@ -26,9 +26,11 @@ instead of mis-reading it.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Mapping, Optional
+from pathlib import Path
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.clusters import ARTIFACT_SCHEMA
+from repro.netlist import netlist_format
 from repro.report.manifest import canonical_json
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "canonical_json",
     "cluster_digest",
     "config_digest",
+    "key_inputs",
 ]
 
 #: Version of the cached-result payload format; bumping it invalidates
@@ -237,6 +240,28 @@ def cluster_digest(cluster, schedule, delays, config_sha: str) -> str:
     return _sha256(canonical_json(doc))
 
 
+def key_inputs(
+    netlist: Union[str, Path],
+    netlist_bytes: bytes,
+    clocks_bytes: bytes,
+    default_clock: Optional[str],
+) -> Tuple[str, str, Optional[str]]:
+    """The first three arguments of :func:`cache_key` for the bytes of
+    the netlist file ``netlist`` and of its clocks file, as read.
+
+    Each file is hashed on its own, so moving a byte from the end of
+    the netlist to the start of the clocks file moves the key.  The
+    default clock is kept only when the netlist's reader uses it
+    (BLIF and Verilog): a JSON netlist names every pad's clock itself,
+    so its key is the same whatever default clock the caller names.
+    """
+    return (
+        hashlib.sha256(netlist_bytes).hexdigest(),
+        hashlib.sha256(clocks_bytes).hexdigest(),
+        None if netlist_format(netlist) == ".json" else default_clock,
+    )
+
+
 def cache_key(
     netlist_sha256: str,
     clocks_sha256: str,
@@ -244,11 +269,9 @@ def cache_key(
     config: Mapping[str, object],
 ) -> str:
     """The content address of one analysis: the SHA-256 of the netlist
-    file's bytes and of the clocks file's bytes, the default clock and
-    the analysis ``config`` (:func:`analysis_config`).
-
-    Each file is hashed on its own, so moving a byte from the end of
-    the netlist to the start of the clocks file moves the key.
+    file's bytes and of the clocks file's bytes, the default clock
+    (the first three come from :func:`key_inputs`) and the analysis
+    ``config`` (:func:`analysis_config`).
     """
     return _sha256(
         canonical_json(

@@ -58,13 +58,15 @@ document with ``error``/``error_type``, structured ``repro.error/1``
 frames (``error_doc``) and a full ``repro.crash/1`` postmortem
 (``crash``: frames plus all-thread stacks) comes back so the scheduler
 can decide between retry and giving up -- and so a failed outcome in
-``repro.batchstats/1`` explains itself.  (Crashes -- the worker process
-dying -- surface as ``BrokenProcessPool`` on the parent side instead.)
+``repro.batchstats/1`` explains itself.  ``final`` is true for a
+:class:`ValueError` -- a file that does not parse, a design that fails
+validation, a bad option -- which a retry would only repeat.  (Crashes
+-- the worker process dying -- surface as ``BrokenProcessPool`` on the
+parent side instead.)
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -145,6 +147,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
         analysis_config,
         cache_key,
         config_digest,
+        key_inputs,
     )
 
     ctx = spec.get("trace")
@@ -217,9 +220,12 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
                     digest=digest_inputs(netlist_bytes, clocks_bytes),
                 )
                 key = cache_key(
-                    hashlib.sha256(netlist_bytes).hexdigest(),
-                    hashlib.sha256(clocks_bytes).hexdigest(),
-                    default_clock,
+                    *key_inputs(
+                        netlist_path,
+                        netlist_bytes,
+                        clocks_bytes,
+                        default_clock,
+                    ),
                     config,
                 )
         document: Dict[str, object] = {
@@ -254,6 +260,7 @@ def run_job(spec: Dict[str, object]) -> Dict[str, object]:
             "ok": False,
             "error": str(exc),
             "error_type": type(exc).__name__,
+            "final": isinstance(exc, ValueError),
             "error_doc": error_document(exc),
             "crash": crash,
             "worker_pid": os.getpid(),

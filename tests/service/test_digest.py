@@ -22,6 +22,7 @@ from repro.service.digest import (
     analysis_config,
     cache_key,
     config_digest,
+    key_inputs,
 )
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -52,11 +53,9 @@ def _sha(data: bytes) -> str:
 
 
 def _key(netlist=b"netlist", clocks=b"clocks", default_clock=None,
-         config=None):
+         config=None, path="design.blif"):
     return cache_key(
-        _sha(netlist),
-        _sha(clocks),
-        default_clock,
+        *key_inputs(path, netlist, clocks, default_clock),
         analysis_config() if config is None else config,
     )
 
@@ -96,6 +95,20 @@ class TestNetworkAndScheduleDigests:
         assert base not in moved
         assert len(set(moved)) == len(moved)
 
+    def test_key_inputs_hash_each_file(self):
+        assert key_inputs("d.v", b"netlist", b"clocks", "phi1") == (
+            _sha(b"netlist"), _sha(b"clocks"), "phi1"
+        )
+
+    def test_a_json_netlist_keys_no_default_clock(self):
+        """The JSON reader takes no default clock, so naming one cannot
+        change what is parsed; the BLIF and Verilog readers use it."""
+        for path in ("d.blif", "d.v"):
+            assert _key(path=path, default_clock="phi1") != _key(path=path)
+        assert _key(path="d.json", default_clock="phi1") == (
+            _key(path="d.json")
+        )
+
     def test_a_byte_moved_across_the_file_boundary_moves_the_key(self):
         """Each file is hashed on its own.  The manifest's
         ``input_digest`` concatenates the two, so it cannot be a key."""
@@ -112,13 +125,16 @@ class TestProcessRestartStability:
     """The key must survive a fresh interpreter (fresh hash seed)."""
 
     SCRIPT = """
-import hashlib, json
-from repro.service.digest import analysis_config, cache_key, config_digest
+import json
+from repro.service.digest import (
+    analysis_config, cache_key, config_digest, key_inputs,
+)
 config = analysis_config(slow_path_limit=7, tolerance=0.25)
 print(json.dumps({
     "config": config_digest(config),
-    "key": cache_key(hashlib.sha256(b"netlist").hexdigest(),
-                     hashlib.sha256(b"clocks").hexdigest(), "phi1", config),
+    "key": cache_key(
+        *key_inputs("design.blif", b"netlist", b"clocks", "phi1"), config
+    ),
 }))
 """
 
