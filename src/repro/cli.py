@@ -15,7 +15,7 @@ clock description, run the analysis, print the report::
     repro-sta simulate design.json --clocks clocks.json --cycles 16
     repro-sta waveforms --clocks clocks.json
     repro-sta batch jobs.json --cache-dir .repro-cache --workers 4
-    repro-sta serve --socket /tmp/repro.sock --http-port 8080 \
+    repro-sta serve --socket /tmp/repro.sock \
         --access-log daemon.access.jsonl
     repro-sta query --socket /tmp/repro.sock '{"op": "ping"}'
     repro-sta query --socket /tmp/repro.sock --trace merged.trace.json \
@@ -414,11 +414,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import TimingDaemon
 
-    if args.workers < 1:
-        raise SystemExit(
-            f"--workers must be at least 1 (got {args.workers}): "
-            "requests always dispatch on the thread pool"
-        )
     access_log = args.access_log
     if access_log and getattr(args, "access_log_max_bytes", None):
         from repro.obs.accesslog import AccessLog
@@ -433,11 +428,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.socket,
         cache=_make_cache(args),
         slow_path_limit=args.limit,
-        http_port=args.http_port,
         access_log=access_log,
         slow_threshold_s=args.slow_threshold,
         crash_dir=args.crash_dir,
-        workers=args.workers,
         stall_timeout_s=(
             args.stall_timeout if args.stall_timeout > 0 else None
         ),
@@ -453,13 +446,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         'stop with {"op": "shutdown"} or Ctrl-C',
         file=sys.stderr,
     )
-    if daemon.http_address is not None:
-        host, port = daemon.http_address
-        routes = ", ".join(path for path, __ in TimingDaemon.HTTP_ROUTES)
-        print(
-            f"telemetry http on {host}:{port} (GET {routes})",
-            file=sys.stderr,
-        )
     if args.access_log:
         print(f"access log: {args.access_log}", file=sys.stderr)
     if daemon.crash.crash_dir is not None:
@@ -738,25 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Unix-domain socket path to listen on",
     )
     serve.add_argument("--limit", type=_count, default=50)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        metavar="N",
-        help="request-dispatch thread-pool size (at least 1); "
-        "connections pipeline onto it so a slow cold analysis cannot "
-        "head-of-line-block other designs (default: 8)",
-    )
     _cache_arguments(serve)
     telemetry = serve.add_argument_group("telemetry")
-    telemetry.add_argument(
-        "--http-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve GET /healthz and GET /metrics on "
-        "127.0.0.1:PORT (localhost only)",
-    )
     telemetry.add_argument(
         "--access-log",
         metavar="FILE",

@@ -99,17 +99,16 @@ def run_algorithm1(
     engine: Optional[SlackEngine] = None,
     divisor: float = 2.0,
     max_cycles: Optional[int] = None,
-    reset: bool = True,
 ) -> Algorithm1Result:
     """Run Algorithm 1 on ``model`` (mutates the instances' offsets).
 
-    ``divisor`` is the ``n > 1`` of partial slack transfer.  ``max_cycles``
-    caps each fixed-point loop; the paper's bound is one more than the
-    number of synchronising elements in a directed path, so the default is
+    Every run starts from the initial window positions.  ``divisor`` is
+    the ``n > 1`` of partial slack transfer.  ``max_cycles`` caps each
+    fixed-point loop; the paper's bound is one more than the number of
+    synchronising elements in a directed path, so the default is
     comfortably above that.
     """
-    if reset:
-        model.reset_windows()
+    model.reset_windows()
     engine = engine or SlackEngine(model)
     instances = model.all_instances()
     cap = max_cycles if max_cycles is not None else max(16, len(instances) + 2)

@@ -1,22 +1,17 @@
 """Incremental re-analysis inside the synthesis loop.
 
-Algorithm 3 re-runs timing analysis after every module change.  Because
-Algorithm 1 may start from *any* set of offsets satisfying the
-synchronising element constraints ("Initialise: Select any set of
-offsets..."), a *repeat* query can warm-start from the previous fixed
-point and converge immediately.  After a **delay change** the cached
-fixed point is discarded: latch networks can admit several
-self-consistent fixed points, and iterating from offsets that belonged
-to the old delay map may land on a non-canonical one, making the answer
-depend on query history.  Determinism wins -- the next run re-seeds the
-windows, while the expensive pre-processing is still reused.
+Algorithm 3 re-runs timing analysis after every module change.  Every
+run of Algorithm 1 starts from the initial window positions: latch
+networks can admit several self-consistent fixed points, and iterating
+from the offsets a previous run left behind may land on a different
+one, making the answer depend on query history.
 
-Pre-processing is also reused: clusters, requirement arcs and break-open
-plans depend only on the network structure and the clocks, not on the
-delays.  The one exception is a delay change on a cell inside a
-*control* cone: that shifts ``O_ac`` offsets, which are baked into the
-instances, so such changes trigger a full model rebuild (tracked in
-:attr:`IncrementalAnalyzer.rebuilds`).
+What is reused is the pre-processing: clusters, requirement arcs and
+break-open plans depend only on the network structure and the clocks,
+not on the delays.  The one exception is a delay change on a cell
+inside a *control* cone: that shifts ``O_ac`` offsets, which are baked
+into the instances, so such changes trigger a full model rebuild
+(tracked in :attr:`IncrementalAnalyzer.rebuilds`).
 
 What makes a re-run cheap is the slack engine, kept across delay swaps.
 It remembers each cluster's boundary values per exact boundary times
@@ -75,7 +70,6 @@ class IncrementalAnalyzer:
         self._control_cells: Set[str] = set()
         for trace in self.model.validation.control_traces.values():
             self._control_cells.update(trace.comb_cells)
-        self._warm = False
 
     # ------------------------------------------------------------------
     # delay changes
@@ -104,15 +98,6 @@ class IncrementalAnalyzer:
             self.swaps += 1
             obs.counter("incremental.swaps")
             self.model.delays = self._delays
-            # The previous fixed point belongs to the *old* delay map.
-            # Algorithm 1 accepts any valid initial offsets, but latch
-            # networks can have several self-consistent fixed points and
-            # iterating from stale offsets may land on a non-canonical
-            # one -- the answer would then depend on query history.
-            # Re-seed the next run so re-analysis is byte-identical to a
-            # from-scratch run; the expensive preprocessing (positions,
-            # plans, instances) is still reused.
-            self._warm = False
 
     def set_delays(self, delays: DelayMap) -> None:
         """Replace the whole delay map (conservatively rebuilds)."""
@@ -125,25 +110,14 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
-    def analyze(self, warm: bool = True) -> Algorithm1Result:
-        """Run Algorithm 1; ``warm=True`` starts from the previous fixed
-        point's offsets instead of the initial window positions."""
-        reset = not (warm and self._warm)
-        # Warm-start accounting: a *hit* reuses the previous fixed point,
-        # a *cold start* resets the windows (first run or warm=False).
-        obs.counter(
-            "incremental.cold_starts" if reset else "incremental.warm_hits"
-        )
-        with obs.span(
-            "incremental.analyze", category="incremental", warm=not reset
-        ):
-            result = run_algorithm1(self.model, self.engine, reset=reset)
-        self._warm = True
-        return result
+    def analyze(self) -> Algorithm1Result:
+        """Run Algorithm 1 on the live model, from the initial window
+        positions."""
+        with obs.span("incremental.analyze", category="incremental"):
+            return run_algorithm1(self.model, self.engine)
 
     def timing_result(
         self,
-        warm: bool = True,
         slow_path_limit: Optional[int] = 50,
         tolerance: float = 0.0,
     ):
@@ -158,5 +132,5 @@ class IncrementalAnalyzer:
         traffic without rebuilding the model.
         """
         return build_timing_result(
-            self, lambda: self.analyze(warm=warm), slow_path_limit, tolerance
+            self, self.analyze, slow_path_limit, tolerance
         )

@@ -126,10 +126,10 @@ def run_redesign_loop(
 
     The network is not modified; the returned ``final_delays`` reflect the
     accumulated speed-ups.  With ``incremental=True`` (default) the loop
-    keeps one analysis model alive across rounds and warm-starts
-    Algorithm 1 from the previous fixed point
-    (:mod:`repro.core.incremental`); ``incremental=False`` rebuilds from
-    scratch each round, which the ablation bench uses as the reference.
+    keeps one analysis model alive across rounds and reuses its
+    pre-processing (:mod:`repro.core.incremental`); ``incremental=False``
+    rebuilds from scratch each round, which the ablation bench uses as
+    the reference.
     """
     from repro.core.incremental import IncrementalAnalyzer
 
@@ -151,7 +151,7 @@ def run_redesign_loop(
             if inc is not None:
                 model = inc.model
                 engine = inc.engine
-                outcome = inc.analyze(warm=True)
+                outcome = inc.analyze()
                 current = inc.delays
             else:
                 model = AnalysisModel(network, schedule, current)

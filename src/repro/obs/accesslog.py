@@ -29,7 +29,7 @@ import math
 import threading
 import time
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, IO, List, Optional, Tuple, Union
 
 __all__ = ["ACCESS_LOG_SCHEMA", "AccessLog", "span_tree_from_snapshot"]
 
@@ -61,8 +61,11 @@ def span_tree_from_snapshot(
 ) -> Optional[List[Dict[str, object]]]:
     """Rebuild a nested span tree from a ``repro.obs.snapshot/1`` doc.
 
-    Spans nest by ``depth`` within each thread (the recorder's own
-    invariant); the result is a forest of ``{"name", "start_s",
+    Each span nests under the innermost span of its thread that
+    contains it in time (starts no later, ends no earlier).  The
+    recorded ``depth`` is not used: a garbage collection that runs as a
+    span opens is recorded one level deeper than that span, yet ends
+    before it starts.  The result is a forest of ``{"name", "start_s",
     "duration_s", "children": [...]}`` nodes, capped at ``max_spans``
     records so one pathological request cannot bloat the log.
     """
@@ -71,29 +74,35 @@ def span_tree_from_snapshot(
     spans = snap.get("spans")
     if not isinstance(spans, list) or not spans:
         return None
-    forest: List[Dict[str, object]] = []
-    stacks: Dict[int, List[Dict[str, object]]] = {}
-    for entry in sorted(
-        spans[:max_spans], key=lambda e: e.get("start", 0.0)
-    ):
+    rows = []
+    for entry in spans[:max_spans]:
         try:
-            node = {
-                "name": str(entry["name"]),
-                "start_s": round(float(entry["start"]), 6),
-                "duration_s": round(float(entry["dur"]), 6),
-                "children": [],
-            }
-            depth = int(entry.get("depth", 0))
-            tid = int(entry.get("tid", 0))
+            # Longer spans first among equal starts: parents open first.
+            rows.append(
+                (
+                    float(entry["start"]),
+                    -float(entry["dur"]),
+                    int(entry.get("tid", 0)),
+                    str(entry["name"]),
+                )
+            )
         except (KeyError, TypeError, ValueError):
             continue
+    forest: List[Dict[str, object]] = []
+    # Per thread: (end, node) of the spans open at the last start.
+    stacks: Dict[int, List[Tuple[float, Dict[str, object]]]] = {}
+    for start, negative_dur, tid, name in sorted(rows):
+        node = {
+            "name": name,
+            "start_s": round(start, 6),
+            "duration_s": round(-negative_dur, 6),
+            "children": [],
+        }
         stack = stacks.setdefault(tid, [])
-        del stack[depth:]
-        if depth and stack:
-            stack[-1]["children"].append(node)
-        else:
-            forest.append(node)
-        stack.append(node)
+        while stack and stack[-1][0] < start:
+            stack.pop()
+        (stack[-1][1]["children"] if stack else forest).append(node)
+        stack.append((start - negative_dur, node))
     return forest or None
 
 

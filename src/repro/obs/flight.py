@@ -6,8 +6,8 @@ process doing just before?".  This module closes that gap with three
 cooperating pieces, all standard library:
 
 * :class:`FlightRecorder` -- a bounded, always-on ring of recent
-  request summaries, completed root spans, log lines and exception
-  events per process.  Appends are one deque op under a lock held for
+  request summaries, log lines, stalls and exception events per
+  process.  Appends are one deque op under a lock held for
   nanoseconds, so the ring can stay on in the hot path
   (``repro.flight/1`` export).
 * ``repro.error/1`` / ``repro.crash/1`` builders --
@@ -67,7 +67,7 @@ FLIGHT_SCHEMA = "repro.flight/1"
 CRASH_SCHEMA = "repro.crash/1"
 
 #: Event kinds a flight ring may hold (free-form kinds also allowed).
-EVENT_KINDS = ("request", "span", "error", "log", "stall")
+EVENT_KINDS = ("request", "error", "log", "stall")
 
 
 # ----------------------------------------------------------------------
@@ -263,17 +263,6 @@ class FlightRecorder:
             **facts,
         )
 
-    def record_span(
-        self, name: str, duration_s: float, thread_id: Optional[int] = None
-    ) -> Dict[str, object]:
-        """Record one completed *root* span (depth 0)."""
-        return self.record(
-            "span",
-            name=name,
-            duration_ms=round(duration_s * 1000.0, 3),
-            thread_id=thread_id,
-        )
-
     def record_error(
         self,
         exc: BaseException,
@@ -293,20 +282,6 @@ class FlightRecorder:
     def record_log(self, message: str, **facts: object) -> Dict[str, object]:
         """Record a notable free-form moment (startup, eviction, ...)."""
         return self.record("log", message=str(message), **facts)
-
-    def subscribe_spans(self, recorder) -> None:
-        """Feed ``recorder``'s completed root spans into the ring.
-
-        Installs this ring as the recorder's ``on_root_span`` hook (one
-        attribute; last subscriber wins) so every depth-0 span lands
-        here without the recorder importing this module.
-        """
-        ring = self
-
-        def _on_root_span(name: str, duration: float, tid: int) -> None:
-            ring.record_span(name, duration, thread_id=tid)
-
-        recorder.on_root_span = _on_root_span
 
     # ------------------------------------------------------------------
     # reads

@@ -56,8 +56,6 @@ WELL_KNOWN_COUNTERS = (
     "breakopen.greedy_fallbacks",
     "breakopen.passes_selected",
     # Incremental re-analysis (Algorithm 3 substrate).
-    "incremental.warm_hits",
-    "incremental.cold_starts",
     "incremental.rebuilds",
     "incremental.swaps",
     # Redesign / sizing loops (Section 8).
@@ -89,7 +87,6 @@ WELL_KNOWN_COUNTERS = (
     "service.daemon.snapshot_misses",
     "service.daemon.epoch_bumps",
     # Service-level telemetry (PR 4; docs/observability.md).
-    "service.daemon.http_requests",
     "service.daemon.slow_requests",
     "service.accesslog.lines",
     "obs.snapshots_merged",

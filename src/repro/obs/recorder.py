@@ -167,11 +167,6 @@ class Recorder:
         #: perf_counter at the start of the collection in progress
         #: (collections never overlap).
         self._gc_started = 0.0
-        #: Optional hook ``(name, duration_s, thread_id)`` called when a
-        #: depth-0 span completes (the flight recorder subscribes here
-        #: to keep a ring of recent root spans).  Must not raise; called
-        #: outside the recorder lock.
-        self.on_root_span = None
 
     # ------------------------------------------------------------------
     # span lifecycle (called by Span)
@@ -193,11 +188,6 @@ class Recorder:
         args: Optional[Dict[str, object]],
     ) -> None:
         self._depths[tid] = depth
-        if depth == 0 and self.on_root_span is not None:
-            try:
-                self.on_root_span(name, duration, tid)
-            except Exception:  # noqa: BLE001 -- hook must not break spans
-                pass
         with self._lock:
             if self._gc_pending:
                 self._fold_gc()

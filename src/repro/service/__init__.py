@@ -21,9 +21,6 @@ engine for repeated and concurrent timing queries:
   :class:`DaemonClient`, a long-lived engine behind a JSON-lines Unix
   socket that keeps parsed networks warm and answers
   analyze / what-if / report queries through the incremental engine,
-* :mod:`repro.service.httpmon` -- :class:`TelemetrySidecar`, the
-  localhost HTTP server behind ``repro-sta serve --http-port``
-  exposing ``/healthz``, ``/metrics`` and the other read-only routes,
 * :mod:`repro.service.doctor` -- one-shot triage (``repro-sta
   doctor``): stalled requests, latest crash report and the
   flight-recorder tail, with a CI-friendly exit code.
@@ -54,7 +51,6 @@ from repro.service.doctor import (
     fetch_doctor,
     render_doctor,
 )
-from repro.service.httpmon import TelemetrySidecar
 
 __all__ = [
     "BatchEngine",
@@ -67,7 +63,6 @@ __all__ = [
     "DaemonClient",
     "JobOutcome",
     "ResultCache",
-    "TelemetrySidecar",
     "TimingDaemon",
     "doctor_exit_code",
     "fetch_doctor",

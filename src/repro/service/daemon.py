@@ -11,12 +11,13 @@ The daemon keeps one :class:`repro.core.incremental.IncrementalAnalyzer`
 warm per loaded design, so the expensive work -- parsing the netlist,
 estimating delays, extracting clusters and break-open plans -- happens
 once.  ``analyze`` answers from the warm engine (cold only on first
-load), ``mutate`` applies delay/clock edits through the incremental
+load), and ``mutate`` applies delay/clock edits through the incremental
 engine (cheap delay swap when outside control cones, tracked rebuild
-otherwise) and the next ``analyze`` warm-starts Algorithm 1 from the
-previous fixed point.  The daemon never reads a result cache: given
-an optional :class:`repro.service.cache.ResultCache`, it writes each
-unmutated design's result there for ``repro-sta batch`` to reuse.
+otherwise).  Every run of Algorithm 1 starts from the initial window
+positions, so an answer never depends on the queries before it.  The
+daemon never reads a result cache: given an optional
+:class:`repro.service.cache.ResultCache`, it writes each unmutated
+design's result there for ``repro-sta batch`` to reuse.
 
 Requests (see ``docs/service.md`` for the full protocol)::
 
@@ -38,10 +39,8 @@ request never takes the daemon down.
 
 **Service telemetry** (see ``docs/observability.md``): the daemon
 keeps an always-on, low-overhead *service recorder* feeding the
-``health``/``metrics`` ops and the optional localhost HTTP sidecar
-(``--http-port``; the exact paths of :attr:`TimingDaemon.HTTP_ROUTES`:
-``/healthz``, ``/metrics``, ``/buildz``, ``/crashz``, ``/flightz``).
-A request that carries a ``repro.trace/1`` context (any
+``health`` and ``metrics`` ops (``metrics`` carries the Prometheus
+text).  A request that carries a ``repro.trace/1`` context (any
 :class:`DaemonClient` call made while the client records, e.g. ``query
 --trace``) is handled under a per-request recorder whose snapshot ships
 back in the response and merges into the client trace -- one Chrome
@@ -53,23 +52,25 @@ full span tree when they were traced.
 
 **Self-diagnosis**: an always-on
 :class:`repro.obs.flight.FlightRecorder` keeps a ring of recent
-requests, root spans and errors (``flight`` op, ``GET /flightz``); a
+requests, errors and stalls (``flight`` op); a
 :class:`repro.obs.flight.StallWatchdog` flags requests in flight past
 ``stall_timeout_s`` (a ``stall`` flight event with the stuck thread's
 stack, and ``stalled`` in ``health``); and a
 :class:`repro.obs.flight.CrashHandler` dumps ``repro.crash/1`` reports
 -- structured frames, all-thread stacks, the flight ring, buildinfo --
-for unexpected handler exceptions (``crash-report`` op, ``GET
-/crashz``).  ``repro-sta doctor`` reads all three.
+for unexpected handler exceptions (``crash-report`` op).  ``repro-sta
+doctor`` reads all three.
 
-**Concurrency** (PR 10; see docs/service.md "Concurrency model"):
-request dispatch runs on a bounded thread pool (``--workers``) with
-per-connection pipelining, analysis results publish as immutable
-copy-on-write :class:`AnalysisSnapshot` objects versioned by a
-per-design mutation epoch -- a repeat ``analyze`` with no intervening
-mutation answers lock-free straight from the snapshot (``"engine":
-"snapshot"``) -- and traced requests bind their per-request recorder
-thread-locally, so they no longer serialise daemon-wide.
+**Concurrency** (see docs/service.md "Concurrency model"): each
+connection has one thread, which reads a line, answers it and writes
+the answer before it reads the next, so answers leave in request order
+and a triage op on its own connection never waits behind stuck
+requests.  Analysis results publish as immutable copy-on-write
+:class:`AnalysisSnapshot` objects versioned by a per-design mutation
+epoch -- a repeat ``analyze`` with no intervening mutation answers
+lock-free straight from the snapshot (``"engine": "snapshot"``) -- and
+traced requests bind their per-request recorder thread-locally, so they
+do not serialise daemon-wide.
 """
 
 from __future__ import annotations
@@ -82,10 +83,11 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.analyzer import check_slow_path_limit, check_tolerance
+from repro.netlist import netlist_format
 from repro.obs import live
 from repro.obs.accesslog import AccessLog
 from repro.obs.flight import (
@@ -97,7 +99,6 @@ from repro.obs.flight import (
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
 from repro.service.digest import analysis_config, cache_key, key_inputs
-from repro.service.httpmon import HttpRequest, TelemetrySidecar
 
 __all__ = ["DaemonClient", "TimingDaemon", "PROTOCOL_VERSION"]
 
@@ -110,7 +111,7 @@ PROTOCOL_VERSION = 1
 _EXPECTED_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
-def _last_count(value: object, name: str = "last") -> Optional[int]:
+def _last_count(value: object) -> Optional[int]:
     """A ``last`` trim count: ``None`` (keep all) or an integer.
 
     Anything else -- ``"x"``, a list, JSON ``1e999`` (``inf``) -- is a
@@ -121,14 +122,7 @@ def _last_count(value: object, name: str = "last") -> Optional[int]:
     try:
         return int(value)  # type: ignore[call-overload]
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
-
-
-def _last_param(params: Dict[str, str]) -> Optional[int]:
-    """The ``?last=N`` query parameter (a non-integer answers 400)."""
-    return _last_count(params.get("last"), "?last")
+        raise ValueError(f"last must be an integer, got {value!r}") from None
 
 
 class AnalysisSnapshot:
@@ -168,6 +162,7 @@ class _DesignState:
 
         self.netlist = netlist
         self.clocks = clocks
+        self.default_clock = default_clock
         netlist_bytes = Path(netlist).read_bytes()
         self.network = parse_netlist(netlist_bytes, netlist, default_clock)
         clocks_bytes = Path(clocks).read_bytes()
@@ -201,11 +196,8 @@ class _DesignState:
     def warm(self) -> bool:
         """Served by the live incremental engine (model reuse)?
 
-        This is *engine* warmth -- the design is parsed and its analysis
-        model built -- not fixed-point warmth: a delay mutation drops
-        the cached fixed point (see
-        :meth:`repro.core.incremental.IncrementalAnalyzer.scale_cell`)
-        yet the next answer still comes from the incremental engine.
+        The design is parsed and its analysis model built; Algorithm 1
+        itself starts from the initial windows on every run.
         """
         return self.served
 
@@ -231,10 +223,6 @@ class TimingDaemon:
         results to (it never reads them back).
     slow_path_limit:
         Default ``analyze`` slow-path limit.
-    http_port:
-        When not ``None``, serve ``/healthz`` and ``/metrics`` over
-        localhost HTTP on this port (``0`` picks an ephemeral port;
-        see :attr:`http_address`).
     access_log:
         Path or :class:`repro.obs.AccessLog`; one ``repro.accesslog/1``
         JSON line per request.
@@ -258,12 +246,6 @@ class TimingDaemon:
         :mod:`faulthandler` process-wide (``repro-sta serve`` turns
         this on; embedded/test daemons leave the process hooks alone --
         request-handler crashes are reported either way).
-    workers:
-        Size of the bounded request-dispatch thread pool.  Connections
-        pipeline onto it (responses still stream back in request
-        order), so one slow cold analysis no longer head-of-line-blocks
-        requests for unrelated designs on other connections.  Must be
-        at least 1.
     """
 
     def __init__(
@@ -271,20 +253,13 @@ class TimingDaemon:
         socket_path: Union[str, "os.PathLike[str]"],
         cache: Optional[ResultCache] = None,
         slow_path_limit: Optional[int] = 50,
-        http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
         crash_dir: Union[None, str, "os.PathLike[str]"] = None,
         stall_timeout_s: Optional[float] = 30.0,
         debug_ops: bool = False,
         install_crash_hooks: bool = False,
-        workers: int = 8,
     ) -> None:
-        if int(workers) < 1:
-            raise ValueError(
-                f"workers must be at least 1 (got {workers}): requests "
-                "always dispatch on the thread pool"
-            )
         self.socket_path = str(socket_path)
         self.cache = cache
         self.slow_path_limit = check_slow_path_limit(slow_path_limit)
@@ -295,9 +270,8 @@ class TimingDaemon:
         self.last_error: Optional[Dict[str, object]] = None
         #: Always-on service recorder.
         self.recorder = obs.Recorder(max_spans=10_000, max_events=2_000)
-        #: Always-on flight ring of recent requests/spans/errors.
+        #: Always-on flight ring of recent requests/errors/stalls.
         self.flight = FlightRecorder()
-        self.flight.subscribe_spans(self.recorder)
         #: Crash forensics: builds/persists ``repro.crash/1`` reports.
         self.crash = CrashHandler(
             crash_dir=crash_dir,
@@ -318,8 +292,6 @@ class TimingDaemon:
         self.debug_ops = bool(debug_ops) or (
             os.environ.get("REPRO_DEBUG_OPS") == "1"
         )
-        self.http_port = http_port
-        self._sidecar = None
         if isinstance(access_log, AccessLog):
             # Adopt the caller's threshold -- it owns the log.
             self.access_log: Optional[AccessLog] = access_log
@@ -332,15 +304,18 @@ class TimingDaemon:
         else:
             self.access_log = None
             self.slow_threshold_s = float(slow_threshold_s)
-        self._designs: Dict[Tuple[str, str], _DesignState] = {}
+        self._designs: Dict[
+            Tuple[str, str, Optional[str]], _DesignState
+        ] = {}
         self._designs_lock = threading.Lock()
         self._state_lock = threading.Lock()  # requests/errors/in_flight
         self._local = threading.local()
-        #: Request-dispatch pool size.  Connections pipeline: the reader
-        #: submits every parsed line to the pool and a writer thread
-        #: streams responses back in request order.
-        self.workers = int(workers)
-        self._pool = None
+        #: Requests being handled on connection threads, and whether
+        #: the daemon has stopped taking new ones; ``_idle`` guards both
+        #: and is notified whenever a request is done.
+        self._idle = threading.Condition()
+        self._handling = 0
+        self._stopping = False
         self._server: Optional[socketserver.ThreadingUnixStreamServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -370,72 +345,14 @@ class TimingDaemon:
         daemon = self
 
         class Handler(socketserver.StreamRequestHandler):
-            def _write(self, response: Dict[str, object]) -> bool:
-                """One response line out; ``False`` ends the session."""
-                self.wfile.write(
-                    json.dumps(
-                        response, sort_keys=True,
-                        separators=(",", ":"),
-                    ).encode("utf-8")
-                    + b"\n"
-                )
-                self.wfile.flush()
-                if response.get("__shutdown__"):
-                    # Shut the server down from a helper thread so
-                    # this handler can finish its response first.
-                    threading.Thread(
-                        target=daemon.stop, daemon=True
-                    ).start()
-                    return False
-                return True
-
             def handle(self) -> None:  # one connection, many requests
-                pool = daemon._pool
-                if pool is None:
-                    return  # daemon stopping
-                # Pipelined dispatch: the connection thread reads and
-                # submits, a writer thread streams completed responses
-                # back in request order.  The bounded queue is the
-                # back-pressure: a client blasting requests faster than
-                # the pool drains them stalls in ``put``, not in RAM.
-                import queue as queue_mod
-
-                pending: "queue_mod.Queue" = queue_mod.Queue(
-                    maxsize=max(2, daemon.workers * 2)
-                )
-                done = threading.Event()
-
-                def write_loop() -> None:
-                    while True:
-                        future = pending.get()
-                        if future is None:
-                            return
-                        if done.is_set():
-                            continue  # drain without writing
-                        try:
-                            if not self._write(future.result()):
-                                done.set()
-                        except Exception:  # noqa: BLE001 -- peer gone
-                            done.set()
-
-                writer = threading.Thread(target=write_loop, daemon=True)
-                writer.start()
                 try:
-                    while not done.is_set():
-                        line = self.rfile.readline()
-                        if not line:
-                            break
+                    for line in self.rfile:
                         line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            pending.put(pool.submit(daemon.handle_line, line))
-                        except RuntimeError:
-                            # Pool shut down mid-session (daemon stop).
-                            break
-                finally:
-                    pending.put(None)
-                    writer.join()
+                        if line and not daemon._answer(line, self.wfile):
+                            return
+                except OSError:
+                    pass  # the peer went away
 
         server = socketserver.ThreadingUnixStreamServer(
             self.socket_path, Handler
@@ -443,32 +360,34 @@ class TimingDaemon:
         server.daemon_threads = True
         return server
 
-    #: Declarative sidecar route table: path -> bound-method name.
-    #: ``_start_sidecar`` builds the live dict from exactly this, and
-    #: the sidecar's JSON 404 lists it -- adding a route is one line
-    #: here.
-    HTTP_ROUTES: Tuple[Tuple[str, str], ...] = (
-        ("/healthz", "_http_healthz"),
-        ("/metrics", "_http_metrics"),
-        ("/buildz", "_http_buildz"),
-        ("/crashz", "_http_crashz"),
-        ("/flightz", "_http_flightz"),
-    )
-
-    def _start_sidecar(self) -> None:
-        if self.http_port is None or self._sidecar is not None:
-            return
-        self._sidecar = TelemetrySidecar(
-            routes={
-                path: getattr(self, attr)
-                for path, attr in self.HTTP_ROUTES
-            },
-            port=self.http_port,
-            on_request=lambda path: self._counter(
-                "service.daemon.http_requests"
-            ),
+    def _answer(self, line: bytes, out: BinaryIO) -> bool:
+        """Answer one request line on its connection's thread and write
+        the answer to ``out``; ``False`` ends the connection (the daemon
+        is stopping, or this was ``shutdown``)."""
+        with self._idle:
+            if self._stopping:
+                return False
+            self._handling += 1
+        try:
+            # Looked up on every call, so a wrapper installed on the
+            # class after start-up still sees each request.
+            response = self.handle_line(line)
+        finally:
+            with self._idle:
+                self._handling -= 1
+                self._idle.notify_all()
+        # Written after the count drops: a peer that stops reading
+        # cannot hold up stop().
+        out.write(
+            json.dumps(
+                response, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            + b"\n"
         )
-        self._sidecar.start()
+        if response.get("__shutdown__"):
+            self.stop()
+            return False
+        return True
 
     def _start_self_diagnosis(self) -> None:
         if self.watchdog is not None and not self.watchdog.running:
@@ -505,43 +424,8 @@ class TimingDaemon:
             waited_s=round(float(info.get("waited_s") or 0.0), 3),
         )
 
-    @property
-    def http_address(self) -> Optional[Tuple[str, int]]:
-        """``(host, port)`` of the live HTTP sidecar, or ``None``."""
-        return self._sidecar.address if self._sidecar else None
-
-    def _http_json(self, doc: Dict[str, object]) -> Tuple[int, str, str]:
-        body = json.dumps(doc, sort_keys=True, default=str)
-        return 200, "application/json", body + "\n"
-
-    def _http_healthz(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(
-            {"ok": True, "status": "ok", **self._snapshot()}
-        )
-
-    def _http_metrics(self, request: HttpRequest) -> Tuple[int, str, str]:
-        from repro.obs.metrics import render_prometheus
-
-        self._sync_gauges()
-        return (
-            200,
-            "text/plain; version=0.0.4",
-            render_prometheus(self.recorder),
-        )
-
-    def _http_buildz(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(self._op_buildinfo({}))
-
-    def _http_crashz(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(self._op_crash_report({}))
-
-    def _http_flightz(self, request: HttpRequest) -> Tuple[int, str, str]:
-        return self._http_json(
-            self._op_flight({"last": _last_param(request.params)})
-        )
-
     def _buildinfo(self) -> Dict[str, object]:
-        """Build/runtime identity served by ``GET /buildz``."""
+        """Build/runtime identity served by the ``buildinfo`` op."""
         import sys
 
         from repro import __version__
@@ -568,7 +452,6 @@ class TimingDaemon:
                     self.watchdog.deadline_s if self.watchdog else None
                 ),
                 "debug_ops": self.debug_ops,
-                "workers": self.workers,
             },
         }
 
@@ -580,7 +463,6 @@ class TimingDaemon:
         self.recorder.gauge("service.daemon.in_flight", self.in_flight)
         self.recorder.gauge("service.daemon.designs", designs_loaded)
         self.recorder.gauge("service.daemon.epoch", epoch_sum)
-        self.recorder.gauge("service.daemon.workers", self.workers)
         self.recorder.gauge(
             "service.daemon.uptime_seconds",
             time.time() - self.started_at,
@@ -592,25 +474,13 @@ class TimingDaemon:
         self.recorder.gauge("service.flight.events", len(self.flight))
         self.recorder.gauge("service.flight.dropped", self.flight.dropped)
 
-    def _start_pool(self) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-daemon",
-            )
-
     def bind(self) -> None:
-        """Listen on the socket and the HTTP port and start the helper
-        threads; :meth:`serve_forever` then serves.  ``repro-sta
-        serve`` binds first so its start-up message names the port the
-        sidecar actually bound (``--http-port 0`` picks one)."""
+        """Listen on the socket and start the self-diagnosis helpers;
+        :meth:`serve_forever` then serves.  ``repro-sta serve`` binds
+        first so its start-up message follows a socket that accepts."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
         self._server = self._make_server()
-        self._start_pool()
-        self._start_sidecar()
         self._start_self_diagnosis()
 
     def start(self) -> None:
@@ -646,14 +516,12 @@ class TimingDaemon:
         self._cleanup()
 
     def _cleanup(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # In-flight requests finish and their writer threads flush;
-            # new submissions fail fast with RuntimeError.
-            pool.shutdown(wait=True)
-        sidecar, self._sidecar = self._sidecar, None
-        if sidecar is not None:
-            sidecar.stop()
+        with self._idle:
+            # Lines read from now on get no answer; the requests being
+            # handled finish, access-log line included, before the log
+            # closes.
+            self._stopping = True
+            self._idle.wait_for(lambda: not self._handling)
         if self.watchdog is not None:
             self.watchdog.stop()
         self.crash.uninstall()
@@ -872,19 +740,28 @@ class TimingDaemon:
     # ------------------------------------------------------------------
     # state helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _design_key(
+        request: Dict[str, object]
+    ) -> Tuple[str, str, Optional[str]]:
+        """A warm design's key: its two paths and the default clock its
+        netlist is parsed under (``None`` for a JSON netlist, whose
+        reader does not use it -- the rule of :func:`key_inputs`)."""
+        netlist = str(request.get("netlist") or "")
+        default_clock = request.get("default_clock")
+        if not netlist or netlist_format(netlist) == ".json":
+            default_clock = None
+        return netlist, str(request.get("clocks") or ""), default_clock
+
     def _design(self, request: Dict[str, object]) -> _DesignState:
-        netlist = request.get("netlist")
-        clocks = request.get("clocks")
-        if not netlist or not clocks:
+        key = self._design_key(request)
+        if not key[0] or not key[1]:
             raise ValueError("request needs 'netlist' and 'clocks' paths")
-        key = (str(netlist), str(clocks))
         with self._designs_lock:
             state = self._designs.get(key)
             if state is None:
                 with obs.span("service.daemon.load", category="service"):
-                    state = _DesignState(
-                        key[0], key[1], request.get("default_clock")
-                    )
+                    state = _DesignState(*key)
                 self._designs[key] = state
                 self._counter("service.daemon.designs_loaded")
         self._local.design = state.network.name
@@ -909,7 +786,7 @@ class TimingDaemon:
         if engine == "incremental-warm":
             self._counter("service.daemon.incremental_hits")
         result = state.analyzer.timing_result(
-            warm=True, slow_path_limit=limit, tolerance=tolerance
+            slow_path_limit=limit, tolerance=tolerance
         )
         with self._state_lock:
             state.analyses += 1
@@ -1005,13 +882,8 @@ class TimingDaemon:
         }
 
     def _op_health(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Liveness probe: the same JSON ``GET /healthz`` serves."""
-        return {
-            "ok": True,
-            "status": "ok",
-            "http": list(self.http_address) if self.http_address else None,
-            **self._snapshot(),
-        }
+        """Liveness probe."""
+        return {"ok": True, "status": "ok", **self._snapshot()}
 
     def _op_metrics(self, request: Dict[str, object]) -> Dict[str, object]:
         """The service recorder's contents: Prometheus text + JSON."""
@@ -1025,7 +897,7 @@ class TimingDaemon:
         }
 
     def _op_buildinfo(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The same identity document ``GET /buildz`` serves."""
+        """Build/runtime identity and the daemon's configuration."""
         return {"ok": True, **self._buildinfo()}
 
     def _snapshot_answer(
@@ -1089,10 +961,7 @@ class TimingDaemon:
             # Double-checked read: a miss that queued behind a mutation
             # usually finds the mutation's inline analysis already
             # republished the snapshot by the time the lock is acquired.
-            # Serving that copy -- not re-analysing -- keeps every read
-            # byte-identical to the published answer (a warm no-change
-            # re-analysis would converge in fewer iterations and hash
-            # differently).
+            # Serving that copy saves re-running the analysis.
             response = self._snapshot_answer(state, key)
             if response is not None:
                 return response
@@ -1178,7 +1047,7 @@ class TimingDaemon:
         if not endpoint:
             raise ValueError("report needs an 'endpoint'")
         with self._locked_design(state):
-            result = state.analyzer.timing_result(warm=True)
+            result = state.analyzer.timing_result()
             forensics = result.path_forensics()
             explained = forensics.explain(str(endpoint))
             return {
@@ -1190,10 +1059,18 @@ class TimingDaemon:
 
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
         with self._designs_lock:
+            # One row per warm design, by network name; a netlist
+            # parsed under a default clock adds it, so its states under
+            # two clocks keep a row each.
             designs = {
-                state.network.name: {
+                (
+                    state.network.name
+                    if state.default_clock is None
+                    else f"{state.network.name}@{state.default_clock}"
+                ): {
                     "netlist": state.netlist,
                     "clocks": state.clocks,
+                    "default_clock": state.default_clock,
                     "warm": state.warm,
                     "analyses": state.analyses,
                     "mutations": state.mutations,
@@ -1218,11 +1095,10 @@ class TimingDaemon:
         }
 
     def _op_evict(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Drop a warm design (and optionally its cache entries)."""
-        netlist = str(request.get("netlist", ""))
-        clocks = str(request.get("clocks", ""))
+        """Drop a warm design, named as ``analyze`` names it."""
+        key = self._design_key(request)
         with self._designs_lock:
-            dropped = self._designs.pop((netlist, clocks), None)
+            dropped = self._designs.pop(key, None)
         return {"ok": True, "dropped": dropped is not None}
 
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:

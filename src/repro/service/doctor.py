@@ -143,10 +143,6 @@ def _flight_lines(
                 f"{e.get('op')} design={e.get('design') or '-'} "
                 f"{e.get('status')} {float(e.get('duration_ms') or 0.0):.1f}ms"
             ),
-            "span": lambda e: (
-                f"{e.get('name')} "
-                f"{float(e.get('duration_ms') or 0.0):.1f}ms"
-            ),
             "error": lambda e: (
                 f"{(e.get('error') or {}).get('error_type')}: "
                 f"{(e.get('error') or {}).get('error')}"

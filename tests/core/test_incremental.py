@@ -25,7 +25,7 @@ class TestWarmStart:
         for factor, expected in [(1.5, None), (0.4, None)]:
             for cell in ("s0_i2", "s2_i5"):
                 inc.scale_cell(cell, factor)
-            warm = inc.analyze(warm=True)
+            warm = inc.analyze()
             # Cold reference with identical delays.
             model = AnalysisModel(network, schedule, inc.delays)
             cold = run_algorithm1(model, SlackEngine(model))
@@ -34,19 +34,6 @@ class TestWarmStart:
             # sign of the worst slack are what Algorithm 1 guarantees.
             assert warm.intended == cold.intended
             assert (warm.worst_slack > 0) == (cold.worst_slack > 0)
-
-    def test_warm_flag_reuses_offsets(self, lib):
-        network, schedule = latch_pipeline(
-            stages=2, stage_lengths=[18, 2], period=22, library=lib
-        )
-        inc = IncrementalAnalyzer(network, schedule)
-        inc.analyze()
-        windows = [i.w for i in inc.model.adjustable_instances()]
-        inc.analyze(warm=True)
-        # A second warm run from the fixed point should not move windows
-        # beyond the partial-transfer wobble.
-        after = [i.w for i in inc.model.adjustable_instances()]
-        assert len(after) == len(windows)
 
     def test_data_change_swaps_without_rebuild(self, lib):
         network, schedule = build_ff_stage(lib, chain=3, period=10)
@@ -123,8 +110,8 @@ class TestMutateMatchesFromScratch:
     incremental answer must be *identical* to a from-scratch run with
     the same delays -- on every circuit family, latch or flip-flop.
 
-    This is the contract the service daemon relies on: a mutation
-    drops the cached fixed point (latch networks can admit several
+    This is the contract the service daemon relies on: every run
+    starts from the initial windows (latch networks can admit several
     self-consistent fixed points, and iterating from stale offsets may
     land on a non-canonical one) while still reusing the preprocessed
     model.
@@ -144,7 +131,7 @@ class TestMutateMatchesFromScratch:
         assert targets, f"{name}: no combinational cells to mutate"
         for factor, cell in zip((1.5, 0.5, 2.0), targets):
             inc.scale_cell(cell, factor)
-        warm = inc.timing_result(warm=True)
+        warm = inc.timing_result()
 
         scratch = Hummingbird(
             network, schedule, delays=inc.delays
@@ -158,21 +145,6 @@ class TestMutateMatchesFromScratch:
         assert warm.payload()["worst_slack"] == (
             scratch.payload()["worst_slack"]
         )
-
-    def test_mutation_invalidates_fixed_point(self, lib):
-        """A delay swap must force the next run to re-seed windows."""
-        network, schedule = latch_pipeline(
-            stages=4, stage_lengths=[10, 1, 1, 1], period=12.0,
-            library=lib,
-        )
-        inc = IncrementalAnalyzer(network, schedule)
-        inc.analyze()
-        assert inc._warm is True  # noqa: SLF001 -- deliberate
-        inc.scale_cell("s1_i0", 1.5)
-        assert inc.swaps == 1 and inc.rebuilds == 0
-        assert inc._warm is False  # noqa: SLF001 -- deliberate
-        inc.analyze(warm=True)
-        assert inc._warm is True  # noqa: SLF001 -- deliberate
 
     @pytest.mark.parametrize(
         "cell, factor, error",
@@ -199,13 +171,13 @@ class TestMutateMatchesFromScratch:
         assert after["endpoint_slacks"] == before["endpoint_slacks"]
 
     def test_repeat_query_is_stable(self, lib):
-        """Unchanged delays: warm repeat answers are byte-identical."""
+        """Unchanged delays: repeat answers are byte-identical."""
         network, schedule = latch_pipeline(
             stages=3, stage_lengths=[8, 2, 8], period=24.0, library=lib
         )
         inc = IncrementalAnalyzer(network, schedule)
-        first = inc.timing_result(warm=True)
-        second = inc.timing_result(warm=True)
+        first = inc.timing_result()
+        second = inc.timing_result()
         assert first.payload()["endpoint_slacks"] == (
             second.payload()["endpoint_slacks"]
         )

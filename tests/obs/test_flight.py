@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import obs
 from repro.obs.flight import (
     CRASH_SCHEMA,
     ERROR_SCHEMA,
@@ -173,17 +172,6 @@ class TestFlightRecorder:
         assert event["error"]["schema"] == ERROR_SCHEMA
         assert event["error"]["error_type"] == "ValueError"
         assert event["op"] == "analyze"
-
-    def test_subscribe_spans_captures_root_spans_only(self):
-        ring = FlightRecorder(capacity=8)
-        with obs.recording() as rec:
-            ring.subscribe_spans(rec)
-            with obs.span("outer", category="test"):
-                with obs.span("inner", category="test"):
-                    pass
-        spans = ring.events(kind="span")
-        assert [s["name"] for s in spans] == ["outer"]
-        assert spans[0]["duration_ms"] >= 0.0
 
     def test_to_dict_json_serialisable(self):
         ring = FlightRecorder(capacity=4)

@@ -207,6 +207,30 @@ class TestAccessLog:
         line = json.loads(path.read_text())
         assert "spans" not in line and "slow" not in line
 
+    def test_span_tree_nests_by_time_not_depth(self):
+        """A collection that runs as a span opens is recorded one level
+        deeper than that span but ends before it starts: it is a root
+        of its own, not a child of the root before it."""
+        snap = {
+            "schema": "repro.obs.snapshot/1",
+            "spans": [  # in the order the recorder closed them
+                {"name": "gc.gen1", "start": 0.0, "dur": 0.001,
+                 "depth": 0, "tid": 7},
+                {"name": "gc.gen0", "start": 0.002, "dur": 0.001,
+                 "depth": 1, "tid": 7},
+                {"name": "inner", "start": 0.005, "dur": 0.002,
+                 "depth": 1, "tid": 7},
+                {"name": "outer", "start": 0.004, "dur": 0.005,
+                 "depth": 0, "tid": 7},
+            ],
+        }
+        tree = span_tree_from_snapshot(snap)
+        assert [node["name"] for node in tree] == [
+            "gc.gen1", "gc.gen0", "outer",
+        ]
+        assert tree[0]["children"] == [] and tree[1]["children"] == []
+        assert [child["name"] for child in tree[2]["children"]] == ["inner"]
+
     def test_span_tree_from_snapshot_caps_spans(self):
         child = live.child_recorder(None)
         with obs.recording(child):

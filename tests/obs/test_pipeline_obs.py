@@ -114,16 +114,6 @@ class TestSection8IterationBound:
 
 
 class TestIncrementalCounters:
-    def test_warm_hit_and_cold_start_accounting(self, lib):
-        network, schedule = build_ff_stage(lib, chain=3, period=10)
-        with obs.recording() as rec:
-            inc = IncrementalAnalyzer(network, schedule)
-            inc.analyze()  # first run: cold
-            inc.analyze(warm=True)  # warm hit
-            inc.analyze(warm=False)  # forced cold
-        assert rec.counters["incremental.cold_starts"] == 2
-        assert rec.counters["incremental.warm_hits"] == 1
-
     def test_swap_and_rebuild_counters(self, lib):
         network, schedule = build_ff_stage(lib, chain=3, period=10)
         with obs.recording() as rec:

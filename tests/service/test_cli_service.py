@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -166,39 +165,6 @@ class TestServeCommand:
         assert done.wait(timeout=10.0)
         assert status["code"] == 0
 
-    def test_serve_lists_its_http_routes(self, tmp_path, capsys):
-        """The start-up message names exactly the sidecar's routes."""
-        sock = str(tmp_path / "serve.sock")
-        client, done, status = _serve(
-            ["--no-cache", "--http-port", "0"], sock
-        )
-        with client:
-            # A ping is answered only once serving has begun, after the
-            # start-up message.
-            assert client.ping()["pong"]
-            line = next(
-                line
-                for line in capsys.readouterr().err.splitlines()
-                if line.startswith("telemetry http on ")
-            )
-            # ``--http-port 0`` prints the port the sidecar bound.
-            address = line[len("telemetry http on ") : line.index(" (GET ")]
-            host, port = address.split(":")
-            assert int(port) > 0
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/healthz", timeout=5
-            ) as response:
-                assert response.status == 200
-            client.shutdown()
-        assert done.wait(timeout=10.0)
-        assert status["code"] == 0
-        listed = line[line.index("(GET ") + 5 : line.rindex(")")]
-        assert listed.split(", ") == [
-            path for path, __ in TimingDaemon.HTTP_ROUTES
-        ]
-        assert "/profile" not in listed
-        assert "/traces" not in listed
-
     def test_serve_writes_no_cluster_artifacts(
         self, tmp_path, design_files
     ):
@@ -223,17 +189,17 @@ class TestServeCommand:
         # The result cache under the same directory is still in use.
         assert any(cache_dir.rglob("*.json"))
 
-    def test_serve_rejects_zero_workers(self, tmp_path):
-        with pytest.raises(SystemExit, match="--workers must be at least 1"):
-            main(
-                [
-                    "serve",
-                    "--socket",
-                    str(tmp_path / "zero.sock"),
-                    "--workers",
-                    "0",
-                ]
-            )
+    def test_serve_has_one_way_in(self, capsys):
+        """Each request is answered on its connection's thread and the
+        daemon listens on its Unix socket only: no pool width, no HTTP
+        port."""
+        for flag in (["--workers", "2"], ["--http-port", "0"]):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(
+                    ["serve", "--socket", "s.sock", *flag]
+                )
+            assert exc_info.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cluster_cache_flags_are_batch_only(self, capsys):
         for command, present in (("batch", True), ("serve", False)):

@@ -124,7 +124,7 @@ class TestWarm:
             assert artifact["schema"] == ARTIFACT_SCHEMA
             assert set(artifact) == {"schema", "cluster", "cells", "reach"}
 
-    def test_second_warm_hits_everything(self, design, store):
+    def test_second_warm_is_all_hits(self, design, store):
         network, schedule = design
         delays = estimate_delays(network)
         store.warm(network, schedule, delays, CONFIG_SHA)

@@ -4,18 +4,29 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cells import standard_library
 from repro.cli import main
-from repro.clocks.serialize import load_schedule
+from repro.clocks.serialize import load_schedule, save_schedule
 from repro.core.analyzer import Hummingbird
 from repro.delay.estimator import estimate_delays
 from repro.generators import latch_pipeline
+from repro.netlist import read_netlist
+from repro.netlist.blif import network_to_blif
 from repro.netlist.persistence import load_network, save_network
 from repro.report.manifest import manifest_digest, timing_digest
-from repro.service import DaemonClient, ResultCache, TimingDaemon
+from repro.service import (
+    DaemonClient,
+    ResultCache,
+    TimingDaemon,
+    doctor_exit_code,
+    fetch_doctor,
+)
 
 from tests.conftest import MALFORMED_CLOCKS, MALFORMED_NETLISTS
 
@@ -91,9 +102,134 @@ class TestProtocol:
         else:  # pragma: no cover
             pytest.fail("daemon kept listening after shutdown")
 
-    def test_zero_workers_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            TimingDaemon(str(tmp_path / "none.sock"), workers=0)
+
+class TestConnections:
+    """Each connection is answered on its own thread, one line at a
+    time: answers keep request order, and a new connection is answered
+    whatever the others are doing."""
+
+    def test_triage_answers_while_requests_are_stuck(self, tmp_path):
+        sock = str(tmp_path / "stuck.sock")
+        with TimingDaemon(
+            sock, debug_ops=True, stall_timeout_s=0.2
+        ) as server:
+
+            def stuck():
+                with DaemonClient(sock, timeout=30.0) as client:
+                    client.request({"op": "sleep", "seconds": 1.5})
+
+            threads = [threading.Thread(target=stuck) for __ in range(9)]
+            for thread in threads:
+                thread.start()
+            try:
+                deadline = time.monotonic() + 5.0
+                while (
+                    server.watchdog.stalled_count() < 9
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                with DaemonClient(sock, timeout=30.0) as triage:
+                    started = time.perf_counter()
+                    health = triage.health()
+                    waited = time.perf_counter() - started
+                    doc = fetch_doctor(triage)
+            finally:
+                for thread in threads:
+                    thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert health["stalled"] == 9
+        assert waited < 0.5, f"health waited {waited:.2f}s"
+        assert doctor_exit_code(doc) == 1
+
+    def test_lines_written_at_once_are_answered_in_order(
+        self, daemon, design_files
+    ):
+        netlist, clocks = design_files
+        requests = [
+            {"op": "ping", "id": 1},
+            {"op": "analyze", "netlist": netlist, "clocks": clocks, "id": 2},
+            {"op": "frobnicate", "id": 3},
+        ]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30.0)
+            raw.connect(daemon.socket_path)
+            raw.sendall(
+                b"".join(
+                    json.dumps(request).encode("utf-8") + b"\n"
+                    for request in requests
+                )
+            )
+            reader = raw.makefile("rb")
+            answers = [json.loads(reader.readline()) for __ in requests]
+        assert [answer["id"] for answer in answers] == [1, 2, 3]
+        assert answers[0]["pong"]
+        assert answers[1]["ok"] and answers[1]["engine"] == "cold"
+        assert answers[2]["ok"] is False
+        assert "unknown op" in answers[2]["error"]
+
+    def test_concurrent_connections_are_all_answered_and_logged(
+        self, tmp_path
+    ):
+        """More connections than cores, with frequent thread switches:
+        every request is answered and logged, and stop() returns."""
+        sock = str(tmp_path / "many.sock")
+        log = tmp_path / "access.jsonl"
+        server = TimingDaemon(sock, access_log=str(log))
+        server.start()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def pings():
+                with DaemonClient(sock, timeout=30.0) as client:
+                    for __ in range(50):
+                        assert client.ping()["pong"]
+
+            threads = [threading.Thread(target=pings) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(timeout=30.0)
+            assert not stopper.is_alive(), "stop() never returned"
+        finally:
+            sys.setswitchinterval(switch)
+        assert server.requests == 400
+        assert len(log.read_text().splitlines()) == 400
+
+    def test_stop_waits_for_the_request_in_flight(self, tmp_path):
+        sock = str(tmp_path / "stop.sock")
+        log = tmp_path / "access.jsonl"
+        server = TimingDaemon(sock, debug_ops=True, access_log=str(log))
+        server.start()
+        answers = []
+        with DaemonClient(sock, timeout=30.0) as client:
+            thread = threading.Thread(
+                target=lambda: answers.append(
+                    client.request({"op": "sleep", "seconds": 0.5})
+                )
+            )
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while server.in_flight < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.in_flight == 1
+            server.stop()
+            # stop() returned: the request is done and logged, and its
+            # answer reaches the client.
+            logged = [
+                json.loads(line) for line in log.read_text().splitlines()
+            ]
+            assert [line["op"] for line in logged] == ["sleep"]
+            thread.join(timeout=5.0)
+            assert answers and answers[0]["slept_s"] == 0.5
+            # A line sent after stop gets no answer: the connection
+            # closes.
+            with pytest.raises(ConnectionError):
+                client.ping()
 
 
 class TestServing:
@@ -123,6 +259,74 @@ class TestServing:
         )
         assert served["manifest_digest"] == manifest_digest(manifest)
         assert served["timing_digest"] == timing_digest(manifest)
+
+    def test_new_label_answers_as_a_fresh_analysis(
+        self, client, design_files
+    ):
+        """Algorithm 1 starts from the initial windows on every run, so
+        an analyze under a second label does not inherit the fixed point
+        the first one left behind."""
+        netlist, clocks = design_files
+        client.analyze(netlist, clocks, label="first")
+        served = client.analyze(netlist, clocks, label="second")
+        network = load_network(netlist, standard_library())
+        result = Hummingbird(network, load_schedule(clocks)).analyze()
+        manifest = result.manifest(
+            netlist_path=netlist, clocks_path=clocks, label="second"
+        )
+        assert served["engine"] == "incremental-warm"
+        assert served["iterations"] == result.algorithm1.iterations.total
+        assert served["iterations"] == 1
+        assert served["timing_digest"] == timing_digest(manifest)
+
+    def test_default_clock_keys_the_warm_design(self, tmp_path, client):
+        """A BLIF netlist without pad pragmas takes its pads' clock from
+        the request: each default clock gets its own warm design, its
+        own stats row, and is evicted on its own."""
+        network, schedule = latch_pipeline(
+            stages=3, stage_lengths=[8, 3, 2], period=12.0
+        )
+        netlist = tmp_path / "bare.blif"
+        netlist.write_text(
+            "\n".join(
+                line
+                for line in network_to_blif(network).splitlines()
+                if not line.startswith(("# pragma input", "# pragma output"))
+            )
+            + "\n"
+        )
+        clocks = str(tmp_path / "clocks.json")
+        save_schedule(schedule, clocks)
+        design = {"netlist": str(netlist), "clocks": clocks}
+        expected = {
+            clock: Hummingbird(
+                read_netlist(netlist, clock), schedule
+            ).analyze().worst_slack
+            for clock in ("phi1", "phi2")
+        }
+        assert expected["phi1"] != expected["phi2"]
+        for clock in ("phi1", "phi2", "phi1"):
+            served = client.analyze(**design, default_clock=clock)
+            assert served["worst_slack"] == expected[clock], clock
+        assert served["engine"] == "snapshot"
+        rows = client.stats()["designs"]
+        assert sorted(rows) == ["latch_pipeline@phi1", "latch_pipeline@phi2"]
+        assert rows["latch_pipeline@phi2"]["default_clock"] == "phi2"
+        evicted = client.request(
+            {"op": "evict", **design, "default_clock": "phi2"}
+        )
+        assert evicted["dropped"] is True
+        assert sorted(client.stats()["designs"]) == ["latch_pipeline@phi1"]
+        # A JSON netlist names its pads' clocks: one warm design serves
+        # every default clock.
+        json_netlist = str(tmp_path / "pipeline.json")
+        save_network(network, json_netlist)
+        client.analyze(json_netlist, clocks)
+        again = client.analyze(json_netlist, clocks, default_clock="phi2")
+        assert again["engine"] == "snapshot"
+        assert client.stats()["designs"]["latch_pipeline"][
+            "default_clock"
+        ] is None
 
     def test_analyze_mutate_reanalyze_sequence(
         self, client, design_files
@@ -448,18 +652,24 @@ class TestSelfDiagnosis:
         assert daemon.crash.reports_written == 0
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, bad",
         [
-            '"op": "flight", "last": 1e999',
-            '"op": "mutate", "action": "scale_clocks", "factor": 1e999',
-            '"op": "mutate", "action": "set_pulse_width", "clock": "phi1", '
-            '"width": 1e999',
+            pytest.param(fields, bad, id=fields)
+            for fields, bad in (
+                ('"op": "flight", "last": 1e999', "inf"),
+                ('"op": "flight", "last": "banana"', "banana"),
+                ('"op": "mutate", "action": "scale_clocks", '
+                 '"factor": 1e999', "inf"),
+                ('"op": "mutate", "action": "set_pulse_width", '
+                 '"clock": "phi1", "width": 1e999', "inf"),
+            )
         ],
     )
     def test_non_finite_number_is_a_value_error(
-        self, diag, design_files, fields
+        self, diag, design_files, fields, bad
     ):
-        """JSON ``1e999`` parses to ``inf``: a bad request, not a crash."""
+        """JSON ``1e999`` parses to ``inf``, and a ``last`` that is no
+        number is no count either: a bad request, not a crash."""
         server, c = diag
         netlist, clocks = design_files
         line = (
@@ -473,7 +683,7 @@ class TestSelfDiagnosis:
             response = json.loads(raw.makefile("rb").readline())
         assert response["ok"] is False
         assert response["error_type"] == "ValueError"
-        assert "inf" in response["error"]
+        assert bad in response["error"]
         assert c.crash_report()["crash"] is None
         assert server.crash.reports_written == 0
         assert main(["doctor", "--socket", server.socket_path]) == 0

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -195,114 +193,6 @@ class TestHealthAndMetricsOps:
             assert "in_flight" in design
 
 
-class TestHttpSidecar:
-    def _get(self, address, path):
-        host, port = address
-        with urllib.request.urlopen(
-            f"http://{host}:{port}{path}", timeout=5
-        ) as response:
-            return response.status, response.read().decode("utf-8")
-
-    def test_healthz_and_metrics_routes(
-        self, daemon_socket, design_files
-    ):
-        netlist, clocks = design_files
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            assert daemon.http_address is not None
-            with DaemonClient(daemon_socket) as client:
-                client.analyze(netlist, clocks)
-            status, body = self._get(daemon.http_address, "/healthz")
-            assert status == 200
-            health = json.loads(body)
-            assert health["ok"] and health["requests"] >= 1
-            status, text = self._get(daemon.http_address, "/metrics")
-            assert status == 200
-            assert "service.daemon.requests" in text.replace("_", ".")
-            assert 'le="' in text  # histogram buckets exported
-        # Requests over HTTP are themselves counted.
-        assert daemon.recorder.counters["service.daemon.http_requests"] >= 2
-
-    def test_unknown_route_is_404(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(daemon.http_address, "/nope")
-            assert err.value.code == 404
-
-    def test_no_sidecar_by_default(self, daemon_socket):
-        with TimingDaemon(daemon_socket) as daemon:
-            assert daemon.http_address is None
-
-
-class TestHttpHygiene:
-    """PR-6 satellite: HEAD / 405 / JSON 404 / buildz on the sidecar."""
-
-    def _request(self, address, path, method="GET"):
-        host, port = address
-        req = urllib.request.Request(
-            f"http://{host}:{port}{path}", method=method
-        )
-        with urllib.request.urlopen(req, timeout=5) as response:
-            return response.status, dict(response.headers), response.read()
-
-    def test_head_mirrors_get_without_body(self, daemon_socket):
-        # /crashz, not /healthz: a healthz body carries the uptime, so
-        # two consecutive bodies can differ in length.
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            get_status, get_headers, get_body = self._request(
-                daemon.http_address, "/crashz"
-            )
-            status, headers, body = self._request(
-                daemon.http_address, "/crashz", method="HEAD"
-            )
-        assert get_status == status == 200
-        assert body == b""
-        assert get_body
-        # Same Content-Length/Type as the GET would have sent.
-        assert headers["Content-Type"] == get_headers["Content-Type"]
-        assert int(headers["Content-Length"]) == len(get_body)
-
-    def test_post_is_405_with_allow_header(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            host, port = daemon.http_address
-            req = urllib.request.Request(
-                f"http://{host}:{port}/healthz",
-                data=b"{}",
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req, timeout=5)
-            assert err.value.code == 405
-            assert err.value.headers["Allow"] == "GET, HEAD"
-            payload = json.loads(err.value.read())
-            assert payload["ok"] is False
-            assert payload["allow"] == ["GET", "HEAD"]
-
-    def test_404_lists_routes_as_json(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._request(daemon.http_address, "/nope")
-            assert err.value.code == 404
-            payload = json.loads(err.value.read())
-            assert payload["ok"] is False
-            assert "/healthz" in payload["routes"]
-            assert "/buildz" in payload["routes"]
-            # The daemon has no profiler, trace store, metrics history
-            # or alert engine.
-            for gone in ("/profile", "/traces", "/metrics/history", "/alertz"):
-                assert gone not in payload["routes"]
-
-    def test_buildz_route(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            status, headers, body = self._request(
-                daemon.http_address, "/buildz"
-            )
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/json")
-        build = json.loads(body)
-        assert build["ok"] and build["version"]
-        assert build["pid"] == os.getpid()
-
-
 class TestProfileAndHistoryOps:
     def test_buildinfo_op(self, daemon_socket):
         with TimingDaemon(daemon_socket) as daemon:
@@ -352,68 +242,3 @@ class TestDaemonAccessLog:
         ]
         errors = [l for l in lines if l["status"] == "error"]
         assert errors and errors[0]["error"]
-
-
-class TestSelfDiagnosisRoutes:
-    """/crashz, /flightz plus the shared route table."""
-
-    def _get(self, address, path):
-        host, port = address
-        with urllib.request.urlopen(
-            f"http://{host}:{port}{path}", timeout=5
-        ) as response:
-            return response.status, response.read().decode("utf-8")
-
-    def test_crashz_route_healthy_and_after_crash(
-        self, daemon_socket, tmp_path
-    ):
-        with TimingDaemon(
-            daemon_socket,
-            http_port=0,
-            crash_dir=tmp_path / "crashes",
-            debug_ops=True,
-        ) as daemon:
-            status, body = self._get(daemon.http_address, "/crashz")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["ok"] and doc["crash"] is None
-            with DaemonClient(daemon_socket) as client:
-                client.request({"op": "fail"})
-            status, body = self._get(daemon.http_address, "/crashz")
-            doc = json.loads(body)
-        assert doc["crash"]["kind"] == "handler_exception"
-        assert doc["path"].endswith(".json")
-        assert doc["reports_written"] == 1
-
-    def test_flightz_route_with_last_param(self, daemon_socket):
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with DaemonClient(daemon_socket) as client:
-                for __ in range(3):
-                    client.ping()
-            status, body = self._get(daemon.http_address, "/flightz?last=2")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["schema"] == "repro.flight/1"
-            assert len(doc["events"]) == 2
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(daemon.http_address, "/flightz?last=banana")
-            assert err.value.code == 400
-
-    def test_404_lists_new_routes(self, daemon_socket):
-        """Satellite 3: the 404 listing stays in sync with HTTP_ROUTES."""
-        with TimingDaemon(daemon_socket, http_port=0) as daemon:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(daemon.http_address, "/nope")
-            payload = json.loads(err.value.read())
-        expected = sorted(path for path, __ in TimingDaemon.HTTP_ROUTES)
-        assert sorted(payload["routes"]) == expected
-        for path in ("/crashz", "/flightz"):
-            assert path in payload["routes"]
-        for gone in ("/alertz", "/metrics/history"):
-            assert gone not in payload["routes"]
-
-    def test_route_table_handlers_exist(self):
-        """Every route in the table resolves to a real bound method."""
-        for path, attr in TimingDaemon.HTTP_ROUTES:
-            assert path.startswith("/")
-            assert callable(getattr(TimingDaemon, attr))
