@@ -102,7 +102,9 @@ def run_algorithm1(
 ) -> Algorithm1Result:
     """Run Algorithm 1 on ``model`` (mutates the instances' offsets).
 
-    Every run starts from the initial window positions.  ``divisor`` is
+    Every run starts from the initial window positions, and ``engine``
+    records the boundary values it reads
+    (:meth:`SlackEngine.repeats_last_run`).  ``divisor`` is
     the ``n > 1`` of partial slack transfer.  ``max_cycles`` caps each
     fixed-point loop; the paper's bound is one more than the number of
     synchronising elements in a directed path, so the default is
@@ -110,6 +112,7 @@ def run_algorithm1(
     """
     model.reset_windows()
     engine = engine or SlackEngine(model)
+    engine.start_run()
     instances = model.all_instances()
     cap = max_cycles if max_cycles is not None else max(16, len(instances) + 2)
     counts = IterationCounts()

@@ -15,20 +15,26 @@ into the instances, so such changes trigger a full model rebuild
 
 What makes a re-run cheap is the slack engine, kept across delay swaps.
 It remembers each cluster's boundary values per exact boundary times
-(:meth:`repro.core.slack.SlackEngine.port_slacks`), and a swap drops
-only the memos of the clusters whose arc delays changed: the scaled
-cell's.  Re-seeded windows walk Algorithm 1 through much the same
-offsets as the previous run did, so most cluster evaluations of a
-re-run are recalled rather than swept, and the answer is bit-identical
-to a from-scratch run.  Each transfer step also evaluates only the
-slack direction it reads, so a step that does sweep runs one of a
-cluster's two sweeps, not both.
+(:meth:`repro.core.slack.SlackEngine.port_slacks`), and a swap touches
+only the clusters whose arc delays changed: the scaled cell's.  Each
+transfer step evaluates only the slack direction it reads.
+
+Most one-gate edits leave every boundary value the last run read bit
+for bit as it was, and then a new run, which starts from the same
+windows and reads the same values, would repeat the last one call for
+call.  The engine re-sweeps only those recorded values of the changed
+cluster (:meth:`~repro.core.slack.SlackEngine.repeats_last_run`), and
+when they all hold :meth:`IncrementalAnalyzer.analyze` returns the last
+run's result and puts back the windows it left (a *replay*, counted in
+:attr:`IncrementalAnalyzer.replays`).  Otherwise Algorithm 1 runs,
+mostly recalling cluster evaluations rather than sweeping them.  Either
+way the answer is bit-identical to a from-scratch run.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Set
+from typing import List, NamedTuple, Optional, Set
 
 from repro import obs
 from repro.clocks.schedule import ClockSchedule
@@ -38,6 +44,16 @@ from repro.core.model import AnalysisModel
 from repro.core.slack import SlackEngine
 from repro.delay.estimator import DelayMap, estimate_delays
 from repro.netlist.network import Network
+from repro.report.provenance import active_trail
+
+
+class _Run(NamedTuple):
+    """The last Algorithm 1 run of an analyzer: the engine's number of
+    it, its result, and the window of every instance it left."""
+
+    number: int
+    result: Algorithm1Result
+    windows: List[float]
 
 
 class IncrementalAnalyzer:
@@ -56,6 +72,8 @@ class IncrementalAnalyzer:
         self.rebuilds = 0
         #: Cheap delay swaps performed (data-path changes).
         self.swaps = 0
+        #: Analyses answered by replaying the last run.
+        self.replays = 0
         self._build()
 
     def _build(self) -> None:
@@ -70,6 +88,8 @@ class IncrementalAnalyzer:
         self._control_cells: Set[str] = set()
         for trace in self.model.validation.control_traces.values():
             self._control_cells.update(trace.comb_cells)
+        self._instances = self.model.all_instances()
+        self._last: Optional[_Run] = None
 
     # ------------------------------------------------------------------
     # delay changes
@@ -112,9 +132,33 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------
     def analyze(self) -> Algorithm1Result:
         """Run Algorithm 1 on the live model, from the initial window
-        positions."""
+        positions.
+
+        Where that run would repeat this analyzer's last one, which is
+        still the engine's last, call for call
+        (:meth:`SlackEngine.repeats_last_run`), return the last one's
+        result instead and put back the windows it left.  Not while an
+        audit trail records the transfers (``repro.report.auditing()``).
+        """
         with obs.span("incremental.analyze", category="incremental"):
-            return run_algorithm1(self.model, self.engine)
+            last, engine = self._last, self.engine
+            if (
+                last is not None
+                and last.number == engine.runs
+                and active_trail() is None
+                and engine.repeats_last_run()
+            ):
+                for instance, window in zip(self._instances, last.windows):
+                    instance.w = window
+                self.replays += 1
+                obs.counter("incremental.replays")
+                return last.result
+            self._last = None
+            result = run_algorithm1(self.model, engine)
+            self._last = _Run(
+                engine.runs, result, [i.w for i in self._instances]
+            )
+            return result
 
     def timing_result(
         self,

@@ -32,6 +32,14 @@ cluster's delays last changed.  Each transfer step of Algorithms 1 and
 2 reads either the capture or the launch slacks, so a call evaluates
 only the directions it is asked for: capture slacks take forward
 sweeps alone, launch slacks backward sweeps alone.
+
+A run of Algorithm 1 reads nothing of the delays but these boundary
+values, so after a delay swap that leaves every value the last run read
+bit for bit as it was, a new run would repeat the last one call for
+call.  The engine keeps, per (cluster, pass, direction), the boundary
+times and values each run evaluates, re-sweeps those of a cluster whose
+delays change, and tells (:meth:`SlackEngine.repeats_last_run`) whether
+they all still hold.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import is_not
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -177,6 +187,24 @@ def _packer(count: int) -> Callable[..., bytes]:
     return struct.Struct(f"{count}d").pack
 
 
+def _unpacked(key: bytes) -> List[float]:
+    """The floats a :func:`_packer` key was packed from, bit for bit."""
+    return list(struct.unpack(f"{len(key) // 8}d", key))
+
+
+_bits = struct.Struct("d").pack
+
+
+def _identical(old: List[Optional[float]], new: List[Optional[float]]) -> bool:
+    """Whether two lists of boundary values (``None``: not reached) are
+    bit for bit the same: ``-0.0`` is not ``0.0``, and a NaN is the NaN
+    with its bits."""
+    return all(
+        a is b or (a is not None and b is not None and _bits(a) == _bits(b))
+        for a, b in zip(old, new)
+    )
+
+
 def _position(cache, compute, plan, edge: Fraction, pass_index: int) -> float:
     """``compute(edge, pass_index)``, a method of ``plan``, as a float,
     computed once per (plan, edge, pass) in ``cache``.  Plans are keyed
@@ -190,11 +218,14 @@ def _position(cache, compute, plan, edge: Fraction, pass_index: int) -> float:
 
 
 class _Forgetful(dict):
-    """A memo that keeps nothing: the memos of an engine's passes until
-    its second call (see :meth:`SlackEngine.port_slacks`)."""
+    """A memo that keeps nothing: the memos and records of an engine's
+    passes until its second call (see :meth:`SlackEngine.port_slacks`)."""
 
     def __setitem__(self, key, value) -> None:
         pass
+
+    def setdefault(self, key, default=None):
+        return default
 
 
 _FORGETFUL = _Forgetful()
@@ -214,6 +245,8 @@ class _Pass:
         "pack_closures",
         "forward",
         "backward",
+        "ran_forward",
+        "ran_backward",
     )
 
     def __init__(
@@ -243,6 +276,11 @@ class _Pass:
         #: Packed closure times -> ``min(need rise, need fall)`` at each
         #: launch port (``None``: not reached).
         self.backward: Dict[bytes, List[Optional[float]]] = _FORGETFUL
+        #: The keys and values of the two memos that every evaluation
+        #: since the engine's last run started used, in first-use order:
+        #: what :meth:`SlackEngine.repeats_last_run` re-checks.
+        self.ran_forward: Dict[bytes, List[Optional[float]]] = _FORGETFUL
+        self.ran_backward: Dict[bytes, List[Optional[float]]] = _FORGETFUL
 
 
 class SlackEngine:
@@ -254,8 +292,8 @@ class SlackEngine:
     arithmetic); repeated slack queries during Algorithm 1/2 iterations
     then only involve float work linear in the cluster sizes.  Delays
     are read from the model at every sweep, so a delay map swapped under
-    the model is seen by the next query, and :meth:`port_slacks` drops
-    the memo of each cluster the new map changes.
+    the model is seen by the next query, and :meth:`port_slacks`
+    re-checks or drops the memo of each cluster the new map changes.
     """
 
     def __init__(self, model: AnalysisModel) -> None:
@@ -275,6 +313,11 @@ class SlackEngine:
         # The delay map the memos were filled from.
         self._filled_from = model.delays
         self._calls = 0
+        #: Runs of Algorithm 1 started on this engine (:meth:`start_run`).
+        self.runs = 0
+        # Whether every boundary value evaluated since the last run
+        # started still holds under the delays (False before a run).
+        self._holds = False
 
     def _build_tables(self) -> None:
         """Number each cluster's nets and flatten its arcs, numbered as
@@ -291,6 +334,9 @@ class SlackEngine:
         self.tables: Dict[str, ArcTable] = {}
         #: Cluster name -> its passes that take slacks.
         self._passes: Dict[str, Tuple[_Pass, ...]] = {}
+        # Arc number -> the name of the cluster whose table holds it,
+        # built on the first delay swap: a one-shot analysis makes none.
+        self._arc_clusters: Optional[List[Optional[str]]] = None
         # local[n]: the number of net n within the cluster at hand; every
         # net an arc or a port of a cluster touches is one of its nets.
         local = [0] * len(network.net_names)
@@ -374,10 +420,115 @@ class SlackEngine:
         return tuple(passes)
 
     def _forget(self, cluster_name: str) -> None:
-        """Drop the memos of one cluster."""
+        """Drop the memos of one cluster: the last run no longer
+        repeats."""
+        self._holds = False
         for step in self._passes[cluster_name]:
             step.forward.clear()
             step.backward.clear()
+
+    def _ready(
+        self, table: ArcTable, step: _Pass, times: List[float]
+    ) -> Tuple[List[Optional[float]], int]:
+        """The forward sweep's values at ``step``'s designated captures,
+        from launch times ``times``: the rise values, then the fall
+        values (``None``: not reached); and how many nets it reached."""
+        rise, fall, reached = self._sweep_forward(table, table.launches, times)
+        ready = [rise[net] for __, net in step.captures]
+        ready += [fall[net] for __, net in step.captures]
+        return ready, len(reached)
+
+    def _needs(
+        self, table: ArcTable, step: _Pass, closures: List[float]
+    ) -> List[Optional[float]]:
+        """The backward sweep's ``min(need rise, need fall)`` at each
+        launch port (``None``: not reached), from the closure times
+        ``closures`` of ``step``'s designated captures."""
+        rise, fall, __ = self._sweep_backward(table, step.captures, closures)
+        return [
+            None if rise[net] is None else min(rise[net], fall[net])
+            for __, net in table.launches
+        ]
+
+    # ------------------------------------------------------------------
+    # replay: does a new run of Algorithm 1 repeat the last one?
+    # ------------------------------------------------------------------
+    def start_run(self) -> None:
+        """Start recording a run of Algorithm 1: from here on every
+        evaluation's boundary times and values are kept, for
+        :meth:`repeats_last_run`.  An engine's first call keeps nothing,
+        so the run that makes it never repeats."""
+        for steps in self._passes.values():
+            for step in steps:
+                step.ran_forward.clear()
+                step.ran_backward.clear()
+        self.runs += 1
+        self._holds = self._calls > 0
+
+    def _remember(self) -> None:
+        """Give every pass memos and records that keep what they are
+        given."""
+        for steps in self._passes.values():
+            for step in steps:
+                step.forward, step.backward = {}, {}
+                step.ran_forward, step.ran_backward = {}, {}
+
+    def repeats_last_run(self) -> bool:
+        """Whether every boundary value :meth:`port_slacks` evaluated
+        since the last run started still holds, bit for bit, under the
+        current delay map.
+
+        A run starts from the initial windows, and each of its steps
+        reads only those values and the offsets the steps before it
+        left.  So when they hold, a new run would repeat the last one
+        call for call, and end with its result and windows.  A delay
+        swap re-sweeps, for each cluster it changes, exactly the
+        boundary times recorded since then, in first-use order, and
+        stops at the first value that differs (:meth:`_recheck`).
+        """
+        if self._model.delays is not self._filled_from:
+            self._follow_delays()
+        return self._holds
+
+    def _recheck(self, cluster_name: str) -> None:
+        """Under new delays, re-sweep the boundary times each (pass,
+        direction) of one cluster evaluated since the last run started,
+        in first-use order, and keep those values as its memos.  At the
+        first value that is not bit for bit the recorded one the last
+        run no longer repeats, and the rest of the memos is dropped."""
+        table = self.tables[cluster_name]
+        for step in self._passes[cluster_name]:
+            step.forward = self._resweep(
+                step.ran_forward,
+                lambda times: self._ready(table, step, times)[0],
+            )
+            step.backward = self._resweep(
+                step.ran_backward,
+                lambda closures: self._needs(table, step, closures),
+            )
+
+    def _resweep(
+        self,
+        ran: Dict[bytes, List[Optional[float]]],
+        sweep: Callable[[List[float]], List[Optional[float]]],
+    ) -> Dict[bytes, List[Optional[float]]]:
+        """The new memo of one (pass, direction): ``sweep`` of each key
+        of ``ran`` in turn, while every value swept matches the one in
+        ``ran``."""
+        kept: Dict[bytes, List[Optional[float]]] = {}
+        swept = 0
+        for key, value in ran.items():
+            if not self._holds:
+                break
+            again = sweep(_unpacked(key))
+            if len(kept) >= _MEMO_ENTRIES:
+                del kept[next(iter(kept))]
+            kept[key] = again
+            swept += 1
+            self._holds = _identical(value, again)
+        if swept:
+            obs.counter("slack.rechecks", swept)
+        return kept
 
     # ------------------------------------------------------------------
     # fast path: boundary slacks only (the Algorithm 1/2 inner loop)
@@ -405,18 +556,16 @@ class SlackEngine:
         time.  A pass with no capture designated to it yields no slack
         and is not evaluated.
 
-        The first call of an engine stores nothing: a one-shot analysis
-        of an intended design makes no other, and would pay for a memo
-        it never reads.
+        The first call of an engine stores nothing, in its memos or its
+        records (:meth:`start_run`): a one-shot analysis of an intended
+        design makes no other, and would pay for a memo it never reads.
         """
         assert capture or launch, "port_slacks() of no direction"
         rec = obs.active()
         if self._model.delays is not self._filled_from:
-            self._forget_changed_clusters()
+            self._follow_delays()
         if self._calls == 1:  # the second call: start remembering
-            for steps in self._passes.values():
-                for step in steps:
-                    step.forward, step.backward = {}, {}
+            self._remember()
         self._calls += 1
         slacks = PortSlacks(
             dict.fromkeys(self._capture_names, math.inf) if capture else {},
@@ -448,19 +597,16 @@ class SlackEngine:
                     key = step.pack_times(*times)
                     ready = memo.pop(key, None)
                     if ready is None:
-                        rise, fall, reached = self._sweep_forward(
-                            table, launches, times
-                        )
-                        ready = [rise[net] for __, net in captures]
-                        ready += [fall[net] for __, net in captures]
+                        ready, reached = self._ready(table, step, times)
                         if len(memo) >= _MEMO_ENTRIES:
                             del memo[next(iter(memo))]
                         swept = True
                         forward += 1
-                        visited += len(reached)
+                        visited += reached
                     else:
                         reused += 1
                     memo[key] = ready
+                    step.ran_forward.setdefault(key, ready)
                     count = len(captures)
                     for k, (port, __) in enumerate(captures):
                         rise = ready[k]
@@ -481,14 +627,7 @@ class SlackEngine:
                     key = step.pack_closures(*closures)
                     needs = memo.pop(key, None)
                     if needs is None:
-                        rise, fall, __ = self._sweep_backward(
-                            table, captures, closures
-                        )
-                        needs = [
-                            None if rise[net] is None
-                            else min(rise[net], fall[net])
-                            for __, net in launches
-                        ]
+                        needs = self._needs(table, step, closures)
                         if len(memo) >= _MEMO_ENTRIES:
                             del memo[next(iter(memo))]
                         swept = True
@@ -496,6 +635,7 @@ class SlackEngine:
                     else:
                         reused += 1
                     memo[key] = needs
+                    step.ran_backward.setdefault(key, needs)
                     for need, t, (port, __) in zip(needs, times, launches):
                         if need is not None:
                             slack = need - t
@@ -518,44 +658,57 @@ class SlackEngine:
                     rec.counter(name, value)
         return slacks
 
-    def _forget_changed_clusters(self) -> None:
-        """Drop the memos of every cluster with an arc whose maximum
-        delay in ``model.delays`` is not, bit for bit, the one the memos
-        were filled from: one scan of the tables' arcs.
+    def _follow_delays(self) -> None:
+        """Bring the memos up to ``model.delays``: re-check
+        (:meth:`_recheck`) or, once the last run no longer repeats, drop
+        those of every cluster with an arc whose maximum delay is not,
+        bit for bit, the one the memos were filled from.
 
-        A map with other arcs (not derived from the same estimate)
-        renumbers them: the tables are rebuilt and every memo goes.
+        A map derived from another (:meth:`DelayMap.with_scaled_cell
+        <repro.delay.estimator.DelayMap.with_scaled_cell>` and the like)
+        shares the float objects of every arc it does not write, so one
+        identity pass over the two maps' lists names the candidate arcs,
+        and the tables' arc-to-cluster index their clusters.  A map with
+        other arcs (not derived from the same estimate) renumbers them:
+        the tables are rebuilt and every memo goes.
         """
         new = self._model.delays
         old = self._filled_from
         self._filled_from = new
         if not new.numbering.same_arcs(old.numbering):
             self._build_tables()
+            self._holds = False
             if self._calls > 1:
-                for steps in self._passes.values():
-                    for step in steps:
-                        step.forward, step.backward = {}, {}
+                self._remember()
             return
-        new_rise, new_fall = new.max_rise, new.max_fall
-        old_rise, old_fall = old.max_rise, old.max_fall
+        owners = self._arc_clusters
+        if owners is None:
+            owners = self._arc_clusters = [None] * len(new.max_rise)
+            for table in self.tables.values():
+                for arc in table.arcs:
+                    owners[arc[3]] = table.name
+        changed: Dict[str, None] = {}
         copysign = math.copysign
-        for table in self.tables.values():
-            for arc in table.arcs:
-                arc = arc[3]
-                for before, after in (
-                    (old_rise[arc], new_rise[arc]),
-                    (old_fall[arc], new_fall[arc]),
-                ):
-                    # Equal floats differ only as 0.0 and -0.0.
-                    if before != after or (
-                        before == 0.0
-                        and copysign(1.0, before) != copysign(1.0, after)
-                    ):
-                        break
-                else:
+        for before, after in (
+            (old.max_rise, new.max_rise),
+            (old.max_fall, new.max_fall),
+        ):
+            moved = map(is_not, before, after)
+            for arc in compress(range(len(after)), moved):
+                name = owners[arc]
+                if name is None or name in changed:
                     continue
-                self._forget(table.name)
-                break
+                was, now = before[arc], after[arc]
+                # Equal floats differ only as 0.0 and -0.0.
+                if was != now or (
+                    was == 0.0 and copysign(1.0, was) != copysign(1.0, now)
+                ):
+                    changed[name] = None
+        for name in changed:
+            if self._holds:
+                self._recheck(name)
+            else:
+                self._forget(name)
 
     # ------------------------------------------------------------------
     # full detail (reports, Algorithm 2 outputs)

@@ -50,6 +50,7 @@ WELL_KNOWN_COUNTERS = (
     "slack.backward_sweeps",
     "slack.nodes_visited",
     "slack.sweeps_reused",
+    "slack.rechecks",
     # Break-open pass selection (Section 7).
     "breakopen.searches",
     "breakopen.combos_tried",
@@ -58,6 +59,7 @@ WELL_KNOWN_COUNTERS = (
     # Incremental re-analysis (Algorithm 3 substrate).
     "incremental.rebuilds",
     "incremental.swaps",
+    "incremental.replays",
     # Redesign / sizing loops (Section 8).
     "resynthesis.rounds",
     "sizing.passes",

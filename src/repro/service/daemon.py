@@ -990,6 +990,7 @@ class TimingDaemon:
                 "mutations": state.mutations,
                 "rebuilds": state.analyzer.rebuilds,
                 "swaps": state.analyzer.swaps,
+                "replays": state.analyzer.replays,
             }
             if request.get("analyze", True):
                 response["analysis"] = self._analyze_state(state, request)
@@ -1059,15 +1060,12 @@ class TimingDaemon:
 
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
         with self._designs_lock:
-            # One row per warm design, by network name; a netlist
-            # parsed under a default clock adds it, so its states under
-            # two clocks keep a row each.
+            # One row per warm design, keyed as the design is: by its
+            # netlist and clocks paths and default clock (the JSON text
+            # of that triple, so no two designs share a key).
             designs = {
-                (
-                    state.network.name
-                    if state.default_clock is None
-                    else f"{state.network.name}@{state.default_clock}"
-                ): {
+                json.dumps(list(key)): {
+                    "design": state.network.name,
                     "netlist": state.netlist,
                     "clocks": state.clocks,
                     "default_clock": state.default_clock,
@@ -1076,12 +1074,13 @@ class TimingDaemon:
                     "mutations": state.mutations,
                     "rebuilds": state.analyzer.rebuilds,
                     "swaps": state.analyzer.swaps,
+                    "replays": state.analyzer.replays,
                     "in_flight": state.in_flight,
                     "epoch": state.epoch,
                     "snapshot_hits": state.snapshot_hits,
                     "snapshot_published": state.snapshot is not None,
                 }
-                for state in self._designs.values()
+                for key, state in self._designs.items()
             }
         return {
             "ok": True,

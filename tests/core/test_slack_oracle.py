@@ -25,6 +25,10 @@ The memo of :meth:`SlackEngine.port_slacks` is checked against an
 engine that forgets it before every call (edit sequences on the e2e
 edit-loop and violator designs), and against a fresh engine after
 every kind of delay map, a window move and a ``-0.0`` boundary time.
+Where an edit replays the last run, which makes no call, the whole
+answer and the windows are checked against an analyzer that never
+replays, and the calls of every run that runs against the reference
+(``tests/core/test_replay.py`` has the replay's own cases).
 
 Algorithm 1 and 2 ask each call for only the direction its transfer
 step reads.  Their answers are checked against an engine that evaluates
@@ -512,10 +516,14 @@ class Checked:
 
         engine.port_slacks = port_slacks
 
-    def assert_agrees(self, result) -> None:
-        """Every recorded call, then detail and slow paths at the final
-        offsets of ``result``."""
-        assert self.calls, "Algorithm 1 made no port_slacks() call"
+    def assert_agrees(self, result, replayed: bool = False) -> None:
+        """Every recorded call (none where the analysis ``replayed`` the
+        last run), then detail and slow paths at the final offsets of
+        ``result``."""
+        if replayed:
+            assert not self.calls, "a replayed run made port_slacks() calls"
+        else:
+            assert self.calls, "Algorithm 1 made no port_slacks() call"
         for index, (ours, theirs) in enumerate(self.calls):
             assert ours == theirs, f"port_slacks call {index}"
         self.calls.clear()
@@ -600,27 +608,64 @@ def _edit(rng: random.Random, cells: List[str]):
 
 def test_incremental_delay_swaps():
     """The edit loop's design through 30 one-cell delay swaps: the
-    engine reads each swapped delay map with no rebuild, and answers
-    most cluster evaluations from its memo."""
+    engine reads each swapped delay map with no rebuild, answers most
+    cluster evaluations from its memo, and replays some runs.  A run
+    that runs agrees with the reference call for call, a replayed one
+    makes no call, and every answer equals that of an analyzer that
+    never replays."""
     network, schedule = edit_loop_design()
     analyzer = IncrementalAnalyzer(network, schedule)
+    runs = NeverReplayAnalyzer(network, schedule)
     checked = Checked(analyzer)
     checked.assert_agrees(analyzer.timing_result())
     cells = _gates(network)
     rng = random.Random(0)
-    with obs.recording() as rec:
-        for __ in range(30):
-            analyzer.scale_cell(*_edit(rng, cells))
-            checked.watch()
-            checked.assert_agrees(analyzer.timing_result())
+    counters: Counter = Counter()
+    for __ in range(30):
+        edit = _edit(rng, cells)
+        analyzer.scale_cell(*edit)
+        runs.scale_cell(*edit)
+        checked.watch()
+        replays = analyzer.replays
+        with obs.recording() as rec:
+            result = analyzer.timing_result()
+            checked.assert_agrees(result, analyzer.replays > replays)
+        counters.update(rec.counters)
+        assert full_answer(analyzer, result) == full_answer(
+            runs, runs.timing_result()
+        )
     assert analyzer.swaps + analyzer.rebuilds == 30
     assert analyzer.swaps > 0
-    reused = rec.counters["slack.sweeps_reused"]
+    assert 0 < analyzer.replays < analyzer.swaps
+    reused = counters["slack.sweeps_reused"]
     swept = (
-        rec.counters["slack.forward_sweeps"]
-        + rec.counters["slack.backward_sweeps"]
+        counters["slack.forward_sweeps"] + counters["slack.backward_sweeps"]
     )
     assert reused > swept > 0
+
+
+class NeverReplays(SlackEngine):
+    """An engine whose last run never repeats: every analysis of its
+    analyzer runs Algorithm 1."""
+
+    def repeats_last_run(self) -> bool:
+        return False
+
+
+class NeverReplayAnalyzer(IncrementalAnalyzer):
+    def _build(self) -> None:
+        super()._build()
+        self.engine = NeverReplays(self.model)
+
+
+def full_answer(analyzer, result) -> tuple:
+    """Everything an analysis answers, bit for bit: slacks, iterations,
+    verdict, convergence, slow paths and manifest digest (as
+    :func:`_analysis_view`), and the window every instance is left at."""
+    return (
+        _analysis_view(result),
+        [_hex(instance.w) for instance in analyzer.model.all_instances()],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -660,23 +705,20 @@ def _recording_calls(engine: SlackEngine) -> List[tuple]:
 
 
 def _answer(analyzer) -> tuple:
+    """The port_slacks() calls of one analysis, and its full answer."""
     calls = _recording_calls(analyzer.engine)
-    result = analyzer.timing_result()
-    return (
-        calls,
-        result.intended,
-        result.algorithm1.iterations,
-        manifest_digest(result.manifest()),
-    )
+    return calls, full_answer(analyzer, analyzer.timing_result())
 
 
 @pytest.mark.parametrize(
     "design, edits", [(edit_loop_design, 50), (violator, 5)]
 )
 def test_memo_equals_full_sweeps(design, edits):
-    """Every port_slacks() answer, verdict, iteration count and
-    manifest digest of an edit sequence equals that of an engine that
-    sweeps every cluster on every call."""
+    """Every answer of an edit sequence (slacks, verdict, iteration
+    count, slow paths, manifest digest and windows) equals that of an
+    engine that sweeps every cluster on every call, and never replays;
+    so does every port_slacks() answer of each run that runs, and a
+    replayed run makes no call."""
     network, schedule = design()
     ours = IncrementalAnalyzer(network, schedule)
     full = FullSweepAnalyzer(network, schedule)
@@ -687,7 +729,14 @@ def test_memo_equals_full_sweeps(design, edits):
         cell, factor = _edit(rng, cells)
         ours.scale_cell(cell, factor)
         full.scale_cell(cell, factor)
-        assert _answer(ours) == _answer(full), edit
+        replays = ours.replays
+        (calls, answer), (full_calls, full_answered) = (
+            _answer(ours), _answer(full)
+        )
+        assert answer == full_answered, edit
+        assert calls == ([] if ours.replays > replays else full_calls), edit
+    assert 0 < ours.replays < edits
+    assert full.replays == 0
 
 
 def _agrees_with_fresh_engine(model, engine) -> tuple:
@@ -786,16 +835,18 @@ def test_memo_tells_negative_zero_from_zero():
 
 def test_one_shot_analysis_keeps_no_memo():
     """An intended design converges in one port_slacks() call, so the
-    memo would be pure overhead: the first call keeps nothing."""
+    memo and the replay's record would be pure overhead: the first call
+    keeps nothing in either."""
     network, schedule = generate_sm1f()
     analyzer = Hummingbird(network, schedule)
     result = analyzer.analyze()
     assert result.intended and result.algorithm1.iterations.total == 0
     assert not any(
-        step.forward or step.backward
+        step.forward or step.backward or step.ran_forward or step.ran_backward
         for passes in analyzer.engine._passes.values()
         for step in passes
     )
+    assert not analyzer.engine.repeats_last_run()
 
 
 def test_memo_stays_bounded():
@@ -1118,8 +1169,10 @@ def test_no_direction_is_rejected():
 
 def test_each_loop_evaluates_one_direction():
     """On the edit-loop design only the first and the final call of a
-    run evaluate both directions, and 30 edits sweep 922 times (1,616
-    with every call evaluating both)."""
+    run that runs evaluate both directions, and a replayed run makes
+    none.  30 edits replay 14 runs, sweep 715 times in the others and
+    re-check 207 values (1,283 and 334, also with 14 replays, with
+    every call evaluating both)."""
     network, schedule = edit_loop_design()
     analyzer = IncrementalAnalyzer(network, schedule)
     analyzer.analyze()
@@ -1129,15 +1182,21 @@ def test_each_loop_evaluates_one_direction():
         for __ in range(30):
             analyzer.scale_cell(*_edit(rng, cells))
             calls = _recording_calls(analyzer.engine)
+            replays = analyzer.replays
             analyzer.analyze()
             flags = [directions for directions, __ in calls]
+            if analyzer.replays > replays:
+                assert flags == []
+                continue
             assert flags[0] == flags[-1] == (True, True)
             assert (True, True) not in flags[1:-1]
     assert analyzer.swaps == 30
+    assert analyzer.replays == 14
     assert (
         rec.counters["slack.forward_sweeps"]
         + rec.counters["slack.backward_sweeps"]
-    ) == 922
+    ) == 715
+    assert rec.counters["slack.rechecks"] == 207
 
 
 # ----------------------------------------------------------------------

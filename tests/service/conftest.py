@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.clocks.serialize import save_schedule
@@ -20,3 +22,9 @@ def design_files(tmp_path):
     save_network(network, netlist)
     save_schedule(schedule, clocks)
     return str(netlist), str(clocks)
+
+
+def stats_row(stats, netlist, clocks, default_clock=None):
+    """The ``stats`` row of the warm design a request names by these
+    paths and default clock (``None`` for a JSON netlist)."""
+    return stats["designs"][json.dumps([netlist, clocks, default_clock])]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import socket
 import sys
 import threading
@@ -15,7 +16,7 @@ from repro.cli import main
 from repro.clocks.serialize import load_schedule, save_schedule
 from repro.core.analyzer import Hummingbird
 from repro.delay.estimator import estimate_delays
-from repro.generators import latch_pipeline
+from repro.generators import latch_pipeline, random_design
 from repro.netlist import read_netlist
 from repro.netlist.blif import network_to_blif
 from repro.netlist.persistence import load_network, save_network
@@ -29,6 +30,7 @@ from repro.service import (
 )
 
 from tests.conftest import MALFORMED_CLOCKS, MALFORMED_NETLISTS
+from tests.service.conftest import stats_row
 
 
 @pytest.fixture
@@ -309,14 +311,20 @@ class TestServing:
             served = client.analyze(**design, default_clock=clock)
             assert served["worst_slack"] == expected[clock], clock
         assert served["engine"] == "snapshot"
-        rows = client.stats()["designs"]
-        assert sorted(rows) == ["latch_pipeline@phi1", "latch_pipeline@phi2"]
-        assert rows["latch_pipeline@phi2"]["default_clock"] == "phi2"
+        stats = client.stats()
+        assert [
+            (row["design"], row["default_clock"])
+            for row in stats["designs"].values()
+        ] == [("latch_pipeline", "phi1"), ("latch_pipeline", "phi2")]
+        row = stats_row(stats, design["netlist"], clocks, "phi2")
+        assert row["default_clock"] == "phi2"
         evicted = client.request(
             {"op": "evict", **design, "default_clock": "phi2"}
         )
         assert evicted["dropped"] is True
-        assert sorted(client.stats()["designs"]) == ["latch_pipeline@phi1"]
+        stats = client.stats()
+        assert len(stats["designs"]) == stats["designs_loaded"] == 1
+        assert stats_row(stats, design["netlist"], clocks, "phi1")
         # A JSON netlist names its pads' clocks: one warm design serves
         # every default clock.
         json_netlist = str(tmp_path / "pipeline.json")
@@ -324,9 +332,8 @@ class TestServing:
         client.analyze(json_netlist, clocks)
         again = client.analyze(json_netlist, clocks, default_clock="phi2")
         assert again["engine"] == "snapshot"
-        assert client.stats()["designs"]["latch_pipeline"][
-            "default_clock"
-        ] is None
+        row = stats_row(client.stats(), json_netlist, clocks)
+        assert row["default_clock"] is None
 
     def test_analyze_mutate_reanalyze_sequence(
         self, client, design_files
@@ -358,6 +365,53 @@ class TestServing:
         assert answer["payload"]["endpoint_slacks"] == (
             result.payload()["endpoint_slacks"]
         )
+
+    def test_replayed_edits_and_reports_equal_from_scratch(
+        self, tmp_path, client
+    ):
+        """Edits that replay the last run, with a ``report`` after each:
+        every analysis and every report equals a from-scratch one, and
+        ``mutate`` and ``stats`` count the replays."""
+        network, schedule = random_design(
+            5, n_banks=3, gates_per_bank=60, bits=6
+        )
+        netlist = str(tmp_path / "design.json")
+        clocks = str(tmp_path / "clocks.json")
+        save_network(network, netlist)
+        save_schedule(schedule, clocks)
+        delays = estimate_delays(network)
+        endpoint = next(
+            iter(client.analyze(netlist, clocks)["payload"]["endpoint_slacks"])
+        )
+        cells = sorted(c.name for c in network.combinational_cells)
+        rng = random.Random(0)
+        replays = 0
+        for edit in range(12):
+            cell = rng.choice(cells)
+            factor = round(rng.uniform(1.01, 1.15), 3)
+            delays = delays.with_scaled_cell(cell, factor)
+            mutated = client.mutate(
+                netlist, clocks, "scale_cell", cell=cell, factor=factor,
+                analyze=edit % 2 == 0,
+            )
+            assert mutated["replays"] >= replays
+            replays = mutated["replays"]
+            result = Hummingbird(network, schedule, delays=delays).analyze()
+            if "analysis" in mutated:
+                assert mutated["analysis"]["timing_digest"] == timing_digest(
+                    result.manifest(netlist_path=netlist, clocks_path=clocks)
+                ), edit
+            report = client.request(
+                {"op": "report", "netlist": netlist, "clocks": clocks,
+                 "endpoint": endpoint}
+            )
+            forensics = result.path_forensics()
+            explained = forensics.explain(endpoint)
+            assert report["text"] == forensics.render_text(explained), edit
+        row = stats_row(client.stats(), netlist, clocks)
+        assert row["swaps"] == 12
+        assert 0 < row["replays"]
+        assert row["replays"] >= replays
 
     def test_mutate_does_not_hash_the_network(
         self, tmp_path, design_files
@@ -434,11 +488,37 @@ class TestServing:
         )
         stats = client.stats()
         assert stats["ok"]
-        design = stats["designs"]["latch_pipeline"]
+        design = stats_row(stats, netlist, clocks)
+        assert design["design"] == "latch_pipeline"
         assert design["analyses"] >= 1
         assert design["mutations"] == 1
         assert design["warm"] is True
         assert stats["cache"] is not None
+
+    def test_stats_rows_of_one_network_name(self, tmp_path, client):
+        """Copies of one design in two directories are two warm designs
+        with one network name: each gets its own row."""
+        network, schedule = latch_pipeline(
+            stages=3, stage_lengths=[2, 1, 1], period=12.0
+        )
+        clocks = str(tmp_path / "clocks.json")
+        save_schedule(schedule, clocks)
+        netlists = []
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+            netlists.append(str(tmp_path / directory / "p.json"))
+            save_network(network, netlists[-1])
+            assert client.analyze(netlists[-1], clocks)["ok"]
+        client.mutate(
+            netlists[1], clocks, "scale_cell", cell="s0_i0", factor=1.1,
+            analyze=False,
+        )
+        stats = client.stats()
+        assert stats["designs_loaded"] == len(stats["designs"]) == 2
+        rows = [stats_row(stats, netlist, clocks) for netlist in netlists]
+        assert [row["design"] for row in rows] == ["latch_pipeline"] * 2
+        assert [row["netlist"] for row in rows] == netlists
+        assert [row["mutations"] for row in rows] == [0, 1]
 
     @pytest.mark.parametrize(
         "limit", [-1, -3, True, "x", 2.5, float("inf")], ids=repr

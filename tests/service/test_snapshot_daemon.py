@@ -21,6 +21,8 @@ from repro.generators import latch_pipeline
 from repro.netlist.persistence import save_network
 from repro.service import DaemonClient, TimingDaemon
 
+from tests.service.conftest import stats_row
+
 
 @pytest.fixture
 def daemon(tmp_path):
@@ -76,7 +78,7 @@ class TestSnapshotReads:
             == mutated["analysis"]["manifest_digest"]
         )
         assert _counters(daemon)["service.daemon.epoch_bumps"] == 1
-        stats = client.stats()["designs"]["latch_pipeline"]
+        stats = stats_row(client.stats(), netlist, clocks)
         assert stats["epoch"] == 1
         assert stats["snapshot_hits"] == 2
         assert stats["snapshot_published"] is True
@@ -108,7 +110,7 @@ class TestSnapshotReads:
         counters = _counters(daemon)
         assert counters["service.daemon.snapshot_hits"] == 1
         assert counters.get("service.daemon.epoch_bumps", 0) == 0
-        stats = client.stats()["designs"]["latch_pipeline"]
+        stats = stats_row(client.stats(), netlist, clocks)
         assert (stats["epoch"], stats["mutations"]) == (0, 0)
 
     def test_distinct_parameters_miss_then_hit(
