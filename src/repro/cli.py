@@ -769,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="count a request as stalled (health 'stalled', doctor "
         "exit 1) while it is in flight longer than this; 0 disables "
-        "the watchdog (default: 30)",
+        "stall counting (default: 30)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -340,6 +340,8 @@ class Hummingbird:
                 "model.generic_instances", stats.get("generic_instances", 0)
             )
         self._last_result: Optional[TimingResult] = None
+        #: The window of every instance that result's run left.
+        self._last_windows: List[float] = []
 
     # ------------------------------------------------------------------
     # analysis
@@ -358,12 +360,24 @@ class Hummingbird:
         # form no reference cycle, so a one-shot caller's whole graph is
         # freed when it drops the result, not at a full collection.
         self._last_result = dataclasses.replace(result, analyzer=None)
+        self._last_windows = [i.w for i in self.model.all_instances()]
         return result
 
     def generate_constraints(self) -> Algorithm2Result:
-        """Run Algorithm 2 (ready/required times for re-synthesis)."""
+        """Run Algorithm 2 (ready/required times for re-synthesis).
+
+        After :meth:`analyze` it starts from that run of Algorithm 1,
+        with the windows the run left put back (Algorithm 2's snatching
+        moves them); otherwise it runs Algorithm 1 first.
+        """
         with obs.span("analyzer.constraints", category="analyzer"):
-            return run_algorithm2(self.model, self.engine)
+            last = self._last_result
+            if last is None:
+                return run_algorithm2(self.model, self.engine)
+            instances = self.model.all_instances()
+            for instance, window in zip(instances, self._last_windows):
+                instance.w = window
+            return run_algorithm2(self.model, self.engine, last.algorithm1)
 
     def statistics(self, histogram_bins: int = 8):
         """Aggregate endpoint statistics (WNS/TNS, per-clock, histogram)

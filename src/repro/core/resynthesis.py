@@ -28,7 +28,7 @@ from repro.clocks.schedule import ClockSchedule
 from repro.core.algorithm1 import run_algorithm1
 from repro.core.algorithm2 import run_algorithm2
 from repro.core.model import AnalysisModel
-from repro.core.report import extract_slow_paths
+from repro.core.report import SlowPath, extract_slow_paths
 from repro.core.slack import SlackEngine
 from repro.delay.estimator import DelayMap
 from repro.netlist.network import Network
@@ -82,22 +82,19 @@ class SpeedupModel:
 
 def select_module(
     model: AnalysisModel,
-    engine: SlackEngine,
-    capture_slacks: Dict[str, float],
+    slow_paths: List[SlowPath],
     scales: Dict[str, float],
     speedup: SpeedupModel,
 ) -> Optional[str]:
     """Pick the combinational module with the most speed-up potential.
 
-    Scores each cell on a slow path by ``violation-weight x current worst
-    arc delay``: a slow, frequently-implicated module gives the largest
-    violation reduction per application of the speed-up factor.
+    Scores each cell on a slow path (all of the round's, at tolerance
+    0.0) by ``violation-weight x current worst arc delay``: a slow,
+    frequently-implicated module gives the largest violation reduction
+    per application of the speed-up factor.
     """
-    paths = extract_slow_paths(
-        model, engine, capture_slacks, tolerance=0.0, limit=None
-    )
     scores: Dict[str, float] = {}
-    for path in paths:
+    for path in slow_paths:
         weight = max(path.violation, 1e-6)
         for step in path.steps:
             if scales.get(step.cell_name, 1.0) <= speedup.min_scale:
@@ -183,9 +180,7 @@ def run_redesign_loop(
                 result.success = True
                 break
 
-            chosen = select_module(
-                model, engine, outcome.slacks.capture, scales, speedup
-            )
+            chosen = select_module(model, slow_paths, scales, speedup)
             allowed: Optional[float] = None
             if chosen is not None and generate_constraints:
                 constraints = run_algorithm2(

@@ -8,9 +8,9 @@ pipeline.
 * :mod:`repro.obs.metrics` -- flat metrics JSON and Prometheus text,
 * :mod:`repro.obs.summary` -- human-readable phase trees
   (``repro-sta ... --verbose``),
-* :mod:`repro.obs.flight` -- flight recorder ring, structured error /
-  crash reports and the stall watchdog (``repro.flight/1``,
-  ``repro.error/1``, ``repro.crash/1``).
+* :mod:`repro.obs.flight` -- flight recorder ring and structured error /
+  crash reports (``repro.flight/1``, ``repro.error/1``,
+  ``repro.crash/1``).
 
 Recording is **disabled by default**: every instrumentation site in the
 analysis pipeline degrades to a single global read (see
@@ -71,7 +71,6 @@ from repro.obs.flight import (
     FLIGHT_SCHEMA,
     CrashHandler,
     FlightRecorder,
-    StallWatchdog,
     error_document,
     exception_frames,
     thread_stacks,
@@ -117,7 +116,6 @@ __all__ = [
     "CRASH_SCHEMA",
     "FlightRecorder",
     "CrashHandler",
-    "StallWatchdog",
     "error_document",
     "exception_frames",
     "thread_stacks",

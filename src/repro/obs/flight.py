@@ -1,8 +1,8 @@
-"""Flight recorder, crash forensics and stall watchdog.
+"""Flight recorder and crash forensics.
 
 ``/metrics`` shows the daemon's counters; when a daemon request blows
 up (or never returns) the numbers alone cannot answer "what was the
-process doing just before?".  This module closes that gap with three
+process doing just before?".  This module closes that gap with two
 cooperating pieces, all standard library:
 
 * :class:`FlightRecorder` -- a bounded, always-on ring of recent
@@ -21,15 +21,10 @@ cooperating pieces, all standard library:
   enables :mod:`faulthandler` into the crash directory for fatal
   signals, and registers an ``atexit`` sweep that removes empty
   faulthandler logs.
-* :class:`StallWatchdog` -- a daemon thread watching an in-flight
-  request registry; a request older than ``deadline_s`` emits a stall
-  event (with the stuck thread's stack) exactly once, and clears when
-  the request finally finishes.  :meth:`StallWatchdog.stalled_count`
-  is what ``health`` reports and ``repro-sta doctor`` exits 1 on.
 
-Nothing here imports the service layer; the daemon wires the
-callbacks (``on_stall``/``on_clear`` write ``stall`` events into the
-flight ring) so the pieces stay testable in isolation.
+Nothing here imports the service layer.  The daemon counts its stalled
+requests itself, when they are read, and writes their ``stall`` events
+into the flight ring with :func:`thread_stacks`' frames.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ __all__ = [
     "thread_stacks",
     "FlightRecorder",
     "CrashHandler",
-    "StallWatchdog",
 ]
 
 #: Schema of a structured error (exception + traceback frames).
@@ -136,9 +130,8 @@ def current_frames() -> Dict[int, object]:
     """``sys._current_frames()`` with the garbage collector paused.
 
     CPython 3.11 can run a collection inside that call while it holds
-    the interpreter's thread-list lock.  Collecting a ``threading.local``
-    (the daemon keeps several) takes the same lock again, and the
-    process deadlocks.
+    the interpreter's thread-list lock.  Collecting a thread-local
+    object takes the same lock again, and the process deadlocks.
     """
     with _FRAMES_LOCK:
         enabled = gc.isenabled()
@@ -557,173 +550,3 @@ class CrashHandler:
                 path.unlink()
         except Exception:  # pragma: no cover -- teardown best effort
             pass
-
-
-# ----------------------------------------------------------------------
-# stall watchdog
-# ----------------------------------------------------------------------
-class StallWatchdog:
-    """Detect in-flight requests stuck beyond a deadline.
-
-    Callers :meth:`track` work when it starts and :meth:`untrack` it in
-    a ``finally``; a background thread scans the registry every
-    ``interval_s`` and, for any entry older than ``deadline_s``, calls
-    ``on_stall(info)`` exactly once with the entry (including the stuck
-    thread's stack).  When a stalled entry finally finishes,
-    ``on_clear(info)`` runs; :meth:`stalled_count` counts the stalled
-    entries still in flight.
-
-    ``scan(now)`` is public so tests (and the daemon's own diagnostics)
-    can run a deterministic sweep without waiting out the interval.
-    """
-
-    def __init__(
-        self,
-        deadline_s: float = 30.0,
-        interval_s: Optional[float] = None,
-        on_stall: Optional[Callable[[Dict[str, object]], None]] = None,
-        on_clear: Optional[Callable[[Dict[str, object]], None]] = None,
-    ) -> None:
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
-        self.deadline_s = float(deadline_s)
-        self.interval_s = (
-            float(interval_s)
-            if interval_s is not None
-            else max(0.05, min(1.0, self.deadline_s / 4.0))
-        )
-        self.on_stall = on_stall
-        self.on_clear = on_clear
-        self._lock = threading.Lock()
-        self._inflight: Dict[int, Dict[str, object]] = {}
-        self._next_token = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.stalls = 0
-
-    # ------------------------------------------------------------------
-    # registry
-    # ------------------------------------------------------------------
-    def track(
-        self, op: Optional[str] = None, design: Optional[str] = None
-    ) -> int:
-        """Register in-flight work; returns a token for :meth:`untrack`."""
-        entry: Dict[str, object] = {
-            "op": op,
-            "design": design,
-            "thread_id": threading.get_ident(),
-            "started_ts": time.time(),
-            "started_perf": time.perf_counter(),
-            "stalled": False,
-        }
-        with self._lock:
-            token = self._next_token
-            self._next_token += 1
-            self._inflight[token] = entry
-        return token
-
-    def annotate(self, token: int, **fields: object) -> None:
-        """Attach late-known facts (e.g. the design) to an entry."""
-        with self._lock:
-            entry = self._inflight.get(token)
-            if entry is not None:
-                entry.update(fields)
-
-    def untrack(self, token: int) -> None:
-        """Work finished; fires ``on_clear`` if this entry had stalled."""
-        with self._lock:
-            entry = self._inflight.pop(token, None)
-        if entry is not None and entry.get("stalled"):
-            entry["waited_s"] = round(
-                time.perf_counter() - entry["started_perf"], 6
-            )
-            self._emit(self.on_clear, entry)
-
-    def inflight(self) -> List[Dict[str, object]]:
-        """A snapshot of in-flight entries (oldest first)."""
-        with self._lock:
-            entries = [dict(e) for e in self._inflight.values()]
-        return sorted(entries, key=lambda e: e["started_perf"])
-
-    def stalled_count(self) -> int:
-        with self._lock:
-            return sum(
-                1 for e in self._inflight.values() if e.get("stalled")
-            )
-
-    # ------------------------------------------------------------------
-    # scanning
-    # ------------------------------------------------------------------
-    def scan(self, now: Optional[float] = None) -> List[Dict[str, object]]:
-        """One sweep; returns newly stalled entries (possibly empty)."""
-        now = time.perf_counter() if now is None else now
-        fresh: List[Dict[str, object]] = []
-        with self._lock:
-            for entry in self._inflight.values():
-                waited = now - entry["started_perf"]
-                if waited >= self.deadline_s and not entry.get("stalled"):
-                    entry["stalled"] = True
-                    info = dict(entry)
-                    info["waited_s"] = round(waited, 6)
-                    fresh.append(info)
-            self.stalls += len(fresh)
-        for info in fresh:
-            info["stack"] = self._stack_of(info.get("thread_id"))
-            self._emit(self.on_stall, info)
-        return fresh
-
-    @staticmethod
-    def _stack_of(thread_id: object) -> List[str]:
-        for row in thread_stacks():
-            if row["thread_id"] == thread_id:
-                return list(row["frames"])
-        return []
-
-    def _emit(
-        self,
-        hook: Optional[Callable[[Dict[str, object]], None]],
-        info: Dict[str, object],
-    ) -> None:
-        if hook is None:
-            return
-        try:
-            hook(info)
-        except Exception:  # pragma: no cover -- hooks must not kill us
-            pass
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "StallWatchdog":
-        if self._thread is not None:
-            raise RuntimeError("watchdog already started")
-        self._stop.clear()
-
-        def _run() -> None:
-            while not self._stop.wait(self.interval_s):
-                try:
-                    self.scan()
-                except Exception:  # pragma: no cover -- never die
-                    pass
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-watchdog", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            self._stop.set()
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "StallWatchdog":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -379,16 +379,17 @@ NULL_SPAN = _NullSpan()
 #: The process-wide recorder; ``None`` means "disabled" (the default).
 _recorder: Optional[Recorder] = None
 
-#: Per-thread recorder override.  A thread with a binding records into
-#: its own recorder regardless of the process-wide one; every other
-#: thread is untouched.  This is what lets a daemon handle many traced
-#: requests concurrently -- each handler thread binds its per-request
-#: recorder for the duration of the request instead of swapping the
-#: process-wide recorder behind a global lock.
-_bindings = threading.local()
+#: Per-thread recorder overrides, by thread id.  A thread with a binding
+#: records into its own recorder regardless of the process-wide one;
+#: every other thread is untouched.  This is what lets a daemon handle
+#: many traced requests concurrently -- each handler thread binds its
+#: per-request recorder for the duration of the request instead of
+#: swapping the process-wide recorder behind a global lock.  Each thread
+#: writes only its own key.
+_bindings: Dict[int, Optional[Recorder]] = {}
 
-#: Sentinel distinguishing "no thread-local binding" from "explicitly
-#: bound to None" (a thread may opt *out* of an ambient recorder).
+#: Sentinel distinguishing "no binding" from "explicitly bound to
+#: None" (a thread may opt *out* of an ambient recorder).
 _UNBOUND = object()
 
 #: Span name of a collection of each generation.
@@ -428,12 +429,12 @@ def _gc_callback(phase: str, info: Dict[str, int]) -> None:
 def active() -> Optional[Recorder]:
     """The recorder this thread records into, or ``None`` when disabled.
 
-    A thread-local binding (:func:`bind_recorder` / :func:`bound`) wins
+    A per-thread binding (:func:`bind_recorder` / :func:`bound`) wins
     over the process-wide recorder.  Hot loops should fetch this once
     (``rec = obs.active()``) and guard their instrumentation on
     ``rec is not None``.
     """
-    bound_rec = getattr(_bindings, "recorder", _UNBOUND)
+    bound_rec = _bindings.get(threading.get_ident(), _UNBOUND)
     if bound_rec is not _UNBOUND:
         return bound_rec
     return _recorder
@@ -471,18 +472,17 @@ def bind_recorder(recorder) -> object:
     (record nothing on this thread) is distinct from.
 
     Prefer the :func:`bound` context manager; this low-level pair
-    exists for frameworks that cannot use a ``with`` block.
+    exists for frameworks that cannot use a ``with`` block.  Restore
+    the token before the thread ends: a later thread may reuse its id.
     """
-    previous = getattr(_bindings, "recorder", _UNBOUND)
+    thread_id = threading.get_ident()
+    previous = _bindings.get(thread_id, _UNBOUND)
     if recorder is _UNBOUND:
-        # Restoring the "no binding" token: drop the attribute so the
+        # Restoring the "no binding" token: drop the entry so the
         # process-wide recorder shows through again.
-        try:
-            del _bindings.recorder
-        except AttributeError:
-            pass
+        _bindings.pop(thread_id, None)
     else:
-        _bindings.recorder = recorder
+        _bindings[thread_id] = recorder
     return previous
 
 

@@ -52,10 +52,10 @@ full span tree when they were traced.
 
 **Self-diagnosis**: an always-on
 :class:`repro.obs.flight.FlightRecorder` keeps a ring of recent
-requests, errors and stalls (``flight`` op); a
-:class:`repro.obs.flight.StallWatchdog` flags requests in flight past
-``stall_timeout_s`` (a ``stall`` flight event with the stuck thread's
-stack, and ``stalled`` in ``health``); and a
+requests, errors and stalls (``flight`` op).  ``health`` counts as
+``stalled`` the requests in flight longer than ``stall_timeout_s`` at
+the moment it is read; the first read that finds one writes a
+``stall`` flight event with the stuck thread's stack.  A
 :class:`repro.obs.flight.CrashHandler` dumps ``repro.crash/1`` reports
 -- structured frames, all-thread stacks, the flight ring, buildinfo --
 for unexpected handler exceptions (``crash-report`` op).  ``repro-sta
@@ -65,12 +65,14 @@ doctor`` reads all three.
 connection has one thread, which reads a line, answers it and writes
 the answer before it reads the next, so answers leave in request order
 and a triage op on its own connection never waits behind stuck
-requests.  Analysis results publish as immutable copy-on-write
+requests.  Besides those, the daemon runs only the thread that accepts
+connections.  One registry, keyed by the answering thread, records the
+requests in flight.  Analysis results publish as immutable copy-on-write
 :class:`AnalysisSnapshot` objects versioned by a per-design mutation
 epoch -- a repeat ``analyze`` with no intervening mutation answers
 lock-free straight from the snapshot (``"engine": "snapshot"``) -- and
-traced requests bind their per-request recorder thread-locally, so they
-do not serialise daemon-wide.
+traced requests bind their per-request recorder to their own thread, so
+they do not serialise daemon-wide.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ from repro.obs.accesslog import AccessLog
 from repro.obs.flight import (
     CrashHandler,
     FlightRecorder,
-    StallWatchdog,
     error_document,
+    thread_stacks,
 )
 from repro.obs.hist import LATENCY_BUCKETS
 from repro.service.cache import ResultCache
@@ -178,8 +180,6 @@ class _DesignState:
         self.lock = threading.Lock()
         self.mutations = 0
         self.analyses = 0
-        #: Requests currently queued on / holding this design's lock.
-        self.in_flight = 0
         #: Has the *current* engine answered at least once?  Reset on a
         #: full rebuild (clock edits), kept across delay mutations.
         self.served = False
@@ -211,6 +211,29 @@ class _DesignState:
         )
 
 
+class _InFlight:
+    """One request being answered, as the daemon's in-flight registry
+    holds it: what ``stop()``, ``health``, ``stats`` and the request's
+    own flight event and access-log line need to know about it."""
+
+    __slots__ = ("op", "state", "engine", "queue_wait", "started", "stalled")
+
+    def __init__(self, started: float) -> None:
+        self.op: Optional[str] = None
+        #: The warm design the request named, once it is loaded.
+        self.state: Optional[_DesignState] = None
+        self.engine: Optional[str] = None
+        #: Arrival to the design lock or the snapshot read, if it queued.
+        self.queue_wait: Optional[float] = None
+        self.started = started
+        #: Has a read found it stalled (and written its ``stall`` event)?
+        self.stalled = False
+
+    @property
+    def design(self) -> Optional[str]:
+        return self.state.network.name if self.state is not None else None
+
+
 class TimingDaemon:
     """Long-lived analyze/what-if/report engine on a Unix socket.
 
@@ -234,9 +257,10 @@ class TimingDaemon:
         Directory ``repro.crash/1`` reports are written to (``None``
         keeps the last report in memory only).
     stall_timeout_s:
-        Requests in flight longer than this count as stalled: a
-        ``stall`` flight event with the stuck thread's stack, and
-        ``stalled`` in ``health`` (``None`` disables the watchdog).
+        Requests in flight longer than this count as ``stalled`` in
+        ``health`` when it is read; the first read that finds one
+        writes a ``stall`` flight event with the stuck thread's stack
+        (``None`` counts none).
     debug_ops:
         Enable the fault-injection ops ``fail`` and ``sleep`` (CI's
         self-diagnosis smoke uses them; also enabled by the
@@ -266,7 +290,6 @@ class TimingDaemon:
         self.started_at = time.time()
         self.requests = 0
         self.errors = 0
-        self.in_flight = 0
         self.last_error: Optional[Dict[str, object]] = None
         #: Always-on service recorder.
         self.recorder = obs.Recorder(max_spans=10_000, max_events=2_000)
@@ -279,15 +302,10 @@ class TimingDaemon:
             buildinfo=self._buildinfo,
         )
         self._install_crash_hooks = bool(install_crash_hooks)
-        #: Stall watchdog (``None`` with no deadline).
-        self.watchdog: Optional[StallWatchdog] = (
-            StallWatchdog(
-                deadline_s=stall_timeout_s,
-                on_stall=self._on_stall,
-                on_clear=self._on_stall_clear,
-            )
-            if stall_timeout_s is not None
-            else None
+        if stall_timeout_s is not None and not stall_timeout_s > 0:
+            raise ValueError("stall_timeout_s must be > 0 (None disables it)")
+        self.stall_timeout_s = (
+            float(stall_timeout_s) if stall_timeout_s is not None else None
         )
         self.debug_ops = bool(debug_ops) or (
             os.environ.get("REPRO_DEBUG_OPS") == "1"
@@ -308,13 +326,13 @@ class TimingDaemon:
             Tuple[str, str, Optional[str]], _DesignState
         ] = {}
         self._designs_lock = threading.Lock()
-        self._state_lock = threading.Lock()  # requests/errors/in_flight
-        self._local = threading.local()
-        #: Requests being handled on connection threads, and whether
-        #: the daemon has stopped taking new ones; ``_idle`` guards both
-        #: and is notified whenever a request is done.
+        self._state_lock = threading.Lock()  # requests/errors/last_error
+        #: The requests being answered, by the id of the thread that
+        #: answers each, and whether the daemon has stopped taking new
+        #: ones; ``_idle`` guards both and is notified whenever a
+        #: request is done.
         self._idle = threading.Condition()
-        self._handling = 0
+        self._in_flight: Dict[int, _InFlight] = {}
         self._stopping = False
         self._server: Optional[socketserver.ThreadingUnixStreamServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -364,20 +382,13 @@ class TimingDaemon:
         """Answer one request line on its connection's thread and write
         the answer to ``out``; ``False`` ends the connection (the daemon
         is stopping, or this was ``shutdown``)."""
-        with self._idle:
-            if self._stopping:
-                return False
-            self._handling += 1
-        try:
-            # Looked up on every call, so a wrapper installed on the
-            # class after start-up still sees each request.
-            response = self.handle_line(line)
-        finally:
-            with self._idle:
-                self._handling -= 1
-                self._idle.notify_all()
-        # Written after the count drops: a peer that stops reading
-        # cannot hold up stop().
+        # Looked up on every call, so a wrapper installed on the class
+        # after start-up still sees each request.
+        response = self.handle_line(line)
+        if response is None:
+            return False
+        # Written once the request has left the registry: a peer that
+        # stops reading cannot hold up stop().
         out.write(
             json.dumps(
                 response, sort_keys=True, separators=(",", ":")
@@ -389,40 +400,51 @@ class TimingDaemon:
             return False
         return True
 
-    def _start_self_diagnosis(self) -> None:
-        if self.watchdog is not None and not self.watchdog.running:
-            self.watchdog.start()
-        if self._install_crash_hooks:
-            self.crash.install()
-        self.flight.record_log(
-            "daemon started",
-            pid=os.getpid(),
-            socket=self.socket_path,
-        )
-
     # ------------------------------------------------------------------
-    # self-diagnosis hooks (stalls)
+    # the in-flight registry
     # ------------------------------------------------------------------
-    def _on_stall(self, info: Dict[str, object]) -> None:
-        self._counter("service.daemon.stalls")
-        self.flight.record(
-            "stall",
-            op=info.get("op"),
-            design=info.get("design"),
-            status="stalled",
-            waited_s=round(float(info.get("waited_s") or 0.0), 3),
-            thread_id=info.get("thread_id"),
-            stack=info.get("stack"),
-        )
+    def _request(self) -> _InFlight:
+        """The record of the request this thread is answering."""
+        return self._in_flight[threading.get_ident()]
 
-    def _on_stall_clear(self, info: Dict[str, object]) -> None:
-        self.flight.record(
-            "stall",
-            op=info.get("op"),
-            design=info.get("design"),
-            status="resolved",
-            waited_s=round(float(info.get("waited_s") or 0.0), 3),
-        )
+    def _stalled(self) -> int:
+        """The requests in flight longer than ``stall_timeout_s``, now.
+
+        Counting is the only stall check: nothing runs between reads.
+        The first read that finds a request past the deadline writes
+        its ``stall`` flight event (``stalled``, with the stack of the
+        thread answering it) and counts ``service.daemon.stalls``.  The
+        event is written under ``_idle``, so it precedes the
+        ``resolved`` event the request's end writes.
+        """
+        if self.stall_timeout_s is None:
+            return 0
+        now = time.perf_counter()
+        with self._idle:
+            late = [
+                (thread_id, record)
+                for thread_id, record in self._in_flight.items()
+                if now - record.started >= self.stall_timeout_s
+            ]
+            fresh = [(t, record) for t, record in late if not record.stalled]
+            stacks = (
+                {row["thread_id"]: row["frames"] for row in thread_stacks()}
+                if fresh
+                else {}
+            )
+            for thread_id, record in fresh:
+                record.stalled = True
+                self._counter("service.daemon.stalls")
+                self.flight.record(
+                    "stall",
+                    op=record.op,
+                    design=record.design,
+                    status="stalled",
+                    waited_s=round(now - record.started, 3),
+                    thread_id=thread_id,
+                    stack=stacks.get(thread_id, []),
+                )
+        return len(late)
 
     def _buildinfo(self) -> Dict[str, object]:
         """Build/runtime identity served by the ``buildinfo`` op."""
@@ -448,9 +470,7 @@ class TimingDaemon:
                     if self.crash.crash_dir is not None
                     else None
                 ),
-                "stall_timeout_s": (
-                    self.watchdog.deadline_s if self.watchdog else None
-                ),
+                "stall_timeout_s": self.stall_timeout_s,
                 "debug_ops": self.debug_ops,
             },
         }
@@ -460,28 +480,34 @@ class TimingDaemon:
         with self._designs_lock:
             designs_loaded = len(self._designs)
             epoch_sum = sum(s.epoch for s in self._designs.values())
-        self.recorder.gauge("service.daemon.in_flight", self.in_flight)
+        self.recorder.gauge(
+            "service.daemon.in_flight", len(self._in_flight)
+        )
         self.recorder.gauge("service.daemon.designs", designs_loaded)
         self.recorder.gauge("service.daemon.epoch", epoch_sum)
         self.recorder.gauge(
             "service.daemon.uptime_seconds",
             time.time() - self.started_at,
         )
-        if self.watchdog is not None:
-            self.recorder.gauge(
-                "service.daemon.stalled", self.watchdog.stalled_count()
-            )
+        if self.stall_timeout_s is not None:
+            self.recorder.gauge("service.daemon.stalled", self._stalled())
         self.recorder.gauge("service.flight.events", len(self.flight))
         self.recorder.gauge("service.flight.dropped", self.flight.dropped)
 
     def bind(self) -> None:
-        """Listen on the socket and start the self-diagnosis helpers;
+        """Listen on the socket (installing the crash hooks when asked);
         :meth:`serve_forever` then serves.  ``repro-sta serve`` binds
         first so its start-up message follows a socket that accepts."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
         self._server = self._make_server()
-        self._start_self_diagnosis()
+        if self._install_crash_hooks:
+            self.crash.install()
+        self.flight.record_log(
+            "daemon started",
+            pid=os.getpid(),
+            socket=self.socket_path,
+        )
 
     def start(self) -> None:
         """Serve in a background thread (returns once listening)."""
@@ -521,9 +547,7 @@ class TimingDaemon:
             # handled finish, access-log line included, before the log
             # closes.
             self._stopping = True
-            self._idle.wait_for(lambda: not self._handling)
-        if self.watchdog is not None:
-            self.watchdog.stop()
+            self._idle.wait_for(lambda: not self._in_flight)
         self.crash.uninstall()
         if self.access_log is not None:
             self.access_log.close()
@@ -545,8 +569,9 @@ class TimingDaemon:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def handle_line(self, line: bytes) -> Dict[str, object]:
-        """Parse one request line and answer it (never raises).
+    def handle_line(self, line: bytes) -> Optional[Dict[str, object]]:
+        """Parse one request line and answer it (never raises); ``None``
+        once the daemon is stopping: the line gets no answer.
 
         Requests are timestamped **on arrival**; handlers that queue on
         a per-design lock report arrival -> lock-acquired as
@@ -557,15 +582,38 @@ class TimingDaemon:
         bound to this thread only (:func:`repro.obs.bound`), so traced
         requests run fully concurrently, and ships the recorder
         snapshot back under ``"trace"``.
+
+        The request stays in the in-flight registry from its arrival
+        until its flight event and access-log line are written; a
+        request a read found stalled then writes its ``resolved`` event.
         """
-        arrival = time.perf_counter()
-        local = self._local
-        local.queue_wait = None
-        local.design = None
-        local.engine = None
+        record = _InFlight(time.perf_counter())
+        thread_id = threading.get_ident()
+        with self._idle:
+            if self._stopping:
+                return None
+            self._in_flight[thread_id] = record
+        try:
+            return self._handle(line, record)
+        finally:
+            with self._idle:
+                del self._in_flight[thread_id]
+                if record.stalled:
+                    self.flight.record(
+                        "stall",
+                        op=record.op,
+                        design=record.design,
+                        status="resolved",
+                        waited_s=round(
+                            time.perf_counter() - record.started, 3
+                        ),
+                    )
+                self._idle.notify_all()
+
+    def _handle(self, line: bytes, record: _InFlight) -> Dict[str, object]:
+        """:meth:`handle_line` for a request in the registry."""
         with self._state_lock:
             self.requests += 1
-            self.in_flight += 1
         self._counter("service.daemon.requests")
         request: Dict[str, object] = {}
         op = ""
@@ -574,7 +622,6 @@ class TimingDaemon:
         error_type: Optional[str] = None
         req_rec: Optional[obs.Recorder] = None
         snapshot_doc: Optional[Dict[str, object]] = None
-        local.wd_token = None
         try:
             parsed = json.loads(line.decode("utf-8"))
             if not isinstance(parsed, dict):
@@ -586,12 +633,11 @@ class TimingDaemon:
             handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
             if handler is None or op.startswith("_"):
                 raise ValueError(f"unknown op {op!r}")
-            if self.watchdog is not None:
-                local.wd_token = self.watchdog.track(op=op)
+            record.op = op
             ctx = request.get("trace")
             if isinstance(ctx, dict) and ctx.get("trace_id"):
                 req_rec = live.child_recorder(ctx)
-                # Thread-local binding: concurrent traced requests each
+                # Per-thread binding: concurrent traced requests each
                 # see only their own recorder -- no daemon-wide lock.
                 with obs.bound(req_rec):
                     with req_rec.span(
@@ -622,7 +668,7 @@ class TimingDaemon:
             self.flight.record(
                 "error",
                 op=op or None,
-                design=getattr(local, "design", None),
+                design=record.design,
                 error=error_doc,
             )
             if not isinstance(exc, _EXPECTED_ERRORS):
@@ -630,6 +676,9 @@ class TimingDaemon:
                 # is business as usual; anything else is a bug worth a
                 # full postmortem.
                 try:
+                    # A read: a stalled request's ``stall`` event lands
+                    # in the report's flight ring.
+                    self._stalled()
                     self.crash.report(
                         exc, kind="handler_exception", op=op or None
                     )
@@ -642,16 +691,10 @@ class TimingDaemon:
                 "error_type": error_type,
                 "error_doc": error_doc,
             }
-        finally:
-            with self._state_lock:
-                self.in_flight -= 1
-            token = getattr(local, "wd_token", None)
-            if token is not None and self.watchdog is not None:
-                self.watchdog.untrack(token)
         if "id" in request:
             response.setdefault("id", request["id"])
-        duration = time.perf_counter() - arrival
-        queue_wait = getattr(local, "queue_wait", None)
+        duration = time.perf_counter() - record.started
+        queue_wait = record.queue_wait
         handle_s = (
             duration - queue_wait if queue_wait is not None else duration
         )
@@ -669,24 +712,24 @@ class TimingDaemon:
             self._counter("service.daemon.slow_requests")
         self.flight.record_request(
             op or "?",
-            getattr(local, "design", None),
+            record.design,
             status,
             duration,
-            engine=getattr(local, "engine", None),
+            engine=record.engine,
             error_type=error_type,
         )
         if self.access_log is not None:
             self.access_log.record(
                 "daemon",
                 op or "?",
-                getattr(local, "design", None),
+                record.design,
                 status,
                 duration,
                 snapshot=snapshot_doc,
                 # Failed requests always log their span tree -- their
                 # forensic value does not depend on being slow.
                 force_spans=status == "error",
-                engine=getattr(local, "engine", None),
+                engine=record.engine,
                 queue_wait_s=(
                     round(queue_wait, 6) if queue_wait is not None else None
                 ),
@@ -710,21 +753,13 @@ class TimingDaemon:
         two histograms split lock-free from locked traffic.
 
         A context manager rather than an acquire/release pair: a
-        handler exception between the two can never leak
-        ``state.in_flight`` or keep the design locked forever.
+        handler exception between the two can never keep the design
+        locked forever.
         """
         waited_from = time.perf_counter()
-        with self._state_lock:
-            state.in_flight += 1
-        try:
-            state.lock.acquire()
-        except BaseException:
-            with self._state_lock:
-                state.in_flight -= 1
-            raise
-        try:
+        with state.lock:
             queue_wait = time.perf_counter() - waited_from
-            self._local.queue_wait = queue_wait
+            self._request().queue_wait = queue_wait
             self._histogram(
                 "service.daemon.queue_wait_seconds", queue_wait
             )
@@ -732,10 +767,6 @@ class TimingDaemon:
                 "service.daemon.lock_wait_seconds", queue_wait
             )
             yield state
-        finally:
-            state.lock.release()
-            with self._state_lock:
-                state.in_flight -= 1
 
     # ------------------------------------------------------------------
     # state helpers
@@ -764,10 +795,7 @@ class TimingDaemon:
                     state = _DesignState(*key)
                 self._designs[key] = state
                 self._counter("service.daemon.designs_loaded")
-        self._local.design = state.network.name
-        token = getattr(self._local, "wd_token", None)
-        if token is not None and self.watchdog is not None:
-            self.watchdog.annotate(token, design=state.network.name)
+        self._request().state = state
         return state
 
     def _analyze_state(
@@ -782,7 +810,7 @@ class TimingDaemon:
         limit = request.get("slow_path_limit", self.slow_path_limit)
         tolerance = check_tolerance(request.get("tolerance"))
         engine = "incremental-warm" if state.warm else "cold"
-        self._local.engine = engine
+        self._request().engine = engine
         if engine == "incremental-warm":
             self._counter("service.daemon.incremental_hits")
         result = state.analyzer.timing_result(
@@ -850,14 +878,13 @@ class TimingDaemon:
 
         One source of truth -- ``uptime_s`` and friends cannot drift
         between the three ops (they used to be hand-rolled per op).
-        ``stalled`` counts requests in flight past the watchdog's
-        deadline; ``repro-sta doctor`` exits 1 while it is above 0.
+        ``stalled`` counts requests in flight past ``stall_timeout_s``
+        (:meth:`_stalled`); ``repro-sta doctor`` exits 1 while it is
+        above 0.
         """
         with self._designs_lock:
             designs_loaded = len(self._designs)
-        stalled = (
-            self.watchdog.stalled_count() if self.watchdog is not None else 0
-        )
+        stalled = self._stalled()
         with self._state_lock:
             return {
                 "protocol": PROTOCOL_VERSION,
@@ -865,7 +892,7 @@ class TimingDaemon:
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "requests": self.requests,
                 "errors": self.errors,
-                "in_flight": self.in_flight,
+                "in_flight": len(self._in_flight),
                 "designs_loaded": designs_loaded,
                 "stalled": stalled,
                 "last_error": self.last_error,
@@ -921,13 +948,13 @@ class TimingDaemon:
         cached = snap.responses.get(key)
         if cached is None:
             return None
+        record = self._request()
         if arrival is not None:
-            queue_wait = time.perf_counter() - arrival
-            self._local.queue_wait = queue_wait
+            record.queue_wait = time.perf_counter() - arrival
             self._histogram(
-                "service.daemon.queue_wait_seconds", queue_wait
+                "service.daemon.queue_wait_seconds", record.queue_wait
             )
-        self._local.engine = "snapshot"
+        record.engine = "snapshot"
         self._counter("service.daemon.snapshot_hits")
         with self._state_lock:
             state.analyses += 1
@@ -1059,6 +1086,8 @@ class TimingDaemon:
             }
 
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
+        with self._idle:
+            named = [record.state for record in self._in_flight.values()]
         with self._designs_lock:
             # One row per warm design, keyed as the design is: by its
             # netlist and clocks paths and default clock (the JSON text
@@ -1075,7 +1104,9 @@ class TimingDaemon:
                     "rebuilds": state.analyzer.rebuilds,
                     "swaps": state.analyzer.swaps,
                     "replays": state.analyzer.replays,
-                    "in_flight": state.in_flight,
+                    # Requests in flight that named it, snapshot reads
+                    # included.
+                    "in_flight": named.count(state),
                     "epoch": state.epoch,
                     "snapshot_hits": state.snapshot_hits,
                     "snapshot_published": state.snapshot is not None,
@@ -1103,6 +1134,7 @@ class TimingDaemon:
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
         last = _last_count(request.get("last"))
+        self._stalled()  # a read: stalls found now are in the ring
         return {"ok": True, **self.flight.to_dict(last=last)}
 
     def _op_crash_report(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -1138,9 +1170,9 @@ class TimingDaemon:
         )
 
     def _op_sleep(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Deliberately hold the handler in flight (exercises the stall
-        watchdog: the request counts as stalled once ``seconds`` exceeds
-        the deadline)."""
+        """Deliberately hold the handler in flight (exercises stall
+        counting: the request counts as stalled once it is in flight
+        longer than ``stall_timeout_s``)."""
         self._require_debug_ops()
         seconds = min(60.0, float(request.get("seconds", 1.0) or 0.0))
         time.sleep(max(0.0, seconds))

@@ -9,7 +9,7 @@ a socket:
 * :func:`render_doctor` -- a **pure** renderer: document in, triage
   text out,
 * :func:`doctor_exit_code` -- the CI contract: ``0`` healthy, ``1``
-  when the stall watchdog has a request in flight past its deadline
+  when the daemon has a request in flight past its stall deadline
   (``health.stalled``), ``2`` when the daemon has a crash report on
   disk (crash wins when both apply).
 
@@ -71,8 +71,8 @@ def doctor_exit_code(doc: Dict[str, object]) -> int:
 
 
 def _stalled(doc: Dict[str, object]) -> int:
-    """Requests the stall watchdog counts as stalled right now (0 when
-    ``health`` failed or the daemon runs no watchdog)."""
+    """Requests the daemon counts as stalled right now (0 when
+    ``health`` failed or the daemon has no stall deadline)."""
     return int((doc.get("health") or {}).get("stalled") or 0)
 
 

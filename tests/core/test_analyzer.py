@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.clocks import ClockSchedule
 from repro.core import Hummingbird
 from repro.delay import estimate_delays
+from repro.generators import random_design
 
 from tests.conftest import build_ff_stage
 
@@ -109,3 +111,49 @@ class TestTableRow:
         hb = Hummingbird(network, schedule)
         outcome = hb.generate_constraints()
         assert outcome.constraints.ready_time("n1") is not None
+
+
+def _constraints_view(outcome):
+    """Ready and required times bit for bit, and the snatch cycles."""
+
+    def side(times):
+        return sorted(
+            (
+                net,
+                [
+                    (e.cluster, e.pass_index, e.value.rise.hex(),
+                     e.value.fall.hex())
+                    for e in entries
+                ],
+            )
+            for net, entries in times.items()
+        )
+
+    return (
+        side(outcome.constraints.ready),
+        side(outcome.constraints.required),
+        outcome.backward_snatch_cycles,
+        outcome.forward_snatch_cycles,
+        outcome.converged,
+    )
+
+
+@pytest.mark.parametrize("scale", ["1", "0.5"], ids=["clean", "violating"])
+def test_constraints_reuse_the_analysis_run(scale):
+    """After analyze(), generate_constraints() runs no second Algorithm
+    1, and each call answers what a fresh analyser's does: the windows
+    the first call's snatching moved are put back for the second."""
+    network, schedule = random_design(
+        7, n_banks=4, gates_per_bank=100, bits=4, style="latch"
+    )
+    schedule = schedule.scaled(scale)
+    hb = Hummingbird(network, schedule)
+    with obs.recording() as rec:
+        intended = hb.analyze().intended
+        first = _constraints_view(hb.generate_constraints())
+        second = _constraints_view(hb.generate_constraints())
+    assert rec.counters["alg1.runs"] == 1
+    fresh = Hummingbird(network, schedule).generate_constraints()
+    assert first == second == _constraints_view(fresh)
+    assert intended == (scale == "1")
+    assert (first[3] > 0) == (not intended)

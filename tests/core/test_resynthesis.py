@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import resynthesis
+from repro.core.frequency import find_max_frequency
 from repro.core.resynthesis import SpeedupModel, run_redesign_loop
 from repro.delay import estimate_delays
+from repro.generators import random_design
 
 from tests.conftest import build_ff_stage
 
@@ -84,3 +87,57 @@ class TestRedesignLoop:
         before = delays.arc_delay(network.cell("inv0"), "A", "Z")
         run_redesign_loop(network, schedule, delays)
         assert delays.arc_delay(network.cell("inv0"), "A", "Z") == before
+
+
+def _round_view(result):
+    """Every round bit for bit, the area cost and the outcome."""
+    return (
+        [
+            (
+                r.round_index,
+                r.chosen_module,
+                r.slow_path_count,
+                r.worst_slack.hex(),
+                r.scale_applied,
+                None if r.allowed_delay is None else r.allowed_delay.hex(),
+            )
+            for r in result.rounds
+        ],
+        result.area_cost.hex(),
+        result.success,
+    )
+
+
+def test_one_slow_path_extraction_per_round(monkeypatch):
+    """The round's slow paths both count the round and choose its
+    module; both modes run the same rounds."""
+    network, schedule = random_design(
+        seed=404, n_banks=3, gates_per_bank=35, bits=6, style="latch"
+    )
+    delays = estimate_delays(network)
+    search = find_max_frequency(network, schedule, delays)
+    schedule = search.schedule.scaled("0.88")
+    calls = []
+    extract = resynthesis.extract_slow_paths
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(resynthesis, "extract_slow_paths", counting)
+    views = {}
+    for incremental in (True, False):
+        calls.clear()
+        result = run_redesign_loop(
+            network,
+            schedule,
+            delays,
+            speedup=SpeedupModel(speedup_factor=0.7, min_scale=0.2),
+            max_rounds=200,
+            incremental=incremental,
+        )
+        assert result.success and result.num_rounds > 2
+        # The final round meets timing and extracts nothing.
+        assert len(calls) == result.num_rounds - 1
+        views[incremental] = _round_view(result)
+    assert views[True] == views[False]

@@ -1,4 +1,4 @@
-"""Tests for the flight recorder, crash reports and stall watchdog."""
+"""Tests for the flight recorder and crash reports."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.obs.flight import (
     FLIGHT_SCHEMA,
     CrashHandler,
     FlightRecorder,
-    StallWatchdog,
     error_document,
     exception_frames,
     thread_stacks,
@@ -279,93 +278,3 @@ class TestCrashHandler:
         assert latest["kind"] == "unhandled_thread_exception"
         assert latest["thread"] == "crasher"
         assert latest["error"]["error"] == "thread boom"
-
-
-class TestStallWatchdog:
-    def test_scan_detects_and_clear_fires_once(self):
-        stalls, clears = [], []
-        watchdog = StallWatchdog(
-            deadline_s=10.0,
-            on_stall=stalls.append,
-            on_clear=clears.append,
-        )
-        token = watchdog.track(op="analyze", design="chip")
-        now = time.perf_counter()
-        assert watchdog.scan(now=now) == []  # young request: fine
-        fresh = watchdog.scan(now=now + 11.0)
-        assert len(fresh) == 1
-        info = fresh[0]
-        assert info["op"] == "analyze"
-        assert info["design"] == "chip"
-        assert info["waited_s"] >= 10.0
-        assert info["stack"]  # the stuck thread is *this* thread
-        assert any("test_scan_detects" in f for f in info["stack"])
-        # Second scan does not re-fire the same stall.
-        assert watchdog.scan(now=now + 12.0) == []
-        assert watchdog.stalled_count() == 1
-        watchdog.untrack(token)
-        assert len(clears) == 1 and clears[0]["op"] == "analyze"
-        assert watchdog.stalled_count() == 0
-        assert stalls[0] is not clears[0]
-
-    def test_annotate_attaches_late_facts(self):
-        watchdog = StallWatchdog(deadline_s=5.0)
-        token = watchdog.track(op="analyze")
-        watchdog.annotate(token, design="late")
-        assert watchdog.inflight()[0]["design"] == "late"
-        watchdog.untrack(token)
-        watchdog.annotate(token, design="gone")  # no-op, no raise
-
-    def test_all_clear_waits_for_every_stall(self):
-        watchdog = StallWatchdog(deadline_s=1.0)
-        first = watchdog.track(op="a")
-        second = watchdog.track(op="b")
-        now = time.perf_counter()
-        assert len(watchdog.scan(now=now + 2.0)) == 2
-        assert watchdog.stalled_count() == 2
-        watchdog.untrack(first)
-        assert watchdog.stalled_count() == 1
-        watchdog.untrack(second)
-        assert watchdog.stalled_count() == 0
-
-    def test_untracked_healthy_requests_fire_nothing(self):
-        clears = []
-        watchdog = StallWatchdog(deadline_s=30.0, on_clear=clears.append)
-        token = watchdog.track(op="quick")
-        watchdog.untrack(token)
-        assert clears == []
-        assert watchdog.inflight() == []
-
-    def test_background_thread_scans(self):
-        stalls = []
-        watchdog = StallWatchdog(
-            deadline_s=0.05, interval_s=0.01, on_stall=stalls.append
-        )
-        watchdog.start()
-        try:
-            token = watchdog.track(op="slow")
-            deadline = time.time() + 5.0
-            while not stalls and time.time() < deadline:
-                time.sleep(0.01)
-            watchdog.untrack(token)
-        finally:
-            watchdog.stop()
-        assert stalls and stalls[0]["op"] == "slow"
-        assert not watchdog.running
-
-    def test_interval_defaults_to_quarter_deadline(self):
-        assert StallWatchdog(deadline_s=2.0).interval_s == 0.5
-        assert StallWatchdog(deadline_s=0.1).interval_s == 0.05
-        assert StallWatchdog(deadline_s=400.0).interval_s == 1.0
-        with pytest.raises(ValueError):
-            StallWatchdog(deadline_s=0.0)
-
-    def test_hook_exceptions_are_swallowed(self):
-        watchdog = StallWatchdog(
-            deadline_s=1.0,
-            on_stall=lambda info: 1 / 0,
-            on_clear=lambda info: 1 / 0,
-        )
-        token = watchdog.track(op="x")
-        assert len(watchdog.scan(now=time.perf_counter() + 2.0)) == 1
-        watchdog.untrack(token)  # must not raise

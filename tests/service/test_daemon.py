@@ -48,6 +48,55 @@ def client(daemon):
         yield c
 
 
+@pytest.fixture
+def hold(monkeypatch):
+    """A ``hold`` op that stays in flight until its gate (``"a"`` or
+    ``"b"``) is set, naming a design when the request does."""
+    gates = {"a": threading.Event(), "b": threading.Event()}
+
+    def _op_hold(self, request):
+        if request.get("netlist"):
+            self._design(request)
+        assert gates[request["gate"]].wait(30.0)
+        return {"ok": True}
+
+    monkeypatch.setattr(TimingDaemon, "_op_hold", _op_hold, raising=False)
+    yield gates
+    for gate in gates.values():
+        gate.set()
+
+
+def _in_thread(sock, request):
+    """Send ``request`` on a connection of its own, from a new thread;
+    the thread and the list its answer lands in."""
+    answers = []
+
+    def send():
+        with DaemonClient(sock, timeout=30.0) as client:
+            answers.append(client.request(request))
+
+    thread = threading.Thread(target=send)
+    thread.start()
+    return thread, answers
+
+
+def _until(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def _health(sock):
+    """One ``health`` answer, read on a connection of its own."""
+    with DaemonClient(sock, timeout=30.0) as client:
+        return client.health()
+
+
+def _stall_events(client):
+    return [e for e in client.flight()["events"] if e["kind"] == "stall"]
+
+
 class TestProtocol:
     def test_ping(self, client):
         response = client.ping()
@@ -126,7 +175,7 @@ class TestConnections:
             try:
                 deadline = time.monotonic() + 5.0
                 while (
-                    server.watchdog.stalled_count() < 9
+                    _health(sock)["stalled"] < 9
                     and time.monotonic() < deadline
                 ):
                     time.sleep(0.01)
@@ -202,6 +251,19 @@ class TestConnections:
         assert server.requests == 400
         assert len(log.read_text().splitlines()) == 400
 
+    def test_an_idle_daemon_runs_one_thread(self, tmp_path):
+        """The thread that accepts connections is the daemon's only
+        thread until a client connects."""
+        before = set(threading.enumerate())
+        server = TimingDaemon(str(tmp_path / "idle.sock"))
+        server.start()
+        try:
+            added = set(threading.enumerate()) - before
+        finally:
+            server.stop()
+        assert len(added) == 1
+        assert not set(threading.enumerate()) - before
+
     def test_stop_waits_for_the_request_in_flight(self, tmp_path):
         sock = str(tmp_path / "stop.sock")
         log = tmp_path / "access.jsonl"
@@ -216,9 +278,9 @@ class TestConnections:
             )
             thread.start()
             deadline = time.monotonic() + 10.0
-            while server.in_flight < 1 and time.monotonic() < deadline:
+            while len(server._in_flight) < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert server.in_flight == 1
+            assert len(server._in_flight) == 1
             server.stop()
             # stop() returned: the request is done and logged, and its
             # answer reaches the client.
@@ -567,7 +629,7 @@ class TestServing:
 
 
 class TestSelfDiagnosis:
-    """Flight recorder, crash reports, stall watchdog."""
+    """Flight recorder, crash reports, stalled requests."""
 
     @pytest.fixture
     def diag(self, tmp_path):
@@ -859,7 +921,7 @@ class TestSelfDiagnosis:
         with TimingDaemon(sock) as server:
             assert server.debug_ops is True
 
-    # -- stall watchdog ------------------------------------------------
+    # -- stalled requests ----------------------------------------------
     def test_stall_fires_and_resolves(self, diag):
         import threading
         import time
@@ -900,12 +962,128 @@ class TestSelfDiagnosis:
         assert {e["op"] for e in stall_events} == {"sleep"}
         assert stall_events[0]["stack"]  # the stuck thread's frames
 
-    def test_watchdog_disabled_with_none_timeout(self, tmp_path):
+    def test_young_request_is_not_stalled(self, tmp_path, hold):
+        sock = str(tmp_path / "young.sock")
+        with TimingDaemon(sock, stall_timeout_s=30.0) as server:
+            thread, answers = _in_thread(sock, {"op": "hold", "gate": "a"})
+            assert _until(lambda: len(server._in_flight) == 1)
+            health = _health(sock)
+            hold["a"].set()
+            thread.join(timeout=30.0)
+            with DaemonClient(sock) as c:
+                events = _stall_events(c)
+        assert (health["in_flight"], health["stalled"]) == (2, 0)
+        assert answers and answers[0]["ok"]
+        assert events == []
+
+    def test_stall_is_reported_once_with_its_design(
+        self, diag, hold, design_files
+    ):
+        """However many reads follow, a stalled request gets one
+        ``stalled`` event; it names the request's op and design, how
+        long it had waited and the stack of the thread answering it."""
+        server, c = diag
+        netlist, clocks = design_files
+        thread, answers = _in_thread(
+            server.socket_path,
+            {"op": "hold", "gate": "a", "netlist": netlist, "clocks": clocks},
+        )
+        try:
+            assert _until(lambda: c.health()["stalled"] == 1)
+            for __ in range(3):
+                assert c.health()["stalled"] == 1
+                stats = c.stats()
+                assert stats["stalled"] == 1
+                assert c.metrics()["metrics"]["gauges"][
+                    "service.daemon.stalled"
+                ] == 1
+            stalls = _stall_events(c)
+        finally:
+            hold["a"].set()
+            thread.join(timeout=30.0)
+        assert answers and answers[0]["ok"]
+        row = stats_row(stats, netlist, clocks)
+        assert row["in_flight"] == 1
+        (event,) = stalls
+        assert event["status"] == "stalled"
+        assert event["op"] == "hold"
+        assert event["design"] == row["design"]
+        assert event["waited_s"] >= 0.2
+        assert any("_op_hold" in frame for frame in event["stack"])
+        counters = c.metrics()["metrics"]["counters"]
+        assert counters["service.daemon.stalls"] == 1
+        assert [e["status"] for e in _stall_events(c)] == [
+            "stalled",
+            "resolved",
+        ]
+        assert stats_row(c.stats(), netlist, clocks)["in_flight"] == 0
+
+    def test_stalls_count_down_as_requests_end(self, diag, hold):
+        server, c = diag
+        held = [
+            _in_thread(server.socket_path, {"op": "hold", "gate": gate})
+            for gate in ("a", "b")
+        ]
+        assert _until(lambda: c.health()["stalled"] == 2)
+        counts = [2]
+        for gate, (thread, answers) in zip(("a", "b"), held):
+            hold[gate].set()
+            thread.join(timeout=30.0)
+            assert answers and answers[0]["ok"]
+            counts.append(c.health()["stalled"])
+        assert counts == [2, 1, 0]
+        assert [e["status"] for e in _stall_events(c)] == [
+            "stalled",
+            "stalled",
+            "resolved",
+            "resolved",
+        ]
+
+    def test_crash_report_carries_the_stall_it_finds(self, diag, hold):
+        """Nothing reads the daemon's state before the handler
+        exception: writing the crash report counts the stall."""
+        server, c = diag
+        thread, __ = _in_thread(
+            server.socket_path, {"op": "hold", "gate": "a"}
+        )
+        try:
+            assert _until(lambda: len(server._in_flight) == 1)
+            time.sleep(0.3)  # past the 0.2 s deadline
+            assert c.request({"op": "fail"})["ok"] is False
+            crash = c.crash_report()["crash"]
+        finally:
+            hold["a"].set()
+            thread.join(timeout=30.0)
+        stalls = [
+            e for e in crash["flight"]["events"] if e["kind"] == "stall"
+        ]
+        assert [(e["op"], e["status"]) for e in stalls] == [
+            ("hold", "stalled")
+        ]
+        assert stalls[0]["stack"]
+
+    def test_watchdog_disabled_with_none_timeout(self, tmp_path, hold):
         sock = str(tmp_path / "nowd.sock")
         with TimingDaemon(sock, stall_timeout_s=None) as server:
-            assert server.watchdog is None
             with DaemonClient(sock) as c:
+                assert c.buildinfo()["config"]["stall_timeout_s"] is None
                 assert c.ping()["pong"]
+                thread, __ = _in_thread(sock, {"op": "hold", "gate": "a"})
+                try:
+                    assert _until(lambda: len(server._in_flight) == 1)
+                    time.sleep(0.3)
+                    health = c.health()
+                    events = _stall_events(c)
+                    gauges = c.metrics()["metrics"]["gauges"]
+                finally:
+                    hold["a"].set()
+                    thread.join(timeout=30.0)
+        assert (health["in_flight"], health["stalled"]) == (2, 0)
+        assert events == []
+        assert "service.daemon.stalled" not in gauges
+        for bad in (0, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                TimingDaemon(str(tmp_path / "bad.sock"), stall_timeout_s=bad)
 
     # -- buildinfo / gauges --------------------------------------------
     def test_buildinfo_reports_diagnosis_config(self, diag):

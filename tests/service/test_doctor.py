@@ -293,11 +293,12 @@ class TestDoctorAgainstStalledDaemon:
             thread.start()
             try:
                 deadline = time.time() + 10.0
-                while (
-                    server.watchdog.stalled_count() == 0
-                    and time.time() < deadline
-                ):
-                    time.sleep(0.02)
+                with DaemonClient(sock, timeout=30.0) as poll:
+                    while (
+                        poll.health()["stalled"] == 0
+                        and time.time() < deadline
+                    ):
+                        time.sleep(0.02)
                 assert not done.is_set(), "the sleep ended before a stall"
                 assert main(["doctor", "--socket", sock]) == 1
                 out = capsys.readouterr().out

@@ -4,8 +4,8 @@ Covers the copy-on-write ``AnalysisSnapshot`` read path (epoch
 invalidation, counters, digest identity), the regression for the old
 daemon-wide ``_trace_lock`` (two traced analyses of *different* designs
 must overlap in time), and the ``_locked_design`` context manager (an
-injected handler fault can never leak ``in_flight`` or keep a design
-locked).
+injected handler fault can never leave a request in flight or keep a
+design locked).
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ def client(daemon):
 
 def _counters(daemon) -> dict:
     return dict(daemon.recorder.counters)
+
+
+def _row_in_flight(daemon, netlist, clocks) -> int:
+    """The design's ``stats`` row ``in_flight``, read in process."""
+    stats = daemon.handle_line(b'{"op": "stats"}')
+    return stats_row(stats, netlist, clocks)["in_flight"]
 
 
 class TestSnapshotReads:
@@ -328,9 +334,12 @@ class TestLockHygiene:
         assert failed["error_type"] == "RuntimeError"
 
         state = next(iter(daemon._designs.values()))
-        assert state.in_flight == 0, "fault leaked state.in_flight"
+        assert _row_in_flight(daemon, netlist, clocks) == 0, (
+            "fault leaked an in-flight request"
+        )
         assert not state.lock.locked(), "fault left the design locked"
         # The design still serves -- no deadlock, no poisoned state.
         ok = daemon.handle_line(line)
         assert ok["ok"] and ok["engine"] == "cold"
-        assert state.in_flight == 0 and not state.lock.locked()
+        assert _row_in_flight(daemon, netlist, clocks) == 0
+        assert not state.lock.locked()
